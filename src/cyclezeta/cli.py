@@ -183,9 +183,7 @@ def _cmd_enum(args) -> CommandResult:
     space = _space(args)
     res = CommandResult("enum", _params(args))
     if args.kind == "divisors":
-        forms = cycle_oracle.enum_divisors(
-            space, args.q, args.multidegree, threads=args.threads
-        )
+        forms = cycle_oracle.enum_divisors(space, args.q, args.multidegree)
         res.add_int("count", len(forms))
         res.add_raw("forms", [str(f) for f in forms])
         res.provenance = "exhaustive canonical-form enumeration"
@@ -457,7 +455,6 @@ def build_parser() -> _Parser:
     _add_space_args(p)
     p.add_argument("--multidegree", type=_multidegree)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("bound", help="counting bounds and pinned constants")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -366,10 +365,10 @@ def enum_divisor_count_by_degree(space: SpaceDescriptor, q: PrimePower, k: int) 
     raise DomainError(f"no divisor enumeration on {space.label()}")
 
 
-def _canonical_vectors(total_monomials: int, q: int, lo: int, hi: int):
-    # vectors in [lo, hi) of the base-q integer encoding whose first
-    # nonzero digit (in monomial order, least significant first) is 1
-    for code in range(max(lo, 1), hi):
+def _canonical_vectors(total_monomials: int, q: int):
+    # nonzero vectors of the base-q integer encoding whose first nonzero
+    # digit (in monomial order, least significant first) is 1
+    for code in range(1, q ** total_monomials):
         v = code
         digits = []
         for _ in range(total_monomials):
@@ -383,15 +382,11 @@ def _canonical_vectors(total_monomials: int, q: int, lo: int, hi: int):
             break
 
 
-def enum_divisors(
-    space: SpaceDescriptor, q: PrimePower, e, threads: int = 1
-) -> list[FormClass]:
+def enum_divisors(space: SpaceDescriptor, q: PrimePower, e) -> list[FormClass]:
     """Every effective divisor of exactly the given multidegree, once each.
 
     Divisors correspond to nonzero forms modulo scalars; the canonical
-    representative scales the first nonzero coefficient to 1.  The outer
-    coefficient loop splits into chunks for worker threads; the merged
-    output is independent of the thread count.
+    representative scales the first nonzero coefficient to 1.
     """
     e = _check_multidegree(e)
     monos = monomial_exponents(space, e)
@@ -401,21 +396,6 @@ def enum_divisors(
         raise SizeCapExceeded(
             f"coefficient space of size {q.q}^{m} exceeds cap {ENUM_CAP}"
         )
-
-    def chunk(bounds):
-        lo, hi = bounds
-        return [
-            FormClass(space, q, e, vec)
-            for vec in _canonical_vectors(m, q.q, lo, hi)
-        ]
-
-    if threads <= 1:
-        forms = chunk((1, total))
-    else:
-        step = max(1, (total + threads - 1) // threads)
-        ranges = [(lo, min(lo + step, total)) for lo in range(1, total, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(chunk, ranges))
-        forms = [f for part in parts for f in part]
+    forms = [FormClass(space, q, e, vec) for vec in _canonical_vectors(m, q.q)]
     forms.sort(key=lambda f: f.coefficients)
     return forms

@@ -96,18 +96,6 @@ def test_enum_outputs_forms(capsys):
     assert len(doc["results"]["forms"]["value"]) == 3
 
 
-def test_enum_thread_invariance(capsys):
-    base = run_json(
-        capsys, "enum", "divisors", "--space", "p1xn", "--n", "2",
-        "--q", "2", "--multidegree", "2,1",
-    )
-    threaded = run_json(
-        capsys, "enum", "divisors", "--space", "p1xn", "--n", "2",
-        "--q", "2", "--multidegree", "2,1", "--threads", "4",
-    )
-    assert base["results"]["forms"] == threaded["results"]["forms"]
-
-
 def test_lfun_command(capsys):
     doc = run_json(capsys, "lfun", "--n", "1", "--l", "0", "--s", "4",
                    "--pmax", "50")
