@@ -16,12 +16,9 @@ from .field_census import (
     point_count,
 )
 from .exact_counts import (
-    CycleCountQuery,
     cycle_count,
     divisor_count,
     divisor_count_by_degree,
-    divisor_count_multidegree,
-    divisor_count_pn,
     top_cycle_count,
     zero_cycle_count,
 )
@@ -34,7 +31,6 @@ from .cycle_oracle import (
     enum_zero_cycles,
     fiber_count,
     pushforward_zero_cycle,
-    residue_product_points,
 )
 from .bound_engine import (
     CountingSystemSpec,

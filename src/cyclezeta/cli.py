@@ -8,7 +8,8 @@ every randomized command requires ``--seed``.  Output is byte-identical
 across runs for identical arguments and seed; wall-clock timing is only
 attached with ``--timing``.
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 size-cap refusal.
+Exit codes: 0 success, 1 usage error, 2 domain error, 3 size-cap refusal,
+4 internal fault (an ``--audit`` mismatch or a non-integral exact count).
 
 Polynomial grammar (shared by ``norm``, ``delta``, ``height`` and the
 height censuses): signed integer coefficients, ``+ - * ^`` and
@@ -29,7 +30,13 @@ from dataclasses import dataclass, field
 
 from . import bound_engine, exact_counts, field_census, fs_norms, height_lab
 from . import cycle_oracle, zeta_series
-from .errors import CycleZetaError, DomainError, SizeCapExceeded
+from .errors import (
+    AuditMismatch,
+    CycleZetaError,
+    DomainError,
+    IntegralityError,
+    SizeCapExceeded,
+)
 from .multipoly import parse_affine_polynomial, parse_integer_form
 from .quadrature import QuadratureConfig
 from .spaces import PrimePower, parse_space
@@ -127,56 +134,44 @@ def _multidegree(text: str) -> tuple[int, ...]:
 def _cmd_count(args) -> CommandResult:
     space = _space(args)
     res = CommandResult("count", _params(args))
-    if args.kind == "divisors":
-        if args.multidegree is not None:
-            count = exact_counts.divisor_count(space, args.q, args.multidegree)
-            res.provenance = "closed-form multidegree divisor count"
-            if args.audit:
-                forms = cycle_oracle.enum_divisors(space, args.q, args.multidegree)
-                _audit_equal(len(forms), count)
-                res.add_raw("audit", "oracle enumeration matched")
-        else:
-            count = exact_counts.divisor_count_by_degree(space, args.q, args.k)
-            res.provenance = "closed-form divisor count by polarization degree"
-            if args.audit:
-                _audit_equal(
-                    cycle_oracle.enum_divisor_count_by_degree(space, args.q, args.k),
-                    count,
-                )
-                res.add_raw("audit", "oracle enumeration matched")
+    family, degree = args.kind, args.k
+    if args.kind == "divisors" and args.multidegree is not None:
+        family, degree = "multidegree divisors", args.multidegree
+        count = exact_counts.divisor_count(space, args.q, degree)
+        res.provenance = "closed-form multidegree divisor count"
+    elif args.kind == "divisors":
+        count = exact_counts.divisor_count_by_degree(space, args.q, degree)
+        res.provenance = "closed-form divisor count by polarization degree"
     elif args.kind == "zero-cycles":
-        count = exact_counts.zero_cycle_count(space, args.q, args.k)
+        count = exact_counts.zero_cycle_count(space, args.q, degree)
         res.provenance = "exp of point-count series, exact rational recurrence"
-        if args.audit:
-            cycles = cycle_oracle.enum_zero_cycles(space, args.q, args.k)
-            _audit_equal(len(cycles), count)
-            res.add_raw("audit", "oracle enumeration matched")
     elif args.kind == "top-cycles":
-        count = exact_counts.top_cycle_count(space, args.k)
+        count = exact_counts.top_cycle_count(space, degree)
         res.provenance = "divisibility by the top polarization degree"
     else:  # cycles: dispatch on l
-        count = exact_counts.cycle_count(space, args.q, args.l, args.k)
+        count = exact_counts.cycle_count(space, args.q, args.l, degree)
+        family = exact_counts.cycle_family(space, args.l)
         res.provenance = "closed-form dispatch on cycle dimension"
-        if args.audit and _oracle_cycle_count(space, args.q, args.l, args.k) is not None:
-            _audit_equal(_oracle_cycle_count(space, args.q, args.l, args.k), count)
-            res.add_raw("audit", "oracle enumeration matched")
+    if args.audit:
+        _audit(res, family, space, args.q, [(degree, count)])
     res.add_int("count", count)
     return res
 
 
-def _oracle_cycle_count(space, q, l, k):
-    if l == 0:
-        return len(cycle_oracle.enum_zero_cycles(space, q, k))
-    if l == space.dim - 1:
-        return cycle_oracle.enum_divisor_count_by_degree(space, q, k)
-    return None
+def _audit(res: CommandResult, family: str, space, q, counts) -> None:
+    """Re-derive each (degree, count) pair with the family's oracle.
 
-
-def _audit_equal(enumerated: int, formula: int):
-    if enumerated != formula:
-        raise CycleZetaError(
-            f"audit failed: oracle {enumerated} != formula {formula}"
-        )
+    The oracle comes from ``cycle_oracle.AUDITS``; a family without one
+    (top cycles) is left unaudited and gets no ``audit`` result.
+    """
+    if family not in cycle_oracle.AUDITS:
+        return
+    _, oracle = cycle_oracle.AUDITS[family]
+    for degree, count in counts:
+        found = oracle(space, q, degree)
+        if found != count:
+            raise AuditMismatch(f"audit failed: oracle {found} != formula {count}")
+    res.add_raw("audit", "oracle enumeration matched")
 
 
 def _cmd_enum(args) -> CommandResult:
@@ -236,14 +231,8 @@ def _cmd_zeta(args) -> CommandResult:
     res.add_raw("exponents", [series.exponent(k) for k in range(args.kmax + 1)])
     res.provenance = "exact cycle counts at sparse exponents"
     if args.audit:
-        audited = False
-        for k, c in enumerate(series.coefficients):
-            oracle = _oracle_cycle_count(space, args.q, args.l, k)
-            if oracle is not None:
-                _audit_equal(oracle, c)
-                audited = True
-        if audited:
-            res.add_raw("audit", "oracle enumeration matched")
+        family = exact_counts.cycle_family(space, args.l)
+        _audit(res, family, space, args.q, enumerate(series.coefficients))
     return res
 
 
@@ -560,7 +549,10 @@ def main(argv=None) -> int:
     except SizeCapExceeded as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, CycleZetaError, ValueError) as exc:
+    except (AuditMismatch, IntegralityError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except (CycleZetaError, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     if result is not None:

@@ -3,7 +3,10 @@
 This module is the ground truth: every closed-form count and every bound
 elsewhere in the package is validated against the objects listed here.
 Enumerators therefore never approximate; they either finish exactly or
-raise ``SizeCapExceeded``.
+raise ``SizeCapExceeded``.  ``AUDITS`` is the one table that pairs each
+audited closed form in ``exact_counts`` with its oracle here; the
+oracles take only the degree convention from ``exact_counts``, never the
+closed forms they audit.
 
 Closed points are Frobenius orbits of points over the splitting field,
 keyed by the lexicographically least orbit member with coordinates
@@ -18,8 +21,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import exact_counts
 from .errors import DomainError, SizeCapExceeded
-from .exact_counts import MultiDegree, _check_multidegree
+from .exact_counts import MultiDegree, _check_multidegree, polarization_multidegrees
 from .field_census import point_count
 from .finite_fields import Fq, embedding, field
 from .spaces import PrimePower, Product, SpaceDescriptor, multidegree_slots
@@ -173,18 +177,6 @@ def enum_zero_cycles(space: SpaceDescriptor, q: PrimePower, k: int) -> list[Zero
 # products of residue fields, pushforward, fibers
 # ---------------------------------------------------------------------------
 
-def residue_product_points(a: int, b: int) -> list[tuple[int, int]]:
-    """Splitting of the tensor product of residue extensions of degrees a, b.
-
-    The product of the degree-a and degree-b extensions of a finite field
-    splits into gcd(a, b) factors, each of degree lcm(a, b); the return
-    value is [(number of factors, common degree)].
-    """
-    if a < 1 or b < 1:
-        raise DomainError("degrees must be >= 1")
-    return [(math.gcd(a, b), math.lcm(a, b))]
-
-
 def _project_closed_point(pt: ClosedPoint, which: str) -> tuple[ClosedPoint, int]:
     """Project a closed point of a product to one factor.
 
@@ -248,8 +240,8 @@ def fiber_count(x: ZeroCycle, y: ZeroCycle, q: PrimePower) -> int:
     slots = []  # (index in xs, index in ys, rel deg over x_i, rel deg over y_j)
     for i, (dx, _) in enumerate(xs):
         for j, (dy, _) in enumerate(ys):
-            (count, deg), = residue_product_points(dx, dy)
-            slots.extend([(i, j, deg // dx, deg // dy)] * count)
+            deg = math.lcm(dx, dy)
+            slots.extend([(i, j, deg // dx, deg // dy)] * math.gcd(dx, dy))
 
     @lru_cache(maxsize=None)
     def count_from(idx: int, rem_x: tuple, rem_y: tuple) -> int:
@@ -342,29 +334,6 @@ class FormClass:
         return " + ".join(parts) if parts else "0"
 
 
-def enum_divisor_count_by_degree(space: SpaceDescriptor, q: PrimePower, k: int) -> int:
-    """Degree-k divisor count re-derived purely by enumeration.
-
-    Uses the same polarization-degree conventions as the closed forms:
-    form degree on projective space, (n-1)! times the multidegree sum on
-    a product of projective lines.
-    """
-    from .exact_counts import _compositions
-    from .spaces import ProjSpace, as_p1_power
-
-    if isinstance(space, ProjSpace) and space.n >= 1:
-        return len(enum_divisors(space, q, (k,)))
-    n = as_p1_power(space)
-    if n is not None and n >= 1:
-        step = math.factorial(n - 1)
-        if k % step != 0:
-            return 0
-        return sum(
-            len(enum_divisors(space, q, e)) for e in _compositions(k // step, n)
-        )
-    raise DomainError(f"no divisor enumeration on {space.label()}")
-
-
 def _canonical_vectors(total_monomials: int, q: int):
     # nonzero vectors of the base-q integer encoding whose first nonzero
     # digit (in monomial order, least significant first) is 1
@@ -399,3 +368,28 @@ def enum_divisors(space: SpaceDescriptor, q: PrimePower, e) -> list[FormClass]:
     forms = [FormClass(space, q, e, vec) for vec in _canonical_vectors(m, q.q)]
     forms.sort(key=lambda f: f.coefficients)
     return forms
+
+
+# ---------------------------------------------------------------------------
+# the audit table
+# ---------------------------------------------------------------------------
+
+# family -> (closed form, oracle), both called as f(space, q, degree): the
+# degree is the multidegree e for "multidegree divisors" and the
+# polarization degree k otherwise.  Top cycles have no oracle.
+AUDITS = {
+    "zero-cycles": (
+        exact_counts.zero_cycle_count,
+        lambda space, q, k: len(enum_zero_cycles(space, q, k)),
+    ),
+    "divisors": (
+        exact_counts.divisor_count_by_degree,
+        lambda space, q, k: sum(
+            len(enum_divisors(space, q, e)) for e in polarization_multidegrees(space, k)
+        ),
+    ),
+    "multidegree divisors": (
+        exact_counts.divisor_count,
+        lambda space, q, e: len(enum_divisors(space, q, e)),
+    ),
+}

@@ -33,6 +33,13 @@ class IntegralityError(CycleZetaError, ArithmeticError):
     """
 
 
+class AuditMismatch(CycleZetaError):
+    """A closed form and its brute-force oracle disagree.
+
+    Like ``IntegralityError`` this is an internal fault, never bad input.
+    """
+
+
 class AllZero(DomainError):
     """Every polynomial in the tuple is zero, so log max |f_i| is -infinity."""
 

@@ -11,15 +11,17 @@ Three families have closed forms:
 * top-dimensional cycles a * [X], which exist exactly when the degree is
   a multiple of the top self-intersection of the polarization.
 
-Intermediate dimensions 0 < l < dim - 1 have no closed form and are
-refused; the brute-force enumerator in ``cycle_oracle`` is the only
-route there, under its own size caps.
+``cycle_family`` is the one place that maps a cycle dimension l to its
+family, and ``polarization_multidegrees`` the one place that fixes the
+degree convention for divisors.  Intermediate dimensions 0 < l < dim - 1
+have no closed form and are refused; the brute-force enumerator in
+``cycle_oracle`` is the only route there, under its own size caps.  Each
+closed form is paired with its oracle in ``cycle_oracle.AUDITS``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, IntegralityError, UnsupportedDimension
@@ -41,33 +43,6 @@ def _check_multidegree(e) -> MultiDegree:
     if any(x < 0 for x in e):
         raise DomainError(f"multidegree entries must be >= 0, got {e}")
     return e
-
-
-def divisor_count_multidegree(q: PrimePower, e) -> int:
-    """Exact number of effective divisors on (P^1)^n with i-th degree e_i.
-
-    Divisors of that multidegree correspond to nonzero multihomogeneous
-    forms modulo scalars, and the form space has dimension prod(e_i + 1):
-
-        (q^{prod (e_i + 1)} - 1) / (q - 1).
-    """
-    e = _check_multidegree(e)
-    dim = math.prod(x + 1 for x in e)
-    return (q.q ** dim - 1) // (q.q - 1)
-
-
-def divisor_count_pn(q: PrimePower, n: int, k: int) -> int:
-    """Exact number of effective degree-k divisors on P^n over F_q.
-
-    The degree-k forms in n+1 variables make a C(n+k, n)-dimensional
-    space; divisors are nonzero forms modulo scalars.
-    """
-    if n < 1:
-        raise DomainError("divisor_count_pn needs n >= 1")
-    if k < 0:
-        raise DomainError("degree k must be >= 0")
-    dim = math.comb(n + k, n)
-    return (q.q ** dim - 1) // (q.q - 1)
 
 
 def divisor_count(space: SpaceDescriptor, q: PrimePower, e) -> int:
@@ -133,30 +108,50 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def divisor_count_by_degree(space: SpaceDescriptor, q: PrimePower, k: int) -> int:
-    """Exact number of effective divisors of polarization degree k.
+def polarization_multidegrees(space: SpaceDescriptor, k: int) -> list[MultiDegree]:
+    """The divisor multidegrees of polarization degree k on the space.
 
     On P^n the polarization degree of a divisor equals its form degree.
-    On (P^1)^n it is (n-1)! * (sum of the multidegrees), so the count is a
-    sum of multidegree counts over compositions.  Other spaces have no
-    closed form here.
+    On (P^1)^n it is (n-1)! * (sum of the multidegrees), so the
+    multidegrees are the compositions of k/(n-1)!, and none when (n-1)!
+    does not divide k.  Other spaces have no degree convention here.
     """
     if k < 0:
         raise DomainError("degree k must be >= 0")
     if isinstance(space, ProjSpace) and space.n >= 1:
-        return divisor_count_pn(q, space.n, k)
+        return [(k,)]
     n = as_p1_power(space)
     if n is not None and n >= 1:
-        if n == 1:
-            return divisor_count_multidegree(q, (k,))
         step = math.factorial(n - 1)
-        if k % step != 0:
-            return 0
-        return sum(
-            divisor_count_multidegree(q, e) for e in _compositions(k // step, n)
-        )
+        return list(_compositions(k // step, n)) if k % step == 0 else []
     raise UnsupportedDimension(
         f"no closed-form divisor count on {space.label()}"
+    )
+
+
+def divisor_count_by_degree(space: SpaceDescriptor, q: PrimePower, k: int) -> int:
+    """Exact number of effective divisors of polarization degree k."""
+    return sum(divisor_count(space, q, e) for e in polarization_multidegrees(space, k))
+
+
+def cycle_family(space: SpaceDescriptor, l: int) -> str:
+    """The family of the l-dimensional cycles on the space.
+
+    One of "zero-cycles", "top-cycles" or "divisors", checked in that
+    order (so l = 0 on a curve is a zero-cycle); the dimensions in
+    between have no closed form and are refused.
+    """
+    dim = space.dim
+    if not 0 <= l <= dim:
+        raise DomainError(f"cycle dimension l={l} outside 0..{dim}")
+    if l == 0:
+        return "zero-cycles"
+    if l == dim:
+        return "top-cycles"
+    if l == dim - 1:
+        return "divisors"
+    raise UnsupportedDimension(
+        f"no closed form for l={l} on {space.label()} (dim {dim})"
     )
 
 
@@ -166,38 +161,9 @@ def cycle_count(space: SpaceDescriptor, q: PrimePower, l: int, k: int) -> int:
     Closed forms exist for l in {0, dim-1, dim}; anything in between is
     refused (use the enumeration oracle at tiny scale instead).
     """
-    dim = space.dim
-    if not 0 <= l <= dim:
-        raise DomainError(f"cycle dimension l={l} outside 0..{dim}")
-    if k < 0:
-        raise DomainError("degree k must be >= 0")
-    if l == 0:
+    family = cycle_family(space, l)
+    if family == "zero-cycles":
         return zero_cycle_count(space, q, k)
-    if l == dim:
+    if family == "top-cycles":
         return top_cycle_count(space, k)
-    if l == dim - 1:
-        return divisor_count_by_degree(space, q, k)
-    raise UnsupportedDimension(
-        f"no closed form for l={l} on {space.label()} (dim {dim})"
-    )
-
-
-@dataclass(frozen=True)
-class CycleCountQuery:
-    """A (space, q, l, k) tuple addressing one exact cycle count."""
-
-    space: SpaceDescriptor
-    q: PrimePower
-    l: int
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.l <= self.space.dim:
-            raise DomainError(
-                f"cycle dimension {self.l} outside 0..{self.space.dim}"
-            )
-        if self.k < 0:
-            raise DomainError("degree k must be >= 0")
-
-    def count(self) -> int:
-        return cycle_count(self.space, self.q, self.l, self.k)
+    return divisor_count_by_degree(space, q, k)

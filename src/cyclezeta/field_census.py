@@ -13,15 +13,11 @@ slip through silently.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, IntegralityError
 from .spaces import P1Power, PrimePower, Product, ProjSpace, SpaceDescriptor
-
-CACHE_DIR_ENV = "CYCLEZETA_CACHE_DIR"
 
 
 def divisors(n: int) -> list[int]:
@@ -94,9 +90,6 @@ def closed_point_census(space: SpaceDescriptor, q: PrimePower, dmax: int) -> Clo
     """
     if dmax < 1:
         raise DomainError("dmax must be >= 1")
-    cached = _cache_load(space, q, dmax)
-    if cached is not None:
-        return ClosedPointCensus(space, q, cached)
     counts = {m: point_count(space, q, m) for m in range(1, dmax + 1)}
     b = []
     for d in range(1, dmax + 1):
@@ -111,9 +104,7 @@ def closed_point_census(space: SpaceDescriptor, q: PrimePower, dmax: int) -> Clo
                 f"census inversion negative at degree {d} for {space.label()}"
             )
         b.append(bd)
-    census = ClosedPointCensus(space, q, tuple(b))
-    _cache_store(space, q, dmax, census.b)
-    return census
+    return ClosedPointCensus(space, q, tuple(b))
 
 
 def irreducible_count(q: PrimePower, d: int) -> int:
@@ -125,30 +116,3 @@ def irreducible_count(q: PrimePower, d: int) -> int:
         raise IntegralityError(f"necklace count non-integral at degree {d}")
     return total // d
 
-
-def _cache_path(space: SpaceDescriptor, q: PrimePower, dmax: int) -> str | None:
-    root = os.environ.get(CACHE_DIR_ENV)
-    if not root:
-        return None
-    token = space.label().replace("^", "e").replace("(", "").replace(")", "")
-    return os.path.join(root, f"census_{token}_q{q.p}-{q.e}_d{dmax}.json")
-
-
-def _cache_load(space, q, dmax):
-    path = _cache_path(space, q, dmax)
-    if path is None or not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return tuple(int(x) for x in data["b"])
-
-
-def _cache_store(space, q, dmax, b):
-    path = _cache_path(space, q, dmax)
-    if path is None:
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    payload = {"space": space.label(), "p": q.p, "e": q.e, "dmax": dmax,
-               "b": [str(x) for x in b]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)

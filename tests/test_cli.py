@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from cyclezeta import cycle_oracle, field_census
 from cyclezeta.cli import main
 
 
@@ -170,3 +171,159 @@ def test_big_integers_serialized_as_strings(capsys):
     value = doc["results"]["count"]["value"]
     assert isinstance(value, str)
     assert int(value) > 10 ** 30
+
+
+# Full stdout of audited and census commands: the echoed parameters, the
+# provenance strings and the ``audit`` key are part of the output contract.
+PINNED_OUTPUTS = [
+    (
+        'count divisors --space p1xn --n 2 --q 2 --multidegree 1,1 --audit',
+        '{"command": "count", "parameters": {"audit": true, '
+        '"command": "count", "k": 0, "kind": "divisors", "l": 0, '
+        '"multidegree": [1, 1], "n": 2, "q": "2", "space": "p1xn"}, '
+        '"provenance": "closed-form multidegree divisor count", '
+        '"results": {"audit": {"error": 0, '
+        '"value": "oracle enumeration matched"}, "count": {"error": 0, '
+        '"value": "15"}}}\n'
+    ),
+    (
+        'count divisors --space pn --n 2 --q 2 --k 2 --audit',
+        '{"command": "count", "parameters": {"audit": true, '
+        '"command": "count", "k": 2, "kind": "divisors", "l": 0, "n": 2, '
+        '"q": "2", "space": "pn"}, '
+        '"provenance": "closed-form divisor count by polarization degree", '
+        '"results": {"audit": {"error": 0, '
+        '"value": "oracle enumeration matched"}, "count": {"error": 0, '
+        '"value": "63"}}}\n'
+    ),
+    (
+        'count divisors --space p1xn --n 2 --q 2 --k 2 --audit',
+        '{"command": "count", "parameters": {"audit": true, '
+        '"command": "count", "k": 2, "kind": "divisors", "l": 0, "n": 2, '
+        '"q": "2", "space": "p1xn"}, '
+        '"provenance": "closed-form divisor count by polarization degree", '
+        '"results": {"audit": {"error": 0, '
+        '"value": "oracle enumeration matched"}, "count": {"error": 0, '
+        '"value": "29"}}}\n'
+    ),
+    (
+        'count zero-cycles --space pn --n 2 --q 2 --k 2 --audit',
+        '{"command": "count", "parameters": {"audit": true, '
+        '"command": "count", "k": 2, "kind": "zero-cycles", "l": 0, "n": 2, '
+        '"q": "2", "space": "pn"}, "provenance": "exp of point-count series, '
+        'exact rational recurrence", "results": {"audit": {"error": 0, '
+        '"value": "oracle enumeration matched"}, "count": {"error": 0, '
+        '"value": "35"}}}\n'
+    ),
+    (
+        'count top-cycles --space pn --n 2 --q 2 --k 2',
+        '{"command": "count", "parameters": {"audit": false, '
+        '"command": "count", "k": 2, "kind": "top-cycles", "l": 0, "n": 2, '
+        '"q": "2", "space": "pn"}, '
+        '"provenance": "divisibility by the top polarization degree", '
+        '"results": {"count": {"error": 0, "value": "1"}}}\n'
+    ),
+    (
+        'count cycles --space pn --n 2 --q 2 --l 1 --k 2 --audit',
+        '{"command": "count", "parameters": {"audit": true, '
+        '"command": "count", "k": 2, "kind": "cycles", "l": 1, "n": 2, '
+        '"q": "2", "space": "pn"}, '
+        '"provenance": "closed-form dispatch on cycle dimension", '
+        '"results": {"audit": {"error": 0, '
+        '"value": "oracle enumeration matched"}, "count": {"error": 0, '
+        '"value": "63"}}}\n'
+    ),
+    (
+        'zeta --space pn --n 2 --q 2 --l 0 --kmax 3 --audit',
+        '{"command": "zeta", "parameters": {"audit": true, '
+        '"command": "zeta", "kmax": 3, "l": 0, "n": 2, "q": "2", '
+        '"space": "pn"}, '
+        '"provenance": "exact cycle counts at sparse exponents", '
+        '"results": {"audit": {"error": 0, '
+        '"value": "oracle enumeration matched"}, '
+        '"coefficients": {"error": 0, "value": ["1", "7", "35", "155"]}, '
+        '"exponents": {"error": 0, "value": [0, 1, 2, 3]}}}\n'
+    ),
+    (
+        'zeta --space pn --n 2 --q 2 --l 1 --kmax 2 --audit',
+        '{"command": "zeta", "parameters": {"audit": true, '
+        '"command": "zeta", "kmax": 2, "l": 1, "n": 2, "q": "2", '
+        '"space": "pn"}, '
+        '"provenance": "exact cycle counts at sparse exponents", '
+        '"results": {"audit": {"error": 0, '
+        '"value": "oracle enumeration matched"}, '
+        '"coefficients": {"error": 0, "value": ["1", "7", "63"]}, '
+        '"exponents": {"error": 0, "value": [0, 1, 4]}}}\n'
+    ),
+    (
+        'zeta --space pn --n 2 --q 2 --l 2 --kmax 3 --audit',
+        '{"command": "zeta", "parameters": {"audit": true, '
+        '"command": "zeta", "kmax": 3, "l": 2, "n": 2, "q": "2", '
+        '"space": "pn"}, '
+        '"provenance": "exact cycle counts at sparse exponents", '
+        '"results": {"coefficients": {"error": 0, "value": ["1", "1", "1", '
+        '"1"]}, "exponents": {"error": 0, "value": [0, 1, 8, 27]}}}\n'
+    ),
+    (
+        'census closed-points --space pn --n 2 --q 2 --dmax 4',
+        '{"command": "census", "parameters": {"a": 0.25, '
+        '"command": "census", "d": 1, "dmax": 4, "h": 0.0, '
+        '"kind": "closed-points", "mc_samples": 1000000, "n": 2, '
+        '"nodes": 64, "q": "2", "scheme": "tensor_gauss", "space": "pn", '
+        '"stream": false, "tolerance": 0.001}, '
+        '"provenance": "Moebius inversion of extension point counts", '
+        '"results": {"b": {"error": 0, "value": ["7", "7", "22", "63"]}}}\n'
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_OUTPUTS)
+def test_pinned_outputs_byte_identical(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0, err
+    assert out == expected
+
+
+def _count_calls(monkeypatch, family):
+    closed_form, oracle = cycle_oracle.AUDITS[family]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setitem(cycle_oracle.AUDITS, family, (closed_form, counting))
+    return calls
+
+
+def test_audit_enumerates_once_per_count(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "divisors")
+    doc = run_json(capsys, "count", "cycles", "--space", "pn", "--n", "2",
+                   "--q", "2", "--l", "1", "--k", "2", "--audit")
+    assert "audit" in doc["results"]
+    assert len(calls) == 1
+    run_json(capsys, "zeta", "--space", "pn", "--n", "2", "--q", "2",
+             "--l", "1", "--kmax", "2", "--audit")
+    assert len(calls) == 1 + 3
+
+
+def test_internal_faults_exit_4(capsys, monkeypatch):
+    closed_form, oracle = cycle_oracle.AUDITS["zero-cycles"]
+    monkeypatch.setitem(cycle_oracle.AUDITS, "zero-cycles",
+                        (closed_form, lambda *args: oracle(*args) + 1))
+    for argv in (
+        ("count", "zero-cycles", "--space", "pn", "--n", "1", "--q", "2",
+         "--k", "2", "--audit"),
+        ("zeta", "--space", "pn", "--n", "1", "--q", "2", "--l", "0",
+         "--kmax", "2", "--audit"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert "audit failed" in err
+    # point counts that no space has: b_2 = (N_2 - N_1) / 2 is not an integer
+    monkeypatch.setattr(field_census, "point_count",
+                        lambda space, q, m: 3 if m == 1 else 4)
+    code, out, err = run_cli(capsys, "census", "closed-points", "--space", "pn",
+                             "--n", "1", "--q", "2", "--dmax", "2")
+    assert code == 4 and out == ""
+    assert "non-integral" in err

@@ -2,18 +2,18 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclezeta.cycle_oracle import (
+    AUDITS,
+    ClosedPoint,
     ZeroCycle,
     closed_points,
-    enum_divisor_count_by_degree,
     enum_divisors,
     enum_zero_cycles,
     fiber_count,
     pushforward_zero_cycle,
-    residue_product_points,
 )
 from cyclezeta.errors import DomainError, SizeCapExceeded
 from cyclezeta.exact_counts import (
@@ -22,7 +22,7 @@ from cyclezeta.exact_counts import (
     zero_cycle_count,
 )
 from cyclezeta.field_census import closed_point_census
-from cyclezeta.spaces import P1Power, PrimePower, Product, ProjSpace
+from cyclezeta.spaces import P1Power, PrimePower, Product, ProjSpace, multidegree_slots
 
 Q2 = PrimePower(2)
 Q3 = PrimePower(3)
@@ -89,28 +89,14 @@ def test_enum_zero_cycles_matches_formula(k):
         assert all(z.degree == k for z in cycles) or k == 0
 
 
-def test_enum_divisor_count_by_degree_matches_closed_form():
+def test_divisor_oracle_by_degree_matches_closed_form():
+    closed_form, oracle = AUDITS["divisors"]
+    assert closed_form is divisor_count_by_degree
     for k in (0, 1, 2):
-        assert enum_divisor_count_by_degree(P2, Q2, k) == divisor_count_by_degree(
-            P2, Q2, k
-        )
-        assert enum_divisor_count_by_degree(
+        assert oracle(P2, Q2, k) == divisor_count_by_degree(P2, Q2, k)
+        assert oracle(P1Power(2), Q2, k) == divisor_count_by_degree(
             P1Power(2), Q2, k
-        ) == divisor_count_by_degree(P1Power(2), Q2, k)
-
-
-def test_residue_product_points():
-    assert residue_product_points(1, 1) == [(1, 1)]
-    assert residue_product_points(2, 2) == [(2, 2)]
-    assert residue_product_points(2, 3) == [(1, 6)]
-
-
-def test_residue_product_against_field_factorization():
-    # number of degree-lcm closed points of the product of a degree-a and a
-    # degree-b point equals gcd(a,b): check through the product census
-    for a, b in [(1, 2), (2, 2), (2, 3), (3, 3)]:
-        (count, deg), = residue_product_points(a, b)
-        assert count * deg == a * b
+        )
 
 
 def test_pushforward_examples():
@@ -212,9 +198,51 @@ def test_zero_cycle_make_validation():
     assert z.terms == ()
 
 
+def _single_point_cycle(degree: int, mult: int) -> ZeroCycle:
+    # fiber_count reads only residue degrees and multiplicities
+    pt = ClosedPoint(P1, Q2, degree, ((degree,),))
+    return ZeroCycle.make(P1, Q2, {pt: mult})
+
+
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
+@example(1, 1)
+@example(2, 2)
+@example(2, 3)
+@example(3, 3)
 @settings(max_examples=40)
 def test_residue_product_gcd_lcm(a, b):
-    (count, deg), = residue_product_points(a, b)
-    assert count == math.gcd(a, b)
-    assert deg == math.lcm(a, b)
+    # the residue fields of degrees a and b multiply to gcd(a, b) points of
+    # degree lcm(a, b): the cycles over (lcm/a) x and (lcm/b) y are exactly
+    # these points with multiplicity one
+    lcm = math.lcm(a, b)
+    assume(lcm <= 8)
+    assert lcm * math.gcd(a, b) == a * b
+    x = _single_point_cycle(a, lcm // a)
+    y = _single_point_cycle(b, lcm // b)
+    assert fiber_count(x, y, Q2) == math.gcd(a, b)
+    # no cycle upstairs has degree below lcm(a, b)
+    if lcm > a:
+        assert fiber_count(_single_point_cycle(a, 1), _single_point_cycle(b, 1), Q2) == 0
+
+
+@given(
+    st.sampled_from(sorted(AUDITS)),
+    st.sampled_from([P1, P2, P1Power(2)]),
+    st.sampled_from([Q2, Q3, PrimePower(2, 2)]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_audited_family_matches_its_oracle(family, space, q, data):
+    closed_form, oracle = AUDITS[family]
+    if family == "multidegree divisors":
+        degree = tuple(
+            data.draw(st.integers(min_value=0, max_value=2), label=f"e{i}")
+            for i in range(len(multidegree_slots(space)))
+        )
+    else:
+        degree = data.draw(st.integers(min_value=0, max_value=3), label="k")
+    try:
+        enumerated = oracle(space, q, degree)
+    except SizeCapExceeded:
+        assume(False)
+    assert enumerated == closed_form(space, q, degree)

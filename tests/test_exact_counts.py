@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -6,12 +7,11 @@ from hypothesis import strategies as st
 
 from cyclezeta.errors import DomainError, UnsupportedDimension
 from cyclezeta.exact_counts import (
-    CycleCountQuery,
     cycle_count,
+    cycle_family,
     divisor_count,
     divisor_count_by_degree,
-    divisor_count_multidegree,
-    divisor_count_pn,
+    polarization_multidegrees,
     top_cycle_count,
     zero_cycle_count,
 )
@@ -24,17 +24,19 @@ P2 = ProjSpace(2)
 
 
 def test_divisor_multidegree_examples():
-    assert divisor_count_multidegree(Q2, (1, 1)) == 15
-    assert divisor_count_multidegree(Q3, (2,)) == 13
+    assert divisor_count(P1Power(2), Q2, (1, 1)) == 15
+    assert divisor_count(P1, Q3, (2,)) == 13
     for q in (Q2, Q3):
-        assert divisor_count_multidegree(q, (0, 0, 0)) == 1
+        assert divisor_count(P1Power(3), q, (0, 0, 0)) == 1
 
 
 def test_divisor_pn_examples():
-    assert divisor_count_pn(Q2, 2, 1) == 7
+    assert divisor_count_by_degree(P2, Q2, 1) == 7
     for k in range(8):
-        assert divisor_count_pn(Q2, 1, k) == 2 ** (k + 1) - 1
-        assert divisor_count_pn(Q3, 2, 0) == 1
+        assert divisor_count_by_degree(P1, Q2, k) == 2 ** (k + 1) - 1
+        assert divisor_count_by_degree(P2, Q3, 0) == 1
+    with pytest.raises(DomainError):
+        divisor_count_by_degree(P2, Q2, -1)
 
 
 def test_divisor_count_general_spaces():
@@ -78,46 +80,71 @@ def test_top_cycle_examples():
 
 def test_divisor_count_by_degree_p1_power():
     # on (P1)^2 the polarization degree of a multidegree-(a,b) divisor is a+b
-    assert divisor_count_by_degree(P1Power(2), Q2, 1) == 2 * divisor_count_multidegree(
-        Q2, (1, 0)
+    assert divisor_count_by_degree(P1Power(2), Q2, 1) == 2 * divisor_count(
+        P1Power(2), Q2, (1, 0)
     )
     expected = (
-        divisor_count_multidegree(Q2, (2, 0)) * 2
-        + divisor_count_multidegree(Q2, (1, 1))
+        divisor_count(P1Power(2), Q2, (2, 0)) * 2
+        + divisor_count(P1Power(2), Q2, (1, 1))
     )
     assert divisor_count_by_degree(P1Power(2), Q2, 2) == expected
     with pytest.raises(UnsupportedDimension):
         divisor_count_by_degree(Product(P2, P2), Q2, 1)
 
 
+def test_polarization_multidegrees():
+    assert polarization_multidegrees(P2, 3) == [(3,)]
+    assert polarization_multidegrees(P1Power(1), 3) == [(3,)]
+    assert polarization_multidegrees(P1Power(2), 2) == [(0, 2), (1, 1), (2, 0)]
+    # (P1)^3 has polarization degree 2 * (sum of the multidegrees)
+    assert polarization_multidegrees(P1Power(3), 3) == []
+    assert sorted(polarization_multidegrees(P1Power(3), 2)) == [
+        (0, 0, 1), (0, 1, 0), (1, 0, 0)
+    ]
+    assert polarization_multidegrees(Product(P1, P1), 1) == [(0, 1), (1, 0)]
+    with pytest.raises(UnsupportedDimension):
+        polarization_multidegrees(Product(P2, P1), 1)
+    with pytest.raises(DomainError):
+        polarization_multidegrees(P2, -1)
+
+
 def test_bounded_multidegree_sum_bound():
     # sum over e <= k componentwise is at most prod(k_i+1) times the top term
     for q in (Q2, Q3):
         for kvec in [(1, 1), (2, 1), (2, 2), (3,)]:
-            import itertools
-
+            space = P1Power(len(kvec))
             total = sum(
-                divisor_count_multidegree(q, e)
+                divisor_count(space, q, e)
                 for e in itertools.product(*[range(k + 1) for k in kvec])
             )
-            cap = math.prod(k + 1 for k in kvec) * divisor_count_multidegree(q, kvec)
+            cap = math.prod(k + 1 for k in kvec) * divisor_count(space, q, kvec)
             assert total <= cap
 
 
 def test_cycle_count_dispatch():
     assert cycle_count(P2, Q2, 0, 2) == zero_cycle_count(P2, Q2, 2)
-    assert cycle_count(P2, Q2, 1, 2) == divisor_count_pn(Q2, 2, 2)
+    assert cycle_count(P2, Q2, 1, 2) == divisor_count(P2, Q2, (2,))
     assert cycle_count(P2, Q2, 2, 5) == 1
     with pytest.raises(UnsupportedDimension):
         cycle_count(ProjSpace(3), Q2, 1, 2)
     with pytest.raises(DomainError):
         cycle_count(P2, Q2, 3, 1)
-
-
-def test_query_wrapper():
-    assert CycleCountQuery(P1, Q2, 0, 2).count() == 7
     with pytest.raises(DomainError):
-        CycleCountQuery(P1, Q2, 2, 1)
+        cycle_count(P2, Q2, 1, -1)
+
+
+def test_cycle_family_order():
+    # l = 0 is checked first, then dim, then dim - 1
+    assert cycle_family(P1, 0) == "zero-cycles"
+    assert cycle_family(ProjSpace(0), 0) == "zero-cycles"
+    assert cycle_family(P1, 1) == "top-cycles"
+    assert cycle_family(P2, 1) == "divisors"
+    assert cycle_family(P1Power(3), 2) == "divisors"
+    with pytest.raises(UnsupportedDimension):
+        cycle_family(ProjSpace(3), 1)
+    for l in (-1, 3):
+        with pytest.raises(DomainError):
+            cycle_family(P2, l)
 
 
 @given(st.integers(min_value=0, max_value=12))
@@ -133,8 +160,9 @@ def test_p1_divisors_equal_zero_cycles(k):
 )
 @settings(max_examples=40)
 def test_multidegree_count_positive_and_monotone(e, q):
-    count = divisor_count_multidegree(q, tuple(e))
+    space = P1Power(len(e))
+    count = divisor_count(space, q, tuple(e))
     assert count >= 1
     bumped = list(e)
     bumped[0] += 1
-    assert divisor_count_multidegree(q, tuple(bumped)) > count
+    assert divisor_count(space, q, tuple(bumped)) > count

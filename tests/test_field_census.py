@@ -122,12 +122,3 @@ def test_rejects_bad_inputs():
         point_count(ProjSpace(1), Q2, 0)
     with pytest.raises(DomainError):
         closed_point_census(ProjSpace(1), Q2, 0)
-
-
-def test_census_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("CYCLEZETA_CACHE_DIR", str(tmp_path))
-    first = closed_point_census(ProjSpace(2), Q3, 3)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    again = closed_point_census(ProjSpace(2), Q3, 3)
-    assert first.b == again.b
