@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclezeta.cycle_oracle import (
@@ -204,11 +204,36 @@ def _single_point_cycle(degree: int, mult: int) -> ZeroCycle:
     return ZeroCycle.make(P1, Q2, {pt: mult})
 
 
+def _residue_product_points(a: int, b: int) -> list[tuple[int, int]]:
+    # (count, degree) of the closed points in the product of a degree-a and a
+    # degree-b point: the lowest degree with cycles over (deg/a) x and
+    # (deg/b) y, where those cycles are the points with multiplicity one
+    for deg in range(1, a * b + 1):
+        if deg % a or deg % b:
+            continue
+        x = _single_point_cycle(a, deg // a)
+        y = _single_point_cycle(b, deg // b)
+        count = fiber_count(x, y, Q2)
+        if count:
+            return [(count, deg)]
+    return []
+
+
+def test_residue_product_points():
+    assert _residue_product_points(1, 1) == [(1, 1)]
+    assert _residue_product_points(2, 2) == [(2, 2)]
+    assert _residue_product_points(2, 3) == [(1, 6)]
+
+
+def test_residue_product_against_field_factorization():
+    # number of degree-lcm closed points of the product of a degree-a and a
+    # degree-b point equals gcd(a,b): the degrees add up to a*b
+    for a, b in [(1, 2), (2, 2), (2, 3), (3, 3)]:
+        (count, deg), = _residue_product_points(a, b)
+        assert count * deg == a * b
+
+
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
-@example(1, 1)
-@example(2, 2)
-@example(2, 3)
-@example(3, 3)
 @settings(max_examples=40)
 def test_residue_product_gcd_lcm(a, b):
     # the residue fields of degrees a and b multiply to gcd(a, b) points of
