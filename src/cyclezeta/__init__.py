@@ -6,7 +6,13 @@ bounded-height point counts over function fields.
 Exact counting is big-integer arithmetic validated against brute-force
 enumeration; the analytic side is seeded, tolerance-tracked quadrature
 against the product Fubini-Study volume.
+
+Importing the package does not import numpy.  The exports of
+``quadrature`` and ``fs_norms``, the modules that need it, are loaded on
+first access.
 """
+
+import importlib
 
 from .spaces import P1Power, PrimePower, Product, ProjSpace, SpaceDescriptor
 from .field_census import (
@@ -52,16 +58,6 @@ from .zeta_series import (
     spec_z_zeta_partial,
 )
 from .multipoly import IntegerForm, MultiPoly, parse_affine_polynomial, parse_integer_form
-from .quadrature import QuadratureConfig
-from .fs_norms import (
-    NormSampleSpec,
-    count_arith_divisors_bounded,
-    delta_lambda,
-    lc_sigma_max,
-    norms,
-    v_measure,
-    verify_norm_props,
-)
 from .height_lab import (
     FunctionFieldPoint,
     RationalFunctionPoint,
@@ -72,3 +68,28 @@ from .height_lab import (
 )
 
 __version__ = "0.1.0"
+
+# export -> numpy-backed module that defines it, resolved by __getattr__
+_LAZY_EXPORTS = {
+    "QuadratureConfig": "quadrature",
+    "NormSampleSpec": "fs_norms",
+    "count_arith_divisors_bounded": "fs_norms",
+    "delta_lambda": "fs_norms",
+    "lc_sigma_max": "fs_norms",
+    "norms": "fs_norms",
+    "v_measure": "fs_norms",
+    "verify_norm_props": "fs_norms",
+}
+
+
+def __getattr__(name):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))

@@ -11,6 +11,15 @@ attached with ``--timing``.
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 size-cap refusal,
 4 internal fault (an ``--audit`` mismatch or a non-integral exact count).
 
+``--q`` takes a prime power as ``p^e`` or as a plain integer (4 = 2^2).
+
+numpy is imported only where arrays are computed: by the quadrature
+commands (``norm``, ``delta``, ``divcount``, ``height nv``, ``census
+sh-set``, ``verify``), which import ``fs_norms``/``quadrature`` when they
+run, and by the first extension-field table build (closed points of
+degree > 1, as in ``enum zero-cycles`` and zero-cycle ``--audit``s, or
+any field F_q with q not prime).  The other commands never load it.
+
 Polynomial grammar (shared by ``norm``, ``delta``, ``height`` and the
 height censuses): signed integer coefficients, ``+ - * ^`` and
 parentheses over variables ``z1..z9`` for affine polynomials, ``X1, Y1,
@@ -27,8 +36,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import bound_engine, exact_counts, field_census, fs_norms, height_lab
+from . import bound_engine, exact_counts, field_census, height_lab
 from . import cycle_oracle, zeta_series
 from .errors import (
     AuditMismatch,
@@ -38,8 +48,10 @@ from .errors import (
     SizeCapExceeded,
 )
 from .multipoly import parse_affine_polynomial, parse_integer_form
-from .quadrature import QuadratureConfig
 from .spaces import PrimePower, parse_space
+
+if TYPE_CHECKING:
+    from .quadrature import QuadratureConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,10 +96,20 @@ def _emit(result: CommandResult, args) -> None:
 
 
 def _prime_power(text: str) -> PrimePower:
+    """Read ``p^e`` or a plain prime power such as 4 (= 2^2)."""
     if "^" in text:
         p, e = text.split("^", 1)
         return PrimePower(int(p), int(e))
-    return PrimePower(int(text))
+    q = int(text)
+    if q > 1:
+        # least prime factor
+        p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+        e = 1
+        while p ** e < q:
+            e += 1
+        if p ** e == q:
+            return PrimePower(p, e)
+    raise DomainError(f"q = {q} is not prime or a prime power")
 
 
 def _space(args):
@@ -95,6 +117,8 @@ def _space(args):
 
 
 def _quad_config(args) -> QuadratureConfig:
+    from .quadrature import QuadratureConfig
+
     scheme = getattr(args, "scheme", "tensor_gauss")
     if scheme == "monte_carlo" and getattr(args, "seed", None) is None:
         raise DomainError("monte_carlo quadrature requires --seed")
@@ -260,6 +284,8 @@ def _cmd_speczeta(args) -> CommandResult:
 
 
 def _cmd_norm(args) -> CommandResult:
+    from . import fs_norms
+
     f = parse_affine_polynomial(args.poly, nvars=args.nvars)
     inf, two = fs_norms.norms(f)
     res = CommandResult("norm", _params(args))
@@ -274,6 +300,8 @@ def _cmd_norm(args) -> CommandResult:
 
 
 def _cmd_delta(args) -> CommandResult:
+    from . import fs_norms
+
     form = parse_integer_form(args.form)
     cfg = _quad_config(args)
     value = fs_norms.delta_lambda(form, args.lam, cfg)
@@ -286,6 +314,10 @@ def _cmd_delta(args) -> CommandResult:
 
 
 def _cmd_divcount(args) -> CommandResult:
+    from . import fs_norms
+
+    if args.search_cap is None:
+        args.search_cap = fs_norms.DEFAULT_SEARCH_CAP
     cfg = _quad_config(args)
     census = fs_norms.count_arith_divisors_bounded(
         args.n, args.lam, args.h, cfg, search_cap=args.search_cap
@@ -388,6 +420,8 @@ def _cmd_census(args) -> CommandResult | None:
 
 
 def _cmd_verify(args) -> CommandResult:
+    from . import fs_norms
+
     spec = fs_norms.NormSampleSpec(
         samples=args.samples, seed=args.seed, nvars=args.nvars,
         max_degree=args.maxdeg, coeff_bound=args.coeff_bound,
@@ -498,7 +532,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--search-cap", type=int, default=fs_norms.DEFAULT_SEARCH_CAP)
+    p.add_argument("--search-cap", type=int)  # default: fs_norms.DEFAULT_SEARCH_CAP
     _add_quad_args(p)
     p.set_defaults(func=_cmd_divcount)
 

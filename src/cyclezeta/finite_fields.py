@@ -24,8 +24,9 @@ Then ``mul``, ``pow`` (so the Frobenius a -> a^q), ``inv``, ``add``,
 ``neg`` and ``sub`` are a few list lookups each.  The build is O(order)
 in time and memory and vectorised: multiplication by g is an F_p-linear
 map, so the coefficient vectors of g^0 .. g^(2k-1) come from those of
-g^0 .. g^(k-1) by one matrix product mod p.  The tables are plain lists
-of Python ints, about 140 bytes per field element in all.  On a 2-core
+g^0 .. g^(k-1) by one matrix product mod p.  numpy is imported at the
+first extension-field build, so prime fields never load it.  The tables
+are plain lists of Python ints, about 140 bytes per field element in all.  On a 2-core
 x86 VM (Python 3.11, numpy 2.4) field(2, 19), field(3, 12) and
 field(5, 8) build in 0.5, 0.3 and 0.15 s and raise peak RSS by 79, 80
 and 59 MB; field(997, 2), near the cap, takes 0.3 s and 149 MB.
@@ -36,8 +37,6 @@ the process.
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import DomainError, SizeCapExceeded
 
@@ -147,6 +146,8 @@ def _primitive_element(p: int, modulus) -> tuple[int, ...]:
 
 def _log_tables(p: int, modulus) -> tuple[list[int], list[int], list[int]]:
     """The exp (doubled), log and Zech tables of an extension field."""
+    import numpy as np  # only extension fields need it
+
     m = len(modulus) - 1
     n = p ** m - 1
     g = _primitive_element(p, modulus)

@@ -16,6 +16,10 @@ the archimedean integral:
 all finite places dropping out because no prime divisor divides every
 coordinate.  The membership set for the lower-bound census is a box of
 integer polynomials whose members all satisfy h((1:f)) <= h.
+
+The function-field half is exact integer work and imports without
+numpy; ``height_nv``, ``sh_set_table`` and ``sh_set_census`` load numpy
+and ``quadrature`` when first called.
 """
 
 from __future__ import annotations
@@ -24,14 +28,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, SizeCapExceeded
 from .finite_fields import Fq, field
 from .multipoly import MultiPoly
-from .quadrature import QuadratureConfig, batched_log_integrals, integrate_log_max
 from .spaces import PrimePower
+
+if TYPE_CHECKING:
+    from .quadrature import QuadratureConfig
 
 FF_CENSUS_CAP = 10 ** 7
 
@@ -283,6 +288,8 @@ def height_nv(x: RationalFunctionPoint, cfg: QuadratureConfig) -> float:
     Quadrature-backed, so the variable count is capped: tensor grids up
     to d = 2, Monte Carlo up to d = 3.
     """
+    from .quadrature import integrate_log_max
+
     if x.d > 3 or (x.d > 2 and cfg.scheme == "tensor_gauss"):
         raise DomainError(
             "heights support d <= 2 on tensor grids, d <= 3 with monte_carlo"
@@ -328,6 +335,10 @@ def sh_set_table(
     |f|_inf <= exp((1 - a*d) * h) / sqrt(2).  Heights are those of the
     points (1 : f): infinity degrees plus the integral of log max(1, |f|).
     """
+    import numpy as np
+
+    from .quadrature import batched_log_integrals, integrate_log_max
+
     if d < 1:
         raise DomainError("need d >= 1 variables")
     if 1.0 - 2.0 * d * a <= 0:
@@ -379,6 +390,8 @@ def sh_set_census(
     with a guard band of cfg.tolerance; the count is compared against the
     analytic lower bound exp(a^d (1 - 2ad) h^(d+1) - a^d h^d).
     """
+    import numpy as np
+
     exponents, rows, heights, box, degree_cap = sh_set_table(
         d, a, h, cfg, search_cap
     )

@@ -1,8 +1,12 @@
 import json
 import math
+import shlex
+import subprocess
+import sys
 
 import pytest
 
+import cyclezeta
 from cyclezeta import cycle_oracle, field_census
 from cyclezeta.cli import main
 
@@ -173,8 +177,10 @@ def test_big_integers_serialized_as_strings(capsys):
     assert int(value) > 10 ** 30
 
 
-# Full stdout of audited and census commands: the echoed parameters, the
-# provenance strings and the ``audit`` key are part of the output contract.
+# Full stdout of audited and census commands and of the README examples:
+# the echoed parameters, the provenance strings and the ``audit`` key are
+# part of the output contract.  ``verify norms`` runs at 3 samples and 16
+# nodes; the README's 100 samples at 64 nodes take about 90 s.
 PINNED_OUTPUTS = [
     (
         'count divisors --space p1xn --n 2 --q 2 --multidegree 1,1 --audit',
@@ -274,12 +280,153 @@ PINNED_OUTPUTS = [
         '"provenance": "Moebius inversion of extension point counts", '
         '"results": {"b": {"error": 0, "value": ["7", "7", "22", "63"]}}}\n'
     ),
+    (
+        'bound constant --n 2 --l 1',
+        '{"command": "bound", "parameters": {"command": "bound", '
+        '"deg_c": 1.0, "deg_d": 1.0, "deg_e": 1.0, "deg_pi": 1, "h": '
+        '1.0, "kind": "constant", "l": 1, "mults": [1], "n": 2, "q": '
+        '"2", "theta_d": 1, "theta_e": 1}, "provenance": "pinned '
+        'recursion over boundary strata", "results": {"constant": '
+        '{"error": 0, "value": "37"}, "derivation": {"error": 0, '
+        '"value": ["C(1,1) = 1  (top-dimensional base case)", "C(2,1) = '
+        'C(1,1) + 2^2 * C\'(2,1) = 1 + 4 * 9 = 37"]}}}\n'
+    ),
+    (
+        'lfun --n 1 --l 0 --s 4 --pmax 100000',
+        '{"command": "lfun", "parameters": {"command": "lfun", "l": 0, '
+        '"n": 1, "pmax": 100000, "s": 4.0}, "provenance": "ascending '
+        'partial Euler product, tail-bounded factors", "results": '
+        '{"imag": {"error": 6.951710181995472e-11, "value": 0.0}, '
+        '"real": {"error": 6.951710181995472e-11, "value": '
+        '1.3010141145271656}}}\n'
+    ),
+    (
+        'speczeta --s 2 --cutoff 10000 --audit',
+        '{"command": "speczeta", "parameters": {"audit": true, '
+        '"command": "speczeta", "cutoff": 10000, "s": 2.0}, '
+        '"provenance": "cycle enumeration through the norm bijection", '
+        '"results": {"partial_sum": {"error": 0.0, "value": '
+        '1.6448340718480599}, "tail_bound": {"error": 0.0, "value": '
+        '0.0001}}}\n'
+    ),
+    (
+        'norm --poly "3*z1*z2 - 4" --nodes 32',
+        '{"command": "norm", "parameters": {"command": "norm", '
+        '"mc_samples": 1000000, "nodes": 32, "poly": "3*z1*z2 - 4", '
+        '"scheme": "tensor_gauss", "tolerance": 0.001}, "provenance": '
+        '"coefficient norms exact; v by Fubini-Study quadrature", '
+        '"results": {"inf": {"error": 0.0, "value": 4.0}, '
+        '"lc_sigma_max": {"error": 0.0, "value": 3.0}, "two": {"error": '
+        '0.0, "value": 5.0}, "v": {"error": 0.001, "value": '
+        '5.780337912631454}}}\n'
+    ),
+    (
+        'delta --form "X1^2 - 3*X1*Y1 + Y1^2" --lam 1',
+        '{"command": "delta", "parameters": {"command": "delta", "form": '
+        '"X1^2 - 3*X1*Y1 + Y1^2", "lam": 1.0, "mc_samples": 1000000, '
+        '"nodes": 64, "scheme": "tensor_gauss", "tolerance": 0.001}, '
+        '"provenance": "lambda-degree term plus Fubini-Study integral", '
+        '"results": {"delta": {"error": 0.001, "value": '
+        '3.0986409554279755}, "multidegree": {"error": 0, "value": '
+        '[2]}}}\n'
+    ),
+    (
+        'divcount --n 1 --lam 1 --h 1.0986122886681098',
+        '{"command": "divcount", "parameters": {"command": "divcount", '
+        '"h": 1.0986122886681098, "lam": 1.0, "mc_samples": 1000000, '
+        '"n": 1, "nodes": 64, "scheme": "tensor_gauss", "search_cap": '
+        '2000000, "tolerance": 0.001}, "provenance": "exhaustive '
+        'certified-region search with guard band", "results": '
+        '{"borderline": {"error": 0, "value": []}, "coeff_box": '
+        '{"error": 0, "value": "3"}, "count": {"error": 0, "value": '
+        '"5"}, "log_certified_bound": {"error": 0.0, "value": '
+        '4.82498726282649}}}\n'
+    ),
+    (
+        'height nv --coords 1,z1 --d 1 --nodes 128',
+        '{"command": "height", "parameters": {"command": "height", '
+        '"coords": "1,z1", "d": 1, "kind": "nv", "mc_samples": 1000000, '
+        '"nodes": 128, "q": "2", "scheme": "tensor_gauss", "tolerance": '
+        '0.001}, "provenance": "infinity degrees plus Fubini-Study '
+        'integral", "results": {"height": {"error": 0.001, "value": '
+        '1.3465544705452164}}}\n'
+    ),
+    (
+        'height ff --coords 1,t^2+1 --q 2',
+        '{"command": "height", "parameters": {"command": "height", '
+        '"coords": "1,t^2+1", "d": 1, "kind": "ff", "mc_samples": '
+        '1000000, "nodes": 64, "q": "2", "scheme": "tensor_gauss", '
+        '"tolerance": 0.001}, "provenance": "max coordinate degree after '
+        'normalization", "results": {"height": {"error": 0, "value": '
+        '"2"}}}\n'
+    ),
+    (
+        'census ff-points --q 2 --n 1 --h 2 --stream',
+        '{"coords": ["0", "1"], "height": 0}\n'
+        '{"coords": ["t^2", "1"], "height": 2}\n'
+        '{"coords": ["t^2", "1 + t^2"], "height": 2}\n'
+        '{"coords": ["t^2", "1 + t"], "height": 2}\n'
+        '{"coords": ["t^2", "1 + t + t^2"], "height": 2}\n'
+        '{"coords": ["t", "1"], "height": 1}\n'
+        '{"coords": ["t", "1 + t^2"], "height": 2}\n'
+        '{"coords": ["t", "1 + t"], "height": 1}\n'
+        '{"coords": ["t", "1 + t + t^2"], "height": 2}\n'
+        '{"coords": ["t + t^2", "1"], "height": 2}\n'
+        '{"coords": ["t + t^2", "1 + t + t^2"], "height": 2}\n'
+        '{"coords": ["1", "0"], "height": 0}\n'
+        '{"coords": ["1", "t^2"], "height": 2}\n'
+        '{"coords": ["1", "t"], "height": 1}\n'
+        '{"coords": ["1", "t + t^2"], "height": 2}\n'
+        '{"coords": ["1", "1"], "height": 0}\n'
+        '{"coords": ["1", "1 + t^2"], "height": 2}\n'
+        '{"coords": ["1", "1 + t"], "height": 1}\n'
+        '{"coords": ["1", "1 + t + t^2"], "height": 2}\n'
+        '{"coords": ["1 + t^2", "t^2"], "height": 2}\n'
+        '{"coords": ["1 + t^2", "t"], "height": 2}\n'
+        '{"coords": ["1 + t^2", "1"], "height": 2}\n'
+        '{"coords": ["1 + t^2", "1 + t + t^2"], "height": 2}\n'
+        '{"coords": ["1 + t", "t^2"], "height": 2}\n'
+        '{"coords": ["1 + t", "t"], "height": 1}\n'
+        '{"coords": ["1 + t", "1"], "height": 1}\n'
+        '{"coords": ["1 + t", "1 + t + t^2"], "height": 2}\n'
+        '{"coords": ["1 + t + t^2", "t^2"], "height": 2}\n'
+        '{"coords": ["1 + t + t^2", "t"], "height": 2}\n'
+        '{"coords": ["1 + t + t^2", "t + t^2"], "height": 2}\n'
+        '{"coords": ["1 + t + t^2", "1"], "height": 2}\n'
+        '{"coords": ["1 + t + t^2", "1 + t^2"], "height": 2}\n'
+        '{"coords": ["1 + t + t^2", "1 + t"], "height": 2}\n'
+    ),
+    (
+        'census sh-set --d 1 --a 0.25 --h 4',
+        '{"command": "census", "parameters": {"a": 0.25, "command": '
+        '"census", "d": 1, "dmax": 1, "h": 4.0, "kind": "sh-set", '
+        '"mc_samples": 1000000, "n": 1, "nodes": 64, "q": "2", "scheme": '
+        '"tensor_gauss", "space": "pn", "stream": false, "tolerance": '
+        '0.001}, "provenance": "exhaustive box census with numerical '
+        'height check", "results": {"all_heights_ok": {"error": 0, '
+        '"value": true}, "analytic_lower_bound": {"error": 0.0, "value": '
+        '2.718281828459045}, "coeff_box": {"error": 0, "value": "14"}, '
+        '"count": {"error": 0, "value": "841"}, "max_height": {"error": '
+        '0.001, "value": 3.986130506979504}}}\n'
+    ),
+    (
+        'verify norms --samples 3 --seed 7 --nvars 2 --maxdeg 3 --nodes 16',
+        '{"command": "verify", "parameters": {"coeff_bound": 10, '
+        '"command": "verify", "kind": "norms", "maxdeg": 3, '
+        '"mc_samples": 1000000, "nodes": 16, "nvars": 2, "samples": 3, '
+        '"scheme": "tensor_gauss", "seed": 7, "tolerance": 0.001}, '
+        '"provenance": "seeded random polynomials against norm '
+        'inequalities", "results": {"checks": {"error": 0, "value": '
+        '"15"}, "fail": {"error": 0, "value": "0"}, "failures": '
+        '{"error": 0, "value": []}, "pass": {"error": 0, "value": "15"}, '
+        '"warn": {"error": 0, "value": "0"}}}\n'
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, expected", PINNED_OUTPUTS)
 def test_pinned_outputs_byte_identical(capsys, argv, expected):
-    code, out, err = run_cli(capsys, *argv.split())
+    code, out, err = run_cli(capsys, *shlex.split(argv))
     assert code == 0, err
     assert out == expected
 
@@ -327,3 +474,92 @@ def test_internal_faults_exit_4(capsys, monkeypatch):
                              "--n", "1", "--q", "2", "--dmax", "2")
     assert code == 4 and out == ""
     assert "non-integral" in err
+
+
+def test_plain_prime_power_q(capsys):
+    argv = ("count", "zero-cycles", "--space", "pn", "--n", "2", "--k", "2")
+    _, plain, _ = run_cli(capsys, *argv, "--q", "4")
+    _, power, _ = run_cli(capsys, *argv, "--q", "2^2")
+    assert plain == power and '"q": "2^2"' in plain
+    doc = run_json(capsys, "census", "closed-points", "--space", "pn",
+                   "--n", "1", "--q", "27", "--dmax", "1")
+    assert doc["parameters"]["q"] == "3^3"
+    assert doc["results"]["b"]["value"] == ["28"]
+    for q in ("6", "1", "0", "-4"):
+        code, out, err = run_cli(capsys, *argv, "--q", q)
+        assert code == 2 and out == ""
+        assert f"q = {q} is not prime or a prime power" in err
+
+
+# One exact command per kind; none of them may import numpy.
+NUMPY_FREE_COMMANDS = [
+    "count zero-cycles --space pn --n 2 --q 3 --k 4",
+    "enum divisors --space pn --n 2 --q 2 --multidegree 1",
+    "zeta --space pn --n 1 --q 2 --l 0 --kmax 3",
+    "bound constant --n 2 --l 1",
+    "lfun --n 1 --l 0 --s 4 --pmax 1000",
+    "speczeta --s 2 --cutoff 1000 --audit",
+    "height ff --coords 1,t^2+1 --q 2",
+    "census closed-points --space pn --n 2 --q 2 --dmax 3",
+    "census ff-points --q 2 --n 1 --h 1",
+]
+
+_NUMPY_PROBE = """
+import contextlib, io, shlex, sys
+
+def loaded(label):
+    print(label, "numpy" in sys.modules)
+
+import cyclezeta
+loaded("import cyclezeta")
+import cyclezeta.cli
+loaded("import cyclezeta.cli")
+for line in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cyclezeta.cli.main(shlex.split(line))
+    assert code == 0, line
+    loaded(line)
+"""
+
+
+def test_exact_commands_do_not_import_numpy():
+    probe = [*NUMPY_FREE_COMMANDS, "norm --poly z1 --nodes 8"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *probe],
+        capture_output=True, text=True, check=True,
+    )
+    seen = dict(line.rsplit(" ", 1) for line in proc.stdout.splitlines())
+    labels = ["import cyclezeta", "import cyclezeta.cli", *NUMPY_FREE_COMMANDS]
+    assert {label: seen[label] for label in labels} == dict.fromkeys(labels, "False")
+    assert seen[probe[-1]] == "True"  # quadrature commands still load it
+
+
+# Every name the package exports, the lazily loaded numpy-backed ones
+# included.
+PACKAGE_EXPORTS = [
+    "AbscissaReport", "ClosedPoint", "ClosedPointCensus", "CountingSystemSpec",
+    "ExplicitConstant", "FormClass", "FunctionFieldPoint", "IntegerForm",
+    "MultiPoly", "NormSampleSpec", "P1Power", "PrimePower", "Product",
+    "ProjSpace", "QuadratureConfig", "RationalFunctionPoint", "SpaceDescriptor",
+    "SparseSeries", "TailBound", "ZeroCycle", "abscissa_sequence",
+    "closed_point_census", "closed_points", "count_arith_divisors_bounded",
+    "count_ff_points", "counting_system_bound", "counting_system_log_bound",
+    "cycle_count", "delta_lambda", "divisor_count", "divisor_count_by_degree",
+    "enum_divisors", "enum_zero_cycles", "eval_with_tail", "explicit_constant_pn",
+    "fiber_count", "height_ff", "height_nv", "irreducible_count",
+    "l_function_partial", "lc_sigma_max", "local_zeta_series", "norms",
+    "parse_affine_polynomial", "parse_integer_form", "point_count",
+    "product_cycle_bound", "pushforward_bound", "pushforward_zero_cycle",
+    "sh_set_census", "spec_z_zeta_partial", "top_cycle_count", "v_measure",
+    "verify_norm_props", "zero_cycle_count",
+]
+
+
+def test_package_exports_resolve():
+    for name in PACKAGE_EXPORTS:
+        namespace = {}
+        exec(f"from cyclezeta import {name}", namespace)
+        assert namespace[name] is getattr(cyclezeta, name), name
+    assert set(PACKAGE_EXPORTS) <= set(dir(cyclezeta))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cyclezeta.no_such_name  # noqa: B018
