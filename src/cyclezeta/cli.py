@@ -9,7 +9,8 @@ across runs for identical arguments and seed; wall-clock timing is only
 attached with ``--timing``.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 size-cap refusal,
-4 internal fault (an ``--audit`` mismatch or a non-integral exact count).
+4 internal fault (an ``--audit`` mismatch or a non-integral exact count),
+5 numpy missing for a command that needs it.
 
 ``--q`` takes a prime power as ``p^e`` or as a plain integer (4 = 2^2).
 
@@ -293,8 +294,7 @@ def _cmd_norm(args) -> CommandResult:
     res.add_float("two", two)
     if not f.is_zero:
         res.add_float("lc_sigma_max", fs_norms.lc_sigma_max(f))
-        cfg = _quad_config(args)
-        res.add_float("v", fs_norms.v_measure([f], cfg), cfg.tolerance)
+        res.add_float("v", *fs_norms.v_measure_with_error([f], _quad_config(args)))
     res.provenance = "coefficient norms exact; v by Fubini-Study quadrature"
     return res
 
@@ -303,10 +303,8 @@ def _cmd_delta(args) -> CommandResult:
     from . import fs_norms
 
     form = parse_integer_form(args.form)
-    cfg = _quad_config(args)
-    value = fs_norms.delta_lambda(form, args.lam, cfg)
+    value, err = fs_norms.delta_lambda_with_error(form, args.lam, _quad_config(args))
     res = CommandResult("delta", _params(args))
-    err = 0.0 if form.is_monomial else cfg.tolerance
     res.add_float("delta", value, err)
     res.add_raw("multidegree", list(form.multidegree))
     res.provenance = "lambda-degree term plus Fubini-Study integral"
@@ -589,6 +587,12 @@ def main(argv=None) -> int:
     except (CycleZetaError, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        command = " ".join(filter(None, [args.command, getattr(args, "kind", None)]))
+        print(f"numpy is required for {command}", file=sys.stderr)
+        return 5
     if result is not None:
         if getattr(args, "timing", False):
             result.elapsed = time.perf_counter() - start

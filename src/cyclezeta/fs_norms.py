@@ -14,6 +14,14 @@ against the lambda-scaled metrics reduces to
 where k is the multidegree and p the dehomogenization.  Both the norm
 inequalities relating v to |.|_inf and |.|_2 and the Northcott-style
 finiteness of {delta_lambda <= h} are executable here.
+
+Which integrals are exact: v of a single polynomial in one or two
+variables, every ``delta_lambda`` with n <= 2 (monomials included: they
+give lam * sum(k) + log |c|) and every census candidate integrate by
+Jensen's formula on the tensor scheme, with a measured error (see
+``quadrature``).  Tuples of polynomials, forms whose dehomogenization is
+not certified squarefree in z2, three or more variables and Monte Carlo
+use the node sets.
 """
 
 from __future__ import annotations
@@ -26,9 +34,15 @@ import numpy as np
 
 from .errors import BandAmbiguity, DomainError, SizeCapExceeded, ZeroPolynomial
 from .multipoly import IntegerForm, MultiPoly, monomial_grid
-from .quadrature import QuadratureConfig, batched_log_integrals, integrate_log_max
+from .quadrature import (
+    QuadratureConfig,
+    batched_log_integrals_with_error,
+    integrate_log_max,
+    integrate_log_max_with_error,
+)
 
 DEFAULT_SEARCH_CAP = 2_000_000
+BAND_FLOOR = 1e-9  # least half-width of the census guard band
 
 
 def norms(f: MultiPoly) -> tuple[float, float]:
@@ -40,6 +54,14 @@ def v_measure(fs, cfg: QuadratureConfig) -> float:
     """exp of the Fubini-Study integral of log max_i |f_i|."""
     fs = [fs] if isinstance(fs, MultiPoly) else list(fs)
     return math.exp(integrate_log_max(fs, cfg))
+
+
+def v_measure_with_error(fs, cfg: QuadratureConfig) -> tuple[float, float]:
+    """v and its error, v * (exp(e) - 1) for the integral's error e."""
+    fs = [fs] if isinstance(fs, MultiPoly) else list(fs)
+    log_v, err = integrate_log_max_with_error(fs, cfg)
+    v = math.exp(log_v)
+    return v, v * math.expm1(err)
 
 
 def lc_sigma_max(f: MultiPoly) -> float:
@@ -64,15 +86,6 @@ def lc_sigma_max(f: MultiPoly) -> float:
     return best
 
 
-def _delta_exact(P: IntegerForm, lam: float) -> float | None:
-    # single-monomial forms integrate exactly: log|z^a| pairs to zero
-    # under z <-> 1/z, leaving log of the coefficient
-    if P.is_monomial:
-        (_, c), = P.coeffs
-        return lam * sum(P.multidegree) + math.log(abs(c))
-    return None
-
-
 def delta_lambda(P: IntegerForm, lam: float, cfg: QuadratureConfig) -> float:
     """Arithmetic degree of div(P) against the lambda-scaled FS metrics.
 
@@ -80,14 +93,17 @@ def delta_lambda(P: IntegerForm, lam: float, cfg: QuadratureConfig) -> float:
     of log |p| for the dehomogenized p; the integral is nonnegative for
     integer forms, which makes bounded-degree searches finite.
     """
+    return delta_lambda_with_error(P, lam, cfg)[0]
+
+
+def delta_lambda_with_error(
+    P: IntegerForm, lam: float, cfg: QuadratureConfig
+) -> tuple[float, float]:
+    """``delta_lambda`` and the measured error of its integral."""
     if lam <= 0:
         raise DomainError("lambda must be positive")
-    exact = _delta_exact(P, lam)
-    if exact is not None:
-        return exact
-    return lam * sum(P.multidegree) + integrate_log_max(
-        [P.dehomogenized()], cfg
-    )
+    value, err = integrate_log_max_with_error([P.dehomogenized()], cfg)
+    return lam * sum(P.multidegree) + value, err
 
 
 @dataclass(frozen=True)
@@ -140,9 +156,12 @@ def count_arith_divisors_bounded(
     Divisors on the n-fold product of projective lines over the integers
     are sign-normalized nonzero integer forms.  Members must satisfy
     lambda * sum(k) <= h and |P|_inf <= g(h, lambda), so the search region
-    is finite; each candidate is classified by ``delta_lambda`` with a
-    guard band of +-cfg.tolerance around h (exact monomial degrees use a
-    zero band).  Borderline candidates are reported, never classified.
+    is finite; each candidate's degree is integrated exactly (Jensen's
+    formula, batched per multidegree) and classified with a guard band
+    of +-e around h, where e is the largest measured error among all the
+    integrated candidates, at least ``BAND_FLOOR``.  Monomial degrees
+    lam * sum(k) + log |c| use a zero band.  Borderline candidates are
+    reported, never classified.
     """
     if lam <= 0:
         raise DomainError("lambda must be positive")
@@ -162,8 +181,7 @@ def count_arith_divisors_bounded(
 
     work = 0
     count = 0
-    borderline: list[IntegerForm] = []
-    band = cfg.tolerance
+    batches = []
     for e in _norm_bounded_multidegrees(n, kmax_total):
         monos = monomial_grid(e)
         m = len(monos)
@@ -175,34 +193,32 @@ def count_arith_divisors_bounded(
             )
         deg_term = lam * sum(e)
         # partition candidates: exact ones (<= 1 nonzero coefficient) vs
-        # quadrature ones, batched per multidegree
+        # integrated ones, batched per multidegree
         quad_rows = []
-        quad_forms = []
         for vec in itertools.product(*([range(-box, box + 1)] * m)):
-            nonzero = dict(
-                (mono, c) for mono, c in zip(monos, vec) if c
-            )
+            nonzero = [c for c in vec if c]
             if not nonzero:
                 continue
             # canonical sign: lexicographically greatest exponent positive
-            if nonzero[max(nonzero)] < 0:
+            # (monomial_grid is in lex order, so that is the last nonzero)
+            if nonzero[-1] < 0:
                 continue
             if len(nonzero) == 1:
-                value = deg_term + math.log(abs(next(iter(nonzero.values()))))
-                if value <= h:
+                if deg_term + math.log(nonzero[0]) <= h:
                     count += 1
             else:
                 quad_rows.append(vec)
-                quad_forms.append(IntegerForm.make(n, e, nonzero))
         if quad_rows:
-            values = deg_term + batched_log_integrals(
-                np.array(quad_rows, dtype=float), monos, n, cfg
-            )
-            for form, value in zip(quad_forms, values):
-                if value <= h - band:
-                    count += 1
-                elif value <= h + band:
-                    borderline.append(form)
+            rows = np.array(quad_rows, dtype=float)
+            values, errors = batched_log_integrals_with_error(rows, monos, n, cfg)
+            batches.append((e, monos, quad_rows, deg_term + values, errors))
+    # the band is the largest measured error of any integrated candidate
+    band = max([BAND_FLOOR] + [float(b[4].max()) for b in batches])
+    borderline: list[IntegerForm] = []
+    for e, monos, quad_rows, values, _ in batches:
+        count += int(np.count_nonzero(values <= h - band))
+        for idx in np.flatnonzero((values > h - band) & (values <= h + band)):
+            borderline.append(IntegerForm.make(n, e, dict(zip(monos, quad_rows[idx]))))
     return ArithDivisorCensus(
         n, lam, h, count, log_bound, tuple(borderline), box
     )

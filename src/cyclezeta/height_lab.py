@@ -27,12 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, SizeCapExceeded
 from .finite_fields import Fq, field
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _exact_div, _univ_poly_gcd
 from .spaces import PrimePower
 
 if TYPE_CHECKING:
@@ -178,65 +177,6 @@ def _int_content(values) -> int:
     for v in values:
         g = math.gcd(g, abs(int(v)))
     return g
-
-
-def _univ_poly_gcd(polys: list[MultiPoly]) -> MultiPoly:
-    """Primitive gcd of univariate integer polynomials (exact, Euclid over Q)."""
-
-    def to_list(f):
-        d = f.deg(0)
-        return [Fraction(f.coeffs.get((i,), 0)) for i in range(d + 1)]
-
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    def mod(a, b):
-        a = a[:]
-        while len(a) >= len(b) and a:
-            if a[-1] == 0:
-                a.pop()
-                continue
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i in range(len(b)):
-                a[shift + i] -= f * b[i]
-            a.pop()
-        return trim(a)
-
-    acc = None
-    for f in polys:
-        if f.is_zero:
-            continue
-        cur = trim(to_list(f))
-        acc = cur if acc is None else acc
-        while cur:
-            acc, cur = cur, mod(acc, cur)
-    if acc is None:
-        raise DomainError("all coordinates vanish")
-    denom = math.lcm(*[c.denominator for c in acc])
-    ints = [int(c * denom) for c in acc]
-    content = _int_content(ints)
-    return MultiPoly(1, {(i,): c // content for i, c in enumerate(ints)})
-
-
-def _exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    # univariate exact division (g | f by construction)
-    fd, gd = f.deg(0), g.deg(0)
-    fc = [Fraction(f.coeffs.get((i,), 0)) for i in range(fd + 1)]
-    gc = [Fraction(g.coeffs.get((i,), 0)) for i in range(gd + 1)]
-    out = [Fraction(0)] * (fd - gd + 1)
-    for i in range(fd - gd, -1, -1):
-        c = fc[i + gd] / gc[gd]
-        out[i] = c
-        for j in range(gd + 1):
-            fc[i + j] -= c * gc[j]
-    if any(fc):
-        raise DomainError("inexact polynomial division")
-    if any(c.denominator != 1 for c in out):
-        raise DomainError("quotient not integral")
-    return MultiPoly(1, {(i,): int(c) for i, c in enumerate(out)})
 
 
 @dataclass(frozen=True)

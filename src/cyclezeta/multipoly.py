@@ -6,6 +6,10 @@ evaluation for quadrature, and the coefficient norms
 
     |f|_inf = max |a_I|,     |f|_2 = sqrt(sum |a_I|^2).
 
+Exact univariate algebra over Q (primitive gcds, exact division, Yun's
+squarefree split) serves the function-field heights and the exact
+Fubini-Study integrals.
+
 ``IntegerForm`` is the homogeneous counterpart on products of projective
 lines over the integers: one coefficient per X-exponent vector (the
 Y-exponents are forced by the multidegree), normalized so the lexicographic
@@ -207,6 +211,100 @@ class MultiPoly:
             else:
                 parts.append(str(c))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+# ---------------------------------------------------------------------------
+# exact univariate algebra over Q
+# ---------------------------------------------------------------------------
+
+def _int_coeffs(f: MultiPoly) -> list[int]:
+    """Little-endian integer coefficients of a univariate polynomial."""
+    out = [0] * (f.deg(0) + 1)
+    for (i,), c in f.coeffs.items():
+        out[i] = int(c)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _primitive(c: list[int]) -> list[int]:
+    g = math.gcd(*c)
+    return [x // g for x in c] if g > 1 else c
+
+
+def _univ_poly_gcd(polys: list[MultiPoly]) -> MultiPoly:
+    """Primitive gcd of univariate integer polynomials.
+
+    Exact Euclid over Z with primitive pseudo-remainders: the gcd over Q
+    up to a rational factor, returned with content 1.
+    """
+    acc = None
+    for f in polys:
+        if f.is_zero:
+            continue
+        cur = _primitive(_int_coeffs(f))
+        acc = cur if acc is None else acc
+        while cur:
+            a, lead = acc[:], cur[-1]
+            while len(a) >= len(cur):
+                # lead * a - a[-1] * x^shift * cur cancels the top term
+                top, shift = a[-1], len(a) - len(cur)
+                a = [lead * x for x in a]
+                for i, x in enumerate(cur):
+                    a[shift + i] -= top * x
+                while a and a[-1] == 0:
+                    a.pop()
+            acc, cur = cur, _primitive(a) if a else a
+    if acc is None:
+        raise DomainError("all polynomials vanish")
+    return MultiPoly(1, {(i,): c for i, c in enumerate(_primitive(acc))})
+
+
+def _exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """f / g for univariate integer polynomials with an integral quotient."""
+    fc, gc = _int_coeffs(f), _int_coeffs(g)
+    if not gc:
+        raise DomainError("polynomial division by zero")
+    out = [0] * max(0, len(fc) - len(gc) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c, rem = divmod(fc[i + len(gc) - 1], gc[-1])
+        if rem:
+            raise DomainError("quotient not integral")
+        out[i] = c
+        for j, x in enumerate(gc):
+            fc[i + j] -= c * x
+    if any(fc):
+        raise DomainError("inexact polynomial division")
+    return MultiPoly(1, {(i,): c for i, c in enumerate(out)})
+
+
+def _derivative(f: MultiPoly) -> MultiPoly:
+    return MultiPoly(1, {(i - 1,): i * c for (i,), c in f.coeffs.items() if i})
+
+
+def _squarefree_parts(f: MultiPoly) -> list[tuple[int, MultiPoly]]:
+    """Yun's squarefree split of a nonzero univariate integer polynomial.
+
+    Returns pairs (m, a_m): the a_m are primitive, squarefree, pairwise
+    coprime and of positive degree, and f is a rational constant times
+    the product of the a_m^m.  Every division is exact over the integers
+    because each divisor is primitive (Gauss's lemma).
+    """
+    df = _derivative(f)
+    if df.is_zero:
+        return []
+    a = _univ_poly_gcd([f, df])
+    b, c = _exact_div(f, a), _exact_div(df, a)
+    parts = []
+    m = 1
+    while b.deg(0) > 0:
+        d = c - _derivative(b)
+        a = _univ_poly_gcd([b, d])
+        if a.deg(0) > 0:
+            parts.append((m, a))
+        b, c = _exact_div(b, a), _exact_div(d, a)
+        m += 1
+    return parts
 
 
 # ---------------------------------------------------------------------------

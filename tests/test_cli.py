@@ -317,8 +317,8 @@ PINNED_OUTPUTS = [
         '"coefficient norms exact; v by Fubini-Study quadrature", '
         '"results": {"inf": {"error": 0.0, "value": 4.0}, '
         '"lc_sigma_max": {"error": 0.0, "value": 3.0}, "two": {"error": '
-        '0.0, "value": 5.0}, "v": {"error": 0.001, "value": '
-        '5.780337912631454}}}\n'
+        '0.0, "value": 5.0}, "v": {"error": 1.596014028119039e-11, '
+        '"value": 5.790225929224306}}}\n'
     ),
     (
         'delta --form "X1^2 - 3*X1*Y1 + Y1^2" --lam 1',
@@ -326,8 +326,8 @@ PINNED_OUTPUTS = [
         '"X1^2 - 3*X1*Y1 + Y1^2", "lam": 1.0, "mc_samples": 1000000, '
         '"nodes": 64, "scheme": "tensor_gauss", "tolerance": 0.001}, '
         '"provenance": "lambda-degree term plus Fubini-Study integral", '
-        '"results": {"delta": {"error": 0.001, "value": '
-        '3.0986409554279755}, "multidegree": {"error": 0, "value": '
+        '"results": {"delta": {"error": 2.09861228866811e-12, "value": '
+        '3.09861228866811}, "multidegree": {"error": 0, "value": '
         '[2]}}}\n'
     ),
     (
@@ -431,6 +431,23 @@ def test_pinned_outputs_byte_identical(capsys, argv, expected):
     assert out == expected
 
 
+def _pinned(prefix):
+    return next(json.loads(out) for argv, out in PINNED_OUTPUTS
+                if argv.startswith(prefix))["results"]
+
+
+def test_pinned_integrals_match_closed_forms():
+    # v(3 z1 z2 - 4) = 4 exp(a log a / (2 (a - 1))) with a = 9/16, and
+    # z^2 - 3z + 1 has roots c, 1/c with (1 + c^2)(1 + c^-2) = 9
+    a = 9 / 16
+    v = _pinned("norm")["v"]
+    assert abs(v["value"] - 4 * math.exp(0.5 * a * math.log(a) / (a - 1))) <= v["error"]
+    assert v["error"] < 1e-9
+    delta = _pinned("delta")["delta"]
+    assert abs(delta["value"] - (2 + math.log(3))) <= delta["error"]
+    assert delta["error"] < 1e-9
+
+
 def _count_calls(monkeypatch, family):
     closed_form, oracle = cycle_oracle.AUDITS[family]
     calls = []
@@ -532,6 +549,33 @@ def test_exact_commands_do_not_import_numpy():
     labels = ["import cyclezeta", "import cyclezeta.cli", *NUMPY_FREE_COMMANDS]
     assert {label: seen[label] for label in labels} == dict.fromkeys(labels, "False")
     assert seen[probe[-1]] == "True"  # quadrature commands still load it
+
+
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+from cyclezeta.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_missing_numpy_exits_5_with_one_line():
+    for argv, name in (("norm --poly z1", "norm"),
+                       ("census sh-set --d 1 --h 4", "census sh-set")):
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY, *shlex.split(argv)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 5
+        assert proc.stdout == ""
+        assert proc.stderr == f"numpy is required for {name}\n"
+
+
+def test_delta_of_the_diagonal_form(capsys):
+    # div(X1 Y2 - Y1 X2) is the diagonal of P1 x P1: lam (1 + 1) + 1/2
+    doc = run_json(capsys, "delta", "--form", "X1*Y2-Y1*X2", "--lam", "1")
+    delta = doc["results"]["delta"]
+    assert abs(delta["value"] - 2.5) <= min(delta["error"], 1e-4)
 
 
 # Every name the package exports, the lazily loaded numpy-backed ones

@@ -1,0 +1,231 @@
+"""The exact Fubini-Study route (Jensen's formula) against independent
+references: mpmath roots at 50 digits, closed forms, one-dimensional
+mpmath quadrature, and the grid it replaces."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclezeta.fs_norms import (
+    BAND_FLOOR,
+    count_arith_divisors_bounded,
+    delta_lambda_with_error,
+    v_measure_with_error,
+)
+from cyclezeta.multipoly import (
+    MultiPoly,
+    _squarefree_parts,
+    parse_affine_polynomial,
+    parse_integer_form,
+)
+from cyclezeta.quadrature import (
+    QuadratureConfig,
+    _squarefree_in_z2,
+    batched_log_integrals,
+    batched_log_integrals_with_error,
+    integrate_log_max,
+    integrate_log_max_with_error,
+)
+
+CFG = QuadratureConfig()
+
+
+def poly(text, nvars=None):
+    return parse_affine_polynomial(text, nvars=nvars)
+
+
+def assert_honest(f, truth, tol, cfg=CFG):
+    """The value is within tol of the truth and within its own error."""
+    value, err = integrate_log_max_with_error([f], cfg)
+    assert abs(value - truth) <= tol, (f, value, truth)
+    assert abs(value - truth) <= err, (f, value, truth, err)
+    return value, err
+
+
+def _mp_log_integral(coeffs):
+    """log |lead| + 1/2 sum log(1 + |c|^2) from 50-digit mpmath roots."""
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=500, extraprec=200)
+        return mpmath.log(abs(coeffs[-1])) + sum(
+            mpmath.log(1 + abs(c) ** 2) for c in roots
+        ) / 2
+
+
+def _from_coeffs(coeffs):
+    return MultiPoly(1, {(i,): c for i, c in enumerate(coeffs)})
+
+
+def test_one_variable_against_mpmath_roots():
+    # products of seeded integer factors with multiplicities; the
+    # reference integrates each factor once from its own 50-digit roots
+    rng = np.random.default_rng(2024)
+    cases = [([[-1, 1]], [20], 10 * math.log(2)), ([[1, 0, 1]], [3], 3 * math.log(2))]
+    while len(cases) < 52:
+        count = int(rng.integers(1, 4))
+        factors = []
+        for _ in range(count):
+            degree = int(rng.integers(1, 4))
+            c = [int(x) for x in rng.integers(-5, 6, degree + 1)]
+            c[-1] = c[-1] or 1
+            factors.append(c)
+        mults = [int(m) for m in rng.integers(1, 4, count)]
+        if max(mults) == 1:
+            mults[0] = 2  # at least one repeated factor
+        cases.append((factors, mults, None))
+    for factors, mults, truth in cases:
+        f = MultiPoly.constant(1, 1)
+        ref = 0.0
+        for c, m in zip(factors, mults):
+            f = f * _from_coeffs(c) ** m
+            ref += m * float(_mp_log_integral(c))
+        if truth is not None:
+            assert ref == pytest.approx(truth, abs=1e-12)
+        assert_honest(f, ref, 1e-10)
+
+
+def test_squarefree_parts_rebuild_the_polynomial():
+    for text in ("(z1 - 1)^20", "5*(z1^2 + 1)^3*(z1 - 2)", "z1^3", "7",
+                 "2*z1^2*(z1 + 3)^2*(3*z1 - 1)"):
+        f = poly(text)
+        parts = _squarefree_parts(f)
+        product = MultiPoly.constant(1, 1)
+        for m, a in parts:
+            product = product * a ** m
+        # f is a rational multiple of the product, with equal degree
+        assert product.deg(0) == f.deg(0)
+        ratio = f.coeffs[(f.deg(0),)] / product.coeffs[(product.deg(0),)]
+        assert all(abs(c - ratio * product.coeffs.get(e, 0)) < 1e-9
+                   for e, c in f.coeffs.items())
+        assert len({m for m, _ in parts}) == len(parts)
+    assert [m for m, _ in _squarefree_parts(poly("(z1 - 1)^20"))] == [20]
+
+
+def test_ill_conditioned_roots_show_in_the_error():
+    # the roots 1..16 of a squarefree polynomial: its reversal's roots
+    # 1/k crowd together, so the two root sums differ, and the
+    # difference covers the error of their mean
+    f = MultiPoly.constant(1, 1)
+    for k in range(1, 17):
+        f = f * poly(f"z1 - {k}")
+    value, err = assert_honest(f, sum(0.5 * math.log(1 + k * k) for k in range(1, 17)),
+                               1e-4)
+    assert err > 1e-8
+
+
+def test_float_and_complex_coefficients_go_to_the_roots():
+    c = 0.5 + 2j
+    f = MultiPoly(1, {(1,): 2.5, (0,): -2.5 * c})
+    assert_honest(f, math.log(2.5) + 0.5 * math.log(1 + abs(c) ** 2), 1e-12)
+
+
+def _linear_form_integral(c):
+    a = abs(c) ** 2
+    return 0.5 if a == 1 else 0.5 * a * math.log(a) / (a - 1)
+
+
+@pytest.mark.parametrize("c", [1, 2, 5, 1j])
+def test_two_variables_linear_forms(c):
+    f = MultiPoly(2, {(1, 0): 1, (0, 1): -c})
+    assert_honest(f, _linear_form_integral(c), 1e-12)
+
+
+def test_two_variables_closed_forms():
+    a = 9 / 16
+    assert_honest(poly("3*z1*z2 - 4"), math.log(4) + _linear_form_integral(math.sqrt(a)),
+                  1e-12)
+    # contents in either variable split off exactly
+    assert_honest(poly("(z1^2 + 1)*(z2 - 3)^2"), math.log(2) + math.log(10), 1e-12)
+    assert_honest(poly("(z1 - 1)^20*(z1 - z2)"), 10 * math.log(2) + 0.5, 1e-12)
+    # z2^2 = z1: the roots +-sqrt(z1) give log(1 + |z1|), which
+    # integrates to pi/4
+    with mpmath.workdps(30):
+        ref = float(mpmath.quad(lambda u: mpmath.log(1 + mpmath.sqrt(u)) / (1 + u) ** 2,
+                                [0, 1, mpmath.inf]))
+    assert_honest(poly("z2^2 - z1"), ref, 1e-4)
+
+
+def test_two_variables_converge_with_honest_errors():
+    # no closed form: a 256-node run is the reference
+    fine = QuadratureConfig(nodes_per_dim=256)
+    for text in ("z1*z2 + z2^3 + 7", "(z1^2 + 1)*z2^2 + z1 - 5"):
+        f = poly(text)
+        ref, ref_err = integrate_log_max_with_error([f], fine)
+        assert ref_err < 1e-6
+        for nodes in (32, 64):
+            value, err = integrate_log_max_with_error(
+                [f], QuadratureConfig(nodes_per_dim=nodes))
+            assert abs(value - ref) + ref_err <= err < 1e-3
+
+
+def test_delta_of_the_diagonal_form():
+    value, err = delta_lambda_with_error(parse_integer_form("X1*Y2 - Y1*X2"), 1.0, CFG)
+    assert abs(value - 2.5) <= min(err, 1e-4)
+
+
+def test_monomials_are_exact_in_any_dimension():
+    form = parse_integer_form("3*X1*X2^2*Y3")
+    assert delta_lambda_with_error(form, 0.5, CFG) == (0.5 * 4 + math.log(3), 0.0)
+    mc = QuadratureConfig(scheme="monte_carlo", seed=1, sample_count=10)
+    assert integrate_log_max([poly("-7*z1^3*z2", 2)], mc) == math.log(7)
+
+
+def test_uncertified_polynomials_take_the_grid():
+    assert _squarefree_in_z2(poly("z2^2 - z1"))
+    assert not _squarefree_in_z2(poly("(z2 - z1)^2*(z2 + 1)"))
+    # at z1 = 0 the z2-degree drops and 1 is squarefree; that r must not count
+    assert not _squarefree_in_z2(poly("(z1*z2 + 1)^2"))
+    # a square in z2 goes to the grid, which reports its node-doubling
+    # difference; the truth is 2 * 1/2
+    cfg = QuadratureConfig(nodes_per_dim=32)
+    value, err = integrate_log_max_with_error([poly("(z1 - z2)^2")], cfg)
+    assert 1e-2 < abs(value - 1.0) <= err
+
+
+def test_monte_carlo_reports_its_standard_error():
+    mc = QuadratureConfig(scheme="monte_carlo", seed=5, sample_count=200_000)
+    v, err = v_measure_with_error(poly("z1 + 1"), mc)
+    assert 0 < err < 0.05
+    assert abs(v - math.sqrt(2)) <= err
+
+
+def test_batched_rows_match_single_polynomials():
+    rng = np.random.default_rng(7)
+    for nvars, exponents in ((1, [(0,), (1,), (2,), (3,)]),
+                             (2, [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2)])):
+        rows = rng.integers(-4, 5, (20, len(exponents))).astype(float)
+        rows[0] = 0
+        values, errors = batched_log_integrals_with_error(rows, exponents, nvars, CFG)
+        assert values[0] == -np.inf and errors[0] == 0
+        assert np.array_equal(values, batched_log_integrals(rows, exponents, nvars, CFG))
+        for row, value, err in zip(rows[1:], values[1:], errors[1:]):
+            f = MultiPoly(nvars, dict(zip(exponents, row.tolist())))
+            single, single_err = integrate_log_max_with_error([f], CFG)
+            assert abs(value - single) <= err + single_err
+            assert err < 1e-4
+
+
+def test_census_band_is_the_measured_error():
+    # X + Y has delta = 1 + log(2)/2; a bound 1e-6 above it is far
+    # outside the measured band, so X + Y and X - Y are counted
+    h = 1 + 0.5 * math.log(2)
+    below = count_arith_divisors_bounded(1, 1.0, h + 1e-6, CFG)
+    at = count_arith_divisors_bounded(1, 1.0, h, CFG)
+    assert below.borderline == ()
+    assert below.count == at.count + 2
+    assert BAND_FLOOR >= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda c: c[-1]),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda c: c[-1]),
+)
+def test_log_integral_is_additive(f_coeffs, g_coeffs):
+    f, g = _from_coeffs(f_coeffs), _from_coeffs(g_coeffs)
+    lhs = integrate_log_max([f * g], CFG)
+    rhs = integrate_log_max([f], CFG) + integrate_log_max([g], CFG)
+    assert abs(lhs - rhs) <= 1e-9
