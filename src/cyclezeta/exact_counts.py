@@ -17,14 +17,20 @@ degree convention for divisors.  Intermediate dimensions 0 < l < dim - 1
 have no closed form and are refused; the brute-force enumerator in
 ``cycle_oracle`` is the only route there, under its own size caps.  Each
 closed form is paired with its oracle in ``cycle_oracle.AUDITS``.
+
+``cycle_counts`` returns a whole sequence n_0..n_kmax in one pass (one
+run of the 0-cycle recurrence), which is what the zeta series read;
+``cycle_count`` answers a single degree.  Nothing is cached between
+calls.  Results whose size is provably above ``BIT_CAP`` bits are refused
+with ``SizeCapExceeded`` before they are built.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from operator import mul
 
-from .errors import DomainError, IntegralityError, UnsupportedDimension
+from .errors import DomainError, IntegralityError, SizeCapExceeded, UnsupportedDimension
 from .field_census import point_count
 from .spaces import (
     PrimePower,
@@ -36,6 +42,13 @@ from .spaces import (
 )
 
 MultiDegree = tuple[int, ...]
+
+# Largest exact result, in bits of memory, that a closed form may build:
+# one divisor count, or a whole 0-cycle series n_0..n_kmax (256 KiB).  The
+# 0-cycle recurrence forms kmax^2/2 products; at the cap it runs 1-3 s.
+BIT_CAP = 1 << 21
+# a CPython int object takes at least 24 bytes besides its digits
+_INT_HEADER_BITS = 192
 
 
 def _check_multidegree(e) -> MultiDegree:
@@ -61,18 +74,31 @@ def divisor_count(space: SpaceDescriptor, q: PrimePower, e) -> int:
     dim = 1
     for slot, k in zip(slots, e):
         dim *= (k + 1) if slot == ("p1",) else math.comb(slot[1] + k, slot[1])
+    # clamping dim keeps a huge int out of float arithmetic; log2 q >= 1
+    if min(dim, BIT_CAP + 1) * math.log2(q.q) > BIT_CAP:
+        raise SizeCapExceeded(
+            f"divisor count of multidegree {e} needs more than {BIT_CAP} bits"
+        )
     return (q.q ** dim - 1) // (q.q - 1)
 
 
-@lru_cache(maxsize=None)
 def _zero_cycle_counts(space: SpaceDescriptor, q: PrimePower, kmax: int) -> tuple[int, ...]:
     # c_0..c_kmax of exp(sum N_m T^m / m) by the standard derivative
     # recurrence k*c_k = sum_{m=1}^{k} N_m c_{k-m}; divisibility is forced
     # when the point counts are right, so failure is an internal bug.
+    # Every supported space is cellular with one top cell, so the series
+    # has the factor 1/(1 - q^dim T) and c_k >= q^(dim k): c_k takes at
+    # least dim*k*log2(q) bits besides its int header.
+    k = min(kmax, BIT_CAP)
+    if (k + 1) * _INT_HEADER_BITS + space.dim * math.log2(q.q) * k * (k + 1) / 2 > BIT_CAP:
+        raise SizeCapExceeded(
+            f"0-cycle series to degree {kmax} on {space.label()} needs more "
+            f"than {BIT_CAP} bits"
+        )
     counts = [point_count(space, q, m) for m in range(1, kmax + 1)]
     c = [1]
     for k in range(1, kmax + 1):
-        s = sum(counts[m - 1] * c[k - m] for m in range(1, k + 1))
+        s = sum(map(mul, counts[:k], reversed(c)))
         if s % k != 0:
             raise IntegralityError(
                 f"zero-cycle series coefficient at k={k} is not integral"
@@ -153,6 +179,22 @@ def cycle_family(space: SpaceDescriptor, l: int) -> str:
     raise UnsupportedDimension(
         f"no closed form for l={l} on {space.label()} (dim {dim})"
     )
+
+
+def cycle_counts(space: SpaceDescriptor, q: PrimePower, l: int, kmax: int) -> tuple[int, ...]:
+    """Exact n_0..n_kmax for the l-dimensional cycles, in one pass.
+
+    The family is resolved once; 0-cycles run the point-count recurrence
+    once up to kmax instead of once per degree.
+    """
+    if kmax < 0:
+        raise DomainError("kmax must be >= 0")
+    family = cycle_family(space, l)
+    if family == "zero-cycles":
+        return _zero_cycle_counts(space, q, kmax)
+    if family == "top-cycles":
+        return tuple(top_cycle_count(space, k) for k in range(kmax + 1))
+    return tuple(divisor_count_by_degree(space, q, k) for k in range(kmax + 1))
 
 
 def cycle_count(space: SpaceDescriptor, q: PrimePower, l: int, k: int) -> int:

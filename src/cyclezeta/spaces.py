@@ -17,22 +17,51 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, SizeCapExceeded
+
+
+# Deterministic Miller-Rabin: below each bound, the strong-probable-prime
+# test to the listed bases admits no composite.  The bounds are the least
+# strong pseudoprimes to all those bases: psi_4 (Pomerance, Selfridge and
+# Wagstaff, Math. Comp. 1980), psi_12 and psi_13 (Sorenson and Webster,
+# Math. Comp. 2017).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASES = (
+    (3_215_031_751, _SMALL_PRIMES[:4]),
+    (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
+    (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES),
+)
+PRIME_CAP = _MR_BASES[-1][0]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+    """Deterministic primality by Miller-Rabin on proven base sets.
+
+    Exact for every n below ``PRIME_CAP`` (about 3.3e24); larger n are
+    refused with ``SizeCapExceeded`` rather than answered probabilistically.
+    """
+    if n >= PRIME_CAP:
+        raise SizeCapExceeded(
+            f"primality is only proven below {PRIME_CAP}, got {n.bit_length()} bits"
+        )
+    if n <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIMES
     if n % 2 == 0:
         return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    bases = next(b for bound, b in _MR_BASES if n < bound)
+    d = n - 1
+    r = (d & -d).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    d >>= r
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -5,9 +5,11 @@ at exponent k^(l+1):
 
     Z(T) = sum_k n_k T^(k^(l+1)),
 
-which converges for |q^C' T| < 1 once n_k <= q^(C' k^(l+1)).  Truncations
-carry a rigorous geometric tail bound; the global object is the partial
-Euler product of the local series at T = p^(-s).
+which converges for |q^C' T| < 1 once n_k <= q^(C' k^(l+1)).  Every
+series reads its coefficients from one ``exact_counts.cycle_counts`` pass.
+Truncations carry a rigorous geometric tail bound; the global object is
+the partial Euler product of the local series at T = p^(-s), whose error
+covers the truncated factors, the primes above the cutoff and rounding.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from .errors import DomainError, RadiusError, UnsupportedDimension
-from .exact_counts import cycle_count
+from .exact_counts import cycle_counts
 from .spaces import PrimePower, ProjSpace, SpaceDescriptor, top_degree
 
 SPEC_Z_AUDIT_CAP = 10 ** 6
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,7 @@ def local_zeta_series(
     space: SpaceDescriptor, q: PrimePower, l: int, kmax: int
 ) -> SparseSeries:
     """Exact truncation of the l-cycle zeta series up to degree kmax."""
-    if kmax < 0:
-        raise DomainError("kmax must be >= 0")
-    coeffs = tuple(cycle_count(space, q, l, k) for k in range(kmax + 1))
-    return SparseSeries(space, q, l, kmax, coeffs)
+    return SparseSeries(space, q, l, kmax, cycle_counts(space, q, l, kmax))
 
 
 def _term_value(n_k: int, t, exponent: int):
@@ -82,10 +82,12 @@ def tail_bound(series: SparseSeries, t, cprime: float) -> TailBound:
         raise RadiusError(
             f"|q^cprime * t| = {rho:.6g} >= 1: outside the certified radius"
         )
-    if rho == 0.0:
-        return TailBound(cprime, 0.0, 0.0)
-    lead = rho ** ((series.kmax + 1) ** (series.l + 1))
-    return TailBound(cprime, rho, lead / (1.0 - rho))
+    return TailBound(cprime, rho, _geometric_tail(rho, series.kmax, series.l))
+
+
+def _geometric_tail(rho: float, kmax: int, l: int) -> float:
+    # sum over the exponents j >= (kmax+1)^(l+1) of rho^j, for 0 <= rho < 1
+    return rho ** ((kmax + 1) ** (l + 1)) / (1.0 - rho)
 
 
 def eval_with_tail(series: SparseSeries, t, cprime: float):
@@ -148,33 +150,53 @@ def l_function_partial_with_error(
 
     Each local factor is a truncated series at T = p^(-s) whose tail bound
     is below ``tail_tol``; the factors are multiplied in ascending prime
-    order and the relative factor errors accumulate into the returned
-    absolute error estimate.
+    order.  The returned error bounds the distance to the product over all
+    primes: |value| * (prod (1 + eps_i) - 1), where the eps_i are the
+    relative errors of the computed factors (tail bound plus a rounding
+    allowance) and of the product over the primes above pmax.
+
+    With sigma = Re(s) and C' the growth constant, n_0 = 1 and
+    n_k <= p^(C' k^(l+1)) give |Z_p(p^(-s)) - 1| <= x_p/(1 - x_p) for
+    x_p = p^(C' - sigma).  Summed over the integers m > pmax this is at
+    most b = pmax^(1 + C' - sigma) / ((sigma - C' - 1)(1 - x_(pmax+1))),
+    and the product over those primes is within exp(b) - 1 of 1.  The
+    bound is finite only for sigma > C' + 1; smaller sigma is refused.
     """
     if n < 0:
         raise DomainError("ambient dimension must be >= 0")
     s = complex(s)
     cprime = default_cprime_pn(n, l)
-    if s.real <= cprime:
+    excess = s.real - cprime
+    if excess <= 1.0:
         raise RadiusError(
-            f"Re(s) = {s.real} <= growth constant {cprime}: product diverges"
+            f"Re(s) = {s.real} <= growth constant {cprime} + 1: "
+            "the Euler product is not certified"
         )
+    space = ProjSpace(n)
+    step = l + 1
     value = complex(1.0, 0.0)
-    rel_err = 0.0
+    log_growth = 0.0  # sum of log(1 + eps_i)
     for p in _sieve(pmax):
-        q = PrimePower(p)
         t = complex(p) ** (-s)
         rho = abs(t) * math.exp(cprime * math.log(p))
         kmax = _kmax_for_tail(rho, l, tail_tol)
-        series = local_zeta_series(ProjSpace(n), q, l, kmax)
+        # rounding allowance: each term n_k t^e is a power with relative
+        # error growing like e * |s| log p, and the sum adds kmax ulps
+        weight = 1.0 + abs(s) * math.log(p)
         factor = complex(0.0, 0.0)
-        step = l + 1
-        for k, n_k in enumerate(series.coefficients):
-            factor += _term_value(n_k, t, k ** step)
-        tb = tail_bound(series, t, cprime)
+        noise = 0.0
+        for k, n_k in enumerate(cycle_counts(space, PrimePower(p), l, kmax)):
+            term = _term_value(n_k, t, k ** step)
+            factor += term
+            noise += abs(term) * (8.0 * (1.0 + k ** step * weight) + kmax + 1)
+        bound = _geometric_tail(rho, kmax, l) + _UNIT_ROUNDOFF * noise
         value *= factor
-        rel_err += tb.bound / max(abs(factor) - tb.bound, 1e-300)
-    return value, abs(value) * rel_err
+        eps = bound / max(abs(factor) - bound, 1e-300) + 4.0 * _UNIT_ROUNDOFF
+        log_growth += math.log1p(eps)
+    above = max(pmax, 1)
+    x = float(above + 1) ** -excess
+    log_growth += above ** (1.0 - excess) / ((excess - 1.0) * (1.0 - x))
+    return value, abs(value) * math.expm1(log_growth)
 
 
 def l_function_partial(n: int, l: int, s: complex, pmax: int) -> complex:
@@ -270,12 +292,11 @@ def abscissa_sequence(
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
     logq = math.log(q.q)
-    values = []
-    for k in range(1, kmax + 1):
-        n_k = cycle_count(space, q, l, k)
-        values.append(
-            math.log(n_k) / (k ** (l + 1) * logq) if n_k > 0 else -math.inf
-        )
+    counts = cycle_counts(space, q, l, kmax)
+    values = [
+        math.log(n_k) / (k ** (l + 1) * logq) if n_k > 0 else -math.inf
+        for k, n_k in enumerate(counts[1:], start=1)
+    ]
     limit = None
     dim = space.dim
     if l == dim - 1:

@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import cyclezeta
@@ -296,8 +297,8 @@ PINNED_OUTPUTS = [
         '{"command": "lfun", "parameters": {"command": "lfun", "l": 0, '
         '"n": 1, "pmax": 100000, "s": 4.0}, "provenance": "ascending '
         'partial Euler product, tail-bounded factors", "results": '
-        '{"imag": {"error": 6.951710181995472e-11, "value": 0.0}, '
-        '"real": {"error": 6.951710181995472e-11, "value": '
+        '{"imag": {"error": 1.3010295147864828e-05, "value": 0.0}, '
+        '"real": {"error": 1.3010295147864828e-05, "value": '
         '1.3010141145271656}}}\n'
     ),
     (
@@ -446,6 +447,33 @@ def test_pinned_integrals_match_closed_forms():
     delta = _pinned("delta")["delta"]
     assert abs(delta["value"] - (2 + math.log(3))) <= delta["error"]
     assert delta["error"] < 1e-9
+
+
+def test_pinned_lfun_error_bounds_the_zeta_product():
+    # on P^1 the Euler product of the 0-cycle zetas is zeta(s) zeta(s - 1)
+    real = _pinned("lfun")["real"]
+    exact = float(mpmath.zeta(4) * mpmath.zeta(3))
+    assert abs(real["value"] - exact) <= real["error"] < 1e-4
+
+
+def test_lfun_refuses_uncertified_half_plane(capsys):
+    # s = C' + 1 with C' = 2: the bound on the primes above pmax diverges
+    code, out, err = run_cli(capsys, "lfun", "--n", "1", "--l", "0", "--s", "3",
+                             "--pmax", "10")
+    assert code == 2 and out == ""
+    assert "not certified" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # q^C(40,20): about 17 GB if it were built
+    "count divisors --space pn --n 20 --q 3 --multidegree 20",
+    "zeta --space pn --n 2 --q 3 --l 0 --kmax 100000",
+    "count zero-cycles --space pn --n 0 --q 2 --k 1000000000",
+])
+def test_oversized_closed_forms_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *shlex.split(argv))
+    assert code == 3 and out == ""
+    assert err.startswith("size cap exceeded")
 
 
 def _count_calls(monkeypatch, family):

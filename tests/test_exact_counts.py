@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclezeta.errors import DomainError, UnsupportedDimension
+from cyclezeta import exact_counts
+from cyclezeta.errors import DomainError, SizeCapExceeded, UnsupportedDimension
 from cyclezeta.exact_counts import (
+    BIT_CAP,
     cycle_count,
+    cycle_counts,
     cycle_family,
     divisor_count,
     divisor_count_by_degree,
@@ -15,6 +18,7 @@ from cyclezeta.exact_counts import (
     top_cycle_count,
     zero_cycle_count,
 )
+from cyclezeta.field_census import point_count
 from cyclezeta.spaces import P1Power, PrimePower, Product, ProjSpace
 
 Q2 = PrimePower(2)
@@ -131,6 +135,61 @@ def test_cycle_count_dispatch():
         cycle_count(P2, Q2, 3, 1)
     with pytest.raises(DomainError):
         cycle_count(P2, Q2, 1, -1)
+
+
+ONE_PASS_SPACES = [
+    ProjSpace(0), P1, P2, ProjSpace(3),
+    P1Power(1), P1Power(2), P1Power(3),
+    Product(P1, P1), Product(P2, P1),
+]
+
+
+@pytest.mark.parametrize("space", ONE_PASS_SPACES, ids=lambda s: s.label())
+@pytest.mark.parametrize("q", [Q2, Q3, PrimePower(2, 2)], ids=str)
+def test_cycle_counts_equal_per_degree_counts(space, q):
+    # the one-pass sequence agrees with cycle_count degree by degree, for
+    # every family with a closed form and every kmax up to 12
+    for l in range(space.dim + 1):
+        try:
+            expected = [cycle_count(space, q, l, k) for k in range(13)]
+        except UnsupportedDimension:
+            with pytest.raises(UnsupportedDimension):
+                cycle_counts(space, q, l, 12)
+            continue
+        for kmax in (0, 1, 5, 12):
+            assert cycle_counts(space, q, l, kmax) == tuple(expected[:kmax + 1])
+    with pytest.raises(DomainError):
+        cycle_counts(space, q, 0, -1)
+
+
+def test_zero_cycle_series_is_one_pass(monkeypatch):
+    # one point count per extension degree, and nothing kept between calls
+    calls = []
+
+    def counting(space, q, m):
+        calls.append(m)
+        return point_count(space, q, m)
+
+    monkeypatch.setattr(exact_counts, "point_count", counting)
+    for _ in range(2):
+        assert cycle_counts(P2, Q3, 0, 40)[2] == zero_cycle_count(P2, Q3, 2)
+    assert calls == ([*range(1, 41), 1, 2] * 2)
+    assert not hasattr(exact_counts._zero_cycle_counts, "cache_info")
+
+
+def test_closed_forms_refuse_above_bit_cap():
+    # q^C(40,20) would take about 17 GB
+    with pytest.raises(SizeCapExceeded):
+        divisor_count(ProjSpace(20), Q3, (20,))
+    with pytest.raises(SizeCapExceeded):
+        divisor_count(P1Power(1), Q2, (BIT_CAP,))
+    assert divisor_count(P1Power(1), Q2, (BIT_CAP // 2,)).bit_length() == BIT_CAP // 2 + 1
+    # c_k >= q^(dim k): the series to degree 1200 on P^2 is over 2^21 bits
+    with pytest.raises(SizeCapExceeded):
+        cycle_counts(P2, Q3, 0, 1200)
+    with pytest.raises(SizeCapExceeded):
+        zero_cycle_count(ProjSpace(0), Q2, 10 ** 30)
+    assert len(cycle_counts(P2, Q3, 0, 300)) == 301
 
 
 def test_cycle_family_order():

@@ -1,0 +1,71 @@
+import time
+
+import pytest
+
+from cyclezeta.errors import DomainError, SizeCapExceeded
+from cyclezeta.spaces import PRIME_CAP, PrimePower, is_prime
+
+PSI_4 = 3_215_031_751
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def _sieve_flags(limit):
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\x00\x00"
+    for i in range(2, int(limit ** 0.5) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return flags
+
+
+def test_is_prime_agrees_with_sieve():
+    flags = _sieve_flags(10 ** 5)
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [
+        n for n in range(10 ** 5) if flags[n]
+    ]
+    assert not any(is_prime(n) for n in (-7, -2, -1))
+
+
+@pytest.mark.parametrize("n", [
+    561,  # Carmichael
+    2047,  # strong pseudoprime to base 2
+    1_373_653,  # strong pseudoprime to bases 2, 3
+    25_326_001,  # strong pseudoprime to bases 2, 3, 5
+    PSI_4,  # least strong pseudoprime to bases 2, 3, 5, 7
+    PSI_12,  # least strong pseudoprime to the primes 2..37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+    with pytest.raises(DomainError):
+        PrimePower(n)
+
+
+def test_is_prime_large_primes_are_fast():
+    start = time.perf_counter()
+    assert is_prime(2 ** 61 - 1)
+    # the largest primes below psi_4 and psi_12, and one above psi_12
+    # (2^79 - 67), which takes the 13-base set
+    assert is_prime(3_215_031_749)
+    assert is_prime(318_665_857_834_031_151_167_441)
+    assert is_prime(2 ** 79 - 67)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "n", [PSI_13, PSI_13 + 1, 2 * PSI_13, 2 ** 89 - 1, 10 ** 5000],
+    ids=["psi_13", "psi_13+1", "2psi_13", "2^89-1", "10^5000"],
+)
+def test_is_prime_refuses_beyond_proven_bases(n):
+    assert PRIME_CAP == PSI_13
+    with pytest.raises(SizeCapExceeded):
+        is_prime(n)
+    with pytest.raises(SizeCapExceeded):
+        PrimePower(n)
+
+
+@pytest.mark.parametrize("p", [1, 4, 0, -3, 91])
+def test_prime_power_refuses_non_primes(p):
+    with pytest.raises(DomainError):
+        PrimePower(p)
+    assert PrimePower(2, 2).q == 4

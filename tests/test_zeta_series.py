@@ -1,11 +1,13 @@
+import hashlib
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclezeta.errors import DomainError, RadiusError, UnsupportedDimension
-from cyclezeta.exact_counts import zero_cycle_count
+from cyclezeta.exact_counts import cycle_count, zero_cycle_count
 from cyclezeta.spaces import P1Power, PrimePower, ProjSpace
 from cyclezeta.zeta_series import (
     abscissa_sequence,
@@ -118,10 +120,19 @@ def test_l_function_p1_small_product_manual():
 
 
 def test_l_function_error_accounting():
-    value, err = l_function_partial_with_error(1, 0, 4.0, 100)
-    assert err < 1e-9
-    with pytest.raises(RadiusError):
-        l_function_partial(1, 0, 1.5, 10)
+    # on P^n the 0-cycle Euler product over all primes is
+    # prod_{i=0}^{n} zeta(s - i); the error must cover the whole distance,
+    # the primes above pmax included
+    for n, s in [(0, 2.5), (1, 4.5), (2, 6.1)]:
+        exact = math.prod(float(mpmath.zeta(s - i)) for i in range(n + 1))
+        for pmax in (1, 10, 100, 1000):
+            value, err = l_function_partial_with_error(n, 0, s, pmax)
+            assert abs(value - exact) <= err
+            assert value.imag == 0.0
+    # sigma <= C' + 1 leaves the primes above pmax unbounded
+    for n, s in [(0, 1.0), (1, 3.0), (1, 1.5), (2, 5.0)]:
+        with pytest.raises(RadiusError):
+            l_function_partial(n, 0, s, 10)
 
 
 def test_l_function_large_s_tends_to_one():
@@ -176,3 +187,39 @@ def test_first_term_at_least_one():
     for q in (Q2, Q3):
         rep = abscissa_sequence(P1, q, 0, 1)
         assert rep.value(1) >= 1.0
+
+
+# sha256 of the comma-joined decimal coefficients of each series the
+# benchmark's series workload computes, recorded from the per-degree
+# computation that the one-pass sequence replaced
+SERIES_DIGESTS = [
+    (P2, 3, 0, 200, "d6f76a5181d4d22b57123b615e4433e4988083a5258a2d5292ec5e9e38a68bad"),
+    (P1, 2, 0, 150, "f18dc6a9842ba7c6848ead1c9f4dcf046ebc4bc094f7a0b760a6c84a57dbc014"),
+    (P1Power(2), 2, 0, 120, "d2131a76fceb74c86bb746e1a744eb70e91c79a66711124032108f43439e275b"),
+    (P2, 2, 1, 10, "5568388b12d9d9b729d21c968ca729ac13534ac5a6e07a52e8feb698512cbbe3"),
+    (P1, 3, 0, 100, "19523172b640cc103280d02db33383f03fb3195db3097ae414b77602e14f794e"),
+    (P1Power(2), 3, 1, 8, "7ad17e3392c457e31748029e6cd964dda0f91d443a34044eed237b95d1814ff7"),
+    (P2, 2, 0, 100, "fab07d2f9e9805d0c34deb2a588a8f9260750fc8abe5eec9a1f08247f17fd98c"),
+    (P1, 5, 1, 60, "09c3697f4db816692847ec4cca630a4b94c44663de261fdab9a68e8713172619"),
+]
+
+
+@pytest.mark.parametrize("space, q, l, kmax, digest", SERIES_DIGESTS)
+def test_series_coefficients_pinned(space, q, l, kmax, digest):
+    coeffs = local_zeta_series(space, PrimePower(q), l, kmax).coefficients
+    assert len(coeffs) == kmax + 1
+    assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("space, q, l, kmax", [
+    (P2, Q3, 0, 60), (P1, PrimePower(2, 2), 0, 80),
+    (P1Power(2), Q2, 1, 8), (P1Power(2), Q3, 0, 50),
+])
+def test_abscissa_values_unchanged_by_one_pass(space, q, l, kmax):
+    # bit-identical to the per-degree formula the sequence replaced
+    logq = math.log(q.q)
+    expected = tuple(
+        math.log(n_k) / (k ** (l + 1) * logq) if n_k > 0 else -math.inf
+        for k, n_k in ((k, cycle_count(space, q, l, k)) for k in range(1, kmax + 1))
+    )
+    assert abscissa_sequence(space, q, l, kmax).values == expected
