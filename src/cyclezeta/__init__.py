@@ -64,6 +64,7 @@ from .height_lab import (
     count_ff_points,
     height_ff,
     height_nv,
+    height_nv_with_error,
     sh_set_census,
 )
 

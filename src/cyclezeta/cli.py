@@ -49,10 +49,13 @@ from .errors import (
     SizeCapExceeded,
 )
 from .multipoly import parse_affine_polynomial, parse_integer_form
-from .spaces import PrimePower, parse_space
+from .spaces import PRIME_CAP, PrimePower, is_prime, parse_space
 
 if TYPE_CHECKING:
     from .quadrature import QuadratureConfig
+
+# decimal digits of the largest exact count the closed forms may build
+_MAX_DIGITS = math.ceil(exact_counts.BIT_CAP * math.log10(2)) + 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +99,19 @@ def _emit(result: CommandResult, args) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
+def _exact_root(q: int, e: int) -> int | None:
+    """The integer r with r^e = q, or None; needs log2(q) / e < 1000."""
+    x = math.log2(q) / e
+    if x < 30:  # the float estimate is within 1e-3 of the root
+        r = round(2.0 ** x)
+    else:  # integer Newton steps decrease to floor(q^(1/e)) from above it
+        r = int(2.0 ** x * (1 + 1e-9)) + 1
+        while (s := ((e - 1) * r + q // r ** (e - 1)) // e) < r:
+            r = s
+    # the residue mod 2^64 rules out almost every e without a full power
+    return r if pow(r, e, 1 << 64) == q % (1 << 64) and r ** e == q else None
+
+
 def _prime_power(text: str) -> PrimePower:
     """Read ``p^e`` or a plain prime power such as 4 (= 2^2)."""
     if "^" in text:
@@ -103,13 +119,20 @@ def _prime_power(text: str) -> PrimePower:
         return PrimePower(int(p), int(e))
     q = int(text)
     if q > 1:
-        # least prime factor
-        p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
-        e = 1
-        while p ** e < q:
-            e += 1
-        if p ** e == q:
-            return PrimePower(p, e)
+        # every exact root of q is a power of the one for the largest e,
+        # so only that one can be prime.  Roots of PRIME_CAP and above
+        # cannot be proven prime: their e are left to the test of q
+        # itself, which refuses such q.
+        e_min = max(2, math.ceil(math.log2(q) / math.log2(PRIME_CAP)))
+        for e in range(q.bit_length() - 1, e_min - 1, -1):
+            p = _exact_root(q, e)
+            if p is not None:
+                if is_prime(p):
+                    return PrimePower(p, e)
+                break
+        else:
+            if is_prime(q):
+                return PrimePower(q)
     raise DomainError(f"q = {q} is not prime or a prime power")
 
 
@@ -343,7 +366,7 @@ def _cmd_height(args) -> CommandResult:
         polys = [parse_affine_polynomial(c, nvars=args.d) for c in coords]
         pt = height_lab.RationalFunctionPoint.make(args.d, polys)
         cfg = _quad_config(args)
-        res.add_float("height", height_lab.height_nv(pt, cfg), cfg.tolerance)
+        res.add_float("height", *height_lab.height_nv_with_error(pt, cfg))
         res.provenance = "infinity degrees plus Fubini-Study integral"
     return res
 
@@ -577,6 +600,12 @@ def main(argv=None) -> int:
     try:
         if isinstance(getattr(args, "q", None), str):
             args.q = _prime_power(args.q)
+        # exact counts run up to exact_counts.BIT_CAP bits; the arguments
+        # are read by now, so they keep Python's digit limit (Python 3.10
+        # has neither)
+        set_digits = getattr(sys, "set_int_max_str_digits", None)
+        if set_digits is not None and 0 < sys.get_int_max_str_digits() < _MAX_DIGITS:
+            set_digits(_MAX_DIGITS)
         result = args.func(args)
     except SizeCapExceeded as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)

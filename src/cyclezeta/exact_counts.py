@@ -21,8 +21,9 @@ closed form is paired with its oracle in ``cycle_oracle.AUDITS``.
 ``cycle_counts`` returns a whole sequence n_0..n_kmax in one pass (one
 run of the 0-cycle recurrence), which is what the zeta series read;
 ``cycle_count`` answers a single degree.  Nothing is cached between
-calls.  Results whose size is provably above ``BIT_CAP`` bits are refused
-with ``SizeCapExceeded`` before they are built.
+calls.  Results whose size is provably above ``BIT_CAP`` bits (one count,
+or a whole 0-cycle or divisor sequence) are refused with
+``SizeCapExceeded`` before they are built.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .spaces import (
 MultiDegree = tuple[int, ...]
 
 # Largest exact result, in bits of memory, that a closed form may build:
-# one divisor count, or a whole 0-cycle series n_0..n_kmax (256 KiB).  The
+# one divisor count, or a whole sequence n_0..n_kmax (256 KiB).  The
 # 0-cycle recurrence forms kmax^2/2 products; at the cap it runs 1-3 s.
 BIT_CAP = 1 << 21
 # a CPython int object takes at least 24 bytes besides its digits
@@ -58,14 +59,8 @@ def _check_multidegree(e) -> MultiDegree:
     return e
 
 
-def divisor_count(space: SpaceDescriptor, q: PrimePower, e) -> int:
-    """Divisors of exact multidegree e on any supported space.
-
-    The multihomogeneous forms of multidegree e make a space whose
-    dimension is the product of the per-slot form dimensions; divisors
-    are nonzero forms modulo scalars.
-    """
-    e = _check_multidegree(e)
+def _form_dimension(space: SpaceDescriptor, e: MultiDegree) -> int:
+    """Dimension of the multihomogeneous forms of multidegree e."""
     slots = multidegree_slots(space)
     if len(e) != len(slots):
         raise DomainError(
@@ -74,6 +69,18 @@ def divisor_count(space: SpaceDescriptor, q: PrimePower, e) -> int:
     dim = 1
     for slot, k in zip(slots, e):
         dim *= (k + 1) if slot == ("p1",) else math.comb(slot[1] + k, slot[1])
+    return dim
+
+
+def divisor_count(space: SpaceDescriptor, q: PrimePower, e) -> int:
+    """Divisors of exact multidegree e on any supported space.
+
+    The multihomogeneous forms of multidegree e make a space whose
+    dimension is the product of the per-slot form dimensions; divisors
+    are nonzero forms modulo scalars.
+    """
+    e = _check_multidegree(e)
+    dim = _form_dimension(space, e)
     # clamping dim keeps a huge int out of float arithmetic; log2 q >= 1
     if min(dim, BIT_CAP + 1) * math.log2(q.q) > BIT_CAP:
         raise SizeCapExceeded(
@@ -181,6 +188,24 @@ def cycle_family(space: SpaceDescriptor, l: int) -> str:
     )
 
 
+def _divisor_counts(space: SpaceDescriptor, q: PrimePower, kmax: int) -> tuple[int, ...]:
+    # n_k >= q^(D - 1) for the largest form dimension D of degree k, so
+    # the sequence needs at least the bits summed here; they are summed
+    # degree by degree, so an oversized kmax stops at the first k past
+    # the cap
+    bits = 0.0
+    for k in range(kmax + 1):
+        dims = [_form_dimension(space, e) for e in polarization_multidegrees(space, k)]
+        if dims:
+            bits += _INT_HEADER_BITS + (min(max(dims), BIT_CAP + 1) - 1) * math.log2(q.q)
+        if bits > BIT_CAP:
+            raise SizeCapExceeded(
+                f"divisor counts to degree {kmax} on {space.label()} need more "
+                f"than {BIT_CAP} bits"
+            )
+    return tuple(divisor_count_by_degree(space, q, k) for k in range(kmax + 1))
+
+
 def cycle_counts(space: SpaceDescriptor, q: PrimePower, l: int, kmax: int) -> tuple[int, ...]:
     """Exact n_0..n_kmax for the l-dimensional cycles, in one pass.
 
@@ -194,7 +219,7 @@ def cycle_counts(space: SpaceDescriptor, q: PrimePower, l: int, kmax: int) -> tu
         return _zero_cycle_counts(space, q, kmax)
     if family == "top-cycles":
         return tuple(top_cycle_count(space, k) for k in range(kmax + 1))
-    return tuple(divisor_count_by_degree(space, q, k) for k in range(kmax + 1))
+    return _divisor_counts(space, q, kmax)
 
 
 def cycle_count(space: SpaceDescriptor, q: PrimePower, l: int, k: int) -> int:

@@ -18,8 +18,8 @@ coordinate.  The membership set for the lower-bound census is a box of
 integer polynomials whose members all satisfy h((1:f)) <= h.
 
 The function-field half is exact integer work and imports without
-numpy; ``height_nv``, ``sh_set_table`` and ``sh_set_census`` load numpy
-and ``quadrature`` when first called.
+numpy; ``height_nv``, ``height_nv_with_error``, ``sh_set_table`` and
+``sh_set_census`` load numpy and ``quadrature`` when first called.
 """
 
 from __future__ import annotations
@@ -222,6 +222,16 @@ class RationalFunctionPoint:
         return RationalFunctionPoint(d, tuple(coords))
 
 
+def _height_terms(x: RationalFunctionPoint, cfg: QuadratureConfig):
+    """The infinity-degree term and the coordinates to integrate."""
+    if x.d > 3 or (x.d > 2 and cfg.scheme == "tensor_gauss"):
+        raise DomainError(
+            "heights support d <= 2 on tensor grids, d <= 3 with monte_carlo"
+        )
+    live = [f for f in x.coords if not f.is_zero]
+    return sum(max(f.deg(j) for f in live) for j in range(x.d)), live
+
+
 def height_nv(x: RationalFunctionPoint, cfg: QuadratureConfig) -> float:
     """Naive height: infinity-degree term plus the Fubini-Study integral.
 
@@ -230,17 +240,21 @@ def height_nv(x: RationalFunctionPoint, cfg: QuadratureConfig) -> float:
     """
     from .quadrature import integrate_log_max
 
-    if x.d > 3 or (x.d > 2 and cfg.scheme == "tensor_gauss"):
-        raise DomainError(
-            "heights support d <= 2 on tensor grids, d <= 3 with monte_carlo"
-        )
-    degree_term = sum(
-        max(f.deg(j) for f in x.coords if not f.is_zero)
-        for j in range(x.d)
-    )
-    return degree_term + integrate_log_max(
-        [f for f in x.coords if not f.is_zero], cfg
-    )
+    degree_term, live = _height_terms(x, cfg)
+    return degree_term + integrate_log_max(live, cfg)
+
+
+def height_nv_with_error(
+    x: RationalFunctionPoint, cfg: QuadratureConfig,
+) -> tuple[float, float]:
+    """``height_nv`` with the measured error of its integral (the
+    node-doubling difference on the grid, three standard errors for
+    Monte Carlo; the degree term is exact)."""
+    from .quadrature import integrate_log_max_with_error
+
+    degree_term, live = _height_terms(x, cfg)
+    value, err = integrate_log_max_with_error(live, cfg)
+    return degree_term + value, err
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import shlex
 import subprocess
 import sys
+import time
 
 import mpmath
 import pytest
@@ -176,6 +177,10 @@ def test_big_integers_serialized_as_strings(capsys):
     value = doc["results"]["count"]["value"]
     assert isinstance(value, str)
     assert int(value) > 10 ** 30
+    # 2^20001 - 1 has 6 021 digits, over Python's default limit of 4 300
+    doc = run_json(capsys, "count", "divisors", "--space", "pn", "--n", "1",
+                   "--q", "2", "--multidegree", "20000")
+    assert len(doc["results"]["count"]["value"]) == 6021
 
 
 # Full stdout of audited and census commands and of the README examples:
@@ -349,8 +354,8 @@ PINNED_OUTPUTS = [
         '"coords": "1,z1", "d": 1, "kind": "nv", "mc_samples": 1000000, '
         '"nodes": 128, "q": "2", "scheme": "tensor_gauss", "tolerance": '
         '0.001}, "provenance": "infinity degrees plus Fubini-Study '
-        'integral", "results": {"height": {"error": 0.001, "value": '
-        '1.3465544705452164}}}\n'
+        'integral", "results": {"height": {"error": 5.678083896915043e-05, '
+        '"value": 1.3465544705452153}}}\n'
     ),
     (
         'height ff --coords 1,t^2+1 --q 2',
@@ -456,6 +461,12 @@ def test_pinned_lfun_error_bounds_the_zeta_product():
     assert abs(real["value"] - exact) <= real["error"] < 1e-4
 
 
+def test_pinned_height_error_bounds_the_closed_form():
+    # (1 : z) has height 1 + integral of log max(1, |z|) = 1 + log(2)/2
+    height = _pinned("height nv")["height"]
+    assert abs(height["value"] - (1 + 0.5 * math.log(2))) <= height["error"] < 1e-4
+
+
 def test_lfun_refuses_uncertified_half_plane(capsys):
     # s = C' + 1 with C' = 2: the bound on the primes above pmax diverges
     code, out, err = run_cli(capsys, "lfun", "--n", "1", "--l", "0", "--s", "3",
@@ -469,6 +480,8 @@ def test_lfun_refuses_uncertified_half_plane(capsys):
     "count divisors --space pn --n 20 --q 3 --multidegree 20",
     "zeta --space pn --n 2 --q 3 --l 0 --kmax 100000",
     "count zero-cycles --space pn --n 0 --q 2 --k 1000000000",
+    # each n_k is under the cap, the whole sequence is not
+    "zeta --space pn --n 2 --q 2 --l 1 --kmax 2000",
 ])
 def test_oversized_closed_forms_refused(capsys, argv):
     code, out, err = run_cli(capsys, *shlex.split(argv))
@@ -530,7 +543,14 @@ def test_plain_prime_power_q(capsys):
                    "--n", "1", "--q", "27", "--dmax", "1")
     assert doc["parameters"]["q"] == "3^3"
     assert doc["results"]["b"]["value"] == ["28"]
-    for q in ("6", "1", "0", "-4"):
+    # read by integer roots, not by trial division up to sqrt(q)
+    start = time.perf_counter()
+    doc = run_json(capsys, *argv, "--q", str(2 ** 61 - 1))
+    assert time.perf_counter() - start < 1.0
+    assert doc["parameters"]["q"] == str(2 ** 61 - 1)
+    doc = run_json(capsys, *argv, "--q", str((2 ** 31 - 1) ** 2))
+    assert doc["parameters"]["q"] == f"{2 ** 31 - 1}^2"
+    for q in ("6", "1", "0", "-4", str((2 ** 31 - 1) * (2 ** 31 - 19))):
         code, out, err = run_cli(capsys, *argv, "--q", q)
         assert code == 2 and out == ""
         assert f"q = {q} is not prime or a prime power" in err

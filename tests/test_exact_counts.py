@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from cyclezeta.exact_counts import (
 )
 from cyclezeta.field_census import point_count
 from cyclezeta.spaces import P1Power, PrimePower, Product, ProjSpace
+from cyclezeta.zeta_series import local_zeta_series
 
 Q2 = PrimePower(2)
 Q3 = PrimePower(3)
@@ -190,6 +192,25 @@ def test_closed_forms_refuse_above_bit_cap():
     with pytest.raises(SizeCapExceeded):
         zero_cycle_count(ProjSpace(0), Q2, 10 ** 30)
     assert len(cycle_counts(P2, Q3, 0, 300)) == 301
+    # every divisor count passes its own check, but the sequence to degree
+    # 2000 on P^2 over F_2 (n_k >= 2^(C(k+2, 2) - 1)) would hold ~170 MB
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded):
+        local_zeta_series(P2, Q2, 1, 2000)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(SizeCapExceeded):
+        cycle_counts(P1Power(2), Q2, 1, 300)
+    assert cycle_counts(P2, Q2, 1, 200)[-1] == divisor_count(P2, Q2, (200,))
+    # the series the benchmark, the command-line examples and CI run
+    P1SQ, P3 = P1Power(2), ProjSpace(3)
+    for space, q, l, kmax in [
+        (P2, Q3, 0, 200), (P1, Q2, 0, 150), (P1SQ, Q2, 0, 120), (P2, Q2, 1, 10),
+        (P1, Q3, 0, 100), (P1SQ, Q3, 1, 8), (P2, Q2, 0, 100), (P1, PrimePower(5), 1, 60),
+        (P2, Q3, 0, 60), (P1, PrimePower(2, 2), 0, 80), (P1SQ, Q2, 1, 8),
+        (P1SQ, Q3, 0, 50), (P1SQ, Q2, 1, 6), (P3, PrimePower(5), 0, 3),
+        (P2, Q3, 0, 1000),
+    ]:
+        assert len(cycle_counts(space, q, l, kmax)) == kmax + 1
 
 
 def test_cycle_family_order():

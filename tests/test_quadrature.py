@@ -1,6 +1,6 @@
-"""The exact Fubini-Study route (Jensen's formula) against independent
-references: mpmath roots at 50 digits, closed forms, one-dimensional
-mpmath quadrature, and the grid it replaces."""
+"""The Fubini-Study integrals against independent references: mpmath
+roots at 50 digits, closed forms, one-dimensional mpmath quadrature, and
+the full plane grid that the exact route and the radial nodes replace."""
 
 import math
 
@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclezeta import quadrature
 from cyclezeta.fs_norms import (
     BAND_FLOOR,
     count_arith_divisors_bounded,
     delta_lambda_with_error,
     v_measure_with_error,
 )
+from cyclezeta.height_lab import RationalFunctionPoint, height_nv, height_nv_with_error
 from cyclezeta.multipoly import (
     MultiPoly,
     _squarefree_parts,
@@ -29,6 +31,7 @@ from cyclezeta.quadrature import (
     batched_log_integrals_with_error,
     integrate_log_max,
     integrate_log_max_with_error,
+    plane_nodes,
 )
 
 CFG = QuadratureConfig()
@@ -229,3 +232,125 @@ def test_log_integral_is_additive(f_coeffs, g_coeffs):
     lhs = integrate_log_max([f * g], CFG)
     rhs = integrate_log_max([f], CFG) + integrate_log_max([g], CFG)
     assert abs(lhs - rhs) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# grid route: variables the integrand sees only through |z_j|
+# ---------------------------------------------------------------------------
+
+def _full_grid(polys, nvars, n, floor_at_one=False):
+    """log max_i |f_i| (and 1 when floored) on the full plane grid per axis."""
+    z, w = plane_nodes(n)
+    axes = [z] if nvars == 1 else [z[:, None], z[None, :]]
+    vals = np.ones(len(z) ** nvars) if floor_at_one else np.zeros(len(z) ** nvars)
+    for f in polys:
+        vals = np.maximum(vals, np.abs(f.eval_grid(axes)).ravel())
+    weights = w if nvars == 1 else np.outer(w, w).ravel()
+    return float(weights @ np.log(vals))
+
+
+_monomials = st.tuples(
+    st.integers(-9, 9).filter(bool),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2]), st.lists(_monomials, min_size=1, max_size=3))
+def test_radial_nodes_equal_the_full_grid_on_monomial_tuples(nvars, monos):
+    polys = [MultiPoly(nvars, {e[:nvars]: c}) for c, e in monos]
+    cfg = QuadratureConfig(nodes_per_dim=16)
+    value = integrate_log_max(polys, cfg)
+    assert abs(value - _full_grid(polys, nvars, 16)) <= 1e-12 * (1 + abs(value))
+
+
+@pytest.mark.parametrize("texts", [
+    ("1 + z1", "3*z1*z2^2"),  # only z2 is angle-free
+    ("z1^2*(z2 + 1)", "1"),  # only z1
+    ("2*z2 - z1*z2", "5", "z1^3*z2"),  # only z2
+    ("z1 + z2", "7"),  # neither
+])
+def test_radial_nodes_equal_the_full_grid_on_mixed_tuples(texts):
+    polys = [poly(t, 2) for t in texts]
+    cfg = QuadratureConfig(nodes_per_dim=16)
+    value = integrate_log_max(polys, cfg)
+    assert abs(value - _full_grid(polys, 2, 16)) <= 1e-12 * (1 + abs(value))
+
+
+def test_radial_nodes_equal_the_full_grid_on_batched_rows():
+    # log max(1, |f|) for rows on z1 * (a + b z2^2): z1 is angle-free
+    exponents = [(1, 0), (1, 2)]
+    rows = np.array([[1.0, 2.0], [-3.0, 1.0], [0.0, 5.0], [0.0, 0.0]])
+    cfg = QuadratureConfig(nodes_per_dim=16)
+    values = batched_log_integrals(rows, exponents, 2, cfg, floor_at_one=True)
+    for row, value in zip(rows, values):
+        f = MultiPoly(2, dict(zip(exponents, row.tolist())))
+        full = _full_grid([f], 2, 16, floor_at_one=True)
+        assert abs(value - full) <= 1e-12 * (1 + abs(value))
+
+
+def _logistic_truth(a, c, j, k):
+    """log |a| + E[max(0, log|c/a| + j/2 X + k/2 Y)], X and Y standard
+    logistic (log |z|^2 is logistic under the Fubini-Study measure)."""
+    s = math.log(abs(c) / abs(a))
+    if k == 0:  # E[max(0, s + b X)] = b log(1 + e^(s/b))
+        return math.log(abs(a)) + 0.5 * j * math.log1p(math.exp(2 * s / j))
+    with mpmath.workdps(30):
+        def inner(u):  # the X-expectation at Y = logit(u)
+            t = s + 0.5 * k * mpmath.log(u / (1 - u))
+            return 0.5 * j * mpmath.log1p(mpmath.exp(2 * t / j))
+        return math.log(abs(a)) + float(mpmath.quad(inner, [0, 0.5, 1]))
+
+
+@pytest.mark.parametrize("a, c, j, k", [
+    (1, 1, 1, 0), (2, 3, 1, 0), (5, -1, 2, 0), (1, 9, 3, 0), (7, 2, 4, 0),
+    (6, 9, 1, 2), (1, 1, 1, 1), (2, -5, 2, 1), (9, 1, 3, 2),
+])
+def test_angle_free_tuples_match_closed_forms(a, c, j, k):
+    # (a : c z^j) integrates to log|a| + j/2 log(1 + |c/a|^(2/j))
+    mono = f"{c}*z1^{j}" + (f"*z2^{k}" if k else "")
+    nvars = 2 if k else 1
+    truth = _logistic_truth(a, c, j, k)
+    if k == 0:
+        assert truth == pytest.approx(
+            math.log(a) + 0.5 * j * math.log1p((abs(c) / a) ** (2 / j)), abs=1e-14)
+    value, err = integrate_log_max_with_error([poly(str(a), nvars), poly(mono, nvars)], CFG)
+    assert abs(value - truth) <= err < 1e-2, (value, truth, err)
+
+
+def test_two_variable_height_matches_the_logistic_closed_form():
+    # (6 : 9 z1 z2^2) normalizes to (2 : 3 z1 z2^2), degree term 1 + 2
+    x = RationalFunctionPoint.make(2, [poly("6", 2), poly("9*z1*z2^2", 2)])
+    truth = 3 + _logistic_truth(2, 3, 1, 2)
+    assert truth == pytest.approx(4.698837, abs=1e-6)
+    value, err = height_nv_with_error(x, CFG)
+    assert value == height_nv(x, CFG)
+    assert abs(value - truth) <= err < 1e-3
+
+
+def test_angle_free_tuples_stay_on_radial_nodes(monkeypatch):
+    # a fallback to the full grid (2 n^2 plane nodes per axis, 4 n^4
+    # points) fails here: no node set may exceed 2 n nodes, so no grid
+    # exceeds (2 n)^2 points
+    n = CFG.nodes_per_dim
+    sizes, points = [], []
+    for name in ("plane_nodes", "_radial_nodes"):
+        original = getattr(quadrature, name)
+
+        def recording(m, original=original):
+            nodes = original(m)
+            sizes.append(len(nodes[0]))
+            return nodes
+        monkeypatch.setattr(quadrature, name, recording)
+    eval_grid = MultiPoly.eval_grid
+
+    def counting(self, axes):
+        values = eval_grid(self, axes)
+        points.append(np.size(values))
+        return values
+    monkeypatch.setattr(MultiPoly, "eval_grid", counting)
+    for d, mono in ((1, "5*z1^3"), (2, "9*z1*z2^2"), (2, "-4*z1^3*z2")):
+        x = RationalFunctionPoint.make(d, [poly("6", d), poly(mono, d)])
+        height_nv_with_error(x, CFG)
+    assert sizes and max(sizes) <= 2 * n
+    assert max(points, default=0) <= (2 * n) ** 2
