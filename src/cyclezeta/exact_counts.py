@@ -188,6 +188,26 @@ def cycle_family(space: SpaceDescriptor, l: int) -> str:
     )
 
 
+def _largest_form_dimension(space: SpaceDescriptor, k: int) -> int | None:
+    """The largest form dimension among the divisor multidegrees of
+    polarization degree k, or None when there are none.
+
+    On (P^1)^n the dimension prod (e_i + 1) over the compositions of
+    s = k/(n-1)! is largest at the balanced one: with (a, r) = divmod(s, n),
+    r parts a + 1 and n - r parts a.
+    """
+    n = as_p1_power(space)
+    if n is None or isinstance(space, ProjSpace):
+        # P^n has the single multidegree (k,); other spaces are refused
+        dims = [_form_dimension(space, e) for e in polarization_multidegrees(space, k)]
+        return max(dims, default=None)
+    step = math.factorial(n - 1)
+    if k % step:
+        return None
+    a, r = divmod(k // step, n)
+    return (a + 2) ** r * (a + 1) ** (n - r)
+
+
 def _divisor_counts(space: SpaceDescriptor, q: PrimePower, kmax: int) -> tuple[int, ...]:
     # n_k >= q^(D - 1) for the largest form dimension D of degree k, so
     # the sequence needs at least the bits summed here; they are summed
@@ -195,9 +215,9 @@ def _divisor_counts(space: SpaceDescriptor, q: PrimePower, kmax: int) -> tuple[i
     # the cap
     bits = 0.0
     for k in range(kmax + 1):
-        dims = [_form_dimension(space, e) for e in polarization_multidegrees(space, k)]
-        if dims:
-            bits += _INT_HEADER_BITS + (min(max(dims), BIT_CAP + 1) - 1) * math.log2(q.q)
+        dim = _largest_form_dimension(space, k)
+        if dim is not None:
+            bits += _INT_HEADER_BITS + (min(dim, BIT_CAP + 1) - 1) * math.log2(q.q)
         if bits > BIT_CAP:
             raise SizeCapExceeded(
                 f"divisor counts to degree {kmax} on {space.label()} need more "
@@ -218,6 +238,12 @@ def cycle_counts(space: SpaceDescriptor, q: PrimePower, l: int, kmax: int) -> tu
     if family == "zero-cycles":
         return _zero_cycle_counts(space, q, kmax)
     if family == "top-cycles":
+        # one int per degree: the headers alone bound the sequence
+        if (kmax + 1) * _INT_HEADER_BITS > BIT_CAP:
+            raise SizeCapExceeded(
+                f"top-cycle counts to degree {kmax} on {space.label()} need "
+                f"more than {BIT_CAP} bits"
+            )
         return tuple(top_cycle_count(space, k) for k in range(kmax + 1))
     return _divisor_counts(space, q, kmax)
 

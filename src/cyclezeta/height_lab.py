@@ -288,6 +288,9 @@ def sh_set_table(
     The box consists of f with deg_i(f) <= floor(a*h) and
     |f|_inf <= exp((1 - a*d) * h) / sqrt(2).  Heights are those of the
     points (1 : f): infinity degrees plus the integral of log max(1, |f|).
+    The rows run over a symmetric range in lexicographic order, so row
+    N - 1 - i is -(row i); as |-f| = |f|, only the first ceil(N / 2) rows
+    are integrated and the rest take their mirror images' integrals.
     """
     import numpy as np
 
@@ -314,23 +317,21 @@ def sh_set_table(
     rows = np.array(
         list(itertools.product(*([range(-box, box + 1)] * m))), dtype=float
     )
+    half = rows[:(len(rows) + 1) // 2]
     if d <= 2 and cfg.scheme == "tensor_gauss":
-        integrals = batched_log_integrals(rows, exponents, d, cfg, floor_at_one=True)
+        integrals = batched_log_integrals(half, exponents, d, cfg, floor_at_one=True)
     else:
         one = MultiPoly.constant(1, d)
         integrals = np.array([
             integrate_log_max(
                 [one, MultiPoly(d, dict(zip(exponents, row)))], cfg
             )
-            for row in rows
+            for row in half
         ])
-    heights = np.empty(len(rows))
-    for idx, row in enumerate(rows):
-        degs = 0
-        for j in range(d):
-            dj = max((e[j] for e, c in zip(exponents, row) if c), default=0)
-            degs += dj
-        heights[idx] = degs + integrals[idx]
+    integrals = np.concatenate([integrals, integrals[:len(rows) - len(half)][::-1]])
+    # deg_j f: the largest j-th exponent with a nonzero coefficient, or 0
+    degrees = np.where(rows[:, :, None] != 0, np.array(exponents)[None], 0)
+    heights = degrees.max(axis=1).sum(axis=1) + integrals
     return exponents, rows.astype(int), heights, box, degree_cap
 
 

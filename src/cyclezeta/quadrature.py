@@ -57,7 +57,17 @@ midpoint rule gives every angle the same value, and the angle sum is
 done ahead of time.  That axis takes the radial nodes r and 1/r with the
 summed weight w / (1 + u)^2 each, 2 n nodes instead of 2 n^2, equal to
 the full grid in exact arithmetic; so (a : c z1^j z2^k) runs on (2 n)^2
-points instead of (2 n^2)^2.  Tensor grids are limited to two complex
+points instead of (2 n^2)^2.  When every coefficient is real,
+|f(conj z)| = |f(z)| with all variables conjugated at once; the measure
+and the grid are invariant too (angle k pairs with n - 1 - k, on the
+disk and on the inverted half, and the radial nodes are fixed).  So the
+first axis on plane nodes keeps only the angles k < n - 1 - k, each at
+weight 2, and the self-paired k = (n - 1) / 2 of an odd n at weight 1:
+n^2 nodes instead of 2 n^2, again exact.  The fold applies to tuples,
+to log max(1, |f|) rows, to uncertified rows, and to the outer z1
+integral of the exact route, since for real g the inner integral
+satisfies I(conj z1) = I(z1); complex coefficients keep the plane
+nodes.  Tensor grids are limited to two complex
 variables; beyond that the seeded Monte Carlo sampler takes over.  Its
 error is the node-doubling difference (n against n / 2 nodes), and three
 standard errors for Monte Carlo.
@@ -84,7 +94,7 @@ from .multipoly import (
 _TINY = 1e-300
 _MC_BATCH = 100_000
 _ROUNDING = 1e-12  # relative rounding allowance of every exact-route error
-_BLOCK = 1 << 21  # complex entries per block of inner integrals
+_BLOCK = 1 << 20  # complex entries per block of a grid or of inner integrals
 
 
 @dataclass(frozen=True)
@@ -117,18 +127,35 @@ def _radial_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, wg / 2.0 / (1.0 + u) ** 2
 
 
+def _disk_grid(n: int, angle_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint angles k = 0..len(angle_weights) - 1 of n on every radial
+    node of the disk, with their pointwise inverses at the same weights."""
+    u, w = _radial_rule(n)
+    theta = (np.arange(len(angle_weights)) + 0.5) * (2.0 * np.pi / n)
+    r = np.sqrt(u)
+    z_disk = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    w_disk = (w[:, None] * angle_weights[None, :]).ravel()
+    return np.concatenate([z_disk, 1.0 / z_disk]), np.concatenate([w_disk, w_disk])
+
+
 @lru_cache(maxsize=8)
 def plane_nodes(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights covering C for one variable; weights sum to 1."""
     n = nodes_per_dim
-    u, w = _radial_rule(n)
-    theta = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
-    r = np.sqrt(u)
-    z_disk = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    w_disk = (w[:, None] * np.full(n, 1.0 / n)[None, :]).ravel()
-    nodes = np.concatenate([z_disk, 1.0 / z_disk])
-    weights = np.concatenate([w_disk, w_disk])
-    return nodes, weights
+    return _disk_grid(n, np.full(n, 1.0 / n))
+
+
+@lru_cache(maxsize=8)
+def _folded_nodes(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``plane_nodes`` folded by z -> conj(z): angle k pairs with n - 1 - k,
+    so only the angles k < n - 1 - k are kept, at twice the weight; the
+    self-paired k = (n - 1) / 2 of an odd n keeps its weight.  Exact for
+    an integrand with f(conj z) = f(z)."""
+    n = nodes_per_dim
+    angle_weights = np.full((n + 1) // 2, 2.0 / n)
+    if n % 2:
+        angle_weights[-1] = 1.0 / n
+    return _disk_grid(n, angle_weights)
 
 
 @lru_cache(maxsize=8)
@@ -141,18 +168,28 @@ def _radial_nodes(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([r, 1.0 / r]), np.concatenate([w, w])
 
 
-def _axis_nodes(supports, axis: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node set for variable ``axis`` of a grid.
+def _axis_nodes(supports, nvars: int, n: int, real: bool) -> list:
+    """Node sets for the variables of a grid, one per axis.
 
     ``supports`` holds one collection of exponent tuples per function of
-    the integrand.  When each has a single exponent e in the variable,
+    the integrand.  When each has a single exponent e in a variable,
     every function is z^e times a function of the others, its modulus
-    does not see the angle, and the radial nodes are exact; otherwise
-    the plane nodes.
+    does not see the angle, and that axis takes the radial nodes.  With
+    ``real`` coefficients the integrand is invariant under conjugating
+    every variable at once, which fixes the radial nodes and pairs the
+    angles of the plane nodes, so the first axis left takes the folded
+    nodes; the others take the plane nodes.
     """
-    if all(len({e[axis] for e in s}) == 1 for s in supports):
-        return _radial_nodes(n)
-    return plane_nodes(n)
+    axes = []
+    for axis in range(nvars):
+        if all(len({e[axis] for e in s}) == 1 for s in supports):
+            axes.append(_radial_nodes(n))
+        elif real:
+            axes.append(_folded_nodes(n))
+            real = False
+        else:
+            axes.append(plane_nodes(n))
+    return axes
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +332,11 @@ def _outer(G: np.ndarray, D: np.ndarray, n: int):
     # rows sharing the span of z2-powers present get inner polynomials
     # whose end coefficients vanish at no node (but at isolated zeros)
     keys, width2 = _span_keys((G != 0).any(axis=1)), G.shape[2]
+    # for real g, conjugating z2 too gives I(conj z1) = I(z1): fold z1
+    nodes = plane_nodes if G.imag.any() else _folded_nodes
     results = []
     for m in (n, n // 2):
-        z, w = plane_nodes(m)
+        z, w = nodes(m)
         powers = z[:, None] ** np.arange(G.shape[1])[None, :]
         potential = 0.5 * np.log1p(np.abs(z) ** 2)
         value, inner_err = np.empty(len(G)), np.empty(len(G))
@@ -386,7 +425,8 @@ def _integrate_tensor(polys, nvars: int, n: int) -> float:
         raise DomainError(
             "tensor grids are limited to 2 complex variables; use monte_carlo"
         )
-    axes = [_axis_nodes([f.coeffs for f in polys], j, n) for j in range(nvars)]
+    real = all(complex(c).imag == 0 for f in polys for c in f.coeffs.values())
+    axes = _axis_nodes([f.coeffs for f in polys], nvars, n, real)
     if nvars == 1:
         z, w = axes[0]
         return float(np.dot(w, _log_max_abs(polys, [z])))
@@ -403,7 +443,7 @@ def _integrate_tensor(polys, nvars: int, n: int) -> float:
         np.vstack([z2 ** b for b in range(C.shape[1])]) for C in mats
     ]
     total = 0.0
-    chunk = max(1, 4_000_000 // len(z2))
+    chunk = max(1, _BLOCK // len(z2))
     for lo in range(0, len(z1), chunk):
         z = z1[lo:lo + chunk]
         vals = None
@@ -485,7 +525,8 @@ def integrate_log_max_with_error(polys, cfg: QuadratureConfig) -> tuple[float, f
 def _grid_rows(coeff_matrix, exponents, nvars: int, n: int, floor_at_one: bool):
     # the floor 1 has exponent 0 in every variable, so it never keeps an
     # axis off the radial nodes
-    axes = [_axis_nodes([exponents], j, n) for j in range(nvars)]
+    real = np.isrealobj(coeff_matrix) or not coeff_matrix.imag.any()
+    axes = _axis_nodes([exponents], nvars, n, real)
     if nvars == 1:
         (z, wts), = axes
         monos = np.stack([z ** e[0] for e in exponents])  # (m, G)
@@ -498,7 +539,7 @@ def _grid_rows(coeff_matrix, exponents, nvars: int, n: int, floor_at_one: bool):
         )
         wts = (w1[:, None] * w2[None, :]).ravel()
     out = np.empty(coeff_matrix.shape[0])
-    chunk = max(1, 8_000_000 // monos.shape[1])
+    chunk = max(1, _BLOCK // monos.shape[1])
     for lo in range(0, coeff_matrix.shape[0], chunk):
         vals = np.abs(coeff_matrix[lo:lo + chunk].astype(complex) @ monos)
         np.maximum(vals, 1.0 if floor_at_one else _TINY, out=vals)

@@ -413,7 +413,7 @@ PINNED_OUTPUTS = [
         '"value": true}, "analytic_lower_bound": {"error": 0.0, "value": '
         '2.718281828459045}, "coeff_box": {"error": 0, "value": "14"}, '
         '"count": {"error": 0, "value": "841"}, "max_height": {"error": '
-        '0.001, "value": 3.986130506979504}}}\n'
+        '0.001, "value": 3.986130506979501}}}\n'
     ),
     (
         'verify norms --samples 3 --seed 7 --nvars 2 --maxdeg 3 --nodes 16',
@@ -467,6 +467,15 @@ def test_pinned_height_error_bounds_the_closed_form():
     assert abs(height["value"] - (1 + 0.5 * math.log(2))) <= height["error"] < 1e-4
 
 
+def test_pinned_sh_set_height_agrees_with_a_finer_grid(capsys):
+    # the census at 512 nodes per axis (8x the angles and radii)
+    pinned = _pinned("census sh-set")["max_height"]
+    doc = run_json(capsys, "census", "sh-set", "--d", "1", "--a", "0.25",
+                   "--h", "4", "--nodes", "512")
+    fine = doc["results"]["max_height"]["value"]
+    assert abs(fine - pinned["value"]) <= pinned["error"]
+
+
 def test_lfun_refuses_uncertified_half_plane(capsys):
     # s = C' + 1 with C' = 2: the bound on the primes above pmax diverges
     code, out, err = run_cli(capsys, "lfun", "--n", "1", "--l", "0", "--s", "3",
@@ -482,6 +491,8 @@ def test_lfun_refuses_uncertified_half_plane(capsys):
     "count zero-cycles --space pn --n 0 --q 2 --k 1000000000",
     # each n_k is under the cap, the whole sequence is not
     "zeta --space pn --n 2 --q 2 --l 1 --kmax 2000",
+    # one small int per degree, but a million of them
+    "zeta --space pn --n 1 --q 2 --l 1 --kmax 1000000",
 ])
 def test_oversized_closed_forms_refused(capsys, argv):
     code, out, err = run_cli(capsys, *shlex.split(argv))

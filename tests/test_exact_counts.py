@@ -246,3 +246,40 @@ def test_multidegree_count_positive_and_monotone(e, q):
     bumped = list(e)
     bumped[0] += 1
     assert divisor_count(space, q, tuple(bumped)) > count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_largest_form_dimension_is_the_balanced_composition(n):
+    # brute force over every multidegree of sum s <= 12, and no divisors
+    # in the degrees that (n-1)! does not divide
+    step = math.factorial(n - 1)
+    for s in range(13):
+        dims = [math.prod(e + 1 for e in es)
+                for es in itertools.product(range(s + 1), repeat=n) if sum(es) == s]
+        assert exact_counts._largest_form_dimension(P1Power(n), s * step) == max(dims)
+        for k in range(s * step + 1, (s + 1) * step):
+            assert exact_counts._largest_form_dimension(P1Power(n), k) is None
+
+
+def test_long_divisor_sequences_are_refused_fast(monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded):
+        cycle_counts(P1Power(3), Q2, 2, 1000)
+    assert time.perf_counter() - start < 0.05
+    # the largest accepted kmax is the one found by listing every
+    # multidegree; the counts themselves are not built here
+    monkeypatch.setattr(exact_counts, "divisor_count_by_degree", lambda *args: 0)
+    for space, q, l, last in [(P1Power(2), Q2, 1, 287), (P1Power(2), PrimePower(5), 1, 217),
+                              (P1Power(3), Q2, 2, 237), (P2, Q2, 1, 228)]:
+        assert len(cycle_counts(space, q, l, last)) == last + 1
+        with pytest.raises(SizeCapExceeded):
+            cycle_counts(space, q, l, last + 1)
+
+
+def test_top_cycle_sequences_refuse_above_bit_cap():
+    # one int header per degree: 10 922 of them fill 2^21 bits
+    last = BIT_CAP // exact_counts._INT_HEADER_BITS - 1
+    assert cycle_counts(P1, Q2, 1, last) == (1,) * (last + 1)
+    for kmax in (last + 1, 10 ** 6, 10 ** 30):
+        with pytest.raises(SizeCapExceeded):
+            cycle_counts(P1, Q2, 1, kmax)

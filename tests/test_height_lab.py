@@ -1,9 +1,12 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclezeta import quadrature
 from cyclezeta.errors import DomainError, SizeCapExceeded
 from cyclezeta.field_census import point_count
 from cyclezeta.height_lab import (
@@ -13,9 +16,10 @@ from cyclezeta.height_lab import (
     height_ff,
     height_nv,
     sh_set_census,
+    sh_set_table,
 )
 from cyclezeta.multipoly import MultiPoly, parse_affine_polynomial
-from cyclezeta.quadrature import QuadratureConfig
+from cyclezeta.quadrature import QuadratureConfig, batched_log_integrals, integrate_log_max
 from cyclezeta.spaces import PrimePower, ProjSpace
 
 Q2 = PrimePower(2)
@@ -161,3 +165,52 @@ def test_sh_set_census_rejects_bad_parameters():
         sh_set_census(1, 0.5, 2.0, cfg)  # 1 - 2da = 0
     with pytest.raises(SizeCapExceeded):
         sh_set_census(1, 0.25, 9.0, cfg, search_cap=100)
+
+
+def _unmirrored_heights(d, exponents, rows, cfg):
+    """Every row integrated, and its degree term read off row by row."""
+    if cfg.scheme == "tensor_gauss":
+        integrals = batched_log_integrals(rows, exponents, d, cfg, floor_at_one=True)
+    else:
+        one = MultiPoly.constant(1, d)
+        integrals = [integrate_log_max([one, MultiPoly(d, dict(zip(exponents, row)))], cfg)
+                     for row in rows.tolist()]
+    degrees = [sum(max((e[j] for e, c in zip(exponents, row) if c), default=0)
+                   for j in range(d)) for row in rows]
+    return np.array(degrees) + np.array(integrals)
+
+
+@pytest.mark.parametrize("d, a, h, cfg", [
+    (1, 0.25, 4.0, QuadratureConfig(nodes_per_dim=64)),
+    (1, 0.15, 5.0, QuadratureConfig(nodes_per_dim=9)),
+    (2, 0.245, 4.1, QuadratureConfig(nodes_per_dim=8)),
+    (1, 0.25, 2.0, QuadratureConfig(scheme="monte_carlo", seed=5, sample_count=2000)),
+])
+def test_sh_set_table_mirror_equals_the_unmirrored_heights(d, a, h, cfg):
+    exponents, rows, heights, box, _ = sh_set_table(d, a, h, cfg)
+    assert rows.tolist() == [list(r) for r in itertools.product(
+        range(-box, box + 1), repeat=len(exponents))]
+    full = _unmirrored_heights(d, exponents, rows, cfg)
+    assert np.allclose(heights, full, rtol=0, atol=1e-12)
+
+
+def test_sh_set_table_integrates_half_the_rows_on_folded_nodes(monkeypatch):
+    # rows f and -f share one integral, and the real rows fold the angles:
+    # at most ceil(N / 2) rows on n^2 nodes, not N rows on 2 n^2
+    calls = []
+    grid_rows, axis_nodes = quadrature._grid_rows, quadrature._axis_nodes
+
+    def recording_rows(coeff_matrix, exponents, nvars, n, floor_at_one):
+        calls.append([len(coeff_matrix)])
+        return grid_rows(coeff_matrix, exponents, nvars, n, floor_at_one)
+
+    def recording_axes(*args):
+        axes = axis_nodes(*args)
+        calls[-1].append(math.prod(len(z) for z, _ in axes))
+        return axes
+    monkeypatch.setattr(quadrature, "_grid_rows", recording_rows)
+    monkeypatch.setattr(quadrature, "_axis_nodes", recording_axes)
+    n = 64
+    _, rows, _, _, _ = sh_set_table(1, 0.25, 4.0, QuadratureConfig(nodes_per_dim=n))
+    assert len(rows) == 841
+    assert calls == [[421, n * n]]

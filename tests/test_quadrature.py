@@ -1,6 +1,7 @@
 """The Fubini-Study integrals against independent references: mpmath
 roots at 50 digits, closed forms, one-dimensional mpmath quadrature, and
-the full plane grid that the exact route and the radial nodes replace."""
+the full plane grid that the exact route, the radial nodes and the
+folded nodes replace."""
 
 import math
 
@@ -354,3 +355,121 @@ def test_angle_free_tuples_stay_on_radial_nodes(monkeypatch):
         height_nv_with_error(x, CFG)
     assert sizes and max(sizes) <= 2 * n
     assert max(points, default=0) <= (2 * n) ** 2
+
+
+# ---------------------------------------------------------------------------
+# grid route: the conjugation fold of real integrands
+# ---------------------------------------------------------------------------
+
+def _rows_poly(nvars, exponents, row):
+    return MultiPoly(nvars, {e: c for e, c in zip(exponents, row) if c})
+
+
+_EXPONENTS = {1: [(0,), (1,), (2,), (3,)],
+              2: [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]}
+# the full grid in two variables at n = 64 has 6.7e7 points; stay small
+_FOLD_NODES = {1: [8, 9, 18, 64], 2: [8, 9, 18]}
+
+
+@st.composite
+def _real_rows(draw):
+    nvars = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from(_FOLD_NODES[nvars]))
+    m = len(_EXPONENTS[nvars])
+    coeffs = st.one_of(st.integers(-9, 9), st.floats(-5, 5, allow_nan=False))
+    # a zero row would leave a constant, integrated exactly, not on a grid
+    row = st.lists(coeffs, min_size=m, max_size=m).filter(any)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    return nvars, n, np.array(rows, dtype=float)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_real_rows())
+def test_folded_grid_equals_the_full_grid_on_floored_rows(case):
+    # log max(1, |f|) never sees a zero of f
+    nvars, n, rows = case
+    exponents = _EXPONENTS[nvars]
+    cfg = QuadratureConfig(nodes_per_dim=n)
+    values = batched_log_integrals(rows, exponents, nvars, cfg, floor_at_one=True)
+    for row, value in zip(rows, values):
+        full = _full_grid([_rows_poly(nvars, exponents, row)], nvars, n, floor_at_one=True)
+        assert abs(value - full) <= 1e-12 * (1 + abs(value))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_real_rows())
+def test_folded_grid_equals_the_full_grid_on_tuples(case):
+    # a constant member keeps log max |f_i| off the zeros of the others
+    nvars, n, rows = case
+    polys = [_rows_poly(nvars, _EXPONENTS[nvars], row) for row in rows]
+    polys.append(MultiPoly.constant(0.25, nvars))
+    value = integrate_log_max(polys, QuadratureConfig(nodes_per_dim=n))
+    assert abs(value - _full_grid(polys, nvars, n)) <= 1e-12 * (1 + abs(value))
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_folded_grid_equals_the_full_grid_on_uncertified_rows(n):
+    # squares are not squarefree in z2, so these rows take the grid, on n
+    # and on n / 2 nodes (9 is odd: its angle pi pairs with itself)
+    exponents = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    rows = np.array([[9.0, 6, 12, 1, 4, 4],  # (z1 + 2 z2 + 3)^2
+                     [1.0, 4, -4, 4, -8, 4]])  # (2 z1 - 2 z2 + 1)^2
+    cfg = QuadratureConfig(nodes_per_dim=n)
+    values, errors = batched_log_integrals_with_error(rows, exponents, 2, cfg)
+    for row, value, err in zip(rows, values, errors):
+        f = _rows_poly(2, exponents, row)
+        assert not _squarefree_in_z2(f)
+        fine, coarse = _full_grid([f], 2, n), _full_grid([f], 2, n // 2)
+        assert abs(value - fine) <= 1e-12 * (1 + abs(value))
+        assert abs(err - abs(fine - coarse)) <= 1e-12 * (1 + abs(value))
+
+
+@pytest.mark.parametrize("text", [
+    "3*z1*z2 - 4", "z1^2*z2 - z2^2 + 2*z1 + 1", "z1^3 + z2^3 - 5*z1*z2 + 1",
+])
+def test_folded_outer_integral_equals_the_unfolded_one(monkeypatch, text):
+    # the outer z1 integral of the exact route, with the fold turned off
+    f = poly(text, 2)
+    value, err = integrate_log_max_with_error([f], CFG)
+    monkeypatch.setattr(quadrature, "_folded_nodes", plane_nodes)
+    ref, ref_err = integrate_log_max_with_error([f], CFG)
+    assert abs(value - ref) <= 1e-12 * (1 + abs(ref))
+    assert abs(err - ref_err) <= 1e-12 * (1 + abs(ref))
+
+
+def _record_folds(monkeypatch):
+    folded = []
+    original = quadrature._folded_nodes
+
+    def recording(m):
+        folded.append(m)
+        return original(m)
+    monkeypatch.setattr(quadrature, "_folded_nodes", recording)
+    return folded
+
+
+@pytest.mark.parametrize("supports, nvars, grid", [
+    ([{(1,): 1, (0,): -1j}, {(0,): 0.5}], 1, True),  # log max(1/2, |z - i|)
+    ([{(1, 0): 1, (0, 1): -1j}, {(0, 0): 1, (0, 1): 1}], 2, True),
+    ([{(1, 1): 1, (1, 0): -1j, (0, 0): 2}], 2, False),  # the exact route
+])
+def test_complex_coefficients_keep_the_plane_nodes(monkeypatch, supports, nvars, grid):
+    # |f(conj z)| != |f(z)| here, so no axis may fold
+    folded = _record_folds(monkeypatch)
+    polys = [MultiPoly(nvars, coeffs) for coeffs in supports]
+    n = 64 if nvars == 1 else 16
+    value = integrate_log_max(polys, QuadratureConfig(nodes_per_dim=n))
+    assert folded == []
+    if grid:
+        assert abs(value - _full_grid(polys, nvars, n)) <= 1e-12 * (1 + abs(value))
+
+
+def test_complex_rows_keep_the_plane_nodes(monkeypatch):
+    folded = _record_folds(monkeypatch)
+    exponents = [(1,), (0,)]
+    rows = np.array([[1, -1j], [2j, 3]])  # z - i and 2i z + 3
+    values = batched_log_integrals(rows, exponents, 1, CFG, floor_at_one=True)
+    assert folded == []
+    for row, value in zip(rows, values):
+        full = _full_grid([_rows_poly(1, exponents, row)], 1, 64, floor_at_one=True)
+        assert abs(value - full) <= 1e-12 * (1 + abs(value))
