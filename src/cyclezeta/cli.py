@@ -56,6 +56,46 @@ if TYPE_CHECKING:
 
 # decimal digits of the largest exact count the closed forms may build
 _MAX_DIGITS = math.ceil(exact_counts.BIT_CAP * math.log10(2)) + 1
+# str() converts an int to decimal in time quadratic in its length; above
+# this many bits ints convert by splitting through the decimal module,
+# which is imported only then
+_SPLIT_BITS = 1 << 16
+_LEAF_BITS = 512
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of n, as str(n), in subquadratic time for big n.
+
+    n = hi * 2^h + lo with h half its width; both halves convert to
+    Decimal recursively and recombine with exact Decimal arithmetic, whose
+    big multiplications are subquadratic; the powers 2^h are memoized.
+    """
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n.bit_length() <= _SPLIT_BITS:
+        return str(n)
+    import decimal
+
+    powers = {}
+
+    def power(w):
+        if w not in powers:
+            powers[w] = (decimal.Decimal(1 << w) if w <= _LEAF_BITS
+                         else power(w >> 1) * power(w - (w >> 1)))
+        return powers[w]
+
+    def convert(m, w):
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        h = w >> 1
+        hi = m >> h
+        return convert(hi, w - h) * power(h) + convert(m - (hi << h), h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +114,7 @@ class CommandResult:
     elapsed: float | None = None
 
     def add_int(self, name: str, value: int):
-        self.results[name] = {"value": str(value), "error": 0}
+        self.results[name] = {"value": _int_text(value), "error": 0}
 
     def add_float(self, name: str, value: float, error: float = 0.0):
         self.results[name] = {"value": float(value), "error": float(error)}
@@ -275,7 +315,7 @@ def _cmd_zeta(args) -> CommandResult:
     space = _space(args)
     series = zeta_series.local_zeta_series(space, args.q, args.l, args.kmax)
     res = CommandResult("zeta", _params(args))
-    res.add_raw("coefficients", [str(c) for c in series.coefficients])
+    res.add_raw("coefficients", [_int_text(c) for c in series.coefficients])
     res.add_raw("exponents", [series.exponent(k) for k in range(args.kmax + 1)])
     res.provenance = "exact cycle counts at sparse exponents"
     if args.audit:

@@ -29,6 +29,8 @@ or a whole 0-cycle or divisor sequence) are refused with
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import groupby
 from operator import mul
 
 from .errors import DomainError, IntegralityError, SizeCapExceeded, UnsupportedDimension
@@ -81,12 +83,16 @@ def divisor_count(space: SpaceDescriptor, q: PrimePower, e) -> int:
     """
     e = _check_multidegree(e)
     dim = _form_dimension(space, e)
+    _check_count_bits(e, dim, q)
+    return (q.q ** dim - 1) // (q.q - 1)
+
+
+def _check_count_bits(e: MultiDegree, dim: int, q: PrimePower) -> None:
     # clamping dim keeps a huge int out of float arithmetic; log2 q >= 1
     if min(dim, BIT_CAP + 1) * math.log2(q.q) > BIT_CAP:
         raise SizeCapExceeded(
             f"divisor count of multidegree {e} needs more than {BIT_CAP} bits"
         )
-    return (q.q ** dim - 1) // (q.q - 1)
 
 
 def _zero_cycle_counts(space: SpaceDescriptor, q: PrimePower, kmax: int) -> tuple[int, ...]:
@@ -162,9 +168,65 @@ def polarization_multidegrees(space: SpaceDescriptor, k: int) -> list[MultiDegre
     )
 
 
+def _partitions(total: int, parts: int, top: int):
+    # the nonincreasing tuples of `parts` entries in 0..top summing to total
+    if parts == 1:
+        if total <= top:
+            yield (total,)
+        return
+    for first in range(min(total, top), -(-total // parts) - 1, -1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _orderings(parts: tuple[int, ...]) -> int:
+    # distinct orderings of a nonincreasing tuple: a multinomial coefficient
+    count = math.factorial(len(parts))
+    for _, run in groupby(parts):
+        count //= math.factorial(len(tuple(run)))
+    return count
+
+
+def _multidegree_classes(space: SpaceDescriptor, k: int) -> list[tuple[MultiDegree, int]]:
+    """The divisor multidegrees of polarization degree k up to reordering,
+    each with its number of distinct orderings.
+
+    On (P^1)^n the form dimension prod (e_i + 1) does not see the order of
+    the parts, so each multiset of parts stands for all its orderings;
+    other spaces list every multidegree once.
+    """
+    n = as_p1_power(space)
+    if n is None or n < 1:
+        return [(e, 1) for e in polarization_multidegrees(space, k)]
+    if k < 0:
+        raise DomainError("degree k must be >= 0")
+    step = math.factorial(n - 1)
+    if k % step:
+        return []
+    total = k // step
+    return [(e, _orderings(e)) for e in _partitions(total, n, total)]
+
+
 def divisor_count_by_degree(space: SpaceDescriptor, q: PrimePower, k: int) -> int:
-    """Exact number of effective divisors of polarization degree k."""
-    return sum(divisor_count(space, q, e) for e in polarization_multidegrees(space, k))
+    """Exact number of effective divisors of polarization degree k.
+
+    The sum of (q^D - 1)/(q - 1) over the multidegrees, with D the form
+    dimension, is formed as (sum w_D q^D - sum w_D)/(q - 1), where w_D
+    counts the multidegrees of dimension D.  The power sum runs by Horner's
+    rule from the largest D down, so no full-size power is built per term.
+    """
+    weights = Counter()
+    for e, orderings in _multidegree_classes(space, k):
+        dim = _form_dimension(space, e)
+        _check_count_bits(e, dim, q)
+        weights[dim] += orderings
+    powers = 0
+    last = max(weights, default=0)
+    for dim in sorted(weights, reverse=True):
+        powers = powers * q.q ** (last - dim) + weights[dim]
+        last = dim
+    powers *= q.q ** last
+    return (powers - sum(weights.values())) // (q.q - 1)
 
 
 def cycle_family(space: SpaceDescriptor, l: int) -> str:

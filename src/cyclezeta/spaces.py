@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import DomainError, SizeCapExceeded
 
@@ -34,12 +35,40 @@ _MR_BASES = (
 PRIME_CAP = _MR_BASES[-1][0]
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality by Miller-Rabin on proven base sets.
+# The flags of the most recent ``primes_upto`` sieve: byte n is 1 exactly
+# when n is prime.  A sieve is a proof, so ``is_prime`` reads it for the n
+# it covers instead of proving them again.
+_sieve_flags = bytearray()
 
-    Exact for every n below ``PRIME_CAP`` (about 3.3e24); larger n are
+
+def primes_upto(limit: int) -> list[int]:
+    """The primes p <= limit in ascending order, by the sieve of Eratosthenes.
+
+    The sieve's flags replace the prime table that ``is_prime`` reads, so
+    the primes returned here are never re-proven by Miller-Rabin.
+    """
+    global _sieve_flags
+    if limit < 2:
+        return []
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, limit + 1, i)))
+    _sieve_flags = flags
+    return list(compress(range(limit + 1), flags))
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality: the latest sieve's table, else Miller-Rabin.
+
+    n inside the table of the most recent ``primes_upto`` call is read
+    from it; any other n is tested by Miller-Rabin on proven base sets,
+    exact for every n below ``PRIME_CAP`` (about 3.3e24).  Larger n are
     refused with ``SizeCapExceeded`` rather than answered probabilistically.
     """
+    if 0 <= n < len(_sieve_flags):
+        return _sieve_flags[n] == 1
     if n >= PRIME_CAP:
         raise SizeCapExceeded(
             f"primality is only proven below {PRIME_CAP}, got {n.bit_length()} bits"

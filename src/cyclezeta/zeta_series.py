@@ -15,10 +15,13 @@ covers the truncated factors, the primes above the cutoff and rounding.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from .errors import DomainError, RadiusError, UnsupportedDimension
+from itertools import repeat
+from .errors import AuditMismatch, DomainError, RadiusError, UnsupportedDimension
 from .exact_counts import cycle_counts
-from .spaces import PrimePower, ProjSpace, SpaceDescriptor, top_degree
+from .spaces import PrimePower, ProjSpace, SpaceDescriptor, primes_upto, top_degree
 
 SPEC_Z_AUDIT_CAP = 10 ** 6
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -122,17 +125,6 @@ def default_cprime_pn(n: int, l: int) -> float:
     raise UnsupportedDimension(f"no pinned growth constant for l={l} on P^{n}")
 
 
-def _sieve(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, int(limit ** 0.5) + 1):
-        if flags[i]:
-            flags[i * i:: i] = b"\x00" * len(range(i * i, limit + 1, i))
-    return [i for i, f in enumerate(flags) if f]
-
-
 def _kmax_for_tail(rho: float, l: int, tol: float) -> int:
     if rho == 0.0:
         return 0
@@ -176,7 +168,7 @@ def l_function_partial_with_error(
     step = l + 1
     value = complex(1.0, 0.0)
     log_growth = 0.0  # sum of log(1 + eps_i)
-    for p in _sieve(pmax):
+    for p in primes_upto(pmax):
         t = complex(p) ** (-s)
         rho = abs(t) * math.exp(cprime * math.log(p))
         kmax = _kmax_for_tail(rho, l, tail_tol)
@@ -208,57 +200,90 @@ def l_function_partial(n: int, l: int, s: complex, pmax: int) -> complex:
 # the integer-ring specialization
 # ---------------------------------------------------------------------------
 
+def _check_audit_cutoff(cutoff: int) -> None:
+    if cutoff < 1:
+        raise DomainError("cutoff must be >= 1")
+    if cutoff > SPEC_Z_AUDIT_CAP:
+        raise DomainError(f"audit cutoff capped at {SPEC_Z_AUDIT_CAP}")
+
+
+def _spec_z_cycle_tuples(cutoff: int):
+    """Every effective 0-cycle of norm <= cutoff, once, as the nondecreasing
+    tuple of its primes (with multiplicity).
+
+    Depth-first on an explicit stack: a node is a cycle, its norm and the
+    index of its largest prime; its children append one prime no smaller
+    than that.  Children whose own children would pass the cutoff are
+    leaves and are yielded in one slice instead of being pushed.
+    """
+    primes = primes_upto(cutoff)
+    singles = [(p,) for p in primes]
+    stack = [((), 1, 0)]
+    while stack:
+        cycle, norm, lo = stack.pop()
+        yield cycle
+        room = cutoff // norm  # children p <= room; p <= isqrt(room) branch
+        inner = bisect_right(primes, math.isqrt(room), lo)
+        yield from map(cycle.__add__, singles[inner:bisect_right(primes, room, inner)])
+        for j in range(lo, inner):
+            stack.append((cycle + singles[j], norm * primes[j], j))
+
+
+def _audited_norms(cycles, cutoff: int):
+    """Yield the norm of each cycle, recomputed from its primes, and check
+    that the norm map is a bijection onto 1..cutoff.
+
+    A norm outside 1..cutoff or seen twice fails at once; a short count
+    fails when the cycles run out.
+    """
+    seen = bytearray(cutoff + 1)
+    count = 0
+    for norm in map(math.prod, cycles):
+        if not 0 < norm <= cutoff or seen[norm]:
+            raise AuditMismatch(
+                f"norm map is not injective into 1..{cutoff}: norm {norm}"
+            )
+        seen[norm] = 1
+        count += 1
+        yield norm
+    if count != cutoff:
+        raise AuditMismatch(
+            f"norm map hits {count} of the {cutoff} integers 1..{cutoff}"
+        )
+
+
 def spec_z_cycles(cutoff: int) -> list[dict[int, int]]:
     """Effective 0-cycles on the integer spectrum with norm <= cutoff.
 
     A cycle is a multiset of primes with multiplicities; its norm is
     exp(arithmetic degree) = prod p^(m_p).  Returned as factorization
-    dicts sorted by norm; the norm map is a bijection onto 1..cutoff.
+    dicts sorted by norm; the norm map is checked to be a bijection onto
+    1..cutoff (``AuditMismatch`` otherwise).
     """
-    if cutoff < 1:
-        raise DomainError("cutoff must be >= 1")
-    if cutoff > SPEC_Z_AUDIT_CAP:
-        raise DomainError(f"audit cutoff capped at {SPEC_Z_AUDIT_CAP}")
-    primes = _sieve(cutoff)
-    out: list[tuple[int, dict[int, int]]] = []
-
-    def recurse(idx: int, norm: int, fac: dict[int, int]):
-        out.append((norm, dict(fac)))
-        for j in range(idx, len(primes)):
-            p = primes[j]
-            if norm * p > cutoff:
-                break
-            fac[p] = fac.get(p, 0) + 1
-            recurse(j, norm * p, fac)
-            fac[p] -= 1
-            if not fac[p]:
-                del fac[p]
-
-    recurse(0, 1, {})
-    out.sort(key=lambda t: t[0])
-    norms = [norm for norm, _ in out]
-    if norms != list(range(1, cutoff + 1)):
-        raise AssertionError("norm map failed to biject onto 1..cutoff")
-    return [fac for _, fac in out]
+    _check_audit_cutoff(cutoff)
+    cycles = list(_spec_z_cycle_tuples(cutoff))
+    by_norm = [None] * cutoff
+    for norm, cycle in zip(_audited_norms(cycles, cutoff), cycles):
+        by_norm[norm - 1] = dict(Counter(cycle))
+    return by_norm
 
 
 def spec_z_zeta_partial(s: float, cutoff: int, audit: bool = False) -> float:
     """Partial zeta sum over effective 0-cycles of the integer spectrum.
 
     The norm bijection cycles <-> positive integers turns the cycle sum
-    into sum_{m <= cutoff} m^(-s).  Audit mode actually enumerates the
-    cycles and sums their norms; fast mode sums integers directly.
+    into sum_{m <= cutoff} m^(-s).  Audit mode streams the cycles, checks
+    the bijection and sums their norms; fast mode sums integers directly.
+    ``fsum`` is exactly rounded, so both modes give the same float.
     """
     if s <= 1:
         raise DomainError("need s > 1 for convergence")
     if cutoff < 1:
         raise DomainError("cutoff must be >= 1")
     if audit:
-        cycles = spec_z_cycles(cutoff)
-        norms = [
-            math.prod(p ** m for p, m in fac.items()) for fac in cycles
-        ]
-        return math.fsum(norm ** (-s) for norm in norms)
+        _check_audit_cutoff(cutoff)
+        norms = _audited_norms(_spec_z_cycle_tuples(cutoff), cutoff)
+        return math.fsum(map(pow, norms, repeat(-s)))
     return math.fsum(m ** (-s) for m in range(1, cutoff + 1))
 
 

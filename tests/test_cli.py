@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import shlex
 import subprocess
 import sys
@@ -9,8 +10,8 @@ import mpmath
 import pytest
 
 import cyclezeta
-from cyclezeta import cycle_oracle, field_census
-from cyclezeta.cli import main
+from cyclezeta import cycle_oracle, field_census, spaces, zeta_series
+from cyclezeta.cli import _SPLIT_BITS, _int_text, main
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +117,33 @@ def test_speczeta_audit(capsys):
     doc = run_json(capsys, "speczeta", "--s", "2", "--cutoff", "50", "--audit")
     expected = sum(m ** -2.0 for m in range(1, 51))
     assert doc["results"]["partial_sum"]["value"] == pytest.approx(expected)
+
+
+def test_speczeta_audit_failure_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(zeta_series, "primes_upto",
+                        lambda limit: [p for p in spaces.primes_upto(limit) if p != 13])
+    code, out, err = run_cli(capsys, "speczeta", "--s", "2", "--cutoff", "1000", "--audit")
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: norm map hits")
+
+
+def test_int_text_equals_str():
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    limit = sys.get_int_max_str_digits() if set_digits else None
+    if set_digits:
+        set_digits(0)
+    try:
+        rng = random.Random(5)
+        values = [0, 1, 10 ** 50, 2 ** _SPLIT_BITS, 2 ** _SPLIT_BITS - 1,
+                  10 ** 19_729, 10 ** 19_729 - 1, 3 ** 120_000, 7 ** 70_000 - 1]
+        values += [rng.getrandbits(bits) for bits in
+                   (_SPLIT_BITS - 1, _SPLIT_BITS + 1, 100_003, 150_000, 200_000)]
+        for n in values:
+            assert _int_text(n) == str(n)
+            assert _int_text(-n) == str(-n)
+    finally:
+        if set_digits:
+            set_digits(limit)
 
 
 def test_norm_command(capsys):

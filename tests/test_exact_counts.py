@@ -283,3 +283,22 @@ def test_top_cycle_sequences_refuse_above_bit_cap():
     for kmax in (last + 1, 10 ** 6, 10 ** 30):
         with pytest.raises(SizeCapExceeded):
             cycle_counts(P1, Q2, 1, kmax)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("q", [Q2, PrimePower(3), PrimePower(2, 2)])
+def test_divisor_counts_by_multiset_equal_the_composition_sum(n, q):
+    space = P1Power(n)
+    for k in range(25):
+        expected = sum(divisor_count(space, q, e)
+                       for e in polarization_multidegrees(space, k))
+        assert divisor_count_by_degree(space, q, k) == expected, k
+
+
+def test_long_p1_power_divisor_sequences_are_fast():
+    # every composition took its own big power: kmax 237 ran 19 s
+    start = time.perf_counter()
+    counts = cycle_counts(P1Power(3), Q2, 2, 237)
+    assert time.perf_counter() - start < 5.0
+    # degree 4: multidegrees (2,0,0) and (1,1,0), three orderings each
+    assert counts[4] == divisor_count_by_degree(P1Power(3), Q2, 4) == 3 * 7 + 3 * 15

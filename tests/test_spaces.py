@@ -1,9 +1,11 @@
+import math
 import time
 
 import pytest
 
+from cyclezeta import spaces
 from cyclezeta.errors import DomainError, SizeCapExceeded
-from cyclezeta.spaces import PRIME_CAP, PrimePower, is_prime
+from cyclezeta.spaces import PRIME_CAP, PrimePower, is_prime, primes_upto
 
 PSI_4 = 3_215_031_751
 PSI_12 = 318_665_857_834_031_151_167_461
@@ -69,3 +71,37 @@ def test_prime_power_refuses_non_primes(p):
     with pytest.raises(DomainError):
         PrimePower(p)
     assert PrimePower(2, 2).q == 4
+
+
+def _trial_division_flags(limit):
+    small = [p for p in range(2, math.isqrt(limit) + 1)
+             if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    flags = []
+    for n in range(limit):
+        flags.append(n >= 2 and all(n % p for p in small if p * p <= n))
+    return flags
+
+
+@pytest.mark.parametrize("edge", [10 ** 5, 100_003])  # a composite and a prime edge
+def test_is_prime_reads_the_sieve_and_beyond(edge):
+    expected = _trial_division_flags(2 * 10 ** 5)
+    assert primes_upto(edge) == [n for n in range(edge + 1) if expected[n]]
+    assert len(spaces._sieve_flags) == edge + 1
+    # inside the table, at its edge and past it (Miller-Rabin)
+    assert [is_prime(n) for n in range(2 * 10 ** 5)] == expected
+    assert not any(is_prime(n) for n in (-7, -2, -1))
+
+
+def test_prime_power_still_proves_user_input_after_a_sieve():
+    primes_upto(10 ** 5)
+    for n in (91, 1, 0, 10 ** 5, 2047):
+        with pytest.raises(DomainError):
+            PrimePower(n)
+    assert PrimePower(99_991).q == 99_991
+    assert PrimePower(100_003).q == 100_003  # just past the table
+
+
+def test_primes_upto_small_limits():
+    assert primes_upto(-5) == primes_upto(0) == primes_upto(1) == []
+    assert primes_upto(2) == [2]
+    assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclezeta.errors import DomainError, RadiusError, UnsupportedDimension
+from cyclezeta import spaces, zeta_series
+from cyclezeta.errors import AuditMismatch, DomainError, RadiusError, UnsupportedDimension
 from cyclezeta.exact_counts import cycle_count, zero_cycle_count
 from cyclezeta.spaces import P1Power, PrimePower, ProjSpace
 from cyclezeta.zeta_series import (
@@ -160,6 +161,50 @@ def test_spec_z_audit_bijection():
     assert cycles[0] == {}
     assert cycles[11] == {2: 2, 3: 1}
     assert spec_z_zeta_partial(2.0, 50, audit=True) == spec_z_zeta_partial(2.0, 50)
+
+
+def _factorization(m):
+    fac, p = {}, 2
+    while p * p <= m:
+        while m % p == 0:
+            fac[p] = fac.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        fac[m] = fac.get(m, 0) + 1
+    return fac
+
+
+def test_spec_z_cycles_are_the_factorizations():
+    cycles = spec_z_cycles(3000)
+    assert cycles == [_factorization(m) for m in range(1, 3001)]
+    # keys in ascending prime order, as the enumeration appends them
+    assert all(list(fac) == sorted(fac) for fac in cycles)
+    assert spec_z_cycles(1) == [{}]
+    for cutoff in (0, zeta_series.SPEC_Z_AUDIT_CAP + 1):
+        with pytest.raises(DomainError):
+            spec_z_cycles(cutoff)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 2.718281828, 3.25])
+def test_spec_z_audit_equals_fast_mode_bit_for_bit(s):
+    for cutoff in (1, 2, 97, 1000, 100_000):
+        assert spec_z_zeta_partial(s, cutoff, audit=True) == spec_z_zeta_partial(s, cutoff)
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda primes: [p for p in primes if p != 7],  # 7 and its multiples missing
+    lambda primes: primes + [primes[-1]],  # the largest prime twice
+    lambda primes: primes + [primes[-1] + 1],  # a composite passed as a prime
+])
+def test_spec_z_audit_fails_on_a_broken_enumeration(monkeypatch, mangle):
+    monkeypatch.setattr(zeta_series, "primes_upto",
+                        lambda limit: mangle(spaces.primes_upto(limit)))
+    with pytest.raises(AuditMismatch):
+        spec_z_zeta_partial(2.0, 1000, audit=True)
+    with pytest.raises(AuditMismatch):
+        spec_z_cycles(1000)
+    assert spec_z_zeta_partial(2.0, 1000) > 0  # fast mode does not enumerate
 
 
 def test_abscissa_examples():
