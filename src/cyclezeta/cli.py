@@ -14,12 +14,15 @@ Exit codes: 0 success, 1 usage error, 2 domain error, 3 size-cap refusal,
 
 ``--q`` takes a prime power as ``p^e`` or as a plain integer (4 = 2^2).
 
+Each command imports only the modules it runs: at start-up this module
+loads just ``errors`` and ``spaces``, which ``--q`` and ``--space`` need.
 numpy is imported only where arrays are computed: by the quadrature
 commands (``norm``, ``delta``, ``divcount``, ``height nv``, ``census
 sh-set``, ``verify``), which import ``fs_norms``/``quadrature`` when they
-run, and by the first extension-field table build (closed points of
-degree > 1, as in ``enum zero-cycles`` and zero-cycle ``--audit``s, or
-any field F_q with q not prime).  The other commands never load it.
+run, and by the table build of an extension field of order above 32.
+Smaller fields, such as the F_4 and F_8 of ``enum zero-cycles`` and
+zero-cycle ``--audit``s over F_2, are built without it, and the other
+commands never load it.
 
 Polynomial grammar (shared by ``norm``, ``delta``, ``height`` and the
 height censuses): signed integer coefficients, ``+ - * ^`` and
@@ -39,8 +42,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from . import bound_engine, exact_counts, field_census, height_lab
-from . import cycle_oracle, zeta_series
 from .errors import (
     AuditMismatch,
     CycleZetaError,
@@ -48,14 +49,13 @@ from .errors import (
     IntegralityError,
     SizeCapExceeded,
 )
-from .multipoly import parse_affine_polynomial, parse_integer_form
-from .spaces import PRIME_CAP, PrimePower, is_prime, parse_space
+from .spaces import BIT_CAP, PRIME_CAP, PrimePower, is_prime, parse_space
 
 if TYPE_CHECKING:
     from .quadrature import QuadratureConfig
 
 # decimal digits of the largest exact count the closed forms may build
-_MAX_DIGITS = math.ceil(exact_counts.BIT_CAP * math.log10(2)) + 1
+_MAX_DIGITS = math.ceil(BIT_CAP * math.log10(2)) + 1
 # str() converts an int to decimal in time quadratic in its length; above
 # this many bits ints convert by splitting through the decimal module,
 # which is imported only then
@@ -220,6 +220,8 @@ def _multidegree(text: str) -> tuple[int, ...]:
 # -- subcommand implementations ---------------------------------------------
 
 def _cmd_count(args) -> CommandResult:
+    from . import exact_counts
+
     space = _space(args)
     res = CommandResult("count", _params(args))
     family, degree = args.kind, args.k
@@ -252,9 +254,11 @@ def _audit(res: CommandResult, family: str, space, q, counts) -> None:
     The oracle comes from ``cycle_oracle.AUDITS``; a family without one
     (top cycles) is left unaudited and gets no ``audit`` result.
     """
-    if family not in cycle_oracle.AUDITS:
+    from .cycle_oracle import AUDITS
+
+    if family not in AUDITS:
         return
-    _, oracle = cycle_oracle.AUDITS[family]
+    _, oracle = AUDITS[family]
     for degree, count in counts:
         found = oracle(space, q, degree)
         if found != count:
@@ -263,6 +267,8 @@ def _audit(res: CommandResult, family: str, space, q, counts) -> None:
 
 
 def _cmd_enum(args) -> CommandResult:
+    from . import cycle_oracle
+
     space = _space(args)
     res = CommandResult("enum", _params(args))
     if args.kind == "divisors":
@@ -285,6 +291,8 @@ def _cmd_enum(args) -> CommandResult:
 
 
 def _cmd_bound(args) -> CommandResult:
+    from . import bound_engine
+
     res = CommandResult("bound", _params(args))
     if args.kind == "constant":
         const = bound_engine.explicit_constant_pn(args.n, args.l)
@@ -312,6 +320,8 @@ def _cmd_bound(args) -> CommandResult:
 
 
 def _cmd_zeta(args) -> CommandResult:
+    from . import zeta_series
+
     space = _space(args)
     series = zeta_series.local_zeta_series(space, args.q, args.l, args.kmax)
     res = CommandResult("zeta", _params(args))
@@ -319,12 +329,16 @@ def _cmd_zeta(args) -> CommandResult:
     res.add_raw("exponents", [series.exponent(k) for k in range(args.kmax + 1)])
     res.provenance = "exact cycle counts at sparse exponents"
     if args.audit:
-        family = exact_counts.cycle_family(space, args.l)
+        from .exact_counts import cycle_family
+
+        family = cycle_family(space, args.l)
         _audit(res, family, space, args.q, enumerate(series.coefficients))
     return res
 
 
 def _cmd_lfun(args) -> CommandResult:
+    from . import zeta_series
+
     value, err = zeta_series.l_function_partial_with_error(
         args.n, args.l, complex(args.s), args.pmax
     )
@@ -336,6 +350,8 @@ def _cmd_lfun(args) -> CommandResult:
 
 
 def _cmd_speczeta(args) -> CommandResult:
+    from . import zeta_series
+
     value = zeta_series.spec_z_zeta_partial(args.s, args.cutoff, audit=args.audit)
     res = CommandResult("speczeta", _params(args))
     res.add_float("partial_sum", value, 0.0)
@@ -349,6 +365,7 @@ def _cmd_speczeta(args) -> CommandResult:
 
 def _cmd_norm(args) -> CommandResult:
     from . import fs_norms
+    from .multipoly import parse_affine_polynomial
 
     f = parse_affine_polynomial(args.poly, nvars=args.nvars)
     inf, two = fs_norms.norms(f)
@@ -364,6 +381,7 @@ def _cmd_norm(args) -> CommandResult:
 
 def _cmd_delta(args) -> CommandResult:
     from . import fs_norms
+    from .multipoly import parse_integer_form
 
     form = parse_integer_form(args.form)
     value, err = fs_norms.delta_lambda_with_error(form, args.lam, _quad_config(args))
@@ -393,6 +411,8 @@ def _cmd_divcount(args) -> CommandResult:
 
 
 def _cmd_height(args) -> CommandResult:
+    from . import height_lab
+
     res = CommandResult("height", _params(args))
     coords = [c.strip() for c in args.coords.split(",")]
     if args.kind == "ff":
@@ -403,6 +423,8 @@ def _cmd_height(args) -> CommandResult:
         res.add_int("height", height_lab.height_ff(pt))
         res.provenance = "max coordinate degree after normalization"
     else:
+        from .multipoly import parse_affine_polynomial
+
         polys = [parse_affine_polynomial(c, nvars=args.d) for c in coords]
         pt = height_lab.RationalFunctionPoint.make(args.d, polys)
         cfg = _quad_config(args)
@@ -414,6 +436,8 @@ def _cmd_height(args) -> CommandResult:
 def _parse_fq_poly(text: str, q: PrimePower) -> tuple[int, ...]:
     # univariate over F_q in t: reuse the affine grammar with z1 = t;
     # integer literals land in the prime field
+    from .multipoly import parse_affine_polynomial
+
     poly = parse_affine_polynomial(text.replace("t", "z1"), nvars=1)
     coeffs = [0] * (poly.deg(0) + 1)
     for (i,), c in poly.coeffs.items():
@@ -436,11 +460,16 @@ def _fq_poly_str(coeffs) -> str:
 def _cmd_census(args) -> CommandResult | None:
     res = CommandResult("census", _params(args))
     if args.kind == "closed-points":
+        from . import field_census
+
         space = _space(args)
         census = field_census.closed_point_census(space, args.q, args.dmax)
         res.add_raw("b", [str(x) for x in census.b])
         res.provenance = "Moebius inversion of extension point counts"
-    elif args.kind == "ff-points":
+        return res
+    from . import height_lab
+
+    if args.kind == "ff-points":
         if args.stream:
             for pt in height_lab.iter_ff_points(args.q, args.n, int(args.h)):
                 print(json.dumps({
@@ -640,7 +669,7 @@ def main(argv=None) -> int:
     try:
         if isinstance(getattr(args, "q", None), str):
             args.q = _prime_power(args.q)
-        # exact counts run up to exact_counts.BIT_CAP bits; the arguments
+        # exact counts run up to BIT_CAP bits; the arguments
         # are read by now, so they keep Python's digit limit (Python 3.10
         # has neither)
         set_digits = getattr(sys, "set_int_max_str_digits", None)

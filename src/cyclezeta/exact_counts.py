@@ -36,6 +36,7 @@ from operator import mul
 from .errors import DomainError, IntegralityError, SizeCapExceeded, UnsupportedDimension
 from .field_census import point_count
 from .spaces import (
+    BIT_CAP,
     PrimePower,
     SpaceDescriptor,
     ProjSpace,
@@ -46,10 +47,6 @@ from .spaces import (
 
 MultiDegree = tuple[int, ...]
 
-# Largest exact result, in bits of memory, that a closed form may build:
-# one divisor count, or a whole sequence n_0..n_kmax (256 KiB).  The
-# 0-cycle recurrence forms kmax^2/2 products; at the cap it runs 1-3 s.
-BIT_CAP = 1 << 21
 # a CPython int object takes at least 24 bytes besides its digits
 _INT_HEADER_BITS = 192
 

@@ -22,14 +22,17 @@ F_256):
 
 Then ``mul``, ``pow`` (so the Frobenius a -> a^q), ``inv``, ``add``,
 ``neg`` and ``sub`` are a few list lookups each.  The build is O(order)
-in time and memory and vectorised: multiplication by g is an F_p-linear
-map, so the coefficient vectors of g^0 .. g^(2k-1) come from those of
-g^0 .. g^(k-1) by one matrix product mod p.  numpy is imported at the
-first extension-field build, so prime fields never load it.  The tables
-are plain lists of Python ints, about 140 bytes per field element in all.  On a 2-core
-x86 VM (Python 3.11, numpy 2.4) field(2, 19), field(3, 12) and
-field(5, 8) build in 0.5, 0.3 and 0.15 s and raise peak RSS by 79, 80
-and 59 MB; field(997, 2), near the cap, takes 0.3 s and 149 MB.
+in time and memory.  Fields of order at most 32 (``_PURE_TABLE_ORDER``)
+build in pure Python by repeated multiplication by g; larger ones are
+vectorised: multiplication by g is an F_p-linear map, so the coefficient
+vectors of g^0 .. g^(2k-1) come from those of g^0 .. g^(k-1) by one
+matrix product mod p.  numpy is imported at the first build of a field
+above order 32, so prime fields and small extensions such as F_4 and
+F_8 never load it.  The tables are plain lists of Python ints, about
+140 bytes per field element in all.  On a 2-core x86 VM (Python 3.11,
+numpy 2.4) field(2, 19), field(3, 12) and field(5, 8) build in 0.5, 0.3
+and 0.15 s and raise peak RSS by 79, 80 and 59 MB; field(997, 2), near
+the cap, takes 0.3 s and 149 MB.
 ``field`` keeps every field it builds, tables included, for the life of
 the process.
 """
@@ -144,13 +147,36 @@ def _primitive_element(p: int, modulus) -> tuple[int, ...]:
     raise AssertionError("no primitive element found (unreachable)")
 
 
-def _log_tables(p: int, modulus) -> tuple[list[int], list[int], list[int]]:
-    """The exp (doubled), log and Zech tables of an extension field."""
-    import numpy as np  # only extension fields need it
+# Fields of at most this order build their tables in pure Python, one
+# multiplication by g per element; larger ones use the numpy doubling
+# build.  On a 2-core x86 VM (Python 3.11, numpy 2.4, numpy already
+# loaded) both builds take 0.01-0.09 ms up to order 32, and above it numpy
+# is 3-12x faster (F_64: 0.19 vs 0.06 ms, F_256: 0.87 vs 0.10 ms).  But
+# importing numpy costs about 0.1 s, which the F_4 and F_8 of small
+# enumerations and audits now skip.
+_PURE_TABLE_ORDER = 32
+
+
+def _tables_python(p: int, modulus, g) -> tuple[list[int], list[int], list[int]]:
+    """exp (not doubled), log and Zech tables, one multiplication by g a step."""
+    exp, x = [], (1,)
+    for _ in range(p ** (len(modulus) - 1) - 1):
+        exp.append(_encode(x, p))
+        x = _poly_mod(_poly_mul(x, g, p), modulus, p)
+    log = [-1] * (len(exp) + 1)
+    for k, a in enumerate(exp):
+        log[a] = k
+    # 1 + g^k only changes the constant coefficient a % p of a = g^k
+    zech = [log[a - a % p + (a + 1) % p] for a in exp]
+    return exp, log, zech
+
+
+def _tables_numpy(p: int, modulus, g) -> tuple[list[int], list[int], list[int]]:
+    """exp (not doubled), log and Zech tables, doubling the powers a step."""
+    import numpy as np  # only fields above _PURE_TABLE_ORDER need it
 
     m = len(modulus) - 1
     n = p ** m - 1
-    g = _primitive_element(p, modulus)
     # row j of step = coefficients of t^j * g, so (coeffs of x) @ step = x*g
     step = np.zeros((m, m), dtype=np.int32)
     for j in range(m):
@@ -171,8 +197,15 @@ def _log_tables(p: int, modulus) -> tuple[list[int], list[int], list[int]]:
     log[exp] = np.arange(n)
     low = exp % p  # constant coefficient; 1 + g^k only changes it
     zech = log[exp - low + (low + 1) % p]
-    exp_list = exp.tolist()
-    return exp_list + exp_list, log.tolist(), zech.tolist()
+    return exp.tolist(), log.tolist(), zech.tolist()
+
+
+def _log_tables(p: int, modulus) -> tuple[list[int], list[int], list[int]]:
+    """The exp (doubled), log and Zech tables of an extension field."""
+    g = _primitive_element(p, modulus)
+    small = p ** (len(modulus) - 1) <= _PURE_TABLE_ORDER
+    exp, log, zech = (_tables_python if small else _tables_numpy)(p, modulus, g)
+    return exp + exp, log, zech
 
 
 class Fq:

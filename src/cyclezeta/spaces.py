@@ -34,6 +34,12 @@ _MR_BASES = (
 )
 PRIME_CAP = _MR_BASES[-1][0]
 
+# Largest exact result, in bits of memory, that a closed form of
+# ``exact_counts`` may build: one divisor count, or a whole sequence
+# n_0..n_kmax (256 KiB).  The 0-cycle recurrence forms kmax^2/2 products;
+# at the cap it runs 1-3 s.
+BIT_CAP = 1 << 21
+
 
 # The flags of the most recent ``primes_upto`` sieve: byte n is 1 exactly
 # when n is prime.  A sieve is a proof, so ``is_prime`` reads it for the n

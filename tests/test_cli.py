@@ -606,13 +606,19 @@ NUMPY_FREE_COMMANDS = [
     "height ff --coords 1,t^2+1 --q 2",
     "census closed-points --space pn --n 2 --q 2 --dmax 3",
     "census ff-points --q 2 --n 1 --h 1",
+    # closed points of degree 2 and 3 over F_2: F_4 and F_8 need no numpy
+    "enum zero-cycles --space pn --n 2 --q 2 --k 2",
+    "zeta --space pn --n 2 --q 2 --l 0 --kmax 3 --audit",
 ]
 
+# After each step: the label, whether numpy is loaded, and the cyclezeta
+# modules loaded so far
 _NUMPY_PROBE = """
 import contextlib, io, shlex, sys
 
 def loaded(label):
-    print(label, "numpy" in sys.modules)
+    ours = sorted(m for m in sys.modules if m.partition(".")[0] == "cyclezeta")
+    print(label, "numpy" in sys.modules, ",".join(ours))
 
 import cyclezeta
 loaded("import cyclezeta")
@@ -626,16 +632,37 @@ for line in sys.argv[1:]:
 """
 
 
-def test_exact_commands_do_not_import_numpy():
-    probe = [*NUMPY_FREE_COMMANDS, "norm --poly z1 --nodes 8"]
+def _probe(*commands):
+    """{label: (numpy loaded, cyclezeta modules loaded)} in one fresh process."""
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *probe],
+        [sys.executable, "-c", _NUMPY_PROBE, *commands],
         capture_output=True, text=True, check=True,
     )
-    seen = dict(line.rsplit(" ", 1) for line in proc.stdout.splitlines())
+    seen = {}
+    for line in proc.stdout.splitlines():
+        label, numpy, modules = line.rsplit(" ", 2)
+        seen[label] = (numpy == "True", set(modules.split(",")))
+    return seen
+
+
+def test_exact_commands_do_not_import_numpy():
+    probe = [*NUMPY_FREE_COMMANDS, "norm --poly z1 --nodes 8"]
+    seen = _probe(*probe)
     labels = ["import cyclezeta", "import cyclezeta.cli", *NUMPY_FREE_COMMANDS]
-    assert {label: seen[label] for label in labels} == dict.fromkeys(labels, "False")
-    assert seen[probe[-1]] == "True"  # quadrature commands still load it
+    assert {label: seen[label][0] for label in labels} == dict.fromkeys(labels, False)
+    assert seen[probe[-1]][0]  # quadrature commands still load it
+
+
+def test_cli_loads_only_the_modules_its_command_runs():
+    command = "bound constant --n 2 --l 1"
+    seen = _probe(command)
+    assert seen["import cyclezeta"][1] == {"cyclezeta"}
+    assert seen["import cyclezeta.cli"][1] == {
+        "cyclezeta", "cyclezeta.cli", "cyclezeta.errors", "cyclezeta.spaces",
+    }
+    unused = {"cyclezeta.cycle_oracle", "cyclezeta.zeta_series",
+              "cyclezeta.multipoly", "cyclezeta.height_lab"}
+    assert not seen[command][1] & unused
 
 
 _NO_NUMPY = """

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from cyclezeta.cycle_oracle import closed_points
 from cyclezeta.errors import DomainError
 from cyclezeta.finite_fields import (
+    _PURE_TABLE_ORDER,
     _decode,
     _encode,
     _poly_mod,
     _poly_mul,
+    _primitive_element,
+    _tables_numpy,
+    _tables_python,
     embedding,
     field,
 )
@@ -126,6 +130,32 @@ def ref_pow(F, a, n):
 SMALL_FIELDS = [  # every field of order <= 81
     (p, m) for p in range(2, 82) if is_prime(p) for m in range(1, 7) if p ** m <= 81
 ]
+
+
+# Extension fields up to _PURE_TABLE_ORDER build their tables in pure
+# Python, larger ones with numpy (prime fields build none): on every
+# small extension field both builds must give the same tables.
+PURE_TABLE_FIELDS = [(p, m) for p, m in SMALL_FIELDS if m > 1 and p ** m <= _PURE_TABLE_ORDER]
+
+
+def _python_tables(F):
+    exp, log, zech = _tables_python(F.p, F.modulus, _primitive_element(F.p, F.modulus))
+    return exp + exp, log, zech
+
+
+@pytest.mark.parametrize("p,m", PURE_TABLE_FIELDS)
+def test_python_and_numpy_table_builds_agree(p, m):
+    F = field(p, m)
+    g = _primitive_element(p, F.modulus)
+    assert _tables_python(p, F.modulus, g) == _tables_numpy(p, F.modulus, g)
+    assert (F._exp, F._log, F._zech) == _python_tables(F)
+
+
+def test_field_above_the_cutoff_matches_the_python_build():
+    assert sorted(p ** m for p, m in PURE_TABLE_FIELDS) == [4, 8, 9, 16, 25, 27, 32]
+    F = field(2, 6)  # F_64 takes the numpy build
+    assert F.order > _PURE_TABLE_ORDER
+    assert (F._exp, F._log, F._zech) == _python_tables(F)
 
 
 @pytest.mark.parametrize("p,m,order_of_t", [(3, 2, 4), (5, 2, 8), (7, 2, 4), (2, 8, 51)])
