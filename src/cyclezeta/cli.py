@@ -345,16 +345,21 @@ def _cmd_lfun(args) -> CommandResult:
     res = CommandResult("lfun", _params(args))
     res.add_float("real", value.real, err)
     res.add_float("imag", value.imag, err)
-    res.provenance = "ascending partial Euler product, tail-bounded factors"
+    res.provenance = (
+        "partial Euler product of exact cellular local factors" if args.l == 0
+        else "ascending partial Euler product, tail-bounded factors"
+    )
     return res
 
 
 def _cmd_speczeta(args) -> CommandResult:
     from . import zeta_series
 
-    value = zeta_series.spec_z_zeta_partial(args.s, args.cutoff, audit=args.audit)
+    value, err = zeta_series.spec_z_zeta_partial_with_error(
+        args.s, args.cutoff, audit=args.audit
+    )
     res = CommandResult("speczeta", _params(args))
-    res.add_float("partial_sum", value, 0.0)
+    res.add_float("partial_sum", value, err)
     res.add_float("tail_bound", args.cutoff ** (1 - args.s) / (args.s - 1))
     res.provenance = (
         "cycle enumeration through the norm bijection" if args.audit

@@ -6,10 +6,17 @@ at exponent k^(l+1):
     Z(T) = sum_k n_k T^(k^(l+1)),
 
 which converges for |q^C' T| < 1 once n_k <= q^(C' k^(l+1)).  Every
-series reads its coefficients from one ``exact_counts.cycle_counts`` pass.
-Truncations carry a rigorous geometric tail bound; the global object is
-the partial Euler product of the local series at T = p^(-s), whose error
-covers the truncated factors, the primes above the cutoff and rounding.
+series reads its coefficients from one ``exact_counts.cycle_counts`` pass,
+and truncations carry a rigorous geometric tail bound.
+
+The global object is the partial Euler product of the local zetas at
+T = p^(-s).  For 0-cycles the local factor is exact: P^n is cellular, so
+Z_p(T) = prod_{j=0}^{n} (1 - p^j T)^(-1), and the product over all primes
+converges exactly for Re(s) > n + 1.  Its error covers rounding and the
+primes above the cutoff, at most exp(b) - 1 relative with
+b = sum_j pmax^(1+j-sigma) / ((sigma-j-1)(1 - (pmax+1)^(j-sigma))).
+Top cycles and divisors multiply truncated local series, whose error also
+covers the truncation, and are certified for Re(s) > C' + 1.
 """
 
 from __future__ import annotations
@@ -19,11 +26,22 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from .errors import AuditMismatch, DomainError, RadiusError, UnsupportedDimension
-from .exact_counts import cycle_counts
+from .errors import (
+    AuditMismatch,
+    DomainError,
+    RadiusError,
+    SizeCapExceeded,
+    UnsupportedDimension,
+)
+from .exact_counts import cycle_counts, cycle_family
 from .spaces import PrimePower, ProjSpace, SpaceDescriptor, primes_upto, top_degree
 
 SPEC_Z_AUDIT_CAP = 10 ** 6
+# Longest run of integers that one call may walk: the primes up to an
+# Euler product's pmax, or the integers of a direct integer-spectrum sum.
+# At 10^7 the sieve takes about 0.5 s and 52 MB and the sum about 1.4 s;
+# each grows linearly, so 10^9 would need gigabytes or minutes.
+RANGE_CAP = 10 ** 7
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -135,10 +153,99 @@ def _kmax_for_tail(rho: float, l: int, tol: float) -> int:
     return kmax
 
 
+def _growth(log_growth: float) -> float:
+    """exp(g) - 1: the relative error of a product whose factors' relative
+    errors have logarithms summing to at most g."""
+    if log_growth >= 709.0:  # exp(g) overflows a float
+        raise RadiusError(
+            "Re(s) is too close to the abscissa for a finite error bound"
+        )
+    return math.expm1(log_growth)
+
+
 def l_function_partial_with_error(
     n: int, l: int, s: complex, pmax: int, tail_tol: float = 1e-12
 ):
     """Partial Euler product over p <= pmax of the local P^n cycle zetas.
+
+    Returns the product and a bound on its distance to the product over
+    all primes.  0-cycles multiply the exact cellular factors (see
+    ``_cellular_euler_product``); top cycles and divisors multiply local
+    series truncated where their tail bound is below ``tail_tol``.
+    ``pmax`` above ``RANGE_CAP`` is refused before the sieve runs.
+    """
+    if n < 0:
+        raise DomainError("ambient dimension must be >= 0")
+    if pmax > RANGE_CAP:
+        raise SizeCapExceeded(
+            f"pmax = {pmax} above {RANGE_CAP}: the prime sieve is refused"
+        )
+    s = complex(s)
+    if l == 0:
+        return _cellular_euler_product(n, s, pmax)
+    return _series_euler_product(n, l, s, pmax, tail_tol)
+
+
+def _cellular_euler_product(n: int, s: complex, pmax: int):
+    """The 0-cycle Euler product of P^n over p <= pmax, and its error.
+
+    P^n has one cell in each dimension j, so its local 0-cycle zeta is
+    Z_p(T) = prod_{j=0}^{n} (1 - p^j T)^(-1), and at T = p^(-s) each
+    prime contributes n + 1 exact factors 1 - p^(j-s); the product of
+    all of them is inverted once at the end.
+
+    With sigma = Re(s) and x = p^(j-sigma), |log(1 - p^(j-s))| is at most
+    x/(1 - x), so the primes above pmax change the product by a factor
+    within exp(b) - 1 of 1, where b sums, over j, the integral bound
+    pmax^(1+j-sigma) / ((sigma-j-1)(1 - (pmax+1)^(j-sigma))) on the sum
+    of x/(1 - x) over the integers above pmax.  b is finite exactly when
+    sigma > n + 1, the abscissa of the product; smaller sigma is refused.
+
+    Rounding, with u = 2^-53: each computed p^(j-s) has relative error at
+    most eta (below), which 1 - x magnifies by x/(1 - x); the subtraction
+    and the complex multiplication add at most u and sqrt(5)u.  Over
+    p <= pmax the sum of x/(1 - x) is at most
+    (2^-a + 2^(1-a)/(a-1)) / (1 - 2^-a) for a = sigma - j, since x/(1 - x)
+    is largest at p = 2 and the sum of m^-a over m >= 2 is at most 2^-a
+    plus the integral from 2.  Joining the n + 1 products costs 3u per
+    multiplication and the final inversion at most 16u.  The sum of these
+    relative errors is doubled to cover their second-order terms.
+    """
+    sigma = s.real
+    if sigma <= n + 1:
+        raise RadiusError(
+            f"Re(s) = {sigma} <= {n + 1}: the 0-cycle Euler product of P^{n} "
+            "is not certified (it converges for Re(s) > n + 1 only)"
+        )
+    u = _UNIT_ROUNDOFF
+    # libm pow and log are within one ulp (2u); a complex power adds the
+    # error of its phase Im(s) log p, and an integral exponent e with
+    # |e| <= 100 is taken by binary powering, within (|e| + 1)u
+    phase = 3.0 * abs(s.imag) * math.log(max(pmax, 2)) * u
+    if phase > 2.0 ** -20:
+        raise DomainError(
+            f"|Im(s)| = {abs(s.imag)} is too large for a rounding bound"
+        )
+    primes = primes_upto(pmax)
+    one = complex(1.0)
+    denominator = one
+    for j in range(n + 1):
+        denominator *= math.prod(map(one.__sub__, map(pow, primes, repeat(j - s))))
+    value = 1.0 / denominator
+    above = max(pmax, 1)
+    rounding = (4 * (n + 1) * len(primes) + 3 * n + 16) * u
+    tail = 0.0
+    for j in range(n + 1):
+        a = sigma - j
+        x2 = 2.0 ** -a
+        eta = (6.0 + a) * u + phase
+        rounding += eta * (x2 + 2.0 * x2 / (a - 1.0)) / (1.0 - x2)
+        tail += above ** (1.0 - a) / ((a - 1.0) * (1.0 - (above + 1.0) ** -a))
+    return value, abs(value) * _growth(2.0 * rounding + tail)
+
+
+def _series_euler_product(n: int, l: int, s: complex, pmax: int, tail_tol: float):
+    """The Euler product of the top-cycle or divisor zetas of P^n.
 
     Each local factor is a truncated series at T = p^(-s) whose tail bound
     is below ``tail_tol``; the factors are multiplied in ascending prime
@@ -153,10 +260,12 @@ def l_function_partial_with_error(
     most b = pmax^(1 + C' - sigma) / ((sigma - C' - 1)(1 - x_(pmax+1))),
     and the product over those primes is within exp(b) - 1 of 1.  The
     bound is finite only for sigma > C' + 1; smaller sigma is refused.
+
+    The family is resolved once.  Top-cycle counts do not depend on p and
+    are built once, to the longest truncation (the one at p = 2); divisor
+    counts (p^D - 1)/(p - 1) read the form dimensions D = C(n+k, n),
+    also listed once.
     """
-    if n < 0:
-        raise DomainError("ambient dimension must be >= 0")
-    s = complex(s)
     cprime = default_cprime_pn(n, l)
     excess = s.real - cprime
     if excess <= 1.0:
@@ -166,18 +275,35 @@ def l_function_partial_with_error(
         )
     space = ProjSpace(n)
     step = l + 1
-    value = complex(1.0, 0.0)
-    log_growth = 0.0  # sum of log(1 + eps_i)
-    for p in primes_upto(pmax):
+    primes = primes_upto(pmax)
+
+    def truncation(p):
         t = complex(p) ** (-s)
         rho = abs(t) * math.exp(cprime * math.log(p))
-        kmax = _kmax_for_tail(rho, l, tail_tol)
+        return t, rho, _kmax_for_tail(rho, l, tail_tol)
+
+    longest = truncation(2)[2] if primes else 0
+    if cycle_family(space, l) == "top-cycles":
+        top = cycle_counts(space, PrimePower(2), l, longest)
+
+        def counts(p, kmax):
+            return top[:kmax + 1]
+    else:
+        dims = [math.comb(n + k, n) for k in range(longest + 1)]
+
+        def counts(p, kmax):
+            return [(p ** d - 1) // (p - 1) for d in dims[:kmax + 1]]
+
+    value = complex(1.0, 0.0)
+    log_growth = 0.0  # sum of log(1 + eps_i)
+    for p in primes:
+        t, rho, kmax = truncation(p)
         # rounding allowance: each term n_k t^e is a power with relative
         # error growing like e * |s| log p, and the sum adds kmax ulps
         weight = 1.0 + abs(s) * math.log(p)
         factor = complex(0.0, 0.0)
         noise = 0.0
-        for k, n_k in enumerate(cycle_counts(space, PrimePower(p), l, kmax)):
+        for k, n_k in enumerate(counts(p, kmax)):
             term = _term_value(n_k, t, k ** step)
             factor += term
             noise += abs(term) * (8.0 * (1.0 + k ** step * weight) + kmax + 1)
@@ -188,7 +314,7 @@ def l_function_partial_with_error(
     above = max(pmax, 1)
     x = float(above + 1) ** -excess
     log_growth += above ** (1.0 - excess) / ((excess - 1.0) * (1.0 - x))
-    return value, abs(value) * math.expm1(log_growth)
+    return value, abs(value) * _growth(log_growth)
 
 
 def l_function_partial(n: int, l: int, s: complex, pmax: int) -> complex:
@@ -273,8 +399,9 @@ def spec_z_zeta_partial(s: float, cutoff: int, audit: bool = False) -> float:
 
     The norm bijection cycles <-> positive integers turns the cycle sum
     into sum_{m <= cutoff} m^(-s).  Audit mode streams the cycles, checks
-    the bijection and sums their norms; fast mode sums integers directly.
-    ``fsum`` is exactly rounded, so both modes give the same float.
+    the bijection and sums their norms; fast mode sums integers directly,
+    up to ``RANGE_CAP``.  ``fsum`` is exactly rounded, so both modes give
+    the same float.
     """
     if s <= 1:
         raise DomainError("need s > 1 for convergence")
@@ -284,7 +411,23 @@ def spec_z_zeta_partial(s: float, cutoff: int, audit: bool = False) -> float:
         _check_audit_cutoff(cutoff)
         norms = _audited_norms(_spec_z_cycle_tuples(cutoff), cutoff)
         return math.fsum(map(pow, norms, repeat(-s)))
+    if cutoff > RANGE_CAP:
+        raise SizeCapExceeded(
+            f"cutoff = {cutoff} above {RANGE_CAP}: the direct sum is refused"
+        )
     return math.fsum(m ** (-s) for m in range(1, cutoff + 1))
+
+
+def spec_z_zeta_partial_with_error(s: float, cutoff: int, audit: bool = False):
+    """``spec_z_zeta_partial`` and a bound on its rounding error.
+
+    With u = 2^-53: each term m^(-s) is one libm pow, within one ulp (2u
+    relative), so the terms' errors add to at most 2u of the sum, and
+    ``fsum`` rounds the sum of the float terms once, within u.  4u of the
+    computed value covers both with room for their second-order terms.
+    """
+    value = spec_z_zeta_partial(s, cutoff, audit)
+    return value, 4.0 * _UNIT_ROUNDOFF * value
 
 
 # ---------------------------------------------------------------------------

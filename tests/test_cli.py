@@ -328,18 +328,18 @@ PINNED_OUTPUTS = [
     (
         'lfun --n 1 --l 0 --s 4 --pmax 100000',
         '{"command": "lfun", "parameters": {"command": "lfun", "l": 0, '
-        '"n": 1, "pmax": 100000, "s": 4.0}, "provenance": "ascending '
-        'partial Euler product, tail-bounded factors", "results": '
-        '{"imag": {"error": 1.3010295147864828e-05, "value": 0.0}, '
-        '"real": {"error": 1.3010295147864828e-05, "value": '
-        '1.3010141145271656}}}\n'
+        '"n": 1, "pmax": 100000, "s": 4.0}, "provenance": "partial Euler '
+        'product of exact cellular local factors", "results": '
+        '{"imag": {"error": 8.722543055870286e-11, "value": 0.0}, '
+        '"real": {"error": 8.722543055870286e-11, "value": '
+        '1.301014114527025}}}\n'
     ),
     (
         'speczeta --s 2 --cutoff 10000 --audit',
         '{"command": "speczeta", "parameters": {"audit": true, '
         '"command": "speczeta", "cutoff": 10000, "s": 2.0}, '
         '"provenance": "cycle enumeration through the norm bijection", '
-        '"results": {"partial_sum": {"error": 0.0, "value": '
+        '"results": {"partial_sum": {"error": 7.30453063301466e-16, "value": '
         '1.6448340718480599}, "tail_bound": {"error": 0.0, "value": '
         '0.0001}}}\n'
     ),
@@ -486,7 +486,14 @@ def test_pinned_lfun_error_bounds_the_zeta_product():
     # on P^1 the Euler product of the 0-cycle zetas is zeta(s) zeta(s - 1)
     real = _pinned("lfun")["real"]
     exact = float(mpmath.zeta(4) * mpmath.zeta(3))
-    assert abs(real["value"] - exact) <= real["error"] < 1e-4
+    assert abs(real["value"] - exact) <= real["error"] < 1e-9
+
+
+def test_pinned_speczeta_error_bounds_the_direct_sum():
+    partial = _pinned("speczeta")["partial_sum"]
+    with mpmath.workdps(40):
+        exact = mpmath.fsum(mpmath.mpf(m) ** -2 for m in range(1, 10001))
+    assert abs(partial["value"] - exact) <= partial["error"] < 1e-15
 
 
 def test_pinned_height_error_bounds_the_closed_form():
@@ -505,11 +512,34 @@ def test_pinned_sh_set_height_agrees_with_a_finer_grid(capsys):
 
 
 def test_lfun_refuses_uncertified_half_plane(capsys):
-    # s = C' + 1 with C' = 2: the bound on the primes above pmax diverges
-    code, out, err = run_cli(capsys, "lfun", "--n", "1", "--l", "0", "--s", "3",
+    # s = n + 1, the abscissa of the 0-cycle product on P^1: the bound on
+    # the primes above pmax diverges
+    code, out, err = run_cli(capsys, "lfun", "--n", "1", "--l", "0", "--s", "2",
                              "--pmax", "10")
     assert code == 2 and out == ""
     assert "not certified" in err
+    # just above it the product is answered, and its error covers
+    # zeta(s) zeta(s - 1)
+    doc = run_json(capsys, "lfun", "--n", "1", "--l", "0", "--s", "2.5",
+                   "--pmax", "1000")
+    real = doc["results"]["real"]
+    exact = float(mpmath.zeta(2.5) * mpmath.zeta(1.5))
+    assert abs(real["value"] - exact) <= real["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    "lfun --n 1 --l 0 --s 4 --pmax 10000001",
+    "lfun --n 1 --l 0 --s 4 --pmax 1000000000000",
+    "lfun --n 1 --l 1 --s 2.5 --pmax 10000001",
+    "speczeta --s 2 --cutoff 10000001",
+])
+def test_oversized_ranges_refused(capsys, monkeypatch, argv):
+    # refused before the sieve or the sum starts
+    monkeypatch.setattr(spaces, "primes_upto", None)
+    monkeypatch.setattr(zeta_series, "primes_upto", None)
+    code, out, err = run_cli(capsys, *shlex.split(argv))
+    assert code == 3 and out == ""
+    assert err.startswith("size cap exceeded")
 
 
 @pytest.mark.parametrize("argv", [

@@ -164,6 +164,30 @@ def test_cycle_counts_equal_per_degree_counts(space, q):
         cycle_counts(space, q, 0, -1)
 
 
+def _cellular_series(cells, q, kmax):
+    # prod_j (1 - q^j T)^(-b_j) to order kmax, with b_j the number of
+    # j-cells: each factor 1/(1 - a T) turns c_k into c_k + a c'_(k-1)
+    c = [1] + [0] * kmax
+    for j, b in enumerate(cells):
+        for _ in range(b):
+            for k in range(1, kmax + 1):
+                c[k] += q ** j * c[k - 1]
+    return tuple(c)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("q", [Q2, Q3, PrimePower(2, 2), PrimePower(5)], ids=str)
+def test_zero_cycle_recurrence_equals_the_cellular_product(n, q):
+    # the Euler product's local factor, derived from the cell counts
+    # alone, against the point-count recurrence: b_j = 1 on P^n and
+    # b_j = C(n, j) on (P^1)^n
+    spaces = [(ProjSpace(n), [1] * (n + 1))]
+    if n >= 1:
+        spaces.append((P1Power(n), [math.comb(n, j) for j in range(n + 1)]))
+    for space, cells in spaces:
+        assert cycle_counts(space, q, 0, 30) == _cellular_series(cells, q.q, 30)
+
+
 def test_zero_cycle_series_is_one_pass(monkeypatch):
     # one point count per extension degree, and nothing kept between calls
     calls = []

@@ -7,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclezeta import spaces, zeta_series
-from cyclezeta.errors import AuditMismatch, DomainError, RadiusError, UnsupportedDimension
-from cyclezeta.exact_counts import cycle_count, zero_cycle_count
+from cyclezeta.errors import (
+    AuditMismatch,
+    DomainError,
+    RadiusError,
+    SizeCapExceeded,
+    UnsupportedDimension,
+)
+from cyclezeta.exact_counts import cycle_count, cycle_counts, zero_cycle_count
 from cyclezeta.spaces import P1Power, PrimePower, ProjSpace
 from cyclezeta.zeta_series import (
     abscissa_sequence,
@@ -123,17 +129,119 @@ def test_l_function_p1_small_product_manual():
 def test_l_function_error_accounting():
     # on P^n the 0-cycle Euler product over all primes is
     # prod_{i=0}^{n} zeta(s - i); the error must cover the whole distance,
-    # the primes above pmax included
-    for n, s in [(0, 2.5), (1, 4.5), (2, 6.1)]:
+    # the primes above pmax included, also just above the abscissa n + 1
+    for n, s in [(0, 2.5), (1, 4.5), (2, 6.1), (1, 2.5), (2, 3.5)]:
         exact = math.prod(float(mpmath.zeta(s - i)) for i in range(n + 1))
         for pmax in (1, 10, 100, 1000):
             value, err = l_function_partial_with_error(n, 0, s, pmax)
             assert abs(value - exact) <= err
             assert value.imag == 0.0
-    # sigma <= C' + 1 leaves the primes above pmax unbounded
-    for n, s in [(0, 1.0), (1, 3.0), (1, 1.5), (2, 5.0)]:
+    # sigma <= n + 1 leaves the primes above pmax unbounded
+    for n, s in [(0, 1.0), (1, 2.0), (1, 1.5), (2, 3.0)]:
         with pytest.raises(RadiusError):
             l_function_partial(n, 0, s, 10)
+
+
+def _zeta_product(n, s):
+    with mpmath.workdps(40):
+        return mpmath.fprod(mpmath.zeta(s - j) for j in range(n + 1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("pmax", [100, 10 ** 4, 10 ** 5])
+def test_l_function_answers_in_the_strip_above_the_abscissa(n, pmax):
+    # sigma = n + 1.5 lies in n + 1 < sigma <= 2n + 1, which the growth
+    # constant C' = 2n of the truncated series could not certify
+    s = n + 1.5
+    value, err = l_function_partial_with_error(n, 0, s, pmax)
+    assert abs(value - _zeta_product(n, s)) <= err
+    assert value.imag == 0.0
+
+
+@pytest.mark.parametrize("n, s, pmax", [(1, 4.0, 10 ** 5), (2, 6.1, 2 * 10 ** 5)])
+def test_l_function_error_is_small_where_the_tail_is_small(n, s, pmax):
+    # the tail of the exact factors is about pmax^(n + 1 - s), not the
+    # pmax^(2n + 1 - s) of the growth constant C' = 2n
+    value, err = l_function_partial_with_error(n, 0, s, pmax)
+    assert abs(value - _zeta_product(n, s)) <= err < 1e-9
+
+
+def test_l_function_refuses_an_error_bound_that_overflows():
+    # sigma = 1.0001 is above the abscissa 1 of zeta(s), but the bound on
+    # the primes above pmax is exp(10^4): refused, not a float overflow
+    with pytest.raises(RadiusError, match="finite error bound"):
+        l_function_partial_with_error(0, 0, 1.0001, 10 ** 4)
+
+
+def test_l_function_complex_s_matches_the_zeta_product():
+    s = complex(3.5, 2.0)
+    value, err = l_function_partial_with_error(1, 0, s, 10 ** 4)
+    assert abs(value - complex(_zeta_product(1, s))) <= err
+    assert value.imag != 0.0
+    with pytest.raises(DomainError):
+        l_function_partial_with_error(1, 0, complex(3.5, 1e15), 10)
+
+
+def _series_value(n_k, t, l):
+    return mpmath.fsum(c * t ** (k ** (l + 1)) for k, c in enumerate(n_k))
+
+
+@pytest.mark.parametrize("n, l, s, pmax", [
+    (1, 1, 2.05, 200), (2, 2, 1.7, 100), (3, 3, 2.5, 50),  # top cycles
+    (2, 1, 4.5, 100), (3, 2, 6.2, 50),  # divisors
+])
+def test_l_function_top_cycles_and_divisors_match_the_exact_local_series(n, l, s, pmax):
+    # the product over p <= pmax of the local series, summed in mpmath
+    # from the exact counts to a degree far past the truncation
+    with mpmath.workdps(40):
+        partial = mpmath.mpf(1)
+        for p in spaces.primes_upto(pmax):
+            counts = [cycle_count(ProjSpace(n), PrimePower(p), l, k) for k in range(12)]
+            partial *= _series_value(counts, mpmath.mpf(p) ** -s, l)
+    value, err = l_function_partial_with_error(n, l, s, pmax)
+    assert abs(value - complex(partial)) <= 1e-12 * abs(partial) <= err
+    assert value.imag == 0.0
+
+
+def test_l_function_builds_cycle_counts_at_most_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return cycle_counts(*args)
+
+    monkeypatch.setattr(zeta_series, "cycle_counts", counting)
+    for n in (0, 1, 2):
+        l_function_partial_with_error(n, 0, n + 2.5, 1000)
+    assert calls == []  # exact cellular factors need no series
+    for n, l, s in [(1, 1, 2.5), (2, 2, 2.5), (2, 1, 5.5)]:
+        calls.clear()
+        l_function_partial_with_error(n, l, s, 1000)
+        # top-cycle counts do not depend on p: built once; divisor counts
+        # read form dimensions listed once
+        assert len(calls) == (1 if l == n else 0)
+
+
+def test_ranges_above_the_cap_are_refused_before_they_start(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved past the cap")
+
+    monkeypatch.setattr(zeta_series, "primes_upto", no_sieve)
+    for l, s in [(0, 4.0), (1, 2.5)]:
+        with pytest.raises(SizeCapExceeded):
+            l_function_partial_with_error(1, l, s, zeta_series.RANGE_CAP + 1)
+    with pytest.raises(SizeCapExceeded):
+        spec_z_zeta_partial(2.0, zeta_series.RANGE_CAP + 1)
+
+
+@pytest.mark.parametrize("s, cutoff, audit", [(2.0, 10 ** 4, True), (1.5, 10 ** 5, False),
+                                              (3.25, 97, False), (1.01, 1000, True)])
+def test_spec_z_error_bounds_the_exact_partial_sum(s, cutoff, audit):
+    value, err = zeta_series.spec_z_zeta_partial_with_error(s, cutoff, audit)
+    with mpmath.workdps(40):
+        exact = mpmath.zeta(s) - mpmath.zeta(s, cutoff + 1)
+    assert abs(value - exact) <= err
+    assert 0 < err <= 1e-15 * value
 
 
 def test_l_function_large_s_tends_to_one():
