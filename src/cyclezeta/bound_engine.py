@@ -23,15 +23,14 @@ bounds only, checked against enumeration, and make no optimality claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError
+from .records import FrozenRecord
 from .spaces import PrimePower
 
 
-@dataclass(frozen=True)
-class CountingSystemSpec:
+class CountingSystemSpec(FrozenRecord):
     """One instantiation of the inductive counting tower.
 
     ``B(h)`` bounds the base-level count for h >= t0; ``A(s, t)`` bounds
@@ -39,16 +38,13 @@ class CountingSystemSpec:
     arguments.
     """
 
-    n0: int
-    n: int
-    B: Callable[[float], float]
-    A: Callable[[float, float], float]
-    t0: float = 0.0
-    note: str = ""
+    __slots__ = ("n0", "n", "B", "A", "t0", "note")
 
-    def __post_init__(self):
-        if self.n < self.n0:
-            raise DomainError(f"need n >= n0, got n={self.n}, n0={self.n0}")
+    def __init__(self, n0: int, n: int, B: Callable[[float], float],
+                 A: Callable[[float, float], float], t0: float = 0.0, note: str = ""):
+        super().__init__(n0, n, B, A, t0, note)
+        if n < n0:
+            raise DomainError(f"need n >= n0, got n={n}, n0={n0}")
 
 
 def counting_system_bound(spec: CountingSystemSpec, h: float) -> float:
@@ -151,14 +147,16 @@ def pushforward_bound(deg_pi: int, mults) -> int:
     return deg_pi * sum(mults)
 
 
-@dataclass(frozen=True)
-class ExplicitConstant:
+class ExplicitConstant(FrozenRecord):
     """A pinned constant with the audit trail of its recursion."""
 
-    n: int
-    l: int
-    value: int
-    derivation: tuple[str, ...] = field(repr=False, default=())
+    __slots__ = ("n", "l", "value", "derivation")
+
+    def __init__(self, n: int, l: int, value: int, derivation: tuple[str, ...] = ()):
+        super().__init__(n, l, value, derivation)
+
+    def __repr__(self):  # the derivation is compared but not printed
+        return f"ExplicitConstant(n={self.n!r}, l={self.l!r}, value={self.value!r})"
 
 
 def prime_constant_p1_power(n: int, l: int) -> int:

@@ -14,8 +14,13 @@ Exit codes: 0 success, 1 usage error, 2 domain error, 3 size-cap refusal,
 
 ``--q`` takes a prime power as ``p^e`` or as a plain integer (4 = 2^2).
 
-Each command imports only the modules it runs: at start-up this module
-loads just ``errors`` and ``spaces``, which ``--q`` and ``--space`` need.
+Each process does only the set-up its command needs.  At start-up this
+module loads just ``errors``, ``records`` and ``spaces``, which ``--q``
+and ``--space`` need, and ``build_parser`` builds the parser of the one
+subcommand named on the command line (all of them for ``--help``, a
+missing or an unknown command, so usage and errors read the same).  No
+module uses the standard library's data classes, whose import pulls in
+``inspect`` and ``ast``; the value classes derive from ``records``.
 numpy is imported only where arrays are computed: by the quadrature
 commands (``norm``, ``delta``, ``divcount``, ``height nv``, ``census
 sh-set``, ``verify``), which import ``fs_norms``/``quadrature`` when they
@@ -39,7 +44,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -49,6 +53,7 @@ from .errors import (
     IntegralityError,
     SizeCapExceeded,
 )
+from .records import Record
 from .spaces import BIT_CAP, PRIME_CAP, PrimePower, is_prime, parse_space
 
 if TYPE_CHECKING:
@@ -105,13 +110,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-@dataclass
-class CommandResult:
-    command: str
-    parameters: dict
-    results: dict = field(default_factory=dict)
-    provenance: str = ""
-    elapsed: float | None = None
+class CommandResult(Record):
+    __slots__ = ("command", "parameters", "results", "provenance", "elapsed")
+
+    def __init__(self, command: str, parameters: dict, results: dict | None = None,
+                 provenance: str = "", elapsed: float | None = None):
+        super().__init__(command, parameters, {} if results is None else results,
+                         provenance, elapsed)
 
     def add_int(self, name: str, value: int):
         self.results[name] = {"value": _int_text(value), "error": 0}
@@ -552,30 +557,23 @@ def _params(args) -> dict:
     return out
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="cyclezeta", description=__doc__)
-    parser.add_argument("--tsv", action="store_true", help="tabular output")
-    parser.add_argument("--timing", action="store_true",
-                        help="attach wall-clock time (breaks byte-identity)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="exact cycle counts")
+def _count_args(p):
     p.add_argument("kind", choices=["divisors", "zero-cycles", "top-cycles", "cycles"])
     _add_space_args(p)
     p.add_argument("--multidegree", type=_multidegree)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--audit", action="store_true")
-    p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("enum", help="exhaustive enumeration (oracle)")
+
+def _enum_args(p):
     p.add_argument("kind", choices=["divisors", "zero-cycles"])
     _add_space_args(p)
     p.add_argument("--multidegree", type=_multidegree)
     p.add_argument("--k", type=int, default=0)
-    p.set_defaults(func=_cmd_enum)
 
-    p = sub.add_parser("bound", help="counting bounds and pinned constants")
+
+def _bound_args(p):
     p.add_argument("kind", choices=["constant", "counting-system",
                                     "product-cycle", "pushforward"])
     p.add_argument("--n", type=int, default=1)
@@ -589,58 +587,58 @@ def build_parser() -> _Parser:
     p.add_argument("--theta-e", type=int, default=1)
     p.add_argument("--deg-pi", type=int, default=1)
     p.add_argument("--mults", type=_multidegree, default=(1,))
-    p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("zeta", help="truncated cycle zeta series")
+
+def _zeta_args(p):
     _add_space_args(p)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--audit", action="store_true")
-    p.set_defaults(func=_cmd_zeta)
 
-    p = sub.add_parser("lfun", help="partial Euler product over primes")
+
+def _lfun_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--pmax", type=int, required=True)
-    p.set_defaults(func=_cmd_lfun)
 
-    p = sub.add_parser("speczeta", help="integer-spectrum zeta partial sum")
+
+def _speczeta_args(p):
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--cutoff", type=int, required=True)
     p.add_argument("--audit", action="store_true")
-    p.set_defaults(func=_cmd_speczeta)
 
-    p = sub.add_parser("norm", help="coefficient norms and the v measure")
+
+def _norm_args(p):
     p.add_argument("--poly", required=True)
     p.add_argument("--nvars", type=int, default=None)
     _add_quad_args(p)
-    p.set_defaults(func=_cmd_norm)
 
-    p = sub.add_parser("delta", help="arithmetic degree of an integer form")
+
+def _delta_args(p):
     p.add_argument("--form", required=True, help="e.g. 'X1^2 - 3*X1*Y1 + Y1^2'")
     p.add_argument("--lam", type=float, default=1.0)
     _add_quad_args(p)
-    p.set_defaults(func=_cmd_delta)
 
-    p = sub.add_parser("divcount", help="bounded arithmetic-degree divisor census")
+
+def _divcount_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--search-cap", type=int)  # default: fs_norms.DEFAULT_SEARCH_CAP
     _add_quad_args(p)
-    p.set_defaults(func=_cmd_divcount)
 
-    p = sub.add_parser("height", help="heights of projective points")
+
+def _height_args(p):
     p.add_argument("kind", choices=["ff", "nv"])
     p.add_argument("--coords", required=True,
                    help="comma-separated coordinates, e.g. '1,t^2+1' or '1,z1'")
     p.add_argument("--q", default="2")
     p.add_argument("--d", type=int, default=1)
     _add_quad_args(p)
-    p.set_defaults(func=_cmd_height)
 
-    p = sub.add_parser("census", help="closed-point and bounded-height censuses")
+
+def _census_args(p):
     p.add_argument("kind", choices=["closed-points", "ff-points", "sh-set"])
     p.add_argument("--space", default="pn")
     p.add_argument("--n", type=int, default=1)
@@ -652,9 +650,9 @@ def build_parser() -> _Parser:
     p.add_argument("--stream", action="store_true",
                    help="emit one JSON line per census member")
     _add_quad_args(p)
-    p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("verify", help="property verification drivers")
+
+def _verify_args(p):
     p.add_argument("kind", choices=["norms"])
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -662,14 +660,66 @@ def build_parser() -> _Parser:
     p.add_argument("--maxdeg", type=int, default=3)
     p.add_argument("--coeff-bound", type=int, default=10)
     _add_quad_args(p, add_seed=False)
-    p.set_defaults(func=_cmd_verify)
 
+
+# name -> (help, adds its arguments, runs it), in the order --help lists them
+_COMMANDS = {
+    "count": ("exact cycle counts", _count_args, _cmd_count),
+    "enum": ("exhaustive enumeration (oracle)", _enum_args, _cmd_enum),
+    "bound": ("counting bounds and pinned constants", _bound_args, _cmd_bound),
+    "zeta": ("truncated cycle zeta series", _zeta_args, _cmd_zeta),
+    "lfun": ("partial Euler product over primes", _lfun_args, _cmd_lfun),
+    "speczeta": ("integer-spectrum zeta partial sum", _speczeta_args, _cmd_speczeta),
+    "norm": ("coefficient norms and the v measure", _norm_args, _cmd_norm),
+    "delta": ("arithmetic degree of an integer form", _delta_args, _cmd_delta),
+    "divcount": ("bounded arithmetic-degree divisor census", _divcount_args,
+                 _cmd_divcount),
+    "height": ("heights of projective points", _height_args, _cmd_height),
+    "census": ("closed-point and bounded-height censuses", _census_args, _cmd_census),
+    "verify": ("property verification drivers", _verify_args, _cmd_verify),
+}
+_FLAGS = ("--tsv", "--timing")
+
+
+def _named_command(argv) -> str | None:
+    """The subcommand argv runs, if its parser alone can read argv.
+
+    The top-level options are all flags, so the command is the first token
+    other than those flags.  Anything else there (``--help``, an unknown
+    option or command, no command at all) is left to the full parser, whose
+    usage and error messages it prints.
+    """
+    for token in argv:
+        if token not in _FLAGS:
+            return token if token in _COMMANDS else None
+    return None
+
+
+def build_parser(argv=None) -> _Parser:
+    """The parser for argv: the top level and the one subcommand it names.
+
+    Without argv, or when argv names no subcommand, every subcommand is
+    built.
+    """
+    command = None if argv is None else _named_command(argv)
+    parser = _Parser(prog="cyclezeta", description=__doc__)
+    parser.add_argument("--tsv", action="store_true", help="tabular output")
+    parser.add_argument("--timing", action="store_true",
+                        help="attach wall-clock time (breaks byte-identity)")
+    # a one-command parser still names every command in its usage line
+    choices = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    for name, (help_text, add_args, func) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     start = time.perf_counter()
     try:
         if isinstance(getattr(args, "q", None), str):

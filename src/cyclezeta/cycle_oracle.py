@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exact_counts
@@ -26,6 +25,7 @@ from .errors import DomainError, SizeCapExceeded
 from .exact_counts import MultiDegree, _check_multidegree, polarization_multidegrees
 from .field_census import point_count
 from .finite_fields import Fq, embedding, field
+from .records import FrozenRecord
 from .spaces import PrimePower, Product, SpaceDescriptor, multidegree_slots
 
 ENUM_CAP = 10 ** 6
@@ -68,14 +68,17 @@ def _orbit(pt: Point, F: Fq, q: int) -> list[Point]:
     return orbit
 
 
-@dataclass(frozen=True)
-class ClosedPoint:
+class ClosedPoint(FrozenRecord):
     """A Frobenius orbit: orbit size = residue degree over F_q."""
 
-    space: SpaceDescriptor
-    q: PrimePower
-    degree: int
-    orbit_key: Point
+    __slots__ = ("space", "q", "degree", "orbit_key")
+
+    def __init__(self, space: SpaceDescriptor, q: PrimePower, degree: int,
+                 orbit_key: Point):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "orbit_key", orbit_key)
 
     def sort_key(self):
         return (self.degree, self.orbit_key)
@@ -108,13 +111,16 @@ def closed_points(space: SpaceDescriptor, q: PrimePower, d: int) -> tuple[Closed
 # zero-cycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZeroCycle:
+class ZeroCycle(FrozenRecord):
     """Effective 0-cycle: closed points with positive multiplicities."""
 
-    space: SpaceDescriptor
-    q: PrimePower
-    terms: tuple[tuple[ClosedPoint, int], ...]
+    __slots__ = ("space", "q", "terms")
+
+    def __init__(self, space: SpaceDescriptor, q: PrimePower,
+                 terms: tuple[tuple[ClosedPoint, int], ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def make(space, q, terms) -> "ZeroCycle":
@@ -291,8 +297,7 @@ def monomial_exponents(space: SpaceDescriptor, e: MultiDegree) -> tuple[tuple, .
     return tuple(itertools.product(*per_block))
 
 
-@dataclass(frozen=True)
-class FormClass:
+class FormClass(FrozenRecord):
     """A nonzero form modulo scalars; first nonzero coefficient is 1.
 
     ``coefficients[i]`` is the field element (encoded as an int) attached
@@ -301,10 +306,14 @@ class FormClass:
 
     NORMALIZATION = "leading-one"
 
-    space: SpaceDescriptor
-    q: PrimePower
-    multidegree: MultiDegree
-    coefficients: tuple[int, ...]
+    __slots__ = ("space", "q", "multidegree", "coefficients")
+
+    def __init__(self, space: SpaceDescriptor, q: PrimePower, multidegree: MultiDegree,
+                 coefficients: tuple[int, ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "multidegree", multidegree)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def support(self):
         monos = monomial_exponents(self.space, self.multidegree)

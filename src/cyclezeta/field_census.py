@@ -13,10 +13,10 @@ slip through silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, IntegralityError
+from .records import FrozenRecord
 from .spaces import P1Power, PrimePower, Product, ProjSpace, SpaceDescriptor
 
 
@@ -64,13 +64,13 @@ def point_count(space: SpaceDescriptor, q: PrimePower, m: int) -> int:
     raise DomainError(f"unsupported space {space!r}")
 
 
-@dataclass(frozen=True)
-class ClosedPointCensus:
+class ClosedPointCensus(FrozenRecord):
     """Counts b_d of closed points of residue degree d = 1..dmax."""
 
-    space: SpaceDescriptor
-    q: PrimePower
-    b: tuple[int, ...]
+    __slots__ = ("space", "q", "b")
+
+    def __init__(self, space: SpaceDescriptor, q: PrimePower, b: tuple[int, ...]):
+        super().__init__(space, q, b)
 
     @property
     def dmax(self) -> int:

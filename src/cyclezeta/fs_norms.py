@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .quadrature import (
     integrate_log_max,
     integrate_log_max_with_error,
 )
+from .records import FrozenRecord
 
 DEFAULT_SEARCH_CAP = 2_000_000
 BAND_FLOOR = 1e-9  # least half-width of the census guard band
@@ -106,8 +106,7 @@ def delta_lambda_with_error(
     return lam * sum(P.multidegree) + value, err
 
 
-@dataclass(frozen=True)
-class ArithDivisorCensus:
+class ArithDivisorCensus(FrozenRecord):
     """Outcome of an exhaustive bounded-arithmetic-degree divisor count.
 
     ``count`` are the divisors certified inside the bound; ``borderline``
@@ -116,13 +115,13 @@ class ArithDivisorCensus:
     a-priori finiteness bound for the searched region.
     """
 
-    n: int
-    lam: float
-    h: float
-    count: int
-    log_certified_bound: float
-    borderline: tuple[IntegerForm, ...]
-    max_inf_norm: int
+    __slots__ = ("n", "lam", "h", "count", "log_certified_bound", "borderline",
+                 "max_inf_norm")
+
+    def __init__(self, n: int, lam: float, h: float, count: int,
+                 log_certified_bound: float, borderline: tuple[IntegerForm, ...],
+                 max_inf_norm: int):
+        super().__init__(n, lam, h, count, log_certified_bound, borderline, max_inf_norm)
 
     def raise_if_ambiguous(self):
         if self.borderline:
@@ -228,27 +227,23 @@ def count_arith_divisors_bounded(
 # property verification driver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormSampleSpec:
+class NormSampleSpec(FrozenRecord):
     """Seeded random-polynomial generator: dense integer coefficients."""
 
-    samples: int
-    seed: int
-    nvars: int = 2
-    max_degree: int = 3
-    coeff_bound: int = 10
+    __slots__ = ("samples", "seed", "nvars", "max_degree", "coeff_bound")
 
-    def __post_init__(self):
-        if self.samples < 1 or self.nvars < 1 or self.max_degree < 0:
+    def __init__(self, samples: int, seed: int, nvars: int = 2, max_degree: int = 3,
+                 coeff_bound: int = 10):
+        super().__init__(samples, seed, nvars, max_degree, coeff_bound)
+        if samples < 1 or nvars < 1 or max_degree < 0:
             raise DomainError("bad sample specification")
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    sample: int
-    name: str
-    lhs: float
-    rhs: float
+class CheckRecord(FrozenRecord):
+    __slots__ = ("sample", "name", "lhs", "rhs")
+
+    def __init__(self, sample: int, name: str, lhs: float, rhs: float):
+        super().__init__(sample, name, lhs, rhs)
 
     @property
     def slack(self) -> float:
@@ -260,11 +255,12 @@ class CheckRecord:
         return "warn" if self.slack >= -tolerance else "fail"
 
 
-@dataclass(frozen=True)
-class NormPropertyReport:
-    spec: NormSampleSpec
-    tolerance: float
-    records: tuple[CheckRecord, ...]
+class NormPropertyReport(FrozenRecord):
+    __slots__ = ("spec", "tolerance", "records")
+
+    def __init__(self, spec: NormSampleSpec, tolerance: float,
+                 records: tuple[CheckRecord, ...]):
+        super().__init__(spec, tolerance, records)
 
     def tally(self) -> dict[str, int]:
         out = {"pass": 0, "warn": 0, "fail": 0}

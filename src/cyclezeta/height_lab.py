@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, SizeCapExceeded
 from .finite_fields import Fq, field
 from .multipoly import MultiPoly, _exact_div, _univ_poly_gcd
+from .records import FrozenRecord
 from .spaces import PrimePower
 
 if TYPE_CHECKING:
@@ -97,8 +97,7 @@ def _fq_scale(a, c, F: Fq):
     return _fq_trim([F.mul(x, c) for x in a])
 
 
-@dataclass(frozen=True)
-class FunctionFieldPoint:
+class FunctionFieldPoint(FrozenRecord):
     """Projective point with polynomial coordinates over F_q, normalized.
 
     Normalization: divide out the coordinate gcd, then scale by a constant
@@ -106,8 +105,10 @@ class FunctionFieldPoint:
     monic.  Representatives are unique, so censuses can count tuples.
     """
 
-    q: PrimePower
-    coords: tuple[tuple[int, ...], ...]
+    __slots__ = ("q", "coords")
+
+    def __init__(self, q: PrimePower, coords: tuple[tuple[int, ...], ...]):
+        super().__init__(q, coords)
 
     @staticmethod
     def make(q: PrimePower, coords) -> "FunctionFieldPoint":
@@ -190,8 +191,7 @@ def _int_content(values) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class RationalFunctionPoint:
+class RationalFunctionPoint(FrozenRecord):
     """Projective point with integer polynomial coordinates in z_1..z_d.
 
     Normalized: overall integer content 1, no common polynomial factor
@@ -199,8 +199,10 @@ class RationalFunctionPoint:
     coprime coordinates), and the first nonzero coefficient positive.
     """
 
-    d: int
-    coords: tuple[MultiPoly, ...]
+    __slots__ = ("d", "coords")
+
+    def __init__(self, d: int, coords: tuple[MultiPoly, ...]):
+        super().__init__(d, coords)
 
     @staticmethod
     def make(d: int, coords) -> "RationalFunctionPoint":
@@ -268,8 +270,7 @@ def height_nv_with_error(
     return degree_term + value, err
 
 
-@dataclass(frozen=True)
-class ShSetCensus:
+class ShSetCensus(FrozenRecord):
     """Exhaustive count of the bounded-height polynomial box.
 
     ``count`` is the number of integer polynomials in the box (all of
@@ -279,15 +280,14 @@ class ShSetCensus:
     census is compared against.
     """
 
-    d: int
-    a: float
-    h: float
-    count: int
-    all_heights_ok: bool
-    max_height: float
-    analytic_lower_bound: float
-    coeff_box: int
-    degree_cap: int
+    __slots__ = ("d", "a", "h", "count", "all_heights_ok", "max_height",
+                 "analytic_lower_bound", "coeff_box", "degree_cap")
+
+    def __init__(self, d: int, a: float, h: float, count: int, all_heights_ok: bool,
+                 max_height: float, analytic_lower_bound: float, coeff_box: int,
+                 degree_cap: int):
+        super().__init__(d, a, h, count, all_heights_ok, max_height,
+                         analytic_lower_bound, coeff_box, degree_cap)
 
 
 def sh_set_table(

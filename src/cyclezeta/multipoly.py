@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import DomainError, ZeroPolynomial
+from .records import FrozenRecord
 
 
 class MultiPoly:
@@ -311,8 +311,7 @@ def _squarefree_parts(f: MultiPoly) -> list[tuple[int, MultiPoly]]:
 # homogeneous integer forms on products of projective lines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntegerForm:
+class IntegerForm(FrozenRecord):
     """Multihomogeneous integer form in pairs (X_i, Y_i), sign-normalized.
 
     ``coeffs`` maps the X-exponent vector a (with 0 <= a_i <= k_i) to the
@@ -320,9 +319,13 @@ class IntegerForm:
     coefficient at the lexicographically greatest exponent is positive.
     """
 
-    n: int
-    multidegree: tuple[int, ...]
-    coeffs: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = ("n", "multidegree", "coeffs")
+
+    def __init__(self, n: int, multidegree: tuple[int, ...],
+                 coeffs: tuple[tuple[tuple[int, ...], int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "multidegree", multidegree)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def make(n: int, multidegree, coeffs: dict) -> "IntegerForm":

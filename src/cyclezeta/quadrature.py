@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -90,6 +89,7 @@ from .multipoly import (
     _squarefree_parts,
     _univ_poly_gcd,
 )
+from .records import FrozenRecord
 
 _TINY = 1e-300
 _MC_BATCH = 100_000
@@ -97,25 +97,23 @@ _ROUNDING = 1e-12  # relative rounding allowance of every exact-route error
 _BLOCK = 1 << 20  # complex entries per block of a grid or of inner integrals
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(FrozenRecord):
     """How to integrate: tensor Gauss-Legendre grid or seeded Monte Carlo."""
 
-    scheme: str = "tensor_gauss"
-    nodes_per_dim: int = 64
-    sample_count: int = 1_000_000
-    seed: int | None = None
-    tolerance: float = 1e-3
+    __slots__ = ("scheme", "nodes_per_dim", "sample_count", "seed", "tolerance")
 
-    def __post_init__(self):
-        if self.scheme not in ("tensor_gauss", "monte_carlo"):
-            raise DomainError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.scheme == "tensor_gauss" and self.nodes_per_dim < 8:
+    def __init__(self, scheme: str = "tensor_gauss", nodes_per_dim: int = 64,
+                 sample_count: int = 1_000_000, seed: int | None = None,
+                 tolerance: float = 1e-3):
+        super().__init__(scheme, nodes_per_dim, sample_count, seed, tolerance)
+        if scheme not in ("tensor_gauss", "monte_carlo"):
+            raise DomainError(f"unknown quadrature scheme {scheme!r}")
+        if scheme == "tensor_gauss" and nodes_per_dim < 8:
             raise DomainError("nodes_per_dim must be >= 8")
-        if self.scheme == "monte_carlo":
-            if self.seed is None:
+        if scheme == "monte_carlo":
+            if seed is None:
                 raise DomainError("monte_carlo requires an explicit seed")
-            if self.sample_count < 1:
+            if sample_count < 1:
                 raise DomainError("sample_count must be >= 1")
 
 

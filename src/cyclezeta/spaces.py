@@ -15,10 +15,10 @@ so a descriptor is all a counting function needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 
 from .errors import DomainError, SizeCapExceeded
+from .records import FrozenRecord
 
 
 # Deterministic Miller-Rabin: below each bound, the strong-probable-prime
@@ -100,18 +100,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(FrozenRecord):
     """A finite-field order q = p^e, kept as the exact pair (p, e)."""
 
-    p: int
-    e: int = 1
+    __slots__ = ("p", "e")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"p = {self.p} is not prime")
-        if self.e < 1:
-            raise DomainError(f"exponent e = {self.e} must be >= 1")
+    def __init__(self, p: int, e: int = 1):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        if not is_prime(p):
+            raise DomainError(f"p = {p} is not prime")
+        if e < 1:
+            raise DomainError(f"exponent e = {e} must be >= 1")
 
     @property
     def q(self) -> int:
@@ -121,8 +121,10 @@ class PrimePower:
         return str(self.q) if self.e == 1 else f"{self.p}^{self.e}"
 
 
-class SpaceDescriptor:
+class SpaceDescriptor(FrozenRecord):
     """Base class for ambient-space descriptors."""
+
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -132,12 +134,12 @@ class SpaceDescriptor:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class ProjSpace(SpaceDescriptor):
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int):
+        super().__init__(n)
+        if n < 0:
             raise DomainError("projective space dimension must be >= 0")
 
     @property
@@ -148,12 +150,12 @@ class ProjSpace(SpaceDescriptor):
         return f"P{self.n}"
 
 
-@dataclass(frozen=True)
 class P1Power(SpaceDescriptor):
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int):
+        super().__init__(n)
+        if n < 0:
             raise DomainError("number of P1 factors must be >= 0")
 
     @property
@@ -164,10 +166,11 @@ class P1Power(SpaceDescriptor):
         return f"(P1)^{self.n}"
 
 
-@dataclass(frozen=True)
 class Product(SpaceDescriptor):
-    left: SpaceDescriptor
-    right: SpaceDescriptor
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: SpaceDescriptor, right: SpaceDescriptor):
+        super().__init__(left, right)
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from .errors import (
     AuditMismatch,
@@ -34,6 +33,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .exact_counts import cycle_counts, cycle_family
+from .records import FrozenRecord
 from .spaces import PrimePower, ProjSpace, SpaceDescriptor, primes_upto, top_degree
 
 SPEC_Z_AUDIT_CAP = 10 ** 6
@@ -45,15 +45,14 @@ RANGE_CAP = 10 ** 7
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-@dataclass(frozen=True)
-class SparseSeries:
+class SparseSeries(FrozenRecord):
     """Exact truncated cycle zeta series with sparse exponents k^(l+1)."""
 
-    space: SpaceDescriptor
-    q: PrimePower
-    l: int
-    kmax: int
-    coefficients: tuple[int, ...]  # n_0 .. n_kmax
+    __slots__ = ("space", "q", "l", "kmax", "coefficients")
+
+    def __init__(self, space: SpaceDescriptor, q: PrimePower, l: int, kmax: int,
+                 coefficients: tuple[int, ...]):  # n_0 .. n_kmax
+        super().__init__(space, q, l, kmax, coefficients)
 
     @property
     def terms(self) -> dict[int, int]:
@@ -64,13 +63,13 @@ class SparseSeries:
         return k ** (self.l + 1)
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(FrozenRecord):
     """Geometric tail bound for a truncated series at |q^cprime * t| = rho."""
 
-    cprime: float
-    rho: float
-    bound: float
+    __slots__ = ("cprime", "rho", "bound")
+
+    def __init__(self, cprime: float, rho: float, bound: float):
+        super().__init__(cprime, rho, bound)
 
 
 def local_zeta_series(
@@ -330,7 +329,7 @@ def _check_audit_cutoff(cutoff: int) -> None:
     if cutoff < 1:
         raise DomainError("cutoff must be >= 1")
     if cutoff > SPEC_Z_AUDIT_CAP:
-        raise DomainError(f"audit cutoff capped at {SPEC_Z_AUDIT_CAP}")
+        raise SizeCapExceeded(f"audit cutoff capped at {SPEC_Z_AUDIT_CAP}")
 
 
 def _spec_z_cycle_tuples(cutoff: int):
@@ -399,9 +398,10 @@ def spec_z_zeta_partial(s: float, cutoff: int, audit: bool = False) -> float:
 
     The norm bijection cycles <-> positive integers turns the cycle sum
     into sum_{m <= cutoff} m^(-s).  Audit mode streams the cycles, checks
-    the bijection and sums their norms; fast mode sums integers directly,
-    up to ``RANGE_CAP``.  ``fsum`` is exactly rounded, so both modes give
-    the same float.
+    the bijection and sums their norms, up to ``SPEC_Z_AUDIT_CAP``; fast
+    mode sums integers directly, up to ``RANGE_CAP``.  Larger cutoffs
+    raise ``SizeCapExceeded``.  ``fsum`` is exactly rounded, so both modes
+    give the same float.
     """
     if s <= 1:
         raise DomainError("need s > 1 for convergence")
@@ -434,15 +434,14 @@ def spec_z_zeta_partial_with_error(s: float, cutoff: int, audit: bool = False):
 # abscissa of convergence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbscissaReport:
+class AbscissaReport(FrozenRecord):
     """log_q(n_k) / k^(l+1) for k = 1..kmax, with the predicted limit."""
 
-    space: SpaceDescriptor
-    q: PrimePower
-    l: int
-    values: tuple[float, ...]
-    predicted_limit: float | None
+    __slots__ = ("space", "q", "l", "values", "predicted_limit")
+
+    def __init__(self, space: SpaceDescriptor, q: PrimePower, l: int,
+                 values: tuple[float, ...], predicted_limit: float | None):
+        super().__init__(space, q, l, values, predicted_limit)
 
     def value(self, k: int) -> float:
         return self.values[k - 1]

@@ -1,3 +1,5 @@
+import argparse
+import functools
 import json
 import math
 import random
@@ -11,7 +13,7 @@ import pytest
 
 import cyclezeta
 from cyclezeta import cycle_oracle, field_census, spaces, zeta_series
-from cyclezeta.cli import _SPLIT_BITS, _int_text, main
+from cyclezeta.cli import _SPLIT_BITS, _int_text, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +95,66 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "nonsense", "--space", "pn", "--n", "1", "--q", "2"])
     assert exc.value.code == 1
+
+
+SUBCOMMANDS = ["count", "enum", "bound", "zeta", "lfun", "speczeta", "norm",
+               "delta", "divcount", "height", "census", "verify"]
+
+
+def _exit(capsys, run, argv):
+    """(exit code, stdout, stderr) of run(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def _full_parse(argv):
+    return build_parser().parse_args(argv)
+
+
+def _subcommands(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out, err = _exit(capsys, main, ["--help"])
+    assert code == 0 and err == ""
+    commands = out.partition("\npositional arguments:\n")[2].partition("\n\n")[0]
+    lines = commands.splitlines()
+    assert lines[0] == "  {" + ",".join(SUBCOMMANDS) + "}"
+    assert [line.split()[0] for line in lines[1:]] == SUBCOMMANDS
+    assert _subcommands(build_parser()) == SUBCOMMANDS
+
+
+# the first four name no command, the rest are read by a one-command parser
+@pytest.mark.parametrize("argv", [
+    "", "nosuch", "--tsv", "--tsv nosuch --n 1",
+    "-x count top-cycles",
+    "count nonsense --space pn --n 1 --q 2",
+    "--tsv count",
+    "count top-cycles --space pn --n 1 --q 2 --bogus",
+])
+def test_usage_errors_match_the_full_parser(capsys, argv):
+    argv = shlex.split(argv)
+    code, out, err = _exit(capsys, main, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: cyclezeta")
+    assert (code, out, err) == _exit(capsys, _full_parse, argv)
+    if not set(argv) & set(SUBCOMMANDS):
+        assert err.startswith(build_parser().format_usage())
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_one_subcommand_parser_matches_the_full_one(capsys, name):
+    argv = [name, "--help"]
+    one = build_parser(argv)
+    assert _subcommands(one) == [name]
+    assert one.format_usage() == build_parser().format_usage()
+    code, out, err = _exit(capsys, main, argv)
+    assert code == 0 and out.startswith(f"usage: cyclezeta {name} ")
+    assert (code, out, err) == _exit(capsys, _full_parse, argv)
 
 
 def test_enum_outputs_forms(capsys):
@@ -532,6 +594,7 @@ def test_lfun_refuses_uncertified_half_plane(capsys):
     "lfun --n 1 --l 0 --s 4 --pmax 1000000000000",
     "lfun --n 1 --l 1 --s 2.5 --pmax 10000001",
     "speczeta --s 2 --cutoff 10000001",
+    "speczeta --s 2 --cutoff 2000000 --audit",
 ])
 def test_oversized_ranges_refused(capsys, monkeypatch, argv):
     # refused before the sieve or the sum starts
@@ -641,14 +704,15 @@ NUMPY_FREE_COMMANDS = [
     "zeta --space pn --n 2 --q 2 --l 0 --kmax 3 --audit",
 ]
 
-# After each step: the label, whether numpy is loaded, and the cyclezeta
-# modules loaded so far
+# After each step: the label, which of numpy, dataclasses and inspect are
+# loaded, and the cyclezeta modules loaded so far
 _NUMPY_PROBE = """
 import contextlib, io, shlex, sys
 
 def loaded(label):
+    heavy = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
     ours = sorted(m for m in sys.modules if m.partition(".")[0] == "cyclezeta")
-    print(label, "numpy" in sys.modules, ",".join(ours))
+    print(label, ",".join(heavy) or "-", ",".join(ours))
 
 import cyclezeta
 loaded("import cyclezeta")
@@ -662,25 +726,38 @@ for line in sys.argv[1:]:
 """
 
 
+@functools.lru_cache(maxsize=None)
 def _probe(*commands):
-    """{label: (numpy loaded, cyclezeta modules loaded)} in one fresh process."""
+    """{label: (numpy/dataclasses/inspect loaded, cyclezeta modules loaded)}
+    in one fresh process."""
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, *commands],
         capture_output=True, text=True, check=True,
     )
     seen = {}
     for line in proc.stdout.splitlines():
-        label, numpy, modules = line.rsplit(" ", 2)
-        seen[label] = (numpy == "True", set(modules.split(",")))
+        label, heavy, modules = line.rsplit(" ", 2)
+        seen[label] = (set(heavy.split(",")) - {"-"}, set(modules.split(",")))
     return seen
 
 
+_PROBED = (*NUMPY_FREE_COMMANDS, "norm --poly z1 --nodes 8")
+_NUMPY_FREE_LABELS = ["import cyclezeta", "import cyclezeta.cli", *NUMPY_FREE_COMMANDS]
+
+
 def test_exact_commands_do_not_import_numpy():
-    probe = [*NUMPY_FREE_COMMANDS, "norm --poly z1 --nodes 8"]
-    seen = _probe(*probe)
-    labels = ["import cyclezeta", "import cyclezeta.cli", *NUMPY_FREE_COMMANDS]
-    assert {label: seen[label][0] for label in labels} == dict.fromkeys(labels, False)
-    assert seen[probe[-1]][0]  # quadrature commands still load it
+    seen = _probe(*_PROBED)
+    assert not any("numpy" in seen[label][0] for label in _NUMPY_FREE_LABELS)
+    assert "numpy" in seen[_PROBED[-1]][0]  # quadrature commands still load it
+
+
+def test_no_command_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize: about 11 ms a process
+    seen = _probe(*_PROBED)
+    assert not any("dataclasses" in heavy for heavy, _ in seen.values())
+    assert set(seen) == {*_NUMPY_FREE_LABELS, _PROBED[-1]}
+    # numpy itself imports inspect; nothing else may
+    assert not any("inspect" in seen[label][0] for label in _NUMPY_FREE_LABELS)
 
 
 def test_cli_loads_only_the_modules_its_command_runs():
@@ -688,7 +765,8 @@ def test_cli_loads_only_the_modules_its_command_runs():
     seen = _probe(command)
     assert seen["import cyclezeta"][1] == {"cyclezeta"}
     assert seen["import cyclezeta.cli"][1] == {
-        "cyclezeta", "cyclezeta.cli", "cyclezeta.errors", "cyclezeta.spaces",
+        "cyclezeta", "cyclezeta.cli", "cyclezeta.errors", "cyclezeta.records",
+        "cyclezeta.spaces",
     }
     unused = {"cyclezeta.cycle_oracle", "cyclezeta.zeta_series",
               "cyclezeta.multipoly", "cyclezeta.height_lab"}
