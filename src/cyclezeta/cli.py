@@ -1,41 +1,37 @@
-"""Command-line front end with reproducible, machine-readable output.
+"""Exact cycle counts over finite fields, cycle zeta series, Euler
+products and Fubini-Study heights.
 
-One JSON document per invocation on standard output (``--tsv`` switches
-tabular commands to tab-separated rows; ``census ... --stream`` emits one
-JSON line per census member).  Big integers are serialized as decimal
-strings, floats carry an explicit error field (0 for exact values), and
-every randomized command requires ``--seed``.  Output is byte-identical
-across runs for identical arguments and seed; wall-clock timing is only
-attached with ``--timing``.
-
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 size-cap refusal,
-4 internal fault (an ``--audit`` mismatch or a non-integral exact count),
-5 numpy missing for a command that needs it.
-
-``--q`` takes a prime power as ``p^e`` or as a plain integer (4 = 2^2).
-
-Each process does only the set-up its command needs.  At start-up this
-module loads just ``errors``, ``records`` and ``spaces``, which ``--q``
-and ``--space`` need, and ``build_parser`` builds the parser of the one
-subcommand named on the command line (all of them for ``--help``, a
-missing or an unknown command, so usage and errors read the same).  No
-module uses the standard library's data classes, whose import pulls in
-``inspect`` and ``ast``; the value classes derive from ``records``.
-numpy is imported only where arrays are computed: by the quadrature
-commands (``norm``, ``delta``, ``divcount``, ``height nv``, ``census
-sh-set``, ``verify``), which import ``fs_norms``/``quadrature`` when they
-run, and by the table build of an extension field of order above 32.
-Smaller fields, such as the F_4 and F_8 of ``enum zero-cycles`` and
-zero-cycle ``--audit``s over F_2, are built without it, and the other
-commands never load it.
-
-Polynomial grammar (shared by ``norm``, ``delta``, ``height`` and the
-height censuses): signed integer coefficients, ``+ - * ^`` and
-parentheses over variables ``z1..z9`` for affine polynomials, ``X1, Y1,
-.., X9, Y9`` for multihomogeneous forms, or ``t`` for coordinates over a
-rational function field.  Multiplication is always explicit (``3*z1^2``,
-``X1*Y2``); exponents are literal non-negative integers.
+Each command prints one JSON document whose floats carry an error (0
+when exact).  Exit codes: 0 success, 1 usage error, 2 domain error, 3
+size-cap refusal, 4 internal fault (an --audit mismatch or a
+non-integral exact count), 5 numpy missing.  Polynomials use integer
+coefficients, + - * ^ and parentheses over z1..z9 (affine), X1, Y1, ..,
+X9, Y9 (forms) or t (function-field coordinates), with explicit
+products: 3*z1^2, X1*Y2.
 """
+
+# Output: ``--tsv`` switches tabular commands to tab-separated rows;
+# ``census ... --stream`` emits one JSON line per census member.  Big
+# integers are serialized as decimal strings, every randomized command
+# requires ``--seed``, and output is byte-identical across runs for
+# identical arguments and seed; wall-clock timing is only attached with
+# ``--timing``.  ``--q`` takes a prime power as ``p^e`` or as a plain
+# integer (4 = 2^2).  Exponents are literal non-negative integers.
+#
+# Each process does only the set-up its command needs.  At start-up this
+# module loads just ``errors``, ``records`` and ``spaces``, which ``--q``
+# and ``--space`` need, and ``build_parser`` builds the parser of the one
+# subcommand named on the command line (all of them for ``--help``, a
+# missing or an unknown command, so usage and errors read the same).  No
+# module uses the standard library's data classes, whose import pulls in
+# ``inspect`` and ``ast``; the value classes derive from ``records``.
+# numpy is imported only where arrays are computed: by the quadrature
+# commands (``norm``, ``delta``, ``divcount``, ``height nv``, ``census
+# sh-set``, ``verify``), which import ``fs_norms``/``quadrature`` when they
+# run, and by the table build of an extension field of order above 32.
+# Smaller fields, such as the F_4 and F_8 of ``enum zero-cycles`` and
+# zero-cycle ``--audit``s over F_2, are built without it, and the other
+# commands never load it.
 
 from __future__ import annotations
 
@@ -512,7 +508,7 @@ def _cmd_census(args) -> CommandResult | None:
         census = height_lab.sh_set_census(args.d, args.a, args.h, cfg)
         res.add_int("count", census.count)
         res.add_raw("all_heights_ok", census.all_heights_ok)
-        res.add_float("max_height", census.max_height, cfg.tolerance)
+        res.add_float("max_height", census.max_height, census.max_height_error)
         res.add_float("analytic_lower_bound", census.analytic_lower_bound)
         res.add_int("coeff_box", census.coeff_box)
         res.provenance = "exhaustive box census with numerical height check"

@@ -276,18 +276,23 @@ class ShSetCensus(FrozenRecord):
     ``count`` is the number of integer polynomials in the box (all of
     which give distinct points (1 : f)); ``all_heights_ok`` records the
     numerical verification that every member has height <= h within the
-    guard band; ``analytic_lower_bound`` is the closed-form lower bound the
-    census is compared against.
+    guard band of the configured tolerance; ``max_height_error`` is the
+    largest measured error over the integrated members (the node-doubling
+    difference on the grid, three standard errors with Monte Carlo);
+    ``analytic_lower_bound`` is the closed-form lower bound the census is
+    compared against.
     """
 
     __slots__ = ("d", "a", "h", "count", "all_heights_ok", "max_height",
-                 "analytic_lower_bound", "coeff_box", "degree_cap")
+                 "analytic_lower_bound", "coeff_box", "degree_cap",
+                 "max_height_error")
 
     def __init__(self, d: int, a: float, h: float, count: int, all_heights_ok: bool,
                  max_height: float, analytic_lower_bound: float, coeff_box: int,
-                 degree_cap: int):
+                 degree_cap: int, max_height_error: float):
         super().__init__(d, a, h, count, all_heights_ok, max_height,
-                         analytic_lower_bound, coeff_box, degree_cap)
+                         analytic_lower_bound, coeff_box, degree_cap,
+                         max_height_error)
 
 
 def sh_set_table(
@@ -303,9 +308,15 @@ def sh_set_table(
     N - 1 - i is -(row i); as |-f| = |f|, only the first ceil(N / 2) rows
     are integrated and the rest take their mirror images' integrals.
     """
+    return _sh_set(d, a, h, cfg, search_cap, with_error=False)[:5]
+
+
+def _sh_set(d, a, h, cfg, search_cap, with_error):
+    """``sh_set_table`` and the largest measured error of its integrals;
+    on the grid that takes an n / 2 pass, run only ``with_error``."""
     import numpy as np
 
-    from .quadrature import batched_log_integrals, integrate_log_max
+    from . import quadrature
 
     if d < 1:
         raise DomainError("need d >= 1 variables")
@@ -329,21 +340,31 @@ def sh_set_table(
         list(itertools.product(*([range(-box, box + 1)] * m))), dtype=float
     )
     half = rows[:(len(rows) + 1) // 2]
-    if d <= 2 and cfg.scheme == "tensor_gauss":
-        integrals = batched_log_integrals(half, exponents, d, cfg, floor_at_one=True)
-    else:
+    errors = np.zeros(0)
+    if d > 2 or cfg.scheme != "tensor_gauss":
+        # Monte Carlo reports three standard errors at no extra cost; the
+        # grid refuses d > 2
         one = MultiPoly.constant(1, d)
-        integrals = np.array([
-            integrate_log_max(
+        integrals, errors = np.transpose([
+            quadrature.integrate_log_max_with_error(
                 [one, MultiPoly(d, dict(zip(exponents, row)))], cfg
             )
             for row in half
         ])
+    elif with_error:
+        integrals, errors = quadrature.batched_log_integrals_with_error(
+            half, exponents, d, cfg, floor_at_one=True
+        )
+    else:
+        integrals = quadrature.batched_log_integrals(
+            half, exponents, d, cfg, floor_at_one=True
+        )
     integrals = np.concatenate([integrals, integrals[:len(rows) - len(half)][::-1]])
     # deg_j f: the largest j-th exponent with a nonzero coefficient, or 0
     degrees = np.where(rows[:, :, None] != 0, np.array(exponents)[None], 0)
     heights = degrees.max(axis=1).sum(axis=1) + integrals
-    return exponents, rows.astype(int), heights, box, degree_cap
+    error = float(errors.max(initial=0.0))
+    return exponents, rows.astype(int), heights, box, degree_cap, error
 
 
 def sh_set_census(
@@ -354,16 +375,19 @@ def sh_set_census(
 
     Every member satisfies h((1:f)) <= h, which is re-verified numerically
     with a guard band of cfg.tolerance; the count is compared against the
-    analytic lower bound exp(a^d (1 - 2ad) h^(d+1) - a^d h^d).
+    analytic lower bound exp(a^d (1 - 2ad) h^(d+1) - a^d h^d).  The error
+    of ``max_height`` is the largest over the integrated members, not that
+    of the maximal member alone: the integrals of neighbouring members
+    may change places on a finer grid.
     """
     import numpy as np
 
-    exponents, rows, heights, box, degree_cap = sh_set_table(
-        d, a, h, cfg, search_cap
+    exponents, rows, heights, box, degree_cap, error = _sh_set(
+        d, a, h, cfg, search_cap, with_error=True
     )
     lower = math.exp(a ** d * (1.0 - 2.0 * a * d) * h ** (d + 1) - a ** d * h ** d)
     max_height = float(np.max(heights)) if len(heights) else 0.0
     all_ok = bool(np.all(heights <= h + cfg.tolerance))
     return ShSetCensus(
-        d, a, h, len(rows), all_ok, max_height, lower, box, degree_cap
+        d, a, h, len(rows), all_ok, max_height, lower, box, degree_cap, error
     )

@@ -45,32 +45,35 @@ integrals on n and n / 2 nodes.  Every exact-route error also carries a
 rounding allowance of 1e-12 (1 + |value|).
 
 Grid route (tuples log max_i |f_i|, log max(1, |f|), uncertified
-two-variable polynomials).  The plane is covered without an unbounded
-domain: the exterior is pulled back to the disk by z -> 1/z, so the node
-set is a disk grid together with its pointwise inverses at the same
-weights.  On the disk the substitution u = r^2 turns the radial factor
-into du / (1 + u)^2 on [0, 1], handled by Gauss-Legendre; the angle uses
-the periodic midpoint rule.  A variable z_j is angle-free when every
-function of the integrand has a single z_j-exponent, f_i = z_j^e g_i
-with g_i free of z_j: then |f_i| does not change when z_j is rotated, the
-midpoint rule gives every angle the same value, and the angle sum is
-done ahead of time.  That axis takes the radial nodes r and 1/r with the
-summed weight w / (1 + u)^2 each, 2 n nodes instead of 2 n^2, equal to
-the full grid in exact arithmetic; so (a : c z1^j z2^k) runs on (2 n)^2
-points instead of (2 n^2)^2.  When every coefficient is real,
-|f(conj z)| = |f(z)| with all variables conjugated at once; the measure
-and the grid are invariant too (angle k pairs with n - 1 - k, on the
-disk and on the inverted half, and the radial nodes are fixed).  So the
-first axis on plane nodes keeps only the angles k < n - 1 - k, each at
-weight 2, and the self-paired k = (n - 1) / 2 of an odd n at weight 1:
-n^2 nodes instead of 2 n^2, again exact.  The fold applies to tuples,
-to log max(1, |f|) rows, to uncertified rows, and to the outer z1
-integral of the exact route, since for real g the inner integral
-satisfies I(conj z1) = I(z1); complex coefficients keep the plane
-nodes.  Tensor grids are limited to two complex
-variables; beyond that the seeded Monte Carlo sampler takes over.  Its
-error is the node-doubling difference (n against n / 2 nodes), and three
-standard errors for Monte Carlo.
+two-variable polynomials).  One evaluator, ``_grid``, integrates
+log max(floor, max_i |f_ri|) for R rows of k functions on a shared
+support.  The plane is covered without an unbounded domain: the exterior
+is pulled back to the disk by z -> 1/z, so the node set is a disk grid
+together with its pointwise inverses at the same weights.  On the disk
+the substitution u = r^2 turns the radial factor into du / (1 + u)^2 on
+[0, 1], handled by Gauss-Legendre; the angle uses the periodic midpoint
+rule.  Each function is separable, sum_a z1^a sum_b c_ab z2^b, so the
+inner sums are formed once per z2 node and each chunk of z1 nodes takes
+one matrix product; one variable is the case of a single z2 node.  A
+variable z_j is angle-free when every function has a single
+z_j-exponent, f_i = z_j^e g_i with g_i free of z_j: the midpoint rule
+gives every angle the same value, so that axis takes the radial nodes r
+and 1/r with the summed weight w / (1 + u)^2 each, 2 n nodes instead of
+2 n^2, equal to the full grid in exact arithmetic.  When every
+coefficient is real, |f(conj z)| = |f(z)| with all variables conjugated
+at once, and the measure and the grid are invariant too (angle k pairs
+with n - 1 - k, and the radial nodes are fixed); so the first axis on
+plane nodes keeps only the angles k < n - 1 - k, each at weight 2, and
+the self-paired k = (n - 1) / 2 of an odd n at weight 1: n^2 nodes
+instead of 2 n^2, again exact.  The fold applies to every grid integral
+and to the outer z1 integral of the exact route, since for real g the
+inner integral satisfies I(conj z1) = I(z1); complex coefficients keep
+the plane nodes.  Grids are limited to two complex variables, beyond
+which the seeded Monte Carlo sampler takes over, and to ``GRID_CAP``
+evaluated points (rows x functions x nodes): a larger integral is
+refused with ``SizeCapExceeded`` before anything is allocated.  The
+error is the node-doubling difference (n against n / 2 nodes), and
+three standard errors for Monte Carlo.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AllZero, DomainError
+from .errors import AllZero, DomainError, SizeCapExceeded
 from .multipoly import (
     MultiPoly,
     _derivative,
@@ -169,14 +172,10 @@ def _radial_nodes(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _axis_nodes(supports, nvars: int, n: int, real: bool) -> list:
     """Node sets for the variables of a grid, one per axis.
 
-    ``supports`` holds one collection of exponent tuples per function of
-    the integrand.  When each has a single exponent e in a variable,
-    every function is z^e times a function of the others, its modulus
-    does not see the angle, and that axis takes the radial nodes.  With
-    ``real`` coefficients the integrand is invariant under conjugating
-    every variable at once, which fixes the radial nodes and pairs the
-    angles of the plane nodes, so the first axis left takes the folded
-    nodes; the others take the plane nodes.
+    ``supports`` holds one collection of exponent tuples per function.
+    An axis on which each has a single exponent is angle-free and takes
+    the radial nodes; with ``real`` coefficients the first axis left
+    takes the folded nodes, the others the plane nodes.
     """
     axes = []
     for axis in range(nvars):
@@ -257,15 +256,6 @@ def _integer_poly(f: MultiPoly) -> MultiPoly | None:
     return MultiPoly(f.nvars, {e: int(c) for e, c in f.coeffs.items()})
 
 
-def _coeff_rows(polys) -> np.ndarray:
-    width = 1 + max((f.deg(0) for f in polys), default=0)
-    C = np.zeros((len(polys), width), dtype=complex)
-    for r, f in enumerate(polys):
-        for (i,), c in f.coeffs.items():
-            C[r, i] = c
-    return C
-
-
 def _jensen_1var(f: MultiPoly) -> tuple[float, float]:
     """Exact integral of log |f| for a nonzero univariate f, with its error."""
     ints = _integer_poly(f)
@@ -277,7 +267,9 @@ def _jensen_1var(f: MultiPoly) -> tuple[float, float]:
         const = math.log(abs(ints.coeffs[(ints.deg(0),)])) - sum(
             m * math.log(abs(a.coeffs[(a.deg(0),)])) for m, a in parts
         )
-    values, errors = _jensen_rows(_coeff_rows([a for _, a in parts]))
+    width = 1 + max(a.deg(0) for _, a in parts)
+    rows = [[a.coeffs.get((i,), 0) for i in range(width)] for _, a in parts]
+    values, errors = _jensen_rows(rows)
     mult = np.array([m for m, _ in parts], dtype=float)
     value = const + float(mult @ values)
     return value, float(mult @ errors) + _ROUNDING * (1 + abs(value))
@@ -403,56 +395,74 @@ def _jensen_2var(polys, n: int):
 # grid route
 # ---------------------------------------------------------------------------
 
+# Points one grid integral may evaluate (rows x functions x grid nodes):
+# about 10 s at ~11 ns a point.  It admits a one-variable census box up to
+# its search cap (1e5 rows on 4 096 folded nodes) and refuses a
+# two-variable box of 1.4e4 rows on 3.4e7 nodes.
+GRID_CAP = 10 ** 9
+
+
+def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndarray:
+    """Integral of log max(floor, max_i |f_ri|) on the grid, one per row r.
+
+    ``C[r, i, j]`` is the coefficient of z^exponents[j] in function i of
+    row r.  One variable is the case of a single z2 node of weight 1.
+    """
+    if nvars > 2:
+        raise DomainError(
+            "tensor grids are limited to 2 complex variables; use monte_carlo"
+        )
+    rows, k, _ = C.shape
+    supports = [[e for e, used in zip(exponents, C[:, i].any(axis=0)) if used]
+                for i in range(k)]
+    real = not np.iscomplexobj(C) or not C.imag.any()
+    (z1, w1), (z2, w2) = (_axis_nodes(supports, nvars, n, real)
+                          + [(np.ones(1), np.ones(1))] * (2 - nvars))
+    points = rows * k * len(z1) * len(z2)
+    if points > GRID_CAP:
+        raise SizeCapExceeded(
+            f"a grid integral of {points:.3g} points exceeds the cap {GRID_CAP:.0e}; "
+            "lower nodes_per_dim or use monte_carlo"
+        )
+    E = [tuple(e) + (0,) * (2 - nvars) for e in exponents]
+    d1, d2 = np.max(E, axis=0) + 1
+    G = np.zeros((k, d1, rows, d2), dtype=complex)
+    for j, (a, b) in enumerate(E):
+        G[:, a, :, b] += C[:, :, j].T
+    P2 = np.stack([z2 ** b for b in range(d2)])
+    out = np.zeros(rows)
+    group = max(1, _BLOCK // (k * d1 * len(z2)))
+    for lo in range(0, rows, group):
+        # the z2-sums of a group of g rows: (k, d1, g * z2 nodes)
+        B = (G[:, :, lo:lo + group] @ P2).reshape(k, d1, -1)
+        g = B.shape[2] // len(z2)
+        chunk = max(1, _BLOCK // B.shape[2])
+        for start in range(0, len(z1), chunk):
+            z = z1[start:start + chunk]
+            V1 = np.stack([z ** a for a in range(d1)], axis=1)
+            vals = None
+            for Bi in B:  # max_i |f_i|
+                mod = np.abs(V1 @ Bi)
+                vals = mod if vals is None else np.maximum(vals, mod)
+            np.maximum(vals, floor, out=vals)
+            np.log(vals, out=vals)
+            out[lo:lo + g] += (w1[start:start + chunk] @ vals).reshape(g, -1) @ w2
+            del vals, mod  # free this chunk before the next one is allocated
+    return out
+
+
+def _grid_with_error(C, exponents, nvars: int, n: int, floor: float):
+    """``_grid`` and its node-doubling difference (n against n / 2 nodes)."""
+    value = _grid(C, exponents, nvars, n, floor)
+    return value, np.abs(value - _grid(C, exponents, nvars, n // 2, floor))
+
+
 def _log_max_abs(polys, axes) -> np.ndarray:
     vals = None
     for f in polys:
         a = np.abs(f.eval_grid(axes))
         vals = a if vals is None else np.maximum(vals, a)
     return np.log(np.maximum(vals, _TINY))
-
-
-def _coeff_matrix(f) -> np.ndarray:
-    C = np.zeros((f.deg(0) + 1, f.deg(1) + 1), dtype=complex)
-    for (a, b), c in f.coeffs.items():
-        C[a, b] = c
-    return C
-
-
-def _integrate_tensor(polys, nvars: int, n: int) -> float:
-    if nvars > 2:
-        raise DomainError(
-            "tensor grids are limited to 2 complex variables; use monte_carlo"
-        )
-    real = all(complex(c).imag == 0 for f in polys for c in f.coeffs.values())
-    axes = _axis_nodes([f.coeffs for f in polys], nvars, n, real)
-    if nvars == 1:
-        z, w = axes[0]
-        return float(np.dot(w, _log_max_abs(polys, [z])))
-    (z1, w1), (z2, w2) = axes
-    if len(z1) * len(z2) > 250_000_000:
-        raise DomainError(
-            f"a two-variable grid with nodes_per_dim={n} "
-            "has over 2.5e8 points; lower nodes_per_dim or use monte_carlo"
-        )
-    # separable evaluation: f on the grid is V1 @ C @ V2 with Vandermonde
-    # factors per axis, so the cost is two small matrix products
-    mats = [_coeff_matrix(f) for f in polys]
-    right = [
-        np.vstack([z2 ** b for b in range(C.shape[1])]) for C in mats
-    ]
-    total = 0.0
-    chunk = max(1, _BLOCK // len(z2))
-    for lo in range(0, len(z1), chunk):
-        z = z1[lo:lo + chunk]
-        vals = None
-        for C, P2 in zip(mats, right):
-            V1 = np.stack([z ** a for a in range(C.shape[0])], axis=1)
-            a = np.abs(V1 @ (C @ P2))
-            vals = a if vals is None else np.maximum(vals, a)
-        np.maximum(vals, _TINY, out=vals)
-        total += float(w1[lo:lo + chunk] @ np.log(vals, out=vals) @ w2)
-        del vals  # free this chunk before the next one is allocated
-    return total
 
 
 def _integrate_monte_carlo(polys, nvars: int, cfg: QuadratureConfig):
@@ -497,10 +507,12 @@ def _integrate(polys, cfg: QuadratureConfig, grid_error: bool):
         values, errors, certified = _jensen_2var(polys, n)
         if certified[0]:
             return float(values[0]), float(errors[0])
-    value = _integrate_tensor(polys, nvars, n)
+    exponents = sorted({e for f in polys for e in f.coeffs})
+    C = np.array([[[f.coeffs.get(e, 0) for e in exponents] for f in polys]], dtype=complex)
     if not grid_error:
-        return value, math.nan
-    return value, abs(value - _integrate_tensor(polys, nvars, n // 2))
+        return float(_grid(C, exponents, nvars, n, _TINY)[0]), math.nan
+    value, error = _grid_with_error(C, exponents, nvars, n, _TINY)
+    return float(value[0]), float(error[0])
 
 
 def integrate_log_max(polys, cfg: QuadratureConfig) -> float:
@@ -520,39 +532,6 @@ def integrate_log_max_with_error(polys, cfg: QuadratureConfig) -> tuple[float, f
     return _integrate(polys, cfg, grid_error=True)
 
 
-def _grid_rows(coeff_matrix, exponents, nvars: int, n: int, floor_at_one: bool):
-    # the floor 1 has exponent 0 in every variable, so it never keeps an
-    # axis off the radial nodes
-    real = np.isrealobj(coeff_matrix) or not coeff_matrix.imag.any()
-    axes = _axis_nodes([exponents], nvars, n, real)
-    if nvars == 1:
-        (z, wts), = axes
-        monos = np.stack([z ** e[0] for e in exponents])  # (m, G)
-    else:
-        (z1, w1), (z2, w2) = axes
-        z1 = z1[:, None]
-        z2 = z2[None, :]
-        monos = np.stack(
-            [(z1 ** e[0] * z2 ** e[1]).ravel() for e in exponents]
-        )
-        wts = (w1[:, None] * w2[None, :]).ravel()
-    out = np.empty(coeff_matrix.shape[0])
-    chunk = max(1, _BLOCK // monos.shape[1])
-    for lo in range(0, coeff_matrix.shape[0], chunk):
-        vals = np.abs(coeff_matrix[lo:lo + chunk].astype(complex) @ monos)
-        np.maximum(vals, 1.0 if floor_at_one else _TINY, out=vals)
-        out[lo:lo + chunk] = np.log(vals, out=vals) @ wts
-        del vals  # free this chunk before the next one is allocated
-    return out
-
-
-def _check_batch(nvars: int, cfg: QuadratureConfig) -> None:
-    if cfg.scheme != "tensor_gauss":
-        raise DomainError("batched integrals support the tensor scheme only")
-    if nvars not in (1, 2):
-        raise DomainError("batched integrals are limited to 2 variables")
-
-
 def batched_log_integrals(
     coeff_matrix: np.ndarray, exponents, nvars: int, cfg: QuadratureConfig,
     floor_at_one: bool = False,
@@ -566,14 +545,17 @@ def batched_log_integrals(
     ``batched_log_integrals_with_error``.  Rows that are identically zero
     integrate to -inf (or 0 when floored).
     """
-    if floor_at_one:
-        _check_batch(nvars, cfg)
-        return _grid_rows(coeff_matrix, exponents, nvars, cfg.nodes_per_dim, True)
-    return batched_log_integrals_with_error(coeff_matrix, exponents, nvars, cfg)[0]
+    if floor_at_one and cfg.scheme == "tensor_gauss":  # one pass, no error
+        rows = np.asarray(coeff_matrix)[:, None]
+        return _grid(rows, exponents, nvars, cfg.nodes_per_dim, 1.0)
+    return batched_log_integrals_with_error(
+        coeff_matrix, exponents, nvars, cfg, floor_at_one
+    )[0]
 
 
 def batched_log_integrals_with_error(
     coeff_matrix: np.ndarray, exponents, nvars: int, cfg: QuadratureConfig,
+    floor_at_one: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of log |f| and their measured errors, one per row.
 
@@ -581,11 +563,16 @@ def batched_log_integrals_with_error(
     straight from the roots (no squarefree split: a repeated root shows
     in the measured error), two variables as in the module docstring,
     with the exact content split and certificate for integer rows.
-    Uncertified rows take the grid and report its node-doubling
+    Uncertified rows, and every row of log max(1, |f|) with
+    ``floor_at_one``, take the grid and report its node-doubling
     difference.  Zero rows integrate to -inf with error 0.
     """
-    _check_batch(nvars, cfg)
+    if cfg.scheme != "tensor_gauss":
+        raise DomainError("batched integrals support the tensor scheme only")
     coeff_matrix = np.asarray(coeff_matrix)
+    n = cfg.nodes_per_dim
+    if floor_at_one:
+        return _grid_with_error(coeff_matrix[:, None], exponents, nvars, n, 1.0)
     values = np.full(len(coeff_matrix), -np.inf)
     errors = np.zeros(len(coeff_matrix))
     live = np.flatnonzero(np.any(coeff_matrix != 0, axis=1))
@@ -596,15 +583,16 @@ def batched_log_integrals_with_error(
         values[live], errors[live] = _jensen_rows(C[live])
         errors[live] += _ROUNDING * (1 + np.abs(values[live]))
         return values, errors
-    n = cfg.nodes_per_dim
-    polys = [
-        MultiPoly(2, dict(zip(exponents, coeff_matrix[r].tolist()))) for r in live
-    ]
-    v, e, certified = _jensen_2var(polys, n)
-    values[live], errors[live] = v, e
-    grid = live[~certified]
-    if len(grid):
-        rows = coeff_matrix[grid]
-        values[grid] = _grid_rows(rows, exponents, 2, n, False)
-        errors[grid] = np.abs(values[grid] - _grid_rows(rows, exponents, 2, n // 2, False))
+    grid = live
+    if nvars == 2:
+        polys = [
+            MultiPoly(2, dict(zip(exponents, coeff_matrix[r].tolist()))) for r in live
+        ]
+        v, e, certified = _jensen_2var(polys, n)
+        values[live], errors[live] = v, e
+        grid = live[~certified]
+    if len(grid):  # beyond two variables every live row, which the grid refuses
+        values[grid], errors[grid] = _grid_with_error(
+            coeff_matrix[grid, None], exponents, nvars, n, _TINY
+        )
     return values, errors

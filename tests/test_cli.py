@@ -503,7 +503,7 @@ PINNED_OUTPUTS = [
         '"value": true}, "analytic_lower_bound": {"error": 0.0, "value": '
         '2.718281828459045}, "coeff_box": {"error": 0, "value": "14"}, '
         '"count": {"error": 0, "value": "841"}, "max_height": {"error": '
-        '0.001, "value": 3.986130506979501}}}\n'
+        '0.0007621847286278793, "value": 3.9861305069795034}}}\n'
     ),
     (
         'verify norms --samples 3 --seed 7 --nvars 2 --maxdeg 3 --nodes 16',
@@ -603,6 +603,27 @@ def test_oversized_ranges_refused(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *shlex.split(argv))
     assert code == 3 and out == ""
     assert err.startswith("size cap exceeded")
+
+
+_PEAK_RSS = """
+import resource, sys
+from cyclezeta.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_oversized_grid_refused_before_it_is_allocated():
+    # 14 281 integrated rows of a two-variable box on 3.4e7 grid nodes:
+    # gigabytes of grid values and over an hour of work if it ran
+    argv = shlex.split("census sh-set --d 2 --a 0.24 --h 4.2")
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    message, peak_mb = proc.stderr.splitlines()
+    assert message.startswith("size cap exceeded: a grid integral of 4.79e+11 points")
+    assert int(peak_mb) < 200
 
 
 @pytest.mark.parametrize("argv", [

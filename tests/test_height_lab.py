@@ -198,17 +198,17 @@ def test_sh_set_table_integrates_half_the_rows_on_folded_nodes(monkeypatch):
     # rows f and -f share one integral, and the real rows fold the angles:
     # at most ceil(N / 2) rows on n^2 nodes, not N rows on 2 n^2
     calls = []
-    grid_rows, axis_nodes = quadrature._grid_rows, quadrature._axis_nodes
+    grid, axis_nodes = quadrature._grid, quadrature._axis_nodes
 
-    def recording_rows(coeff_matrix, exponents, nvars, n, floor_at_one):
-        calls.append([len(coeff_matrix)])
-        return grid_rows(coeff_matrix, exponents, nvars, n, floor_at_one)
+    def recording_grid(C, exponents, nvars, n, floor):
+        calls.append([len(C)])
+        return grid(C, exponents, nvars, n, floor)
 
     def recording_axes(*args):
         axes = axis_nodes(*args)
         calls[-1].append(math.prod(len(z) for z, _ in axes))
         return axes
-    monkeypatch.setattr(quadrature, "_grid_rows", recording_rows)
+    monkeypatch.setattr(quadrature, "_grid", recording_grid)
     monkeypatch.setattr(quadrature, "_axis_nodes", recording_axes)
     n = 64
     _, rows, _, _, _ = sh_set_table(1, 0.25, 4.0, QuadratureConfig(nodes_per_dim=n))

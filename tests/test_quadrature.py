@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclezeta import quadrature
+from cyclezeta.errors import DomainError, SizeCapExceeded
 from cyclezeta.fs_norms import (
     BAND_FLOOR,
     count_arith_divisors_bounded,
@@ -343,18 +344,18 @@ def test_angle_free_tuples_stay_on_radial_nodes(monkeypatch):
             sizes.append(len(nodes[0]))
             return nodes
         monkeypatch.setattr(quadrature, name, recording)
-    eval_grid = MultiPoly.eval_grid
+    axis_nodes = quadrature._axis_nodes
 
-    def counting(self, axes):
-        values = eval_grid(self, axes)
-        points.append(np.size(values))
-        return values
-    monkeypatch.setattr(MultiPoly, "eval_grid", counting)
+    def counting(*args):
+        axes = axis_nodes(*args)
+        points.append(math.prod(len(z) for z, _ in axes))
+        return axes
+    monkeypatch.setattr(quadrature, "_axis_nodes", counting)
     for d, mono in ((1, "5*z1^3"), (2, "9*z1*z2^2"), (2, "-4*z1^3*z2")):
         x = RationalFunctionPoint.make(d, [poly("6", d), poly(mono, d)])
         height_nv_with_error(x, CFG)
     assert sizes and max(sizes) <= 2 * n
-    assert max(points, default=0) <= (2 * n) ** 2
+    assert points and max(points) <= (2 * n) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -473,3 +474,65 @@ def test_complex_rows_keep_the_plane_nodes(monkeypatch):
     for row, value in zip(rows, values):
         full = _full_grid([_rows_poly(1, exponents, row)], 1, 64, floor_at_one=True)
         assert abs(value - full) <= 1e-12 * (1 + abs(value))
+
+
+# ---------------------------------------------------------------------------
+# grid route: one evaluator for tuples and rows
+# ---------------------------------------------------------------------------
+
+_SQUARE = [(i, j) for i in range(3) for j in range(3)]
+_coeffs = st.one_of(st.integers(-9, 9), st.floats(-5, 5, allow_nan=False))
+
+
+@st.composite
+def _complex_rows(draw, count):
+    """Rows of coefficients on _SQUARE, complex unless ``real`` is drawn."""
+    real = draw(st.booleans())
+    parts = 1 if real else 2
+    row = st.lists(_coeffs, min_size=parts * len(_SQUARE), max_size=parts * len(_SQUARE))
+    rows = np.array(draw(st.lists(row.filter(any), min_size=count[0], max_size=count[1])))
+    return rows if real else rows[:, ::2] + 1j * rows[:, 1::2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([8, 9]), _complex_rows((2, 3)))
+def test_grid_equals_the_full_grid_on_two_variable_tuples(n, rows):
+    polys = [_rows_poly(2, _SQUARE, row) for row in rows]
+    value = integrate_log_max(polys, QuadratureConfig(nodes_per_dim=n))
+    assert abs(value - _full_grid(polys, 2, n)) <= 1e-12 * (1 + abs(value))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([8, 9]), _complex_rows((1, 6)))
+def test_grid_equals_the_full_grid_on_two_variable_floored_rows(n, rows):
+    cfg = QuadratureConfig(nodes_per_dim=n)
+    values = batched_log_integrals(rows, _SQUARE, 2, cfg, floor_at_one=True)
+    for row, value in zip(rows, values):
+        full = _full_grid([_rows_poly(2, _SQUARE, row)], 2, n, floor_at_one=True)
+        assert abs(value - full) <= 1e-12 * (1 + abs(value))
+
+
+def test_grid_blocks_do_not_change_the_integrals(monkeypatch):
+    # tiny blocks split the rows into groups and the z1 nodes into chunks
+    rng = np.random.default_rng(11)
+    rows = rng.integers(-5, 6, (7, len(_SQUARE))) + 1j * rng.integers(-2, 3, (7, len(_SQUARE)))
+    polys = [_rows_poly(2, _SQUARE, row) for row in rows[:3]]
+    cfg = QuadratureConfig(nodes_per_dim=9)
+    whole = batched_log_integrals(rows, _SQUARE, 2, cfg, floor_at_one=True)
+    tuple_value = integrate_log_max(polys, cfg)
+    monkeypatch.setattr(quadrature, "_BLOCK", 40)
+    blocked = batched_log_integrals(rows, _SQUARE, 2, cfg, floor_at_one=True)
+    assert np.allclose(blocked, whole, rtol=1e-13, atol=1e-13)
+    assert integrate_log_max(polys, cfg) == pytest.approx(tuple_value, rel=1e-13, abs=1e-13)
+
+
+def test_grid_refuses_oversized_integrals():
+    # real tuples at 128 nodes: 2 functions on 16 384 x 32 768 nodes
+    polys = [poly("z1 + z2"), poly("7", 2)]
+    with pytest.raises(SizeCapExceeded):
+        integrate_log_max(polys, QuadratureConfig(nodes_per_dim=128))
+    rows = np.ones((quadrature.GRID_CAP // (64 * 64) + 1, 2))
+    with pytest.raises(SizeCapExceeded):
+        batched_log_integrals(rows, [(0,), (1,)], 1, CFG, floor_at_one=True)
+    with pytest.raises(DomainError):
+        integrate_log_max([poly("z1 + z2 + z3"), poly("1", 3)], CFG)

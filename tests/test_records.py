@@ -80,9 +80,10 @@ CASES = [
     (FunctionFieldPoint, (F2, ((1,), (1, 0, 1))),
      f"FunctionFieldPoint(q={_F2}, coords=((1,), (1, 0, 1)))"),
     (RationalFunctionPoint, (1, ()), "RationalFunctionPoint(d=1, coords=())"),
-    (ShSetCensus, (1, 0.25, 4.0, 10, True, 3.9, 2.0, 3, 2),
+    (ShSetCensus, (1, 0.25, 4.0, 10, True, 3.9, 2.0, 3, 2, 1e-4),
      "ShSetCensus(d=1, a=0.25, h=4.0, count=10, all_heights_ok=True, "
-     "max_height=3.9, analytic_lower_bound=2.0, coeff_box=3, degree_cap=2)"),
+     "max_height=3.9, analytic_lower_bound=2.0, coeff_box=3, degree_cap=2, "
+     "max_height_error=0.0001)"),
 ]
 MUTABLE = {CommandResult}
 
