@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -714,6 +715,19 @@ def build_parser(argv=None) -> _Parser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output (``| head``): exit as a tool
+        # killed by SIGPIPE would, and point stdout at devnull so that the
+        # flush at shutdown prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _main(argv) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     start = time.perf_counter()

@@ -12,6 +12,13 @@ Closed points are Frobenius orbits of points over the splitting field,
 keyed by the lexicographically least orbit member with coordinates
 encoded in the canonical field of the point's own residue degree, so
 equal points always compare equal no matter how they were produced.
+Frobenius a -> a^q is one lookup in a table built once per (field, q)
+and cached, with one ``Fq.pow`` per field element.
+
+Every enumerator generates its objects in canonical order, so none sorts:
+points and forms are leading-one vectors listed lexicographically (the
+first point met of an orbit is its key), and the 0-cycles come out of a
+depth-first walk over the sorted closed points in ``sort_key`` order.
 """
 
 from __future__ import annotations
@@ -38,33 +45,36 @@ Point = tuple[tuple[int, ...], ...]  # one coordinate tuple per block
 # points and Frobenius orbits
 # ---------------------------------------------------------------------------
 
-def _block_points(slot, F: Fq) -> list[tuple[int, ...]]:
-    if slot == ("p1",):
-        return [(0, 1)] + [(1, y) for y in range(F.order)]
-    _, n = slot
-    pts = []
-    for lead in range(n + 1):
-        for tail in itertools.product(range(F.order), repeat=n - lead):
-            pts.append((0,) * lead + (1,) + tail)
-    return pts
+def _leading_one_vectors(length: int, q: int):
+    """Every vector in F_q^length whose first nonzero entry is 1, sorted: more
+    leading zeros come first, and ``itertools.product`` sorts each tail."""
+    for lead in range(length - 1, -1, -1):
+        head = (0,) * lead + (1,)
+        for tail in itertools.product(range(q), repeat=length - 1 - lead):
+            yield head + tail
 
 
 def _space_points(space: SpaceDescriptor, F: Fq):
-    blocks = [_block_points(slot, F) for slot in multidegree_slots(space)]
+    """The normalized points over F, in lexicographic order."""
+    blocks = [list(_leading_one_vectors(2 if slot == ("p1",) else slot[1] + 1, F.order))
+              for slot in multidegree_slots(space)]
     return itertools.product(*blocks)
 
 
-def _frobenius_point(pt: Point, F: Fq, q: int) -> Point:
-    # coordinates are normalized with leading 1, which Frobenius fixes
-    return tuple(tuple(F.pow(c, q) for c in block) for block in pt)
+@lru_cache(maxsize=None)
+def _frobenius_table(F: Fq, q: int) -> tuple[int, ...]:
+    """a -> a^q on F, one entry per element."""
+    return tuple(F.pow(a, q) for a in range(F.order))
 
 
 def _orbit(pt: Point, F: Fq, q: int) -> list[Point]:
+    # coordinates are normalized with leading 1, which Frobenius fixes
+    frob = _frobenius_table(F, q).__getitem__
     orbit = [pt]
-    x = _frobenius_point(pt, F, q)
+    x = tuple([tuple(map(frob, block)) for block in pt])
     while x != pt:
         orbit.append(x)
-        x = _frobenius_point(x, F, q)
+        x = tuple([tuple(map(frob, block)) for block in x])
     return orbit
 
 
@@ -94,6 +104,8 @@ def closed_points(space: SpaceDescriptor, q: PrimePower, d: int) -> tuple[Closed
             f"{space.label()} has more than {ENUM_CAP} points over extension {d}"
         )
     F = field(q.p, q.e * d)
+    # points come in lexicographic order and Frobenius keeps them
+    # normalized, so the first member met of an orbit is its least
     seen: set[Point] = set()
     found = []
     for pt in _space_points(space, F):
@@ -102,8 +114,7 @@ def closed_points(space: SpaceDescriptor, q: PrimePower, d: int) -> tuple[Closed
         orbit = _orbit(pt, F, q.q)
         seen.update(orbit)
         if len(orbit) == d:
-            found.append(ClosedPoint(space, q, d, min(orbit)))
-    found.sort(key=lambda cp: cp.orbit_key)
+            found.append(ClosedPoint(space, q, d, pt))
     return tuple(found)
 
 
@@ -151,17 +162,18 @@ def enum_zero_cycles(space: SpaceDescriptor, q: PrimePower, k: int) -> list[Zero
     if k < 0:
         raise DomainError("degree k must be >= 0")
     if k == 0:
-        return [ZeroCycle.make(space, q, [])]
+        return [ZeroCycle(space, q, ())]
     pts: list[ClosedPoint] = []
     for d in range(1, k + 1):
         pts.extend(closed_points(space, q, d))
-    # sorted by degree, so the scan below can stop early; recursion depth
+    # sorted by (degree, orbit key): the scan below can stop early, and the
+    # depth-first walk emits canonical cycles in ``sort_key`` order; depth
     # is at most k because every level consumes at least one unit of degree
     out: list[ZeroCycle] = []
 
     def recurse(start: int, remaining: int, chosen):
         if remaining == 0:
-            out.append(ZeroCycle.make(space, q, list(chosen)))
+            out.append(ZeroCycle(space, q, tuple(chosen)))
             if len(out) > ENUM_CAP:
                 raise SizeCapExceeded(f"more than {ENUM_CAP} zero-cycles")
             return
@@ -175,7 +187,6 @@ def enum_zero_cycles(space: SpaceDescriptor, q: PrimePower, k: int) -> list[Zero
                 chosen.pop()
 
     recurse(0, k, [])
-    out.sort(key=ZeroCycle.sort_key)
     return out
 
 
@@ -343,23 +354,6 @@ class FormClass(FrozenRecord):
         return " + ".join(parts) if parts else "0"
 
 
-def _canonical_vectors(total_monomials: int, q: int):
-    # nonzero vectors of the base-q integer encoding whose first nonzero
-    # digit (in monomial order, least significant first) is 1
-    for code in range(1, q ** total_monomials):
-        v = code
-        digits = []
-        for _ in range(total_monomials):
-            v, r = divmod(v, q)
-            digits.append(r)
-        for d in digits:
-            if d == 0:
-                continue
-            if d == 1:
-                yield tuple(digits)
-            break
-
-
 def enum_divisors(space: SpaceDescriptor, q: PrimePower, e) -> list[FormClass]:
     """Every effective divisor of exactly the given multidegree, once each.
 
@@ -374,9 +368,7 @@ def enum_divisors(space: SpaceDescriptor, q: PrimePower, e) -> list[FormClass]:
         raise SizeCapExceeded(
             f"coefficient space of size {q.q}^{m} exceeds cap {ENUM_CAP}"
         )
-    forms = [FormClass(space, q, e, vec) for vec in _canonical_vectors(m, q.q)]
-    forms.sort(key=lambda f: f.coefficients)
-    return forms
+    return [FormClass(space, q, e, vec) for vec in _leading_one_vectors(m, q.q)]
 
 
 # ---------------------------------------------------------------------------

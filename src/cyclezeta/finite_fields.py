@@ -20,8 +20,8 @@ F_256):
 * ``log[a]`` with g^log[a] = a for a != 0;
 * the Zech table ``zech[k]`` = log(1 + g^k), or -1 where 1 + g^k = 0.
 
-Then ``mul``, ``pow`` (so the Frobenius a -> a^q), ``inv``, ``add``,
-``neg`` and ``sub`` are a few list lookups each.  The build is O(order)
+Then ``mul``, ``pow``, ``inv``, ``add``, ``neg`` and ``sub`` are a few
+list lookups each.  The build is O(order)
 in time and memory.  Fields of order at most 32 (``_PURE_TABLE_ORDER``)
 build in pure Python by repeated multiplication by g; larger ones are
 vectorised: multiplication by g is an F_p-linear map, so the coefficient

@@ -38,6 +38,12 @@ if TYPE_CHECKING:
     from .quadrature import QuadratureConfig
 
 FF_CENSUS_CAP = 10 ** 7
+# Monte Carlo samples summed over the integrated rows of an sh-set box.
+# Each row is sampled on its own, at about 2e-7 s per row-sample on a
+# 2-core x86 VM (Python 3.11, numpy 2.4), so the cap keeps a census under
+# about 10 s there; at the default 10^6 samples, the 421 rows of
+# d = 1, a = 0.25, h = 4 would take some 100 s.
+MC_WORK_CAP = 4 * 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +168,19 @@ def iter_ff_points(q: PrimePower, n: int, h: int):
         nonzero = [c for c in coords if c]
         if not nonzero:
             continue
-        g = nonzero[0]
-        for c in nonzero[1:]:
-            g = _fq_gcd(g, c, F)
-            if _fq_deg(g) == 0:
-                break
-        if _fq_deg(g) > 0:
+        # the normalization test is one lookup, so it goes before the gcd
+        lmin = min(map(len, nonzero))
+        if next(c[-1] for c in nonzero if len(c) == lmin) != 1:
             continue
-        dmin = min(_fq_deg(c) for c in nonzero)
-        lead = next(c[-1] for c in coords if c and _fq_deg(c) == dmin)
-        if lead == 1:
-            yield FunctionFieldPoint(q, coords)
+        if lmin > 1:  # a nonzero constant coordinate makes the tuple coprime
+            g = nonzero[0]
+            for c in nonzero[1:]:
+                g = _fq_gcd(g, c, F)
+                if len(g) == 1:
+                    break
+            if len(g) > 1:
+                continue
+        yield FunctionFieldPoint(q, coords)
 
 
 def count_ff_points(q: PrimePower, n: int, h: int) -> int:
@@ -344,6 +352,12 @@ def _sh_set(d, a, h, cfg, search_cap, with_error):
     if d > 2 or cfg.scheme != "tensor_gauss":
         # Monte Carlo reports three standard errors at no extra cost; the
         # grid refuses d > 2
+        work = len(half) * cfg.sample_count
+        if cfg.scheme == "monte_carlo" and work > MC_WORK_CAP:
+            raise SizeCapExceeded(
+                f"{len(half)} rows x {cfg.sample_count} samples exceed the Monte Carlo "
+                f"cap {MC_WORK_CAP:.0e}; lower sample_count (--mc-samples)"
+            )
         one = MultiPoly.constant(1, d)
         integrals, errors = np.transpose([
             quadrature.integrate_log_max_with_error(

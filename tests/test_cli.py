@@ -642,6 +642,22 @@ def test_oversized_closed_forms_refused(capsys, argv):
     assert err.startswith("size cap exceeded")
 
 
+@pytest.mark.parametrize("argv", [
+    "zeta --space pn --n 2 --q 3 --l 0 --kmax 1000",  # about 490 kB at once
+    "census ff-points --q 4 --n 1 --h 3 --stream",  # about 16 000 lines
+])
+def test_closed_pipe_exits_141_without_a_traceback(argv):
+    # the output is far larger than a pipe buffers, so a write fails after
+    # the reader has gone, as under `| head -c 50`
+    proc = subprocess.Popen([sys.executable, "-m", "cyclezeta.cli", *shlex.split(argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(50).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in err and err == b""
+
+
 def _count_calls(monkeypatch, family):
     closed_form, oracle = cycle_oracle.AUDITS[family]
     calls = []

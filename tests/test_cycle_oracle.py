@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,8 @@ from cyclezeta.cycle_oracle import (
     AUDITS,
     ClosedPoint,
     ZeroCycle,
+    _orbit,
+    _space_points,
     closed_points,
     enum_divisors,
     enum_zero_cycles,
@@ -22,6 +25,7 @@ from cyclezeta.exact_counts import (
     zero_cycle_count,
 )
 from cyclezeta.field_census import closed_point_census
+from cyclezeta.finite_fields import field
 from cyclezeta.spaces import P1Power, PrimePower, Product, ProjSpace, multidegree_slots
 
 Q2 = PrimePower(2)
@@ -44,6 +48,12 @@ def test_closed_point_keys_are_canonical_and_sorted():
     keys = [p.orbit_key for p in closed_points(P1Power(2), Q3, 1)]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
+    for space in (P1, P2, P1XP1):
+        for q, d in ((Q2, 3), (PrimePower(2, 2), 2)):
+            F = field(q.p, q.e * d)
+            keys = [p.orbit_key for p in closed_points(space, q, d)]
+            assert keys == sorted(keys) and len(keys) == len(set(keys))
+            assert all(key == min(_orbit(key, F, q.q)) for key in keys)
 
 
 def test_enum_divisors_examples():
@@ -58,12 +68,14 @@ def test_enum_divisors_respects_cap():
 
 
 def test_enum_divisors_canonical_unique():
-    forms = enum_divisors(P1Power(2), Q2, (2, 1))
-    assert len(forms) == len(set(forms))
-    for f in forms:
-        lead = next(c for c in f.coefficients if c)
-        assert lead == 1
-    assert [f.coefficients for f in forms] == sorted(f.coefficients for f in forms)
+    for space, q, e in [(P1Power(2), Q2, (2, 1)), (P1, Q3, (3,)), (P2, Q2, (2,)),
+                        (P2, PrimePower(2, 2), (1,)), (P1XP1, PrimePower(5), (1, 1))]:
+        forms = enum_divisors(space, q, e)
+        assert len(forms) == len(set(forms))
+        for f in forms:
+            lead = next(c for c in f.coefficients if c)
+            assert lead == 1
+        assert [f.coefficients for f in forms] == sorted(f.coefficients for f in forms)
 
 
 @pytest.mark.parametrize("q", [Q2, Q3, PrimePower(2, 2)])
@@ -87,6 +99,31 @@ def test_enum_zero_cycles_matches_formula(k):
         assert len(cycles) == zero_cycle_count(space, Q2, k)
         assert len(set(cycles)) == len(cycles)
         assert all(z.degree == k for z in cycles) or k == 0
+
+
+@pytest.mark.parametrize("q", [Q2, Q3, PrimePower(2, 2)])
+@pytest.mark.parametrize("space", [P1, P2, P1XP1])
+def test_enum_zero_cycles_come_out_in_canonical_order(space, q):
+    for k in range(5):
+        cycles = enum_zero_cycles(space, q, k)
+        assert cycles == sorted(cycles, key=ZeroCycle.sort_key)
+        assert len({z.sort_key() for z in cycles}) == len(cycles)
+
+
+@pytest.mark.parametrize("q, d", [(Q2, 3), (Q3, 2), (PrimePower(2, 2), 2),
+                                  (PrimePower(2, 2), 3), (PrimePower(5), 2)])
+def test_orbit_table_matches_repeated_pow(q, d):
+    # Frobenius a -> a^q on F_(q^d): F_16 and F_64 for q = 4
+    F = field(q.p, q.e * d)
+    rng = random.Random(f"{q.q}:{d}")
+    for space in (P2, P1XP1):
+        points = list(_space_points(space, F))
+        for pt in rng.sample(points, 40):
+            expected, x = [], pt
+            while not expected or x != pt:
+                expected.append(x)
+                x = tuple(tuple(F.pow(c, q.q) for c in block) for block in x)
+            assert _orbit(pt, F, q.q) == expected
 
 
 def test_divisor_oracle_by_degree_matches_closed_form():

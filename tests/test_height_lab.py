@@ -14,6 +14,7 @@ from cyclezeta.height_lab import (
     RationalFunctionPoint,
     count_ff_points,
     height_ff,
+    iter_ff_points,
     height_nv,
     sh_set_census,
     sh_set_table,
@@ -95,6 +96,58 @@ def test_count_ff_growth_regression():
     assert all(r <= 3.2 for r in ratios)
 
 
+def _mobius_ff_count(q, n, h):
+    # C(h) = q^((n+1)(h+1)) - 1 - sum_{j=1}^{h} q^j C(h-j) counts the
+    # coprime tuples of degree <= h; scalars make q - 1 of them one point
+    c = []
+    for k in range(h + 1):
+        tail = sum(q ** j * c[k - j] for j in range(1, k + 1))
+        c.append(q ** ((n + 1) * (k + 1)) - 1 - tail)
+    assert c[h] % (q - 1) == 0
+    return c[h] // (q - 1)
+
+
+# every q <= 5, n <= 2, h <= 2 but q = 5, n = 2, h = 2 (5^9 tuples, ~10 s)
+@pytest.mark.parametrize("q, n, h", [
+    (q, n, h) for q in (2, 3, 4, 5) for n in (1, 2) for h in range(3)
+    if (q, n, h) != (5, 2, 2)
+])
+def test_count_ff_points_matches_mobius_recurrence(q, n, h):
+    pp = PrimePower(2, 2) if q == 4 else PrimePower(q)
+    assert count_ff_points(pp, n, h) == _mobius_ff_count(q, n, h)
+
+
+def _divides(d, c, p):
+    """Whether the monic d divides c, both little-endian over F_p."""
+    r = list(c)
+    while len(r) >= len(d):
+        lead = r.pop()
+        for i, di in enumerate(d[:-1]):
+            r[len(r) - len(d) + 1 + i] = (r[len(r) - len(d) + 1 + i] - lead * di) % p
+    return not any(r)
+
+
+@pytest.mark.parametrize("p, n, h", [(3, 1, 2), (2, 2, 2)])
+def test_iter_ff_points_is_the_plain_filter(p, n, h):
+    # coprime (no monic divisor of degree 1..h divides every coordinate)
+    # and the first coordinate of least degree has leading coefficient 1
+    monic = [low + (1,) for deg in range(1, h + 1)
+             for low in itertools.product(range(p), repeat=deg)]
+    expected = []
+    for raw in itertools.product(itertools.product(range(p), repeat=h + 1), repeat=n + 1):
+        coords = tuple(tuple(c[:max((i + 1 for i, x in enumerate(c) if x), default=0)])
+                       for c in raw)
+        nonzero = [c for c in coords if c]
+        if not nonzero:
+            continue
+        if any(all(_divides(d, c, p) for c in nonzero) for d in monic):
+            continue
+        dmin = min(len(c) for c in nonzero)
+        if next(c[-1] for c in nonzero if len(c) == dmin) == 1:
+            expected.append(coords)
+    assert [pt.coords for pt in iter_ff_points(PrimePower(p), n, h)] == expected
+
+
 def test_count_ff_cap():
     with pytest.raises(SizeCapExceeded):
         count_ff_points(Q3, 3, 4)
@@ -157,6 +210,14 @@ def test_sh_set_census_monotone_in_h():
     c4 = sh_set_census(1, 0.25, 4.0, cfg, search_cap=10 ** 6)
     c5 = sh_set_census(1, 0.25, 5.0, cfg, search_cap=10 ** 6)
     assert c5.count >= c4.count
+
+
+def test_monte_carlo_census_refused_before_sampling(monkeypatch):
+    # 421 integrated rows at the default 10^6 samples: some 100 s of work
+    monkeypatch.setattr(quadrature, "integrate_log_max_with_error", None)
+    cfg = QuadratureConfig(scheme="monte_carlo", seed=1)
+    with pytest.raises(SizeCapExceeded, match="Monte Carlo"):
+        sh_set_census(1, 0.25, 4.0, cfg)
 
 
 def test_sh_set_census_rejects_bad_parameters():
