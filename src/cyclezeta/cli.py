@@ -236,7 +236,7 @@ def _cmd_count(args) -> CommandResult:
         res.provenance = "closed-form divisor count by polarization degree"
     elif args.kind == "zero-cycles":
         count = exact_counts.zero_cycle_count(space, args.q, degree)
-        res.provenance = "exp of point-count series, exact rational recurrence"
+        res.provenance = "product of the cell factors (1 - q^j T)^(-b_j)"
     elif args.kind == "top-cycles":
         count = exact_counts.top_cycle_count(space, degree)
         res.provenance = "divisibility by the top polarization degree"

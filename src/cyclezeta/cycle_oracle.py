@@ -33,7 +33,7 @@ from .exact_counts import MultiDegree, _check_multidegree, polarization_multideg
 from .field_census import point_count
 from .finite_fields import Fq, embedding, field
 from .records import FrozenRecord
-from .spaces import PrimePower, Product, SpaceDescriptor, multidegree_slots
+from .spaces import PrimePower, Product, SpaceDescriptor
 
 ENUM_CAP = 10 ** 6
 FIBER_DEGREE_CAP = 8
@@ -56,8 +56,7 @@ def _leading_one_vectors(length: int, q: int):
 
 def _space_points(space: SpaceDescriptor, F: Fq):
     """The normalized points over F, in lexicographic order."""
-    blocks = [list(_leading_one_vectors(2 if slot == ("p1",) else slot[1] + 1, F.order))
-              for slot in multidegree_slots(space)]
+    blocks = [list(_leading_one_vectors(n + 1, F.order)) for n in space.slot_dims]
     return itertools.product(*blocks)
 
 
@@ -203,7 +202,7 @@ def _project_closed_point(pt: ClosedPoint, which: str) -> tuple[ClosedPoint, int
     if not isinstance(space, Product):
         raise DomainError("projection needs a point on a Product space")
     factor = space.left if which == "first" else space.right
-    n_left = len(multidegree_slots(space.left))
+    n_left = len(space.left.slots)
     coords = pt.orbit_key[:n_left] if which == "first" else pt.orbit_key[n_left:]
     q = pt.q
     F_big = field(q.p, q.e * pt.degree)
@@ -290,7 +289,7 @@ def monomial_exponents(space: SpaceDescriptor, e: MultiDegree) -> tuple[tuple, .
     a in 0..e_i for a P^1 block (the Y-exponent is e_i - a), or an
     (n+1)-tuple of exponents summing to the degree for a P^n block.
     """
-    slots = multidegree_slots(space)
+    slots = space.slots
     if len(e) != len(slots):
         raise DomainError(
             f"multidegree length {len(e)} != {len(slots)} slots of {space.label()}"
@@ -337,7 +336,7 @@ class FormClass(FrozenRecord):
         for mono, c in self.support():
             factors = []
             for b, (slot, deg) in enumerate(
-                zip(multidegree_slots(self.space), self.multidegree)
+                zip(self.space.slots, self.multidegree)
             ):
                 if slot == ("p1",):
                     a = mono[b][0]

@@ -5,9 +5,9 @@ Three families have closed forms:
 * divisors (codimension one) on products of projective lines and on
   projective space, counted through the linear systems they span:
   nonzero forms modulo scalars give (q^dim - 1)/(q - 1) divisors;
-* zero-cycles, whose degree-k count is the T^k coefficient of
-  exp(sum_m N_m T^m / m) where N_m is the point count over the m-th
-  extension;
+* zero-cycles, whose degree-k count is the T^k coefficient of the
+  cellular zeta function prod_j (1 - q^j T)^(-b_j), where b_j counts
+  the j-dimensional cells (``spaces.cell_counts``);
 * top-dimensional cycles a * [X], which exist exactly when the degree is
   a multiple of the top self-intersection of the polarization.
 
@@ -19,7 +19,7 @@ have no closed form and are refused; the brute-force enumerator in
 closed form is paired with its oracle in ``cycle_oracle.AUDITS``.
 
 ``cycle_counts`` returns a whole sequence n_0..n_kmax in one pass (one
-run of the 0-cycle recurrence), which is what the zeta series read;
+cell product for 0-cycles), which is what the zeta series read;
 ``cycle_count`` answers a single degree.  Nothing is cached between
 calls.  Results whose size is provably above ``BIT_CAP`` bits (one count,
 or a whole 0-cycle or divisor sequence) are refused with
@@ -30,18 +30,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import mul
 
-from .errors import DomainError, IntegralityError, SizeCapExceeded, UnsupportedDimension
-from .field_census import point_count
+from .errors import DomainError, SizeCapExceeded, UnsupportedDimension
 from .spaces import (
     BIT_CAP,
     PrimePower,
     SpaceDescriptor,
-    ProjSpace,
     as_p1_power,
-    multidegree_slots,
+    cell_counts,
     top_degree,
 )
 
@@ -60,7 +58,7 @@ def _check_multidegree(e) -> MultiDegree:
 
 def _form_dimension(space: SpaceDescriptor, e: MultiDegree) -> int:
     """Dimension of the multihomogeneous forms of multidegree e."""
-    slots = multidegree_slots(space)
+    slots = space.slots
     if len(e) != len(slots):
         raise DomainError(
             f"multidegree length {len(e)} != {len(slots)} slots of {space.label()}"
@@ -93,27 +91,33 @@ def _check_count_bits(e: MultiDegree, dim: int, q: PrimePower) -> None:
 
 
 def _zero_cycle_counts(space: SpaceDescriptor, q: PrimePower, kmax: int) -> tuple[int, ...]:
-    # c_0..c_kmax of exp(sum N_m T^m / m) by the standard derivative
-    # recurrence k*c_k = sum_{m=1}^{k} N_m c_{k-m}; divisibility is forced
-    # when the point counts are right, so failure is an internal bug.
-    # Every supported space is cellular with one top cell, so the series
-    # has the factor 1/(1 - q^dim T) and c_k >= q^(dim k): c_k takes at
-    # least dim*k*log2(q) bits besides its int header.
+    # c_0..c_kmax of prod_j (1 - q^j T)^(-b_j), b_j the number of j-cells.
+    # The one top cell gives the factor 1/(1 - q^dim T), so
+    # c_k >= q^(dim k): c_k takes at least dim*k*log2(q) bits besides its
+    # int header.
     k = min(kmax, BIT_CAP)
     if (k + 1) * _INT_HEADER_BITS + space.dim * math.log2(q.q) * k * (k + 1) / 2 > BIT_CAP:
         raise SizeCapExceeded(
             f"0-cycle series to degree {kmax} on {space.label()} needs more "
             f"than {BIT_CAP} bits"
         )
-    counts = [point_count(space, q, m) for m in range(1, kmax + 1)]
-    c = [1]
-    for k in range(1, kmax + 1):
-        s = sum(map(mul, counts[:k], reversed(c)))
-        if s % k != 0:
-            raise IntegralityError(
-                f"zero-cycle series coefficient at k={k} is not integral"
-            )
-        c.append(s // k)
+    # From the top cell down, W_j(T) = (1 - T)^(-b_j) W_(j+1)(qT) is the
+    # product over the cells of dimension >= j with q^j T replaced by T;
+    # W_0 is the series.  T -> qT scales c_k by q^k and 1/(1 - T) is a
+    # running sum.  b_j above kmax takes one product with
+    # sum_i C(b_j + i - 1, i) T^i instead of b_j running sums, so the work
+    # grows with dim, not with the number of cells (2^n on (P^1)^n).
+    cells = cell_counts(space)
+    c = [1] + [0] * kmax
+    for j in range(space.dim, -1, -1):
+        if cells[j] <= kmax:
+            for _ in range(cells[j]):
+                c = list(accumulate(c))
+        else:
+            g = [math.comb(cells[j] + i - 1, i) for i in range(kmax + 1)]
+            c = [sum(map(mul, g[:n + 1], reversed(c[:n + 1]))) for n in range(kmax + 1)]
+        if j:
+            c = [x * q.q ** n for n, x in enumerate(c)]
     return tuple(c)
 
 
@@ -154,7 +158,7 @@ def polarization_multidegrees(space: SpaceDescriptor, k: int) -> list[MultiDegre
     """
     if k < 0:
         raise DomainError("degree k must be >= 0")
-    if isinstance(space, ProjSpace) and space.n >= 1:
+    if space.slots == (("pn", space.dim),) and space.dim >= 1:
         return [(k,)]
     n = as_p1_power(space)
     if n is not None and n >= 1:
@@ -256,7 +260,7 @@ def _largest_form_dimension(space: SpaceDescriptor, k: int) -> int | None:
     r parts a + 1 and n - r parts a.
     """
     n = as_p1_power(space)
-    if n is None or isinstance(space, ProjSpace):
+    if n is None or space.slots == (("pn", space.dim),):
         # P^n has the single multidegree (k,); other spaces are refused
         dims = [_form_dimension(space, e) for e in polarization_multidegrees(space, k)]
         return max(dims, default=None)
@@ -288,8 +292,8 @@ def _divisor_counts(space: SpaceDescriptor, q: PrimePower, kmax: int) -> tuple[i
 def cycle_counts(space: SpaceDescriptor, q: PrimePower, l: int, kmax: int) -> tuple[int, ...]:
     """Exact n_0..n_kmax for the l-dimensional cycles, in one pass.
 
-    The family is resolved once; 0-cycles run the point-count recurrence
-    once up to kmax instead of once per degree.
+    The family is resolved once; 0-cycles multiply the cell factors once
+    up to kmax instead of once per degree.
     """
     if kmax < 0:
         raise DomainError("kmax must be >= 0")

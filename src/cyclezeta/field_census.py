@@ -13,11 +13,12 @@ slip through silently.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import DomainError, IntegralityError
 from .records import FrozenRecord
-from .spaces import P1Power, PrimePower, Product, ProjSpace, SpaceDescriptor
+from .spaces import PrimePower, SpaceDescriptor
 
 
 def divisors(n: int) -> list[int]:
@@ -51,17 +52,14 @@ def mobius(n: int) -> int:
 
 
 def point_count(space: SpaceDescriptor, q: PrimePower, m: int) -> int:
-    """Number of points of the space rational over the m-th extension of F_q."""
+    """Number of points of the space rational over the m-th extension of F_q.
+
+    Each factor P^n has (Q^(n+1) - 1)/(Q - 1) points over F_Q, Q = q^m.
+    """
     if m < 1:
         raise DomainError("extension degree m must be >= 1")
     qm = q.q ** m
-    if isinstance(space, ProjSpace):
-        return (qm ** (space.n + 1) - 1) // (qm - 1)
-    if isinstance(space, P1Power):
-        return (qm + 1) ** space.n
-    if isinstance(space, Product):
-        return point_count(space.left, q, m) * point_count(space.right, q, m)
-    raise DomainError(f"unsupported space {space!r}")
+    return math.prod((qm ** (n + 1) - 1) // (qm - 1) for n in space.slot_dims)
 
 
 class ClosedPointCensus(FrozenRecord):

@@ -312,8 +312,8 @@ PINNED_OUTPUTS = [
         'count zero-cycles --space pn --n 2 --q 2 --k 2 --audit',
         '{"command": "count", "parameters": {"audit": true, '
         '"command": "count", "k": 2, "kind": "zero-cycles", "l": 0, "n": 2, '
-        '"q": "2", "space": "pn"}, "provenance": "exp of point-count series, '
-        'exact rational recurrence", "results": {"audit": {"error": 0, '
+        '"q": "2", "space": "pn"}, "provenance": "product of the cell '
+        'factors (1 - q^j T)^(-b_j)", "results": {"audit": {"error": 0, '
         '"value": "oracle enumeration matched"}, "count": {"error": 0, '
         '"value": "35"}}}\n'
     ),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclezeta import exact_counts
+from cyclezeta import exact_counts, field_census
 from cyclezeta.errors import DomainError, SizeCapExceeded, UnsupportedDimension
 from cyclezeta.exact_counts import (
     BIT_CAP,
@@ -164,43 +164,60 @@ def test_cycle_counts_equal_per_degree_counts(space, q):
         cycle_counts(space, q, 0, -1)
 
 
-def _cellular_series(cells, q, kmax):
-    # prod_j (1 - q^j T)^(-b_j) to order kmax, with b_j the number of
-    # j-cells: each factor 1/(1 - a T) turns c_k into c_k + a c'_(k-1)
-    c = [1] + [0] * kmax
-    for j, b in enumerate(cells):
-        for _ in range(b):
-            for k in range(1, kmax + 1):
-                c[k] += q ** j * c[k - 1]
+def _point_count_series(space, q, kmax):
+    # c_0..c_kmax of exp(sum_m N_m T^m / m) by the derivative recurrence
+    # k*c_k = sum_{m=1}^{k} N_m c_{k-m}, with N_m the point counts over
+    # the extensions; each division must be exact
+    counts = [point_count(space, q, m) for m in range(1, kmax + 1)]
+    c = [1]
+    for k in range(1, kmax + 1):
+        total = sum(counts[m - 1] * c[k - m] for m in range(1, k + 1))
+        assert total % k == 0, (space, q, k)
+        c.append(total // k)
     return tuple(c)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("q", [Q2, Q3, PrimePower(2, 2), PrimePower(5)], ids=str)
 def test_zero_cycle_recurrence_equals_the_cellular_product(n, q):
-    # the Euler product's local factor, derived from the cell counts
-    # alone, against the point-count recurrence: b_j = 1 on P^n and
-    # b_j = C(n, j) on (P^1)^n
-    spaces = [(ProjSpace(n), [1] * (n + 1))]
-    if n >= 1:
-        spaces.append((P1Power(n), [math.comb(n, j) for j in range(n + 1)]))
-    for space, cells in spaces:
-        assert cycle_counts(space, q, 0, 30) == _cellular_series(cells, q.q, 30)
+    # the series from the cell counts against the exponential of the
+    # point-count series, an independent derivation of the same zeta, on
+    # P^n, (P^1)^n, (P^1)^n x P^2 and P^2 x (P^1)^n; at kmax = 2 every
+    # cell count above 2 takes the binomial product
+    for space in (ProjSpace(n), P1Power(n), Product(P1Power(n), P2), Product(P2, P1Power(n))):
+        expected = _point_count_series(space, q, 30)
+        assert cycle_counts(space, q, 0, 30) == expected
+        assert cycle_counts(space, q, 0, 2) == expected[:3]
 
 
 def test_zero_cycle_series_is_one_pass(monkeypatch):
-    # one point count per extension degree, and nothing kept between calls
+    # the series reads the cells, takes no point count and keeps nothing
+    # between calls
     calls = []
 
     def counting(space, q, m):
         calls.append(m)
         return point_count(space, q, m)
 
-    monkeypatch.setattr(exact_counts, "point_count", counting)
+    monkeypatch.setattr(field_census, "point_count", counting)
+    assert not hasattr(exact_counts, "point_count")
     for _ in range(2):
         assert cycle_counts(P2, Q3, 0, 40)[2] == zero_cycle_count(P2, Q3, 2)
-    assert calls == ([*range(1, 41), 1, 2] * 2)
+    assert calls == []
     assert not hasattr(exact_counts._zero_cycle_counts, "cache_info")
+
+
+def test_product_with_a_point_factor_has_no_divisor_closed_form():
+    # P^0 x (P^1)^2 has three slots, one of them zero-dimensional: it is
+    # not a power of P^1, so its divisors are refused like those of P^1 x P^2
+    space = Product(ProjSpace(0), P1Power(2))
+    for refused in (space, Product(P1, P2)):
+        with pytest.raises(UnsupportedDimension):
+            cycle_counts(refused, Q2, refused.dim - 1, 3)
+        with pytest.raises(UnsupportedDimension):
+            polarization_multidegrees(refused, 2)
+    assert cycle_counts(space, Q2, 0, 3) == cycle_counts(P1Power(2), Q2, 0, 3)
+    assert cycle_counts(space, Q2, 2, 3) == (1, 0, 1, 0)
 
 
 def test_closed_forms_refuse_above_bit_cap():

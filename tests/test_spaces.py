@@ -5,7 +5,19 @@ import pytest
 
 from cyclezeta import spaces
 from cyclezeta.errors import DomainError, SizeCapExceeded
-from cyclezeta.spaces import PRIME_CAP, PrimePower, is_prime, primes_upto
+from cyclezeta.field_census import point_count
+from cyclezeta.spaces import (
+    PRIME_CAP,
+    P1Power,
+    PrimePower,
+    Product,
+    ProjSpace,
+    as_p1_power,
+    cell_counts,
+    is_prime,
+    primes_upto,
+    top_degree,
+)
 
 PSI_4 = 3_215_031_751
 PSI_12 = 318_665_857_834_031_151_167_461
@@ -105,3 +117,60 @@ def test_primes_upto_small_limits():
     assert primes_upto(-5) == primes_upto(0) == primes_upto(1) == []
     assert primes_upto(2) == [2]
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+P1_SLOT = ("p1",)
+
+# (space, dim, top degree, as_p1_power, slots, N_1 and N_2 over F_2, N_1
+# over F_3); every column but as_p1_power is as the per-class formulas
+# gave them.  Those counted a P^0 slot as zero lines, so P^0 was (P^1)^0
+# and P^0 x (P^1)^2 was (P^1)^2 with three slots; both are now None.
+SPACE_TABLE = [
+    (ProjSpace(0), 0, 1, None, (("pn", 0),), (1, 1), 1),
+    (ProjSpace(1), 1, 1, 1, (("pn", 1),), (3, 5), 4),
+    (ProjSpace(3), 3, 1, None, (("pn", 3),), (15, 85), 40),
+    (P1Power(0), 0, 1, 0, (), (1, 1), 1),
+    (P1Power(3), 3, 6, 3, (P1_SLOT,) * 3, (27, 125), 64),
+    (Product(ProjSpace(2), P1Power(1)), 3, 3, None, (("pn", 2), P1_SLOT),
+     (21, 105), 52),
+    (Product(P1Power(2), ProjSpace(2)), 4, 12, None,
+     (P1_SLOT, P1_SLOT, ("pn", 2)), (63, 525), 208),
+    (Product(Product(ProjSpace(1), ProjSpace(2)), Product(P1Power(2), ProjSpace(0))),
+     5, 60, None, (("pn", 1), ("pn", 2), P1_SLOT, P1_SLOT, ("pn", 0)),
+     (189, 2625), 832),
+    (Product(ProjSpace(0), P1Power(2)), 2, 2, None, (("pn", 0), P1_SLOT, P1_SLOT),
+     (9, 25), 16),
+    (Product(ProjSpace(2), ProjSpace(0)), 2, 1, None, (("pn", 2), ("pn", 0)),
+     (7, 21), 13),
+]
+
+
+@pytest.mark.parametrize("row", SPACE_TABLE, ids=lambda row: row[0].label())
+def test_space_invariants_follow_from_the_slots(row):
+    space, dim, degree, p1_power, slots, counts_f2, count_f3 = row
+    assert space.slots == slots
+    assert space.dim == dim
+    assert top_degree(space) == degree
+    assert as_p1_power(space) == p1_power
+    q2, q3 = PrimePower(2), PrimePower(3)
+    assert (point_count(space, q2, 1), point_count(space, q2, 2)) == counts_f2
+    assert point_count(space, q3, 1) == count_f3
+
+
+@pytest.mark.parametrize("row", SPACE_TABLE, ids=lambda row: row[0].label())
+def test_cells_give_the_point_counts(row):
+    # a cellular space has sum_j b_j Q^j points over F_Q
+    space = row[0]
+    cells = cell_counts(space)
+    assert len(cells) == space.dim + 1 and cells[0] == cells[-1] == 1
+    for q, m in [(2, 1), (2, 3), (3, 2), (5, 1)]:
+        qm = q ** m
+        assert sum(b * qm ** j for j, b in enumerate(cells)) == point_count(
+            space, PrimePower(q), m)
+
+
+def test_cell_counts_examples():
+    assert cell_counts(ProjSpace(3)) == (1, 1, 1, 1)
+    assert cell_counts(P1Power(3)) == (1, 3, 3, 1)
+    assert cell_counts(Product(ProjSpace(2), P1Power(1))) == (1, 2, 2, 1)
+    assert cell_counts(Product(ProjSpace(0), P1Power(0))) == (1,)
