@@ -15,7 +15,7 @@ so a descriptor is all a counting function needs.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import accumulate, compress
 
 from .errors import DomainError, SizeCapExceeded
 from .records import FrozenRecord
@@ -36,8 +36,7 @@ PRIME_CAP = _MR_BASES[-1][0]
 
 # Largest exact result, in bits of memory, that a closed form of
 # ``exact_counts`` may build: one divisor count, or a whole sequence
-# n_0..n_kmax (256 KiB).  At the cap the 0-cycle series takes milliseconds
-# on P^n and on (P^1)^n for n <= 8, and about ten seconds on (P^1)^24.
+# n_0..n_kmax (256 KiB), or the cell counts a 0-cycle series reads.
 BIT_CAP = 1 << 21
 
 
@@ -200,7 +199,10 @@ def top_degree(space: SpaceDescriptor) -> int:
     multinomial dim! / prod n_i! over the factors P^(n_i): 1 on P^n and
     n! on (P^1)^n.  It is the degree step of top-dimensional cycles a*[X].
     """
-    return math.factorial(space.dim) // math.prod(map(math.factorial, space.slot_dims))
+    dims = sorted(space.slot_dims)
+    largest = dims.pop() if dims else 0
+    # dim!/largest! as one falling factorial, so P^n builds no n!
+    return math.perm(space.dim, space.dim - largest) // math.prod(map(math.factorial, dims))
 
 
 def as_p1_power(space: SpaceDescriptor) -> int | None:
@@ -217,7 +219,8 @@ def cell_counts(space: SpaceDescriptor) -> tuple[int, ...]:
     """
     b = [1]
     for n in space.slot_dims:
-        b = [sum(b[max(0, j - n):j + 1]) for j in range(len(b) + n)]
+        # times 1 + ... + t^n = (1 - t^(n+1)) / (1 - t): a running sum
+        b = list(accumulate(x - y for x, y in zip(b + [0] * n, [0] * (n + 1) + b)))
     return tuple(b)
 
 

@@ -182,9 +182,10 @@ def _point_count_series(space, q, kmax):
 def test_zero_cycle_recurrence_equals_the_cellular_product(n, q):
     # the series from the cell counts against the exponential of the
     # point-count series, an independent derivation of the same zeta, on
-    # P^n, (P^1)^n, (P^1)^n x P^2 and P^2 x (P^1)^n; at kmax = 2 every
-    # cell count above 2 takes the binomial product
-    for space in (ProjSpace(n), P1Power(n), Product(P1Power(n), P2), Product(P2, P1Power(n))):
+    # P^n, (P^1)^n, (P^1)^(n+5), (P^1)^n x P^2 and P^2 x (P^1)^n; cell
+    # counts above kmax (up to 70 on (P^1)^8) cut (1 - T)^b at T^kmax
+    for space in (ProjSpace(n), P1Power(n), P1Power(n + 5), Product(P1Power(n), P2),
+                  Product(P2, P1Power(n))):
         expected = _point_count_series(space, q, 30)
         assert cycle_counts(space, q, 0, 30) == expected
         assert cycle_counts(space, q, 0, 2) == expected[:3]
@@ -205,6 +206,40 @@ def test_zero_cycle_series_is_one_pass(monkeypatch):
         assert cycle_counts(P2, Q3, 0, 40)[2] == zero_cycle_count(P2, Q3, 2)
     assert calls == []
     assert not hasattr(exact_counts._zero_cycle_counts, "cache_info")
+
+
+def test_huge_spaces_are_refused_at_once():
+    # the cells of (P^1)^n take about n^2/2 bits and those of P^n n + 1
+    # ints, so neither is built here, whatever kmax
+    for space in (ProjSpace(10 ** 6), P1Power(10 ** 5)):
+        for kmax in (0, 1):
+            start = time.perf_counter()
+            with pytest.raises(SizeCapExceeded):
+                cycle_counts(space, Q2, 0, kmax)
+            assert time.perf_counter() - start < 1.0
+
+
+def test_top_cycle_sequences_of_large_spaces_are_fast():
+    # the top degree is taken once per sequence, not once per degree
+    start = time.perf_counter()
+    assert cycle_counts(ProjSpace(10 ** 6), Q2, 10 ** 6, 2000) == (1,) * 2001
+    assert cycle_counts(P1Power(3000), Q2, 3000, 2000) == (1,) + (0,) * 2000
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n, last", [(12, 574), (16, 376), (1000, 16)])
+def test_p1_power_series_stop_at_the_caps(n, last):
+    # (P^1)^12 stops where its size does; with more factors the work of
+    # the cell product stops it first, since each cell dimension with more
+    # than kmax cells costs a kmax^2/2-term product of large integers
+    space = P1Power(n)
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded):
+        cycle_counts(space, Q2, 0, last + 1)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert len(cycle_counts(space, Q2, 0, last)) == last + 1
+    assert time.perf_counter() - start < 20.0
 
 
 def test_product_with_a_point_factor_has_no_divisor_closed_form():

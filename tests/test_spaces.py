@@ -169,6 +169,15 @@ def test_cells_give_the_point_counts(row):
             space, PrimePower(q), m)
 
 
+def test_top_degree_of_large_spaces_is_fast():
+    # dim!/prod n_i! is never formed from dim! itself
+    start = time.perf_counter()
+    assert top_degree(ProjSpace(10 ** 7)) == 1
+    assert top_degree(Product(ProjSpace(10 ** 6), P1Power(1))) == 10 ** 6 + 1
+    assert top_degree(P1Power(10 ** 4)) == math.factorial(10 ** 4)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_cell_counts_examples():
     assert cell_counts(ProjSpace(3)) == (1, 1, 1, 1)
     assert cell_counts(P1Power(3)) == (1, 3, 3, 1)
