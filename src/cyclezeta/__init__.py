@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "spaces": ("P1Power", "PrimePower", "Product", "ProjSpace", "SpaceDescriptor"),
     "field_census": (
-        "ClosedPointCensus", "closed_point_census", "irreducible_count", "point_count",
+        "ClosedPointCensus", "closed_point_census", "point_count",
     ),
     "exact_counts": (
         "cycle_count", "divisor_count", "divisor_count_by_degree", "top_cycle_count",
@@ -32,13 +32,11 @@ _EXPORTS = {
         "enum_zero_cycles", "fiber_count", "pushforward_zero_cycle",
     ),
     "bound_engine": (
-        "CountingSystemSpec", "ExplicitConstant", "counting_system_bound",
-        "counting_system_log_bound", "explicit_constant_pn", "product_cycle_bound",
-        "pushforward_bound",
+        "CountingSystemSpec", "ExplicitConstant", "counting_system_log_bound",
+        "explicit_constant_pn", "product_cycle_bound", "pushforward_bound",
     ),
     "zeta_series": (
-        "AbscissaReport", "SparseSeries", "TailBound", "abscissa_sequence",
-        "eval_with_tail", "l_function_partial", "local_zeta_series",
+        "AbscissaReport", "SparseSeries", "abscissa_sequence", "local_zeta_series",
         "spec_z_zeta_partial",
     ),
     "multipoly": (

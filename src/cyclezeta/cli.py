@@ -543,7 +543,8 @@ def _cmd_verify(args) -> CommandResult:
 
 
 def _params(args) -> dict:
-    skip = {"func", "tsv", "timing"}
+    # the command is printed once, at the top level of the output
+    skip = {"command", "func", "tsv", "timing"}
     out = {}
     for key, val in sorted(vars(args).items()):
         if key in skip or val is None:

@@ -33,7 +33,7 @@ from .exact_counts import MultiDegree, _check_multidegree, polarization_multideg
 from .field_census import point_count
 from .finite_fields import Fq, embedding, field
 from .records import FrozenRecord
-from .spaces import PrimePower, Product, SpaceDescriptor
+from .spaces import PrimePower, SpaceDescriptor, product_factor
 
 ENUM_CAP = 10 ** 6
 FIBER_DEGREE_CAP = 8
@@ -193,17 +193,15 @@ def enum_zero_cycles(space: SpaceDescriptor, q: PrimePower, k: int) -> list[Zero
 # products of residue fields, pushforward, fibers
 # ---------------------------------------------------------------------------
 
-def _project_closed_point(pt: ClosedPoint, which: str) -> tuple[ClosedPoint, int]:
-    """Project a closed point of a product to one factor.
+def _project_closed_point(
+    pt: ClosedPoint, factor: SpaceDescriptor, blocks: slice
+) -> tuple[ClosedPoint, int]:
+    """Project a closed point of a product to the factor that owns the
+    coordinate ``blocks`` (see ``spaces.product_factor``).
 
     Returns (image point, relative residue degree over the image).
     """
-    space = pt.space
-    if not isinstance(space, Product):
-        raise DomainError("projection needs a point on a Product space")
-    factor = space.left if which == "first" else space.right
-    n_left = len(space.left.slots)
-    coords = pt.orbit_key[:n_left] if which == "first" else pt.orbit_key[n_left:]
+    coords = pt.orbit_key[blocks]
     q = pt.q
     F_big = field(q.p, q.e * pt.degree)
 
@@ -225,14 +223,10 @@ def pushforward_zero_cycle(z: ZeroCycle, which: str = "first") -> ZeroCycle:
     Each point contributes its multiplicity weighted by the relative
     residue degree over its image, so the total degree is preserved.
     """
-    if which not in ("first", "second"):
-        raise DomainError("which must be 'first' or 'second'")
-    if not isinstance(z.space, Product):
-        raise DomainError("pushforward needs a cycle on a Product space")
-    factor = z.space.left if which == "first" else z.space.right
+    factor, blocks = product_factor(z.space, which)
     acc: dict[ClosedPoint, int] = {}
     for pt, mult in z.terms:
-        image, rel = _project_closed_point(pt, which)
+        image, rel = _project_closed_point(pt, factor, blocks)
         acc[image] = acc.get(image, 0) + mult * rel
     return ZeroCycle.make(factor, z.q, acc)
 

@@ -104,13 +104,3 @@ def closed_point_census(space: SpaceDescriptor, q: PrimePower, dmax: int) -> Clo
         b.append(bd)
     return ClosedPointCensus(space, q, tuple(b))
 
-
-def irreducible_count(q: PrimePower, d: int) -> int:
-    """Number of monic irreducible polynomials of degree d over F_q."""
-    if d < 1:
-        raise DomainError("degree d must be >= 1")
-    total = sum(mobius(e) * q.q ** (d // e) for e in divisors(d))
-    if total % d != 0:
-        raise IntegralityError(f"necklace count non-integral at degree {d}")
-    return total // d
-

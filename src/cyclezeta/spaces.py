@@ -211,6 +211,20 @@ def as_p1_power(space: SpaceDescriptor) -> int | None:
     return len(dims) if all(n == 1 for n in dims) else None
 
 
+def product_factor(space: SpaceDescriptor, which: str) -> tuple[SpaceDescriptor, slice]:
+    """The factor ``which`` ("first" or "second") of a binary ``Product``,
+    with the slice of the product's slots, and so of a point's coordinate
+    blocks, that belongs to it."""
+    if which not in ("first", "second"):
+        raise DomainError("which must be 'first' or 'second'")
+    if not isinstance(space, Product):
+        raise DomainError(f"{space.label()} is not a Product: it has no factors")
+    split = len(space.left.slots)
+    if which == "first":
+        return space.left, slice(None, split)
+    return space.right, slice(split, None)
+
+
 def cell_counts(space: SpaceDescriptor) -> tuple[int, ...]:
     """b_0..b_dim: the number of j-dimensional cells of the space.
 

@@ -6,8 +6,9 @@ at exponent k^(l+1):
     Z(T) = sum_k n_k T^(k^(l+1)),
 
 which converges for |q^C' T| < 1 once n_k <= q^(C' k^(l+1)).  Every
-series reads its coefficients from one ``exact_counts.cycle_counts`` pass,
-and truncations carry a rigorous geometric tail bound.
+series reads its coefficients from one ``exact_counts.cycle_counts`` pass.
+The only truncated series carrying a tail bound are the per-prime local
+factors of the Euler products below.
 
 The global object is the partial Euler product of the local zetas at
 T = p^(-s).  For 0-cycles the local factor is exact: P^n is cellular, so
@@ -23,15 +24,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from itertools import repeat
-from .errors import (
-    AuditMismatch,
-    DomainError,
-    RadiusError,
-    SizeCapExceeded,
-    UnsupportedDimension,
-)
+from .errors import AuditMismatch, DomainError, RadiusError, SizeCapExceeded
 from .exact_counts import cycle_counts, cycle_family
 from .records import FrozenRecord
 from .spaces import PrimePower, ProjSpace, SpaceDescriptor, primes_upto, top_degree
@@ -43,6 +37,10 @@ SPEC_Z_AUDIT_CAP = 10 ** 6
 # each grows linearly, so 10^9 would need gigabytes or minutes.
 RANGE_CAP = 10 ** 7
 _UNIT_ROUNDOFF = 2.0 ** -53
+# A growth constant C' with n_k <= q^(C' k^(l+1)) for all k >= 1 on P^n,
+# per family, as a function of n: top-cycle counts are 0 or 1, and a
+# divisor count is below q^D with D = C(n+k, n) <= (n+1) k^n.
+_CPRIME_PN = {"top-cycles": lambda n: 0.0, "divisors": lambda n: n + 1.0}
 
 
 class SparseSeries(FrozenRecord):
@@ -54,22 +52,8 @@ class SparseSeries(FrozenRecord):
                  coefficients: tuple[int, ...]):  # n_0 .. n_kmax
         super().__init__(space, q, l, kmax, coefficients)
 
-    @property
-    def terms(self) -> dict[int, int]:
-        step = self.l + 1
-        return {k ** step: c for k, c in enumerate(self.coefficients)}
-
     def exponent(self, k: int) -> int:
         return k ** (self.l + 1)
-
-
-class TailBound(FrozenRecord):
-    """Geometric tail bound for a truncated series at |q^cprime * t| = rho."""
-
-    __slots__ = ("cprime", "rho", "bound")
-
-    def __init__(self, cprime: float, rho: float, bound: float):
-        super().__init__(cprime, rho, bound)
 
 
 def local_zeta_series(
@@ -95,51 +79,9 @@ def _term_value(n_k: int, t, exponent: int):
     return sign * math.exp(mag)
 
 
-def tail_bound(series: SparseSeries, t, cprime: float) -> TailBound:
-    """Rigorous bound on the dropped tail, assuming n_k <= q^(cprime k^(l+1))."""
-    rho = abs(t) * math.exp(cprime * math.log(series.q.q))
-    if rho >= 1.0:
-        raise RadiusError(
-            f"|q^cprime * t| = {rho:.6g} >= 1: outside the certified radius"
-        )
-    return TailBound(cprime, rho, _geometric_tail(rho, series.kmax, series.l))
-
-
 def _geometric_tail(rho: float, kmax: int, l: int) -> float:
     # sum over the exponents j >= (kmax+1)^(l+1) of rho^j, for 0 <= rho < 1
     return rho ** ((kmax + 1) ** (l + 1)) / (1.0 - rho)
-
-
-def eval_with_tail(series: SparseSeries, t, cprime: float):
-    """Partial sum of the series at t plus the geometric tail bound.
-
-    ``cprime`` must be a growth constant actually valid for the series'
-    coefficients (see ``default_cprime_pn``); the tail bound is only as
-    rigorous as that hypothesis.
-    """
-    tb = tail_bound(series, t, cprime)
-    step = series.l + 1
-    value = 0.0
-    for k, n_k in enumerate(series.coefficients):
-        value += _term_value(n_k, t, k ** step)
-    return value, tb
-
-
-def default_cprime_pn(n: int, l: int) -> float:
-    """A growth constant valid for all k >= 1 on P^n, per cycle dimension.
-
-    l = n: counts are 0/1.  l = 0: n_k <= (k+1)^n q^(nk) <= q^(2nk).
-    l = n-1: the form-space dimension C(n+k, n) is at most (n+1) k^n.
-    """
-    if not 0 <= l <= n:
-        raise DomainError("need 0 <= l <= n")
-    if l == n:
-        return 0.0
-    if l == 0:
-        return 2.0 * n
-    if l == n - 1:
-        return float(n + 1)
-    raise UnsupportedDimension(f"no pinned growth constant for l={l} on P^{n}")
 
 
 def _kmax_for_tail(rho: float, l: int, tol: float) -> int:
@@ -260,19 +202,20 @@ def _series_euler_product(n: int, l: int, s: complex, pmax: int, tail_tol: float
     and the product over those primes is within exp(b) - 1 of 1.  The
     bound is finite only for sigma > C' + 1; smaller sigma is refused.
 
-    The family is resolved once.  Top-cycle counts do not depend on p and
-    are built once, to the longest truncation (the one at p = 2); divisor
-    counts (p^D - 1)/(p - 1) read the form dimensions D = C(n+k, n),
-    also listed once.
+    The family is resolved first, so ``cycle_family`` refuses any other
+    l.  Top-cycle counts do not depend on p and are built once, to the
+    longest truncation (the one at p = 2); divisor counts (p^D - 1)/(p - 1)
+    read the form dimensions D = C(n+k, n), also listed once.
     """
-    cprime = default_cprime_pn(n, l)
+    space = ProjSpace(n)
+    family = cycle_family(space, l)
+    cprime = _CPRIME_PN[family](n)
     excess = s.real - cprime
     if excess <= 1.0:
         raise RadiusError(
             f"Re(s) = {s.real} <= growth constant {cprime} + 1: "
             "the Euler product is not certified"
         )
-    space = ProjSpace(n)
     step = l + 1
     primes = primes_upto(pmax)
 
@@ -282,7 +225,7 @@ def _series_euler_product(n: int, l: int, s: complex, pmax: int, tail_tol: float
         return t, rho, _kmax_for_tail(rho, l, tail_tol)
 
     longest = truncation(2)[2] if primes else 0
-    if cycle_family(space, l) == "top-cycles":
+    if family == "top-cycles":
         top = cycle_counts(space, PrimePower(2), l, longest)
 
         def counts(p, kmax):
@@ -316,21 +259,9 @@ def _series_euler_product(n: int, l: int, s: complex, pmax: int, tail_tol: float
     return value, abs(value) * _growth(log_growth)
 
 
-def l_function_partial(n: int, l: int, s: complex, pmax: int) -> complex:
-    value, _ = l_function_partial_with_error(n, l, s, pmax)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # the integer-ring specialization
 # ---------------------------------------------------------------------------
-
-def _check_audit_cutoff(cutoff: int) -> None:
-    if cutoff < 1:
-        raise DomainError("cutoff must be >= 1")
-    if cutoff > SPEC_Z_AUDIT_CAP:
-        raise SizeCapExceeded(f"audit cutoff capped at {SPEC_Z_AUDIT_CAP}")
-
 
 def _spec_z_cycle_tuples(cutoff: int):
     """Every effective 0-cycle of norm <= cutoff, once, as the nondecreasing
@@ -377,22 +308,6 @@ def _audited_norms(cycles, cutoff: int):
         )
 
 
-def spec_z_cycles(cutoff: int) -> list[dict[int, int]]:
-    """Effective 0-cycles on the integer spectrum with norm <= cutoff.
-
-    A cycle is a multiset of primes with multiplicities; its norm is
-    exp(arithmetic degree) = prod p^(m_p).  Returned as factorization
-    dicts sorted by norm; the norm map is checked to be a bijection onto
-    1..cutoff (``AuditMismatch`` otherwise).
-    """
-    _check_audit_cutoff(cutoff)
-    cycles = list(_spec_z_cycle_tuples(cutoff))
-    by_norm = [None] * cutoff
-    for norm, cycle in zip(_audited_norms(cycles, cutoff), cycles):
-        by_norm[norm - 1] = dict(Counter(cycle))
-    return by_norm
-
-
 def spec_z_zeta_partial(s: float, cutoff: int, audit: bool = False) -> float:
     """Partial zeta sum over effective 0-cycles of the integer spectrum.
 
@@ -408,7 +323,8 @@ def spec_z_zeta_partial(s: float, cutoff: int, audit: bool = False) -> float:
     if cutoff < 1:
         raise DomainError("cutoff must be >= 1")
     if audit:
-        _check_audit_cutoff(cutoff)
+        if cutoff > SPEC_Z_AUDIT_CAP:
+            raise SizeCapExceeded(f"audit cutoff capped at {SPEC_Z_AUDIT_CAP}")
         norms = _audited_norms(_spec_z_cycle_tuples(cutoff), cutoff)
         return math.fsum(map(pow, norms, repeat(-s)))
     if cutoff > RANGE_CAP:

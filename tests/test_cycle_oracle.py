@@ -227,6 +227,15 @@ def test_pushforward_on_mixed_product():
             assert all(pt in right_pts for pt, _ in right.terms)
 
 
+def test_pushforward_needs_a_product_and_a_factor():
+    z = enum_zero_cycles(P1, Q2, 1)[0]
+    with pytest.raises(DomainError, match="not a Product"):
+        pushforward_zero_cycle(z, "first")
+    z = enum_zero_cycles(P1XP1, Q2, 1)[0]
+    with pytest.raises(DomainError, match="which must be"):
+        pushforward_zero_cycle(z, "third")
+
+
 def test_zero_cycle_make_validation():
     pts1 = closed_points(P1, Q2, 1)
     with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from cyclezeta.errors import DomainError
 from cyclezeta.field_census import (
     closed_point_census,
-    irreducible_count,
+    divisors,
     mobius,
     point_count,
 )
@@ -59,11 +59,19 @@ def test_census_examples():
     assert closed_point_census(ProjSpace(2), Q2, 2).count(2) == 7
 
 
+def _irreducible_count(q, d):
+    # monic irreducibles of degree d over F_q, by the necklace formula
+    total = sum(mobius(e) * q.q ** (d // e) for e in divisors(d))
+    assert total % d == 0
+    return total // d
+
+
 def test_irreducible_examples():
-    assert irreducible_count(Q2, 2) == 1
-    assert irreducible_count(Q2, 3) == 2
+    # a closed point of P^1 of degree d >= 2 is a monic irreducible of
+    # degree d; degree 1 adds the point at infinity
+    assert closed_point_census(ProjSpace(1), Q2, 3).b == (3, 1, 2)
     for q in PRIME_POWERS:
-        assert irreducible_count(q, 1) == q.q
+        assert closed_point_census(ProjSpace(1), q, 1).b == (q.q + 1,)
 
 
 def test_irreducible_by_exhaustive_listing():
@@ -79,8 +87,9 @@ def test_irreducible_by_exhaustive_listing():
 
     quads = [(c0, c1, 1) for c0 in (0, 1) for c1 in (0, 1)]
     cubics = [(c0, c1, c2, 1) for c0 in (0, 1) for c1 in (0, 1) for c2 in (0, 1)]
-    assert sum(is_irred(c) for c in quads) == irreducible_count(Q2, 2)
-    assert sum(is_irred(c) for c in cubics) == irreducible_count(Q2, 3)
+    census = closed_point_census(ProjSpace(1), Q2, 3)
+    assert sum(is_irred(c) for c in quads) == census.count(2)
+    assert sum(is_irred(c) for c in cubics) == census.count(3)
 
 
 @pytest.mark.parametrize("space", SPACES)
@@ -99,7 +108,7 @@ def test_p1_census_is_irreducible_count_plus_infinity(q):
     census = closed_point_census(ProjSpace(1), q, 5)
     assert census.count(1) == q.q + 1
     for d in range(2, 6):
-        assert census.count(d) == irreducible_count(q, d)
+        assert census.count(d) == _irreducible_count(q, d)
 
 
 def test_mobius_small():

@@ -24,7 +24,7 @@ from cyclezeta.height_lab import FunctionFieldPoint, RationalFunctionPoint, ShSe
 from cyclezeta.multipoly import IntegerForm
 from cyclezeta.quadrature import QuadratureConfig
 from cyclezeta.spaces import P1Power, PrimePower, Product, ProjSpace
-from cyclezeta.zeta_series import AbscissaReport, SparseSeries, TailBound
+from cyclezeta.zeta_series import AbscissaReport, SparseSeries
 
 P1, F2 = ProjSpace(1), PrimePower(2)
 POINT = ClosedPoint(P1, F2, 1, ((0, 1),))
@@ -57,7 +57,6 @@ CASES = [
      f"FormClass(space={_P1}, q={_F2}, multidegree=(1,), coefficients=(1, 0))"),
     (SparseSeries, (P1, F2, 0, 2, (1, 3, 7)),
      f"SparseSeries(space={_P1}, q={_F2}, l=0, kmax=2, coefficients=(1, 3, 7))"),
-    (TailBound, (1.0, 0.5, 0.25), "TailBound(cprime=1.0, rho=0.5, bound=0.25)"),
     (AbscissaReport, (P1, F2, 0, (1.5, 1.25), 1.0),
      f"AbscissaReport(space={_P1}, q={_F2}, l=0, values=(1.5, 1.25), "
      "predicted_limit=1.0)"),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -14,16 +15,13 @@ from cyclezeta.errors import (
     SizeCapExceeded,
     UnsupportedDimension,
 )
-from cyclezeta.exact_counts import cycle_count, cycle_counts, zero_cycle_count
+from cyclezeta.exact_counts import cycle_count, cycle_counts, cycle_family, zero_cycle_count
 from cyclezeta.spaces import P1Power, PrimePower, ProjSpace
 from cyclezeta.zeta_series import (
+    _spec_z_cycle_tuples,
     abscissa_sequence,
-    default_cprime_pn,
-    eval_with_tail,
-    l_function_partial,
     l_function_partial_with_error,
     local_zeta_series,
-    spec_z_cycles,
     spec_z_zeta_partial,
 )
 
@@ -36,13 +34,13 @@ P2 = ProjSpace(2)
 def test_series_examples():
     s = local_zeta_series(P1, Q2, 0, 3)
     assert s.coefficients == (1, 3, 7, 15)
-    assert s.terms == {0: 1, 1: 3, 2: 7, 3: 15}
+    assert [s.exponent(k) for k in range(4)] == [0, 1, 2, 3]
     s2 = local_zeta_series(P2, Q2, 1, 2)
     assert s2.coefficients == (1, 7, 63)
-    assert sorted(s2.terms) == [0, 1, 4]
+    assert [s2.exponent(k) for k in range(3)] == [0, 1, 4]
     s3 = local_zeta_series(P1, Q2, 1, 2)
     assert s3.coefficients == (1, 1, 1)
-    assert sorted(s3.terms) == [0, 1, 4]
+    assert [s3.exponent(k) for k in range(3)] == [0, 1, 4]
 
 
 def test_series_refuses_intermediate_dimension():
@@ -50,21 +48,19 @@ def test_series_refuses_intermediate_dimension():
         local_zeta_series(ProjSpace(3), Q2, 1, 2)
 
 
-def _truncated_rational_p1(q, t, kmax):
+def _truncated_rational_p1(q, kmax):
     # polynomial long division of 1/((1-T)(1-qT)) up to order kmax
     coeffs = []
     for k in range(kmax + 1):
         coeffs.append((q ** (k + 1) - 1) // (q - 1))
-    return sum(c * t ** k for k, c in enumerate(coeffs))
+    return tuple(coeffs)
 
 
 @pytest.mark.parametrize("q", [Q2, Q3])
 @pytest.mark.parametrize("kmax", [0, 3, 8])
 def test_p1_series_matches_rational_function_truncation(q, kmax):
     s = local_zeta_series(P1, q, 0, kmax)
-    t = 0.01
-    value, _ = eval_with_tail(s, t, 2.0)
-    assert math.isclose(value, _truncated_rational_p1(q.q, t, kmax), rel_tol=1e-14)
+    assert s.coefficients == _truncated_rational_p1(q.q, kmax)
 
 
 def test_exp_series_reproduces_counts():
@@ -74,44 +70,35 @@ def test_exp_series_reproduces_counts():
             assert s.coefficients[k] == zero_cycle_count(space, Q2, k)
 
 
-def test_eval_with_tail_bounds_true_tail():
-    # closed form: sum (2^{k+1}-1) t^k = 2/(1-2t) - 1/(1-t)
-    for t in (1 / 8, -1 / 8, 1 / 16):
-        full = 2 / (1 - 2 * t) - 1 / (1 - t)
-        for kmax in (2, 3, 6):
-            s = local_zeta_series(P1, Q2, 0, kmax)
-            value, tb = eval_with_tail(s, t, 2.0)
-            assert abs(full - value) <= tb.bound + 1e-15
-
-
-def test_eval_with_tail_trivial_cases():
-    s = local_zeta_series(P1, Q2, 0, 4)
-    value, tb = eval_with_tail(s, 0.0, 2.0)
-    assert value == 1.0 and tb.bound == 0.0
-    with pytest.raises(RadiusError):
-        eval_with_tail(s, 0.3, 2.0)
-
-
 def test_eval_handles_huge_coefficients():
-    s = local_zeta_series(P2, Q2, 1, 40)  # top coefficient has ~260 digits
-    value, tb = eval_with_tail(s, 1e-30, default_cprime_pn(2, 1))
-    assert value >= 1.0 and math.isfinite(tb.bound)
+    # the terms that the series Euler product sums; at kmax 45 the top
+    # coefficient has 1081 bits, more than a float holds
+    for kmax in (40, 45):
+        s = local_zeta_series(P2, Q2, 1, kmax)
+        terms = [zeta_series._term_value(c, 1e-30, s.exponent(k))
+                 for k, c in enumerate(s.coefficients)]
+        assert terms[0] == 1.0 and math.isfinite(math.fsum(terms))
+    top, e = s.coefficients[-1], s.exponent(45)
+    assert top.bit_length() > 1024 and e % 2 == 1
+    exact = float(Fraction(top, 2 ** e))
+    assert math.isclose(zeta_series._term_value(top, 0.5, e), exact, rel_tol=1e-12)
+    assert math.isclose(zeta_series._term_value(top, -0.5, e), -exact, rel_tol=1e-12)
 
 
 def test_default_cprime_is_valid_growth_constant():
-    for n, l in [(1, 0), (2, 1), (2, 0), (3, 2)]:
-        c = default_cprime_pn(n, l)
-        from cyclezeta.exact_counts import cycle_count
-
+    # the growth constants the top-cycle and divisor Euler products read
+    for n, l in [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2)]:
+        space = ProjSpace(n)
+        c = zeta_series._CPRIME_PN[cycle_family(space, l)](n)
         for k in range(1, 12):
-            n_k = cycle_count(ProjSpace(n), Q3, l, k)
+            n_k = cycle_count(space, Q3, l, k)
             if n_k:
                 assert math.log(n_k, Q3.q) <= c * k ** (l + 1) + 1e-9
 
 
 def test_l_function_degenerate_point():
     # the local factor of a point is 1/(1 - p^{-s}): the Riemann product
-    value = l_function_partial(0, 0, 2.0, 10 ** 4)
+    value = l_function_partial_with_error(0, 0, 2.0, 10 ** 4)[0]
     assert abs(value.real - math.pi ** 2 / 6) < 1e-4
     assert abs(value.imag) < 1e-15
 
@@ -122,7 +109,7 @@ def test_l_function_p1_small_product_manual():
     manual = 1.0
     for p in (2, 3, 5, 7):
         manual *= 1.0 / ((1 - p ** -s) * (1 - p ** (1 - s)))
-    value = l_function_partial(1, 0, s, 7)
+    value = l_function_partial_with_error(1, 0, s, 7)[0]
     assert math.isclose(value.real, manual, rel_tol=1e-10)
 
 
@@ -139,7 +126,7 @@ def test_l_function_error_accounting():
     # sigma <= n + 1 leaves the primes above pmax unbounded
     for n, s in [(0, 1.0), (1, 2.0), (1, 1.5), (2, 3.0)]:
         with pytest.raises(RadiusError):
-            l_function_partial(n, 0, s, 10)
+            l_function_partial_with_error(n, 0, s, 10)
 
 
 def _zeta_product(n, s):
@@ -245,7 +232,7 @@ def test_spec_z_error_bounds_the_exact_partial_sum(s, cutoff, audit):
 
 
 def test_l_function_large_s_tends_to_one():
-    value = l_function_partial(1, 0, 40.0, 1000)
+    value = l_function_partial_with_error(1, 0, 40.0, 1000)[0]
     assert abs(value - 1.0) < 1e-9
 
 
@@ -262,37 +249,37 @@ def test_spec_z_partial_sums():
 
 
 def test_spec_z_audit_bijection():
-    cycles = spec_z_cycles(50)
-    norms = [math.prod(p ** m for p, m in fac.items()) for fac in cycles]
-    assert norms == list(range(1, 51))
+    cycles = sorted(_spec_z_cycle_tuples(50), key=math.prod)
+    assert list(map(math.prod, cycles)) == list(range(1, 51))
     # factorization really is the prime factorization
-    assert cycles[0] == {}
-    assert cycles[11] == {2: 2, 3: 1}
+    assert cycles[0] == ()
+    assert cycles[11] == (2, 2, 3)
     assert spec_z_zeta_partial(2.0, 50, audit=True) == spec_z_zeta_partial(2.0, 50)
 
 
 def _factorization(m):
-    fac, p = {}, 2
+    # the primes of m with multiplicity, ascending
+    fac, p = [], 2
     while p * p <= m:
         while m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
+            fac.append(p)
             m //= p
         p += 1
     if m > 1:
-        fac[m] = fac.get(m, 0) + 1
-    return fac
+        fac.append(m)
+    return tuple(fac)
 
 
 def test_spec_z_cycles_are_the_factorizations():
-    cycles = spec_z_cycles(3000)
+    # each cycle once, its primes in ascending order as the enumeration
+    # appends them
+    cycles = sorted(_spec_z_cycle_tuples(3000), key=math.prod)
     assert cycles == [_factorization(m) for m in range(1, 3001)]
-    # keys in ascending prime order, as the enumeration appends them
-    assert all(list(fac) == sorted(fac) for fac in cycles)
-    assert spec_z_cycles(1) == [{}]
+    assert list(_spec_z_cycle_tuples(1)) == [()]
     with pytest.raises(DomainError):
-        spec_z_cycles(0)
+        spec_z_zeta_partial(2.0, 0, audit=True)
     with pytest.raises(SizeCapExceeded):
-        spec_z_cycles(zeta_series.SPEC_Z_AUDIT_CAP + 1)
+        spec_z_zeta_partial(2.0, zeta_series.SPEC_Z_AUDIT_CAP + 1, audit=True)
 
 
 @pytest.mark.parametrize("s", [1.5, 2.0, 2.718281828, 3.25])
@@ -311,8 +298,6 @@ def test_spec_z_audit_fails_on_a_broken_enumeration(monkeypatch, mangle):
                         lambda limit: mangle(spaces.primes_upto(limit)))
     with pytest.raises(AuditMismatch):
         spec_z_zeta_partial(2.0, 1000, audit=True)
-    with pytest.raises(AuditMismatch):
-        spec_z_cycles(1000)
     assert spec_z_zeta_partial(2.0, 1000) > 0  # fast mode does not enumerate
 
 
