@@ -7,6 +7,10 @@ the projections gives
 
     #{x in T_n : h_n(x) <= h}  <=  B(h)^(n-n0+1) * A(h, h)^(n-n0).
 
+B and A overflow a float for modest towers (the divisor tower at h = 40
+has B(h) = 41^2 2^1681), so a tower states log B and log A and the bound
+is only ever formed as a sum of logs.
+
 The explicit constants C(n, l) for projective space are *a* valid
 resolution of the inductive chain, pinned once and for all:
 
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, SizeCapExceeded
 from .records import FrozenRecord
 from .spaces import PrimePower
 
@@ -33,16 +37,17 @@ from .spaces import PrimePower
 class CountingSystemSpec(FrozenRecord):
     """One instantiation of the inductive counting tower.
 
-    ``B(h)`` bounds the base-level count for h >= t0; ``A(s, t)`` bounds
-    each fiber of the paired projections and must be nondecreasing in both
-    arguments.
+    ``log_B(h)`` is the log of a bound on the base-level count for
+    h >= t0; ``log_A(s, t)`` is the log of a bound on each fiber of the
+    paired projections and must be nondecreasing in both arguments.
     """
 
-    __slots__ = ("n0", "n", "B", "A", "t0", "note")
+    __slots__ = ("n0", "n", "log_B", "log_A", "t0", "note")
 
-    def __init__(self, n0: int, n: int, B: Callable[[float], float],
-                 A: Callable[[float, float], float], t0: float = 0.0, note: str = ""):
-        super().__init__(n0, n, B, A, t0, note)
+    def __init__(self, n0: int, n: int, log_B: Callable[[float], float],
+                 log_A: Callable[[float, float], float], t0: float = 0.0,
+                 note: str = ""):
+        super().__init__(n0, n, log_B, log_A, t0, note)
         if n < n0:
             raise DomainError(f"need n >= n0, got n={n}, n0={n0}")
 
@@ -50,13 +55,18 @@ class CountingSystemSpec(FrozenRecord):
 def counting_system_log_bound(spec: CountingSystemSpec, h: float) -> float:
     """Natural log of the combinator bound B(h)^(n-n0+1) * A(h,h)^(n-n0).
 
-    The product itself overflows a float for modest towers, so the bound
-    is only ever formed as this sum of logs.
+    Raises ``SizeCapExceeded`` when even the log leaves the float range.
     """
-    if h < spec.t0:
+    if not h >= spec.t0:
         raise DomainError(f"h={h} below threshold t0={spec.t0}")
     steps = spec.n - spec.n0
-    return (steps + 1) * math.log(spec.B(h)) + steps * math.log(spec.A(h, h))
+    try:
+        value = (steps + 1) * spec.log_B(h) + steps * spec.log_A(h, h)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SizeCapExceeded(f"the log of the bound at h={h} exceeds the float range")
+    return value
 
 
 def divisor_tower_spec(q: PrimePower, n: int, l: int) -> CountingSystemSpec:
@@ -70,14 +80,16 @@ def divisor_tower_spec(q: PrimePower, n: int, l: int) -> CountingSystemSpec:
         raise DomainError("need 0 <= l < n")
     qq = q.q
 
-    def B(h: float) -> float:
-        return (1 + h) ** (l + 1) * qq ** ((1 + h) ** (l + 1))
+    log_q = math.log(qq)
 
-    def A(s: float, t: float) -> float:
-        return qq ** (s * t)
+    def log_B(h: float) -> float:
+        return (l + 1) * math.log1p(h) + (1 + h) ** (l + 1) * log_q
+
+    def log_A(s: float, t: float) -> float:
+        return s * t * log_q
 
     return CountingSystemSpec(
-        n0=l + 1, n=n, B=B, A=A, t0=0.0,
+        n0=l + 1, n=n, log_B=log_B, log_A=log_A, t0=0.0,
         note=f"l-cycles on (P1)^{n} over F_{qq}, l={l}",
     )
 
@@ -96,14 +108,14 @@ def arithmetic_divisor_tower_spec(
     if not 1 <= l <= n:
         raise DomainError("need 1 <= l <= n")
 
-    def B(h: float) -> float:
-        return math.exp(base_constant * h ** (l + 1))
+    def log_B(h: float) -> float:
+        return base_constant * h ** (l + 1)
 
-    def A(s: float, t: float) -> float:
-        return math.exp(s * t / pairing_degree)
+    def log_A(s: float, t: float) -> float:
+        return s * t / pairing_degree
 
     return CountingSystemSpec(
-        n0=l, n=n, B=B, A=A, t0=1.0,
+        n0=l, n=n, log_B=log_B, log_A=log_A, t0=1.0,
         note=f"horizontal l-cycles on (P1_Z)^{n}, lambda={lam}",
     )
 

@@ -39,10 +39,10 @@ if TYPE_CHECKING:
 
 FF_CENSUS_CAP = 10 ** 7
 # Monte Carlo samples summed over the integrated rows of an sh-set box.
-# Each row is sampled on its own, at about 2e-7 s per row-sample on a
+# Each row is sampled on its own, at about 8e-8 s per row-sample on a
 # 2-core x86 VM (Python 3.11, numpy 2.4), so the cap keeps a census under
-# about 10 s there; at the default 10^6 samples, the 421 rows of
-# d = 1, a = 0.25, h = 4 would take some 100 s.
+# about 3 s there; at the default 10^6 samples, the 421 rows of
+# d = 1, a = 0.25, h = 4 would take some 30 s.
 MC_WORK_CAP = 4 * 10 ** 7
 
 

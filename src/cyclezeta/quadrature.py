@@ -74,6 +74,24 @@ evaluated points (rows x functions x nodes): a larger integral is
 refused with ``SizeCapExceeded`` before anything is allocated.  The
 error is the node-doubling difference (n against n / 2 nodes), and
 three standard errors for Monte Carlo.
+
+Monte Carlo route (scheme ``monte_carlo``, any number of variables).
+The estimate is the mean of log max_i |f_i| over ``sample_count``
+seeded samples, each variable drawn independently from omega with no
+trigonometry: w is uniform on the disk |w| < 1/2, by rejection from the
+square [-1/2, 1/2)^2 (one generator call of 2m uniform floats, viewed as
+m complex numbers, of which about pi/4 are kept), and
+z = w / sqrt(1/4 - |w|^2).  Then s = 4 |w|^2 is uniform on [0, 1] and
+independent of the uniform angle, so |z|^2 = s / (1 - s) has the law
+of omega, which gives |z|^2 <= t the mass t / (1 + t).  Surplus
+accepted draws are dropped, so a seed fixes the estimate.  The cos and
+sin of a uniform angle alone cost more per point than the whole
+rejection draw (numpy 2.4 on a 2-vCPU x86 VM).  Samples are taken
+``_MC_BATCH`` = 4096 at a time, through work buffers reused across
+batches, so that no array a batch allocates exceeds 64 kB and the
+allocator recycles them: with 8192 samples a batch, a 3-variable
+integral of 10^6 samples faulted in some 20 000 fresh pages there and
+ran about 15 % slower.
 """
 
 from __future__ import annotations
@@ -95,7 +113,7 @@ from .multipoly import (
 from .records import FrozenRecord
 
 _TINY = 1e-300
-_MC_BATCH = 100_000
+_MC_BATCH = 4096  # Monte Carlo samples per batch (module docstring)
 _ROUNDING = 1e-12  # relative rounding allowance of every exact-route error
 _BLOCK = 1 << 20  # complex entries per block of a grid or of inner integrals
 
@@ -461,25 +479,65 @@ def _log_max_abs(polys, axes) -> np.ndarray:
     vals = None
     for f in polys:
         a = np.abs(f.eval_grid(axes))
-        vals = a if vals is None else np.maximum(vals, a)
-    return np.log(np.maximum(vals, _TINY))
+        vals = a if vals is None else np.maximum(vals, a, out=vals)
+    np.maximum(vals, _TINY, out=vals)
+    return np.log(vals, out=vals)
+
+
+class _OmegaSampler:
+    """Seeded points of C drawn from omega, written into arrays the caller
+    owns, through work buffers sized for ``batch`` points (module
+    docstring)."""
+
+    def __init__(self, seed: int, batch: int):
+        self.rng = np.random.default_rng(seed)
+        m = batch * 13 // 10 + 64  # 4 / pi draws a point, plus a margin
+        self.w = np.empty(m, dtype=complex)
+        self.s = np.empty(m)
+        self.t = np.empty(m)
+        self.scale = np.empty(batch)
+
+    def fill(self, out: np.ndarray) -> None:
+        """Fill the complex 1-d array ``out`` with independent points.
+
+        w is uniform on the disk |w| < 1/2, by rejection from the square
+        [-1/2, 1/2)^2, and z = w / sqrt(1/4 - |w|^2).  Each round draws
+        for the points still missing, up to the buffer size, and drops
+        surplus accepted draws, so the seed fixes every point.
+        """
+        filled = 0
+        while filled < len(out):
+            need = min(len(out) - filled, len(self.scale))
+            m = need * 13 // 10 + 64
+            w, s, t = self.w[:m], self.s[:m], self.t[:m]
+            self.rng.random(out=w.view(float))
+            w -= 0.5 + 0.5j
+            np.multiply(w.real, w.real, out=s)
+            np.multiply(w.imag, w.imag, out=t)
+            s += t
+            idx = np.flatnonzero(s < 0.25)[:need]
+            scale = self.scale[:len(idx)]
+            np.take(s, idx, out=scale)
+            np.subtract(0.25, scale, out=scale)
+            np.sqrt(scale, out=scale)
+            np.divide(1.0, scale, out=scale)
+            z = out[filled:filled + len(idx)]
+            np.take(w, idx, out=z)
+            z *= scale
+            filled += len(idx)
 
 
 def _integrate_monte_carlo(polys, nvars: int, cfg: QuadratureConfig):
-    rng = np.random.default_rng(cfg.seed)
-    remaining = cfg.sample_count
+    sampler = _OmegaSampler(cfg.seed, _MC_BATCH)
+    points = np.empty((nvars, _MC_BATCH), dtype=complex)
     acc = acc2 = 0.0
-    while remaining > 0:
-        batch = min(_MC_BATCH, remaining)
-        v = rng.random((batch, nvars))
-        r = np.sqrt(v / (1.0 - v))
-        theta = rng.random((batch, nvars)) * (2.0 * np.pi)
-        pts = r * np.exp(1j * theta)
-        axes = [pts[:, i] for i in range(nvars)]
+    for start in range(0, cfg.sample_count, _MC_BATCH):
+        axes = list(points[:, :min(_MC_BATCH, cfg.sample_count - start)])
+        for axis in axes:
+            sampler.fill(axis)
         vals = _log_max_abs(polys, axes)
         acc += float(np.sum(vals))
         acc2 += float(vals @ vals)
-        remaining -= batch
     mean = acc / cfg.sample_count
     var = max(acc2 / cfg.sample_count - mean * mean, 0.0)
     return mean, 3.0 * math.sqrt(var / cfg.sample_count)

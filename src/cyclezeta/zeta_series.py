@@ -37,6 +37,8 @@ SPEC_Z_AUDIT_CAP = 10 ** 6
 # each grows linearly, so 10^9 would need gigabytes or minutes.
 RANGE_CAP = 10 ** 7
 _UNIT_ROUNDOFF = 2.0 ** -53
+# Tail bound below which ``_series_euler_product`` truncates each local series.
+_TAIL_TOL = 1e-12
 # A growth constant C' with n_k <= q^(C' k^(l+1)) for all k >= 1 on P^n,
 # per family, as a function of n: top-cycle counts are 0 or 1, and a
 # divisor count is below q^D with D = C(n+k, n) <= (n+1) k^n.
@@ -104,15 +106,13 @@ def _growth(log_growth: float) -> float:
     return math.expm1(log_growth)
 
 
-def l_function_partial_with_error(
-    n: int, l: int, s: complex, pmax: int, tail_tol: float = 1e-12
-):
+def l_function_partial_with_error(n: int, l: int, s: complex, pmax: int):
     """Partial Euler product over p <= pmax of the local P^n cycle zetas.
 
     Returns the product and a bound on its distance to the product over
     all primes.  0-cycles multiply the exact cellular factors (see
     ``_cellular_euler_product``); top cycles and divisors multiply local
-    series truncated where their tail bound is below ``tail_tol``.
+    series truncated where their tail bound is below ``_TAIL_TOL``.
     ``pmax`` above ``RANGE_CAP`` is refused before the sieve runs.
     """
     if n < 0:
@@ -124,7 +124,7 @@ def l_function_partial_with_error(
     s = complex(s)
     if l == 0:
         return _cellular_euler_product(n, s, pmax)
-    return _series_euler_product(n, l, s, pmax, tail_tol)
+    return _series_euler_product(n, l, s, pmax)
 
 
 def _cellular_euler_product(n: int, s: complex, pmax: int):
@@ -185,11 +185,11 @@ def _cellular_euler_product(n: int, s: complex, pmax: int):
     return value, abs(value) * _growth(2.0 * rounding + tail)
 
 
-def _series_euler_product(n: int, l: int, s: complex, pmax: int, tail_tol: float):
+def _series_euler_product(n: int, l: int, s: complex, pmax: int):
     """The Euler product of the top-cycle or divisor zetas of P^n.
 
     Each local factor is a truncated series at T = p^(-s) whose tail bound
-    is below ``tail_tol``; the factors are multiplied in ascending prime
+    is below ``_TAIL_TOL``; the factors are multiplied in ascending prime
     order.  The returned error bounds the distance to the product over all
     primes: |value| * (prod (1 + eps_i) - 1), where the eps_i are the
     relative errors of the computed factors (tail bound plus a rounding
@@ -222,7 +222,7 @@ def _series_euler_product(n: int, l: int, s: complex, pmax: int, tail_tol: float
     def truncation(p):
         t = complex(p) ** (-s)
         rho = abs(t) * math.exp(cprime * math.log(p))
-        return t, rho, _kmax_for_tail(rho, l, tail_tol)
+        return t, rho, _kmax_for_tail(rho, l, _TAIL_TOL)
 
     longest = truncation(2)[2] if primes else 0
     if family == "top-cycles":

@@ -15,7 +15,7 @@ from cyclezeta.bound_engine import (
     pushforward_bound,
 )
 from cyclezeta.cycle_oracle import enum_divisors, enum_zero_cycles, fiber_count
-from cyclezeta.errors import DomainError
+from cyclezeta.errors import DomainError, SizeCapExceeded
 from cyclezeta.spaces import P1Power, PrimePower, ProjSpace
 
 Q2 = PrimePower(2)
@@ -23,10 +23,12 @@ Q3 = PrimePower(3)
 
 
 def test_combinator_examples():
-    spec = CountingSystemSpec(n0=1, n=3, B=lambda h: 2.0, A=lambda s, t: 3.0)
+    spec = CountingSystemSpec(n0=1, n=3, log_B=lambda h: math.log(2.0),
+                              log_A=lambda s, t: math.log(3.0))
     assert math.isclose(counting_system_log_bound(spec, 1.0), math.log(72.0),
                         rel_tol=1e-15)
-    base = CountingSystemSpec(n0=2, n=2, B=lambda h: 5.0, A=lambda s, t: 9.0)
+    base = CountingSystemSpec(n0=2, n=2, log_B=lambda h: math.log(5.0),
+                              log_A=lambda s, t: math.log(9.0))
     assert counting_system_log_bound(base, 0.0) == math.log(5.0)
 
 
@@ -37,20 +39,28 @@ def test_combinator_divisor_instantiation():
 
 
 def test_combinator_threshold():
-    spec = CountingSystemSpec(n0=1, n=2, B=lambda h: 2.0, A=lambda s, t: 2.0, t0=1.0)
+    spec = CountingSystemSpec(n0=1, n=2, log_B=lambda h: 1.0, log_A=lambda s, t: 1.0,
+                              t0=1.0)
+    for h in (0.5, math.nan):
+        with pytest.raises(DomainError):
+            counting_system_log_bound(spec, h)
     with pytest.raises(DomainError):
-        counting_system_log_bound(spec, 0.5)
-    with pytest.raises(DomainError):
-        CountingSystemSpec(n0=3, n=2, B=lambda h: 1.0, A=lambda s, t: 1.0)
+        CountingSystemSpec(n0=3, n=2, log_B=lambda h: 0.0, log_A=lambda s, t: 0.0)
 
 
 def test_combinator_log_bound_is_finite_past_float_overflow():
     spec = CountingSystemSpec(
-        n0=1, n=4, B=lambda h: 1e300, A=lambda s, t: 1e300
+        n0=1, n=4, log_B=lambda h: math.log(1e300), log_A=lambda s, t: math.log(1e300)
     )
     # the bound itself, 1e300^7, overflows a float
     assert math.isclose(counting_system_log_bound(spec, 1.0), 7 * math.log(1e300),
                         rel_tol=1e-15)
+    # at h = 40 the base bound B(h) = 41^2 2^1681 alone overflows a float
+    log2_bound = counting_system_log_bound(divisor_tower_spec(Q2, 3, 1), 40.0) / math.log(2)
+    assert math.isclose(log2_bound, 2 * (2 * math.log2(41) + 41 ** 2) + 40 ** 2,
+                        rel_tol=1e-12)
+    with pytest.raises(SizeCapExceeded):  # even the log overflows
+        counting_system_log_bound(divisor_tower_spec(Q2, 3, 1), 1e200)
 
 
 @given(
@@ -60,7 +70,7 @@ def test_combinator_log_bound_is_finite_past_float_overflow():
 @settings(max_examples=50)
 def test_combinator_monotone_for_monotone_inputs(h1, h2):
     spec = CountingSystemSpec(
-        n0=1, n=3, B=lambda h: 1.0 + h, A=lambda s, t: 1.0 + s * t
+        n0=1, n=3, log_B=math.log1p, log_A=lambda s, t: math.log1p(s * t)
     )
     lo, hi = sorted((h1, h2))
     assert counting_system_log_bound(spec, lo) <= counting_system_log_bound(spec, hi)

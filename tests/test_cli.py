@@ -97,6 +97,17 @@ def test_exit_codes(capsys):
     assert exc.value.code == 1
 
 
+def test_counting_system_bound_past_float_overflow(capsys):
+    # B(40) = 41^2 2^1681 overflows a float; its log does not
+    doc = run_json(capsys, "bound", "counting-system", "--n", "3", "--l", "1",
+                   "--h", "40")
+    assert math.isclose(doc["results"]["log2_bound"]["value"],
+                        2 * (2 * math.log2(41) + 41 ** 2) + 40 ** 2, rel_tol=1e-12)
+    code, out, err = run_cli(capsys, "bound", "counting-system", "--n", "3", "--l", "1",
+                             "--h", "1e200")
+    assert code == 3 and out == "" and "float range" in err
+
+
 SUBCOMMANDS = ["count", "enum", "bound", "zeta", "lfun", "speczeta", "norm",
                "delta", "divcount", "height", "census", "verify"]
 

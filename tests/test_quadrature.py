@@ -197,6 +197,39 @@ def test_monte_carlo_reports_its_standard_error():
     assert abs(v - math.sqrt(2)) <= err
 
 
+def _omega_points(seed, count):
+    points = np.full(count, np.nan, dtype=complex)
+    quadrature._OmegaSampler(seed, quadrature._MC_BATCH).fill(points)
+    return points
+
+
+@pytest.mark.parametrize("count", [1, 10, 8193])
+def test_sampler_fills_exactly_count_points(count):
+    points = _omega_points(3, count)
+    assert points.shape == (count,) and np.isfinite(points).all()
+    assert np.array_equal(points, _omega_points(3, count))  # the seed fixes them
+
+
+def test_sampler_draws_the_fubini_study_measure():
+    z = _omega_points(11, 200_000)
+    n = len(z)
+    # |z|^2 <= t has mass t / (1 + t), so u = |z|^2 / (1 + |z|^2) is uniform
+    u = np.sort(np.abs(z) ** 2 / (1 + np.abs(z) ** 2))
+    ranks = np.arange(1, n + 1) / n
+    ks = max(np.max(ranks - u), np.max(u - (ranks - 1 / n)))
+    assert ks <= 1.63 / math.sqrt(n)  # the 1 % Kolmogorov-Smirnov distance
+    # and the angle is uniform
+    assert abs(np.mean(z / np.abs(z))) <= 4 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_monte_carlo_three_variables_within_its_error(seed):
+    mc = QuadratureConfig(scheme="monte_carlo", seed=seed, sample_count=200_000)
+    f = poly("(z1 + 1)*(z2 + 3)*(z3 + 4)")
+    value, err = integrate_log_max_with_error([f], mc)
+    assert abs(value - 0.5 * math.log(340)) <= err  # Jensen: 1/2 log(2 * 10 * 17)
+
+
 def test_batched_rows_match_single_polynomials():
     rng = np.random.default_rng(7)
     for nvars, exponents in ((1, [(0,), (1,), (2,), (3,)]),

@@ -61,8 +61,8 @@ CASES = [
      f"AbscissaReport(space={_P1}, q={_F2}, l=0, values=(1.5, 1.25), "
      "predicted_limit=1.0)"),
     (CountingSystemSpec, (0, 1, abs, max, 0.5, "note"),
-     "CountingSystemSpec(n0=0, n=1, B=<built-in function abs>, "
-     "A=<built-in function max>, t0=0.5, note='note')"),
+     "CountingSystemSpec(n0=0, n=1, log_B=<built-in function abs>, "
+     "log_A=<built-in function max>, t0=0.5, note='note')"),
     # the derivation is compared but not printed
     (ExplicitConstant, (2, 1, 7, ("a", "b")), "ExplicitConstant(n=2, l=1, value=7)"),
     (IntegerForm, (1, (1,), (((0,), 1), ((1,), 2))), _FORM),
