@@ -312,11 +312,41 @@ def sh_set_table(
     The box consists of f with deg_i(f) <= floor(a*h) and
     |f|_inf <= exp((1 - a*d) * h) / sqrt(2).  Heights are those of the
     points (1 : f): infinity degrees plus the integral of log max(1, |f|).
-    The rows run over a symmetric range in lexicographic order, so row
-    N - 1 - i is -(row i); as |-f| = |f|, only the first ceil(N / 2) rows
-    are integrated and the rest take their mirror images' integrals.
+    The rows run over a symmetric range in lexicographic order, and the
+    box is closed under the sign images of ``_sign_classes``; only the
+    first row of each class is integrated, and the others take its
+    integral.
     """
     return _sh_set(d, a, h, cfg, search_cap, with_error=False)[:5]
+
+
+def _sign_classes(rows, exponents, box: int, cfg: QuadratureConfig):
+    """The first row of each sign class, in order, and for each row the
+    position of its class in that list.
+
+    f and -f always have equal integrals, as |-f| = |f|.  On a tensor
+    grid whose n and n / 2 are both even (the error takes an n / 2 pass),
+    so has f(.., -z_j, ..) for each variable, whose coefficients of odd
+    z_j-exponent are negated: for real rows |f(conj z)| = |f(z)|, and
+    z_j -> -conj(z_j) on the folded axis and z_j -> -z_j on a plane axis
+    permute the nodes at equal weights.  A class is keyed by the least
+    lexicographic index among the 2^(d+1) sign images of a row (the box
+    holds them all), which is the index of the class's first row; with
+    -f alone the integrated rows are the first ceil(N / 2), in order.
+    """
+    import numpy as np
+
+    flips = len(exponents[0]) if (
+        cfg.scheme == "tensor_gauss" and cfg.nodes_per_dim % 4 == 0) else 0
+    parities = np.array(exponents)[:, :flips] % 2
+    images = np.array(list(itertools.product((0, 1), repeat=1 + flips)))
+    signs = 1 - 2 * ((images[:, :1] + images[:, 1:] @ parities.T) % 2)
+    # row c has index sum_k (c_k + box) place_k; every product and partial
+    # sum is an integer below the row count, so the float arithmetic is exact
+    place = float(2 * box + 1) ** np.arange(len(exponents) - 1, -1, -1)
+    keys = (rows @ (signs * place).T).min(axis=1) + box * place.sum()
+    first = np.flatnonzero(keys == np.arange(len(rows)))
+    return first, np.searchsorted(first, keys)
 
 
 def _sh_set(d, a, h, cfg, search_cap, with_error):
@@ -347,15 +377,16 @@ def _sh_set(d, a, h, cfg, search_cap, with_error):
     rows = np.array(
         list(itertools.product(*([range(-box, box + 1)] * m))), dtype=float
     )
-    half = rows[:(len(rows) + 1) // 2]
+    first, inverse = _sign_classes(rows, exponents, box, cfg)
+    reps = rows[first]
     errors = np.zeros(0)
     if d > 2 or cfg.scheme != "tensor_gauss":
         # Monte Carlo reports three standard errors at no extra cost; the
         # grid refuses d > 2
-        work = len(half) * cfg.sample_count
+        work = len(reps) * cfg.sample_count
         if cfg.scheme == "monte_carlo" and work > MC_WORK_CAP:
             raise SizeCapExceeded(
-                f"{len(half)} rows x {cfg.sample_count} samples exceed the Monte Carlo "
+                f"{len(reps)} rows x {cfg.sample_count} samples exceed the Monte Carlo "
                 f"cap {MC_WORK_CAP:.0e}; lower sample_count (--mc-samples)"
             )
         one = MultiPoly.constant(1, d)
@@ -363,17 +394,17 @@ def _sh_set(d, a, h, cfg, search_cap, with_error):
             quadrature.integrate_log_max_with_error(
                 [one, MultiPoly(d, dict(zip(exponents, row)))], cfg
             )
-            for row in half
+            for row in reps
         ])
     elif with_error:
         integrals, errors = quadrature.batched_log_integrals_with_error(
-            half, exponents, d, cfg, floor_at_one=True
+            reps, exponents, d, cfg, floor_at_one=True
         )
     else:
         integrals = quadrature.batched_log_integrals(
-            half, exponents, d, cfg, floor_at_one=True
+            reps, exponents, d, cfg, floor_at_one=True
         )
-    integrals = np.concatenate([integrals, integrals[:len(rows) - len(half)][::-1]])
+    integrals = integrals[inverse]
     # deg_j f: the largest j-th exponent with a nonzero coefficient, or 0
     degrees = np.where(rows[:, :, None] != 0, np.array(exponents)[None], 0)
     heights = degrees.max(axis=1).sum(axis=1) + integrals

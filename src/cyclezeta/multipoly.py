@@ -167,30 +167,25 @@ class MultiPoly:
         return total
 
     def eval_grid(self, axes):
-        """Evaluate on broadcastable numpy axes (one array per variable)."""
+        """Evaluate on broadcastable numpy axes (one array per variable).
+
+        Nested Horner's rule, one variable at a time.  The constant term
+        is taken as complex, so a polynomial that has one evaluates to a
+        complex array; otherwise the dtype is that of the coefficients
+        and the axes.
+        """
         import numpy as np
 
         if len(axes) != self.nvars:
             raise DomainError(f"expected {self.nvars} axes")
-        powers = [dict() for _ in range(self.nvars)]
-
-        def axis_power(i, e):
-            if e not in powers[i]:
-                powers[i][e] = axes[i] ** e
-            return powers[i][e]
-
-        total = None
-        for exps, c in self.coeffs.items():
-            term = None
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                term = axis_power(i, e) if term is None else term * axis_power(i, e)
-            term = complex(c) if term is None else c * term
-            total = term if total is None else total + term
         shape = np.broadcast_shapes(*[np.shape(a) for a in axes])
-        if total is None:
+        if not self.coeffs:
             return np.zeros(shape, dtype=complex)
+        coeffs = dict(self.coeffs)
+        zero = (0,) * self.nvars
+        if zero in coeffs:
+            coeffs[zero] = complex(coeffs[zero])
+        total = _horner(coeffs, axes, 0)
         if np.shape(total) != shape:
             total = np.broadcast_to(total, shape)
         return total
@@ -211,6 +206,26 @@ class MultiPoly:
             else:
                 parts.append(str(c))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _horner(coeffs: dict, axes, i: int):
+    """sum of c * prod_{j >= i} axes[j] ** e[j] over the (exponents e,
+    coefficient c) of ``coeffs``, all sharing e[:i]: Horner's rule in
+    axes[i] over the coefficients in the later axes."""
+    if i == len(axes):
+        (c,) = coeffs.values()
+        return c
+    groups: dict[int, dict] = {}
+    for e, c in coeffs.items():
+        groups.setdefault(e[i], {})[e] = c
+    powers = sorted(groups, reverse=True) + [0]
+    acc = None
+    for p, lower in zip(powers, powers[1:]):
+        inner = _horner(groups[p], axes, i + 1)
+        acc = inner if acc is None else acc + inner
+        if p > lower:
+            acc = acc * (axes[i] if p - lower == 1 else axes[i] ** (p - lower))
+    return acc
 
 
 # ---------------------------------------------------------------------------

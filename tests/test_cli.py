@@ -527,7 +527,7 @@ PINNED_OUTPUTS = [
         '"value": true}, "analytic_lower_bound": {"error": 0.0, "value": '
         '2.718281828459045}, "coeff_box": {"error": 0, "value": "14"}, '
         '"count": {"error": 0, "value": "841"}, "max_height": {"error": '
-        '0.0007621847286278793, "value": 3.9861305069795034}}}\n'
+        '0.0007621847286305439, "value": 3.986130506979501}}}\n'
     ),
     (
         'verify norms --samples 3 --seed 7 --nvars 2 --maxdeg 3 --nodes 16',
@@ -639,14 +639,15 @@ sys.exit(code)
 
 
 def test_oversized_grid_refused_before_it_is_allocated():
-    # 14 281 integrated rows of a two-variable box on 3.4e7 grid nodes:
-    # gigabytes of grid values and over an hour of work if it ran
+    # 3 697 integrated rows (one per sign class of 28 561) of a
+    # two-variable box on 3.4e7 grid nodes: gigabytes of grid values and
+    # some twenty minutes of work if it ran
     argv = shlex.split("census sh-set --d 2 --a 0.24 --h 4.2")
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3 and proc.stdout == ""
     message, peak_mb = proc.stderr.splitlines()
-    assert message.startswith("size cap exceeded: a grid integral of 4.79e+11 points")
+    assert message.startswith("size cap exceeded: a grid integral of 1.24e+11 points")
     assert int(peak_mb) < 200
 
 

@@ -246,6 +246,10 @@ def _unmirrored_heights(d, exponents, rows, cfg):
     (1, 0.15, 5.0, QuadratureConfig(nodes_per_dim=9)),
     (2, 0.245, 4.1, QuadratureConfig(nodes_per_dim=8)),
     (1, 0.25, 2.0, QuadratureConfig(scheme="monte_carlo", seed=5, sample_count=2000)),
+    # n % 4 = 2: -f alone, the 421 rows of the pinned box
+    (1, 0.25, 4.0, QuadratureConfig(nodes_per_dim=10)),
+    (1, 0.4, 5.0, QuadratureConfig(nodes_per_dim=12)),  # degree cap 2
+    (2, 0.245, 4.1, QuadratureConfig(nodes_per_dim=12)),
 ])
 def test_sh_set_table_mirror_equals_the_unmirrored_heights(d, a, h, cfg):
     exponents, rows, heights, box, _ = sh_set_table(d, a, h, cfg)
@@ -255,9 +259,10 @@ def test_sh_set_table_mirror_equals_the_unmirrored_heights(d, a, h, cfg):
     assert np.allclose(heights, full, rtol=0, atol=1e-12)
 
 
-def test_sh_set_table_integrates_half_the_rows_on_folded_nodes(monkeypatch):
-    # rows f and -f share one integral, and the real rows fold the angles:
-    # at most ceil(N / 2) rows on n^2 nodes, not N rows on 2 n^2
+def test_sh_set_table_integrates_one_row_per_sign_class_on_folded_nodes(monkeypatch):
+    # f, -f, f(-z) and -f(-z) share one integral at n % 4 = 0, and the real
+    # rows fold the angles: 15^2 classes of the 29^2 rows, on n^2 nodes,
+    # not N rows on 2 n^2
     calls = []
     grid, axis_nodes = quadrature._grid, quadrature._axis_nodes
 
@@ -274,4 +279,4 @@ def test_sh_set_table_integrates_half_the_rows_on_folded_nodes(monkeypatch):
     n = 64
     _, rows, _, _, _ = sh_set_table(1, 0.25, 4.0, QuadratureConfig(nodes_per_dim=n))
     assert len(rows) == 841
-    assert calls == [[421, n * n]]
+    assert calls == [[225, n * n]]

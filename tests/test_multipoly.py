@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,48 @@ def test_evaluate_scalar_and_grid():
     grid = f.eval_grid([np.array([1j, 2j])[:, None], np.array([0.0, 1.0])[None, :]])
     assert grid.shape == (2, 2)
     assert grid[0, 1] == pytest.approx(-2.0)
+
+
+def _monomial_sum(f, axes):
+    """f on the axes one array product per monomial, the constant term
+    taken as complex, and the sum of the moduli of the terms."""
+    import numpy as np
+
+    shape = np.broadcast_shapes(*[np.shape(a) for a in axes])
+    total, scale = np.zeros(shape, dtype=complex), np.zeros(shape)
+    for i, (exps, c) in enumerate(f.coeffs.items()):
+        term = complex(c) if not any(exps) else c * math.prod(
+            a ** e for a, e in zip(axes, exps) if e)
+        total = term if i == 0 else total + term
+        scale = scale + np.abs(term)
+    return np.broadcast_to(total, shape), scale
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_eval_grid_horner_equals_the_monomial_sum(data):
+    import numpy as np
+
+    nvars = data.draw(st.integers(1, 3))
+    constant = data.draw(st.booleans())
+    coeff = st.one_of(
+        st.integers(-10, 10),
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    )
+    exps = st.tuples(*[st.integers(0, 0 if constant else 5)] * nvars)
+    f = MultiPoly(nvars, data.draw(st.dictionaries(exps, coeff, max_size=8)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if data.draw(st.booleans()):  # broadcast axes
+        shapes = [(2, 1), (1, 2), (2, 1)][:nvars]
+    else:
+        shapes = [(5,)] * nvars
+    axes = [2 * rng.normal(size=s) for s in shapes]
+    if not data.draw(st.booleans()):  # complex axes
+        axes = [a + 2j * rng.normal(size=a.shape) for a in axes]
+    got = f.eval_grid(axes)
+    want, scale = _monomial_sum(f, axes)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 @given(st.data())

@@ -4,6 +4,8 @@ the full plane grid that the exact route, the radial nodes and the
 folded nodes replace."""
 
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -569,3 +571,24 @@ def test_grid_refuses_oversized_integrals():
         batched_log_integrals(rows, [(0,), (1,)], 1, CFG, floor_at_one=True)
     with pytest.raises(DomainError):
         integrate_log_max([poly("z1 + z2 + z3"), poly("1", 3)], CFG)
+
+
+@pytest.mark.parametrize("call", [
+    'v_measure(parse_affine_polynomial("z1*z2 + 3*z1 - z2^2 + 2"), QuadratureConfig())',
+    "count_arith_divisors_bounded(1, 1.0, 2.0, QuadratureConfig())",
+    "sh_set_census(1, 0.25, 4.0, QuadratureConfig())",
+])
+def test_integrals_leave_numpy_ma_unimported(call):
+    # np.unique without index outputs imports numpy.ma (~15 ms), more than
+    # the whole of a small integral
+    code = ("import sys\n"
+            "from cyclezeta.fs_norms import count_arith_divisors_bounded, v_measure\n"
+            "from cyclezeta.height_lab import sh_set_census\n"
+            "from cyclezeta.multipoly import parse_affine_polynomial\n"
+            "from cyclezeta.quadrature import QuadratureConfig\n"
+            f"{call}\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
