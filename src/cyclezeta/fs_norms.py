@@ -22,6 +22,33 @@ Jensen's formula on the tensor scheme, with a measured error (see
 ``quadrature``).  Tuples of polynomials, forms whose dehomogenization is
 not certified squarefree in z2, three or more variables and Monte Carlo
 use the node sets.
+
+Why the divisor census may search coefficient by coefficient: for every
+nonzero integer polynomial p in n variables with partial degrees at most
+k = (k_1, .., k_n) and every monomial J,
+
+    log |a_J| - log prod_i C(k_i, j_i)  <=  log M(p)  <=  integral log |p|,
+
+where M(p) is the Mahler measure (the unit-torus average of log |p|) and
+the integral is against the product Fubini-Study measure.  The left
+inequality is Mahler's (J. London Math. Soc. 37, 1962); a top coefficient
+of zero only lowers the partial degree d_i <= k_i, and C(d, j) <= C(k, j).
+The right one, by induction on n:
+
+* One variable: Jensen's formula gives log |lc| + sum_roots log+ |c| for
+  log M(p) and log |lc| + sum_roots 1/2 log(1 + |c|^2) for the integral,
+  and 1/2 log(1 + |c|^2) >= log+ |c| root by root.
+* n variables: a subharmonic function u of one variable with
+  u(z) <= d log+ |z| + O(1) has a circle mean m(r) that is convex in
+  log r, and the Fubini-Study law of log |z| is symmetric about 0, so
+  the Fubini-Study average of u is at least m(1), its unit-circle
+  average.  For fixed z_2..z_n, z_1 -> log |p| is such a function, so
+  the integral over z_1 is at least the unit-circle average over z_1.
+  That average is a plurisubharmonic function of z_2..z_n of
+  logarithmic growth, and the induction applies to it.
+
+So a form P of multidegree k with delta_lambda(div P) <= h has
+|a_J| <= prod_i C(k_i, j_i) * exp(h - lambda * sum k) at every J.
 """
 
 from __future__ import annotations
@@ -43,6 +70,11 @@ from .records import FrozenRecord
 
 DEFAULT_SEARCH_CAP = 2_000_000
 BAND_FLOOR = 1e-9  # least half-width of the census guard band
+# Log-scale allowance on the census's coefficient caps.  The caps keep
+# every form with delta <= h + 1e-6; a form the census counts or lists as
+# borderline has delta at most h + band + its error, which at n = 1 is
+# h + 1e-9 + ~4e-12, and exp and the float product round by ~1e-15.
+_CAP_SLACK = 1e-6
 
 
 def norms(f: MultiPoly) -> tuple[float, float]:
@@ -137,10 +169,41 @@ def _g_cap(h: float, lam: float) -> float:
     return math.exp(h * math.log(2) / lam) if lam <= math.log(2) else math.exp(h)
 
 
-def _norm_bounded_multidegrees(n: int, total_cap: int):
-    for e in itertools.product(range(total_cap + 1), repeat=n):
-        if sum(e) <= total_cap:
-            yield e
+def _multidegrees(n: int, total: int):
+    """Every n-tuple of nonnegative integers with sum <= total, in lex order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(total + 1):
+        for rest in _multidegrees(n - 1, total - first):
+            yield (first, *rest)
+
+
+def _search_region(n, lam, h, box, search_cap):
+    """(multidegree, monomials, coefficient caps) of every searched slice.
+
+    A member's coefficient at J is at most prod_i C(e_i, j_i) times
+    exp(h - lam * sum(e)) (see the module docstring) and at most ``box``.
+    The whole region is sized before any form is built: more than
+    ``search_cap`` coefficient vectors raise ``SizeCapExceeded``.
+    """
+    kmax_total = math.floor(h / lam + 1e-9)
+    region = []
+    work = 0
+    for e in _multidegrees(n, kmax_total):
+        scale = math.exp(h - lam * sum(e) + _CAP_SLACK)
+        monos = monomial_grid(e)
+        caps = [
+            min(box, math.floor(math.prod(map(math.comb, e, J)) * scale))
+            for J in monos
+        ]
+        work += math.prod(2 * c + 1 for c in caps)
+        if work > search_cap:
+            raise SizeCapExceeded(
+                f"search region exceeds cap {search_cap} at multidegree {e}"
+            )
+        region.append((e, monos, caps))
+    return region
 
 
 def count_arith_divisors_bounded(
@@ -153,14 +216,18 @@ def count_arith_divisors_bounded(
     """Exact count of effective divisors with arithmetic degree <= h.
 
     Divisors on the n-fold product of projective lines over the integers
-    are sign-normalized nonzero integer forms.  Members must satisfy
-    lambda * sum(k) <= h and |P|_inf <= g(h, lambda), so the search region
-    is finite; each candidate's degree is integrated exactly (Jensen's
-    formula, batched per multidegree) and classified with a guard band
-    of +-e around h, where e is the largest measured error among all the
-    integrated candidates, at least ``BAND_FLOOR``.  Monomial degrees
-    lam * sum(k) + log |c| use a zero band.  Borderline candidates are
-    reported, never classified.
+    are sign-normalized nonzero integer forms.  Members satisfy
+    lambda * sum(k) <= h and, coefficient by coefficient,
+    |a_J| <= min(g(h, lambda), prod_i C(k_i, j_i) * exp(h - lambda * sum(k)))
+    (Mahler's inequality, see the module docstring), so the search region
+    is finite; ``search_cap`` bounds its coefficient vectors, counted
+    before anything is integrated.  Each candidate's degree is integrated
+    exactly (Jensen's formula, batched per multidegree) and classified
+    with a guard band of +-e around h, where e is the largest measured
+    error among all the integrated candidates, at least ``BAND_FLOOR``.
+    Monomial degrees lam * sum(k) + log |c| use a zero band.  Borderline
+    candidates are reported, never classified.  ``max_inf_norm`` and
+    ``log_certified_bound`` stay the a-priori values from g(h, lambda).
     """
     if lam <= 0:
         raise DomainError("lambda must be positive")
@@ -168,33 +235,26 @@ def count_arith_divisors_bounded(
         raise DomainError("degree bound h must be >= 0")
     if n < 1:
         raise DomainError("need n >= 1 projective-line factors")
-    g = _g_cap(h, lam)
+    try:
+        g = _g_cap(h, lam)
+    except OverflowError:  # h / lam > 1024 at lam <= log 2
+        g = math.inf
     if g > 1e15:
         raise SizeCapExceeded(f"coefficient cap exp-scale {g:.3g} is not searchable")
     box = math.floor(g + 1e-9)
-    kmax_total = math.floor(h / lam + 1e-9)
 
     log_bound = n * math.log(h / lam + 1) + (h / lam + 1) ** n * math.log(
         2 * g + 1
     )
 
-    work = 0
     count = 0
     batches = []
-    for e in _norm_bounded_multidegrees(n, kmax_total):
-        monos = monomial_grid(e)
-        m = len(monos)
-        vectors = (2 * box + 1) ** m
-        work += vectors
-        if work > search_cap:
-            raise SizeCapExceeded(
-                f"search region exceeds cap {search_cap} at multidegree {e}"
-            )
+    for e, monos, caps in _search_region(n, lam, h, box, search_cap):
         deg_term = lam * sum(e)
         # partition candidates: exact ones (<= 1 nonzero coefficient) vs
         # integrated ones, batched per multidegree
         quad_rows = []
-        for vec in itertools.product(*([range(-box, box + 1)] * m)):
+        for vec in itertools.product(*(range(-c, c + 1) for c in caps)):
             nonzero = [c for c in vec if c]
             if not nonzero:
                 continue

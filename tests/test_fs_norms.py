@@ -1,19 +1,37 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclezeta.errors import AllZero, BandAmbiguity, DomainError, ZeroPolynomial
+from cyclezeta import fs_norms
+from cyclezeta.errors import (
+    AllZero,
+    BandAmbiguity,
+    DomainError,
+    SizeCapExceeded,
+    ZeroPolynomial,
+)
 from cyclezeta.fs_norms import (
+    BAND_FLOOR,
     NormSampleSpec,
     count_arith_divisors_bounded,
     delta_lambda,
+    delta_lambda_with_error,
     lc_sigma_max,
     norms,
     v_measure,
     verify_norm_props,
 )
-from cyclezeta.multipoly import IntegerForm, MultiPoly, parse_affine_polynomial, parse_integer_form
+from cyclezeta.multipoly import (
+    IntegerForm,
+    MultiPoly,
+    monomial_grid,
+    parse_affine_polynomial,
+    parse_integer_form,
+)
 from cyclezeta.quadrature import QuadratureConfig, integrate_log_max, plane_nodes
 
 CFG = QuadratureConfig(nodes_per_dim=128, tolerance=1e-3)
@@ -183,16 +201,106 @@ def test_count_arith_divisors_band_reporting():
     # delta = 1 + log(sqrt(2)); the band must catch it
     h = 1 + 0.5 * math.log(2)
     census = count_arith_divisors_bounded(1, 1.0, h, CFG)
+    assert census.count == 5
     assert len(census.borderline) == 2  # X + Y and X - Y
     with pytest.raises(BandAmbiguity):
         census.raise_if_ambiguous()
 
 
 def test_count_arith_divisors_cap():
-    from cyclezeta.errors import SizeCapExceeded
-
     with pytest.raises(SizeCapExceeded):
         count_arith_divisors_bounded(2, 0.1, 3.0, CFG, search_cap=1000)
+    # g(h, lam) = 2^(h / lam) overflows a float here
+    with pytest.raises(SizeCapExceeded):
+        count_arith_divisors_bounded(1, 1e-4, 1.0, CFG)
+
+
+@pytest.mark.parametrize("n, lam, h", [(1, 1.0, 5.5), (20, 1.0, 3.0)])
+def test_count_arith_divisors_refuses_before_integrating(monkeypatch, n, lam, h):
+    # the region of (1, 1.0, 5.5) passes the default cap only at degree 3;
+    # the refusal must come before degrees 0-2 are integrated
+    calls = []
+    monkeypatch.setattr(fs_norms, "batched_log_integrals_with_error",
+                        lambda *args, **kw: calls.append(args))
+    with pytest.raises(SizeCapExceeded):
+        count_arith_divisors_bounded(n, lam, h, CFG)
+    assert calls == []
+
+
+@st.composite
+def _integer_forms(draw):
+    n = draw(st.sampled_from([1, 2]))
+    multidegree = tuple(draw(st.integers(0, 4 if n == 1 else 2)) for _ in range(n))
+    monos = monomial_grid(multidegree)
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=len(monos),
+                           max_size=len(monos)).filter(any))
+    return IntegerForm.make(n, multidegree, dict(zip(monos, coeffs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_integer_forms(), st.sampled_from([0.3, 1.0, 1.7]))
+def test_mahler_caps_hold_below_the_measured_degree(form, lam):
+    # Mahler's |a_J| <= prod C(k_i, j_i) M(p) and log M(p) <= the
+    # Fubini-Study integral of log |p|: the census's coefficient caps
+    value, err = delta_lambda_with_error(form, lam, QuadratureConfig())
+    k = form.multidegree
+    for J, a in form.coeffs:
+        binom = math.prod(math.comb(ki, ji) for ki, ji in zip(k, J))
+        assert value + err >= lam * sum(k) + math.log(abs(a) / binom)
+
+
+def _uniform_box_census(lam, h):
+    """Census on P^1 over the uniform box |a_j| <= floor(g(h, lam)), by
+    Jensen's formula per row: (count, borderline coefficient vectors)."""
+    g = math.exp(h * math.log(2) / lam) if lam <= math.log(2) else math.exp(h)
+    box = math.floor(g + 1e-9)
+    count, borderline = 0, []
+    for k in range(math.floor(h / lam + 1e-9) + 1):
+        for vec in itertools.product(range(-box, box + 1), repeat=k + 1):
+            nonzero = [c for c in vec if c]
+            if not nonzero or nonzero[-1] < 0:
+                continue
+            top = max(j for j, c in enumerate(vec) if c)
+            roots = np.roots(vec[top::-1]) if top else []
+            value = lam * k + math.log(nonzero[-1]) + 0.5 * math.fsum(
+                math.log1p(abs(r) ** 2) for r in roots)
+            if len(nonzero) == 1:  # monomials are classified exactly
+                count += value <= h
+            elif value <= h - BAND_FLOOR:
+                count += 1
+            elif value <= h + BAND_FLOOR:
+                borderline.append(vec)
+    return count, borderline
+
+
+@pytest.mark.parametrize("lam, h", [
+    (1.0, 2.0), (0.7, 2.04), (0.9, 1.99), (1.0, 1 + 0.5 * math.log(2)),
+])
+def test_census_matches_the_uniform_box_on_p1(lam, h):
+    census = count_arith_divisors_bounded(1, lam, h, CFG)
+    count, borderline = _uniform_box_census(lam, h)
+    assert census.count == count
+    assert [tuple(dict(f.coeffs).get((j,), 0) for j in range(f.multidegree[0] + 1))
+            for f in census.borderline] == borderline
+
+
+@pytest.mark.parametrize("lam, h, count", [
+    (1.0, 2.0, 37), (0.9, 1.8, 36), (0.7, 1.5, 26), (1.0, 1.7, 17),
+])
+def test_census_on_p1_squared(lam, h, count):
+    # counts pinned from the uniform-box search over |a_J| <= floor(g)
+    census = count_arith_divisors_bounded(2, lam, h, QuadratureConfig())
+    assert census.count == count
+    assert census.borderline == ()
+
+
+@pytest.mark.parametrize("h, count", [(2.5, 53), (3.0, 138), (4.0, 1396)])
+def test_census_reaches_past_the_uniform_box(h, count):
+    # the uniform box refuses h = 3 and h = 4 at the default cap
+    census = count_arith_divisors_bounded(1, 1.0, h, CFG)
+    assert census.count == count
+    assert census.borderline == ()
+    assert census.max_inf_norm == math.floor(math.exp(h))
 
 
 def test_verify_norm_props_clean_run():
