@@ -468,8 +468,8 @@ PINNED_OUTPUTS = [
         '"coords": "1,z1", "d": 1, "kind": "nv", "mc_samples": 1000000, '
         '"nodes": 128, "q": "2", "scheme": "tensor_gauss", "tolerance": '
         '0.001}, "provenance": "infinity degrees plus Fubini-Study '
-        'integral", "results": {"height": {"error": 5.678083896915043e-05, '
-        '"value": 1.3465544705452153}}}\n'
+        'integral", "results": {"height": {"error": 5.678083896920594e-05, '
+        '"value": 1.3465544705452155}}}\n'
     ),
     (
         'height ff --coords 1,t^2+1 --q 2',
@@ -527,7 +527,7 @@ PINNED_OUTPUTS = [
         '"value": true}, "analytic_lower_bound": {"error": 0.0, "value": '
         '2.718281828459045}, "coeff_box": {"error": 0, "value": "14"}, '
         '"count": {"error": 0, "value": "841"}, "max_height": {"error": '
-        '0.0007621847286305439, "value": 3.986130506979501}}}\n'
+        '0.0007621847286256589, "value": 3.986130506979503}}}\n'
     ),
     (
         'verify norms --samples 3 --seed 7 --nvars 2 --maxdeg 3 --nodes 16',

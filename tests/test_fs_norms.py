@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclezeta import fs_norms
+from cyclezeta import fs_norms, quadrature
 from cyclezeta.errors import (
     AllZero,
     BandAmbiguity,
@@ -225,6 +225,19 @@ def test_count_arith_divisors_refuses_before_integrating(monkeypatch, n, lam, h)
     with pytest.raises(SizeCapExceeded):
         count_arith_divisors_bounded(n, lam, h, CFG)
     assert calls == []
+
+
+@pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(scheme="monte_carlo", seed=1)])
+def test_count_arith_divisors_beyond_two_variables_refused_before_integrating(
+        monkeypatch, cfg):
+    # no scheme integrates these rows, so the one message names none
+    for name in ("_jensen_rows", "_jensen_2var", "_grid"):
+        monkeypatch.setattr(quadrature, name, None)
+    with pytest.raises(DomainError, match="limited to 2 complex variables") as info:
+        count_arith_divisors_bounded(3, 1.0, 1.5, cfg)
+    assert "monte_carlo" not in str(info.value) and "tensor" not in str(info.value)
+    # below h = lam only monomials qualify, and they need no integral
+    assert count_arith_divisors_bounded(3, 1.0, 0.5, cfg).count == 1
 
 
 @st.composite

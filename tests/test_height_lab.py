@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,3 +281,31 @@ def test_sh_set_table_integrates_one_row_per_sign_class_on_folded_nodes(monkeypa
     _, rows, _, _, _ = sh_set_table(1, 0.25, 4.0, QuadratureConfig(nodes_per_dim=n))
     assert len(rows) == 841
     assert calls == [[225, n * n]]
+
+
+def test_degree_zero_sh_set_box_integrates_on_radial_nodes(monkeypatch):
+    # a degree cap of 0 leaves constants, which are angle-free: 2 n radial
+    # nodes each on n and on n / 2 nodes, never the n^2 folded ones
+    used = []
+    for name in ("plane_nodes", "_folded_nodes", "_radial_nodes"):
+        original = getattr(quadrature, name)
+
+        def recording(m, name=name, original=original):
+            used.append((name, m))
+            return original(m)
+        monkeypatch.setattr(quadrature, name, recording)
+    census = sh_set_census(1, 0.15, 5.0, QuadratureConfig())
+    assert census.degree_cap == 0
+    assert used == [("_radial_nodes", 64), ("_radial_nodes", 32)]
+
+
+def test_sh_set_census_grid_works_in_small_tiles():
+    # the grid reuses a few buffers of at most _TILE floats (256 kB); with
+    # blocks of 2^20 complex entries (16 MB) this census peaked near 25 MB
+    tracemalloc.start()
+    try:
+        sh_set_census(1, 0.22, 4.6, QuadratureConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

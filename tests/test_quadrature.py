@@ -275,15 +275,20 @@ def test_log_integral_is_additive(f_coeffs, g_coeffs):
 # grid route: variables the integrand sees only through |z_j|
 # ---------------------------------------------------------------------------
 
+def _direct_grid(polys, nvars, axes, floor=0.0):
+    """log max(floor, max_i |f_i|) by complex Horner evaluation and np.abs,
+    on the (z, w) node sets given one per axis."""
+    (z1, w1), (z2, w2) = list(axes) + [(np.ones(1), np.ones(1))] * (2 - nvars)
+    vals = np.full(len(z1) * len(z2), floor)
+    for f in polys:
+        points = [z1[:, None], z2[None, :]][:nvars]
+        vals = np.maximum(vals, np.abs(f.eval_grid(points)).ravel())
+    return float(np.outer(w1, w2).ravel() @ np.log(vals))
+
+
 def _full_grid(polys, nvars, n, floor_at_one=False):
     """log max_i |f_i| (and 1 when floored) on the full plane grid per axis."""
-    z, w = plane_nodes(n)
-    axes = [z] if nvars == 1 else [z[:, None], z[None, :]]
-    vals = np.ones(len(z) ** nvars) if floor_at_one else np.zeros(len(z) ** nvars)
-    for f in polys:
-        vals = np.maximum(vals, np.abs(f.eval_grid(axes)).ravel())
-    weights = w if nvars == 1 else np.outer(w, w).ravel()
-    return float(weights @ np.log(vals))
+    return _direct_grid(polys, nvars, [plane_nodes(n)] * nvars, float(floor_at_one))
 
 
 _monomials = st.tuples(
@@ -548,17 +553,80 @@ def test_grid_equals_the_full_grid_on_two_variable_floored_rows(n, rows):
 
 
 def test_grid_blocks_do_not_change_the_integrals(monkeypatch):
-    # tiny blocks split the rows into groups and the z1 nodes into chunks
+    # tiny tiles split the rows into groups, the z2 nodes into chunks and
+    # the radii of one column into pieces: only the rounding may change
     rng = np.random.default_rng(11)
     rows = rng.integers(-5, 6, (7, len(_SQUARE))) + 1j * rng.integers(-2, 3, (7, len(_SQUARE)))
     polys = [_rows_poly(2, _SQUARE, row) for row in rows[:3]]
+    real = rng.integers(-5, 6, (10, 4)).astype(float)
     cfg = QuadratureConfig(nodes_per_dim=9)
-    whole = batched_log_integrals(rows, _SQUARE, 2, cfg, floor_at_one=True)
-    tuple_value = integrate_log_max(polys, cfg)
-    monkeypatch.setattr(quadrature, "_BLOCK", 40)
-    blocked = batched_log_integrals(rows, _SQUARE, 2, cfg, floor_at_one=True)
-    assert np.allclose(blocked, whole, rtol=1e-13, atol=1e-13)
-    assert integrate_log_max(polys, cfg) == pytest.approx(tuple_value, rel=1e-13, abs=1e-13)
+
+    def integrals():
+        return (batched_log_integrals(rows, _SQUARE, 2, cfg, floor_at_one=True),
+                integrate_log_max(polys, cfg),
+                batched_log_integrals(real, _EXPONENTS[1], 1, cfg, floor_at_one=True))
+    whole = integrals()
+    for tile in (1, 40, 700):
+        monkeypatch.setattr(quadrature, "_TILE", tile)
+        for tiled, value in zip(integrals(), whole):
+            assert np.allclose(tiled, value, rtol=1e-13, atol=1e-13), tile
+
+
+# supports: every function on all exponents, or each on its own slice so
+# that an axis is angle-free (a single exponent of that variable each)
+_KERNEL_CASES = [(1, "full", n) for n in (8, 9, 15, 64)] + [
+    (1, "angle-free", n) for n in (8, 9, 15, 64)] + [
+    (2, shape, n) for shape in ("full", "z1 angle-free", "z2 angle-free")
+    for n in (8, 9, 15)]
+
+
+@pytest.mark.parametrize("nvars, shape, n", _KERNEL_CASES)
+def test_grid_kernel_equals_direct_complex_evaluation(monkeypatch, nvars, shape, n):
+    # the real-arithmetic kernel against |f| evaluated in complex
+    # arithmetic on the very node sets it chose
+    chosen = []
+    axis_nodes = quadrature._axis_nodes
+
+    def recording(*args):
+        chosen.append(axis_nodes(*args))
+        return chosen[-1]
+    monkeypatch.setattr(quadrature, "_axis_nodes", recording)
+    exponents = _EXPONENTS[1] if nvars == 1 else _SQUARE
+    rng = np.random.default_rng(n)
+    for real in (True, False):
+        for k in (1, 2, 3):
+            C = rng.normal(size=(2, k, len(exponents)))
+            if not real:
+                C = C + 1j * rng.normal(size=C.shape)
+            for i in range(k):
+                if shape == "angle-free":  # function i is a monomial in z1
+                    C[:, i, [j for j in range(len(exponents)) if j != i]] = 0
+                elif shape != "full":  # function i has z_axis-exponent i
+                    axis = int(shape[1]) - 1
+                    C[:, i, [j for j, e in enumerate(exponents) if e[axis] != i]] = 0
+            for floor in (1.0, quadrature._TINY):
+                value = quadrature._grid(C, exponents, nvars, n, floor)
+                ref = np.array([_direct_grid(
+                    [_rows_poly(nvars, exponents, coeffs) for coeffs in row],
+                    nvars, chosen[-1], floor) for row in C])
+                assert np.all(np.abs(value - ref) <= 1e-12 * (1 + np.abs(ref))), (
+                    real, k, floor, value, ref)
+                if shape != "full":
+                    assert any(len(z) == 2 * n for z, _ in chosen[-1])
+
+
+def test_grid_scales_rows_whose_squared_modulus_would_overflow():
+    # |f| reaches 1e250 (a coefficient) and 1e155 (z^90 at the outermost
+    # radius, about 53 at n = 64): past 1e154, |f|^2 is no float
+    exponents = [(0,), (1,), (2,), (90,)]
+    C = np.array([[[1e250, 3.0, 1e-5, 0.0]], [[0.0, 1.0, 0.0, 1.0]],
+                  [[1.0, 2.0, 3.0, 0.0]]])
+    nodes = [quadrature._folded_nodes(64)]
+    for floor in (1.0, quadrature._TINY):
+        value = quadrature._grid(C, exponents, 1, 64, floor)
+        ref = [_direct_grid([_rows_poly(1, exponents, row[0])], 1, nodes, floor)
+               for row in C]
+        assert np.allclose(value, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_grid_refuses_oversized_integrals():
