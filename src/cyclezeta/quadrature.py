@@ -90,7 +90,12 @@ is then 1/2 log max(floor^2, max_i (Re^2 f_i + Im^2 f_i)), with no
 hypot.  A squared floor below the smallest normal float is raised to it
 (the floor 1e-300 of log max_i |f_i| acts as ~1.5e-154), and a row
 whose |f|^2 overflows at some node (|f| past 2^512) is redone scaled by
-a power of two, exactly, with its floor.
+a power of two, exactly, with its floor.  The powers of the largest
+radius (~54 at 64 nodes, ~426 at 512) must themselves be floats, so a
+monomial of total degree d with d log(r_max) past log(2^1024) is refused
+with ``SizeCapExceeded`` before the grid runs: degree 178 is the most at
+64 nodes, 117 at 512.  A row whose coefficients overflow the scaling
+bound is refused too, after the grid.
 The work runs in tiles of at most ``_TILE`` = 2^15 floats (256 kB) per
 buffer, through buffers allocated once per call.  Against complex
 evaluation with np.abs in blocks of 2^20 complex entries (16 MB), a
@@ -450,6 +455,7 @@ def _jensen_2var(polys, n: int):
 # cap (at most 1e5 rows on 4 096 folded nodes) and refuses a two-variable
 # box of 3.7e3 sign classes on 3.4e7 nodes.
 GRID_CAP = 10 ** 9
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # radius powers (module docstring)
 _TILE = 1 << 15  # float64 entries per work buffer of the grid (module docstring)
 
 
@@ -499,6 +505,14 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
         )
     E = [tuple(e) + (0,) * (2 - nvars) for e in exponents]
     d1, d2 = (1 + max(col) for col in zip(*E))
+    degree = max(map(sum, E))
+    rmax = _radial_rule(n)[0][0] ** -0.5  # every axis has these radii
+    if degree * math.log(rmax) > _LOG_FLOAT_MAX:
+        raise SizeCapExceeded(
+            f"degree {degree} on {n} nodes per dimension: the largest radius "
+            f"{rmax:.4g} to that power passes the float range (at most degree "
+            f"{int(_LOG_FLOAT_MAX / math.log(rmax))} there); lower nodes_per_dim"
+        )
     G = np.zeros((d1, k, rows, d2), dtype=float if real else complex)
     for j, (a, b) in enumerate(E):
         G[a, :, :, b] += (C[:, :, j].real if real else C[:, :, j]).T
@@ -544,10 +558,15 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
     out *= 0.5
     if not np.isfinite(out).all():
         # |f|^2 passed 2^1024: the rows whose sum |c| rho^a |z2|^b passes
-        # 2^500 on the grid (every axis has the radii of _radial_rule(n))
-        # are redone scaled by a power of two 2^-e, exactly, with their floor
-        rmax = _radial_rule(n)[0][0] ** -0.5
-        bound = np.abs(C).max(axis=1) @ rmax ** np.sum(E, axis=1)
+        # 2^500 on the grid are redone scaled by a power of two 2^-e,
+        # exactly, with their floor
+        with np.errstate(over="ignore"):
+            bound = np.abs(C).max(axis=1) @ rmax ** np.sum(E, axis=1)
+        if not np.isfinite(bound[~np.isfinite(out)]).all():
+            raise SizeCapExceeded(
+                "coefficients too large for a grid integral: sum |c| r_max^deg "
+                "passes the float range"
+            )
         e = np.maximum(np.frexp(bound)[1] - 500, 0)
         for shift in set(e[e > 0].tolist()):
             redo = np.flatnonzero(e == shift)

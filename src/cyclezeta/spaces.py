@@ -40,40 +40,48 @@ PRIME_CAP = _MR_BASES[-1][0]
 BIT_CAP = 1 << 21
 
 
-# The flags of the most recent ``primes_upto`` sieve: byte n is 1 exactly
-# when n is prime.  A sieve is a proof, so ``is_prime`` reads it for the n
-# it covers instead of proving them again.
+# The odd-number flags of the most recent ``primes_upto`` sieve: byte i is
+# 1 exactly when 2i + 1 is prime, for every odd 2i + 1 up to its limit.  A
+# sieve is a proof, so ``is_prime`` reads it for the n it covers (every
+# n < 2 len(_sieve_flags), the even ones being prime only at 2) instead of
+# proving them again.
 _sieve_flags = bytearray()
 
 
 def primes_upto(limit: int) -> list[int]:
     """The primes p <= limit in ascending order, by the sieve of Eratosthenes.
 
-    The sieve's flags replace the prime table that ``is_prime`` reads, so
-    the primes returned here are never re-proven by Miller-Rabin.
+    Only odd numbers are sieved, so the table is half the limit in bytes
+    (5 MB at 10^7).  Its flags replace the prime table that ``is_prime``
+    reads, so the primes returned here are never re-proven by Miller-Rabin.
     """
     global _sieve_flags
     if limit < 2:
         return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i::i] = bytes(len(range(i * i, limit + 1, i)))
-    _sieve_flags = flags
-    return list(compress(range(limit + 1), flags))
+    size = (limit + 1) // 2  # the odd numbers 1, 3, .., <= limit
+    odd = bytearray([1]) * size
+    odd[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            # p^2 has index p^2 // 2, and its odd multiples p^2 + 2p, ... follow p apart
+            odd[p * p // 2::p] = bytes(len(range(p * p // 2, size, p)))
+    _sieve_flags = odd
+    return [2, *compress(range(1, limit + 1, 2), odd)]
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality: the latest sieve's table, else Miller-Rabin.
 
-    n inside the table of the most recent ``primes_upto`` call is read
-    from it; any other n is tested by Miller-Rabin on proven base sets,
-    exact for every n below ``PRIME_CAP`` (about 3.3e24).  Larger n are
-    refused with ``SizeCapExceeded`` rather than answered probabilistically.
+    n below twice the length of the table of the most recent
+    ``primes_upto`` call is read from it (an odd n from its flag, an even
+    n is prime iff n == 2); any other n is tested by Miller-Rabin on
+    proven base sets, exact for every n below ``PRIME_CAP`` (about
+    3.3e24).  Larger n are refused with ``SizeCapExceeded`` rather than
+    answered probabilistically.
     """
-    if 0 <= n < len(_sieve_flags):
-        return _sieve_flags[n] == 1
+    if 0 <= n < 2 * len(_sieve_flags):
+        return _sieve_flags[n >> 1] == 1 if n & 1 else n == 2
     if n >= PRIME_CAP:
         raise SizeCapExceeded(
             f"primality is only proven below {PRIME_CAP}, got {n.bit_length()} bits"

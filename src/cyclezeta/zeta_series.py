@@ -33,8 +33,10 @@ from .spaces import PrimePower, ProjSpace, SpaceDescriptor, primes_upto, top_deg
 SPEC_Z_AUDIT_CAP = 10 ** 6
 # Longest run of integers that one call may walk: the primes up to an
 # Euler product's pmax, or the integers of a direct integer-spectrum sum.
-# At 10^7 the sieve takes about 0.5 s and 52 MB and the sum about 1.4 s;
-# each grows linearly, so 10^9 would need gigabytes or minutes.
+# At 10^7 the odd-only sieve takes about 0.25 s, the whole 0-cycle
+# product of P^2 about 0.5 s in 48 MB (mostly the list of 664 579
+# primes), and the sum about 0.9 s (Python 3.11, one core of a 2-vCPU
+# x86 VM); each grows linearly, so 10^9 would need gigabytes or minutes.
 RANGE_CAP = 10 ** 7
 _UNIT_ROUNDOFF = 2.0 ** -53
 # Tail bound below which ``_series_euler_product`` truncates each local series.
@@ -113,10 +115,13 @@ def l_function_partial_with_error(n: int, l: int, s: complex, pmax: int):
     all primes.  0-cycles multiply the exact cellular factors (see
     ``_cellular_euler_product``); top cycles and divisors multiply local
     series truncated where their tail bound is below ``_TAIL_TOL``.
+    A negative ``pmax`` is refused, and 0 or 1 is the empty product;
     ``pmax`` above ``RANGE_CAP`` is refused before the sieve runs.
     """
     if n < 0:
         raise DomainError("ambient dimension must be >= 0")
+    if pmax < 0:
+        raise DomainError("pmax must be >= 0")
     if pmax > RANGE_CAP:
         raise SizeCapExceeded(
             f"pmax = {pmax} above {RANGE_CAP}: the prime sieve is refused"
@@ -151,6 +156,15 @@ def _cellular_euler_product(n: int, s: complex, pmax: int):
     plus the integral from 2.  Joining the n + 1 products costs 3u per
     multiplication and the final inversion at most 16u.  The sum of these
     relative errors is doubled to cover their second-order terms.
+
+    A real s that is not an integer is multiplied out in floats, with the
+    bits of the complex arithmetic: Python's complex power of p > 0 to an
+    exponent with zero imaginary part and a non-integral real part has
+    zero phase and returns libm's pow(p, j - sigma) as its real part (and
+    0 as its imaginary part), complex products of numbers with zero
+    imaginary parts reduce to the float products, and (1+0j)/(d+0j) is
+    1/d.  An integral sigma keeps the complex arithmetic, whose power takes
+    integral exponents up to 100 by binary powering instead of libm pow.
     """
     sigma = s.real
     if sigma <= n + 1:
@@ -168,11 +182,14 @@ def _cellular_euler_product(n: int, s: complex, pmax: int):
             f"|Im(s)| = {abs(s.imag)} is too large for a rounding bound"
         )
     primes = primes_upto(pmax)
-    one = complex(1.0)
+    if s.imag == 0 and not sigma.is_integer():
+        one, t = 1.0, sigma
+    else:
+        one, t = complex(1.0), s
     denominator = one
     for j in range(n + 1):
-        denominator *= math.prod(map(one.__sub__, map(pow, primes, repeat(j - s))))
-    value = 1.0 / denominator
+        denominator *= math.prod(map(one.__sub__, map(pow, primes, repeat(j - t))))
+    value = complex(1.0 / denominator)
     above = max(pmax, 1)
     rounding = (4 * (n + 1) * len(primes) + 3 * n + 16) * u
     tail = 0.0
@@ -263,48 +280,46 @@ def _series_euler_product(n: int, l: int, s: complex, pmax: int):
 # the integer-ring specialization
 # ---------------------------------------------------------------------------
 
-def _spec_z_cycle_tuples(cutoff: int):
-    """Every effective 0-cycle of norm <= cutoff, once, as the nondecreasing
-    tuple of its primes (with multiplicity).
+def _spec_z_norms(cutoff: int):
+    """The norm of every effective 0-cycle of norm <= cutoff, once each.
 
-    Depth-first on an explicit stack: a node is a cycle, its norm and the
-    index of its largest prime; its children append one prime no smaller
-    than that.  Children whose own children would pass the cutoff are
-    leaves and are yielded in one slice instead of being pushed.
+    A cycle is a nondecreasing sequence of primes (with multiplicity),
+    walked depth-first on an explicit stack: a node is the norm of a cycle
+    and the index of its largest prime; its children append one prime no
+    smaller than that, multiplying the norm by it.  Children whose own
+    children would pass the cutoff are leaves, and their norms are yielded
+    in one slice instead of being pushed.
     """
     primes = primes_upto(cutoff)
-    singles = [(p,) for p in primes]
-    stack = [((), 1, 0)]
+    stack = [(1, 0)]
     while stack:
-        cycle, norm, lo = stack.pop()
-        yield cycle
+        norm, lo = stack.pop()
+        yield norm
         room = cutoff // norm  # children p <= room; p <= isqrt(room) branch
         inner = bisect_right(primes, math.isqrt(room), lo)
-        yield from map(cycle.__add__, singles[inner:bisect_right(primes, room, inner)])
-        for j in range(lo, inner):
-            stack.append((cycle + singles[j], norm * primes[j], j))
+        yield from map(norm.__mul__, primes[inner:bisect_right(primes, room, inner)])
+        stack.extend(zip(map(norm.__mul__, primes[lo:inner]), range(lo, inner)))
 
 
-def _audited_norms(cycles, cutoff: int):
-    """Yield the norm of each cycle, recomputed from its primes, and check
-    that the norm map is a bijection onto 1..cutoff.
+def _audited_norms(norms, cutoff: int):
+    """Yield each norm of the cycle walk, checking that the norm map is a
+    bijection onto 1..cutoff.
 
-    A norm outside 1..cutoff or seen twice fails at once; a short count
-    fails when the cycles run out.
+    A norm outside 1..cutoff or seen twice fails at once, so each norm
+    marks its own byte; a short count fails when the norms run out.
     """
     seen = bytearray(cutoff + 1)
-    count = 0
-    for norm in map(math.prod, cycles):
+    for norm in norms:
         if not 0 < norm <= cutoff or seen[norm]:
             raise AuditMismatch(
                 f"norm map is not injective into 1..{cutoff}: norm {norm}"
             )
         seen[norm] = 1
-        count += 1
         yield norm
-    if count != cutoff:
+    hits = seen.count(1)
+    if hits != cutoff:
         raise AuditMismatch(
-            f"norm map hits {count} of the {cutoff} integers 1..{cutoff}"
+            f"norm map hits {hits} of the {cutoff} integers 1..{cutoff}"
         )
 
 
@@ -312,11 +327,13 @@ def spec_z_zeta_partial(s: float, cutoff: int, audit: bool = False) -> float:
     """Partial zeta sum over effective 0-cycles of the integer spectrum.
 
     The norm bijection cycles <-> positive integers turns the cycle sum
-    into sum_{m <= cutoff} m^(-s).  Audit mode streams the cycles, checks
-    the bijection and sums their norms, up to ``SPEC_Z_AUDIT_CAP``; fast
-    mode sums integers directly, up to ``RANGE_CAP``.  Larger cutoffs
-    raise ``SizeCapExceeded``.  ``fsum`` is exactly rounded, so both modes
-    give the same float.
+    into sum_{m <= cutoff} m^(-s).  Audit mode walks the cycles, each
+    carrying its norm, streams the norms through a check that they are
+    1..cutoff once each and sums them, up to ``SPEC_Z_AUDIT_CAP``; it
+    never reads the direct sum.  Fast mode sums the integers directly, up
+    to ``RANGE_CAP``.  Larger cutoffs raise ``SizeCapExceeded``.  Both
+    take each term as one libm pow, and ``fsum`` is exactly rounded, so
+    both modes give the same float.
     """
     if s <= 1:
         raise DomainError("need s > 1 for convergence")
@@ -325,13 +342,13 @@ def spec_z_zeta_partial(s: float, cutoff: int, audit: bool = False) -> float:
     if audit:
         if cutoff > SPEC_Z_AUDIT_CAP:
             raise SizeCapExceeded(f"audit cutoff capped at {SPEC_Z_AUDIT_CAP}")
-        norms = _audited_norms(_spec_z_cycle_tuples(cutoff), cutoff)
+        norms = _audited_norms(_spec_z_norms(cutoff), cutoff)
         return math.fsum(map(pow, norms, repeat(-s)))
     if cutoff > RANGE_CAP:
         raise SizeCapExceeded(
             f"cutoff = {cutoff} above {RANGE_CAP}: the direct sum is refused"
         )
-    return math.fsum(m ** (-s) for m in range(1, cutoff + 1))
+    return math.fsum(map(pow, range(1, cutoff + 1), repeat(-s)))
 
 
 def spec_z_zeta_partial_with_error(s: float, cutoff: int, audit: bool = False):

@@ -37,7 +37,7 @@ from cyclezeta.multipoly import IntegerForm, MultiPoly, parse_affine_polynomial
 from cyclezeta.quadrature import QuadratureConfig
 from cyclezeta.spaces import P1Power, PrimePower, ProjSpace
 from cyclezeta.zeta_series import (
-    _spec_z_cycle_tuples,
+    _spec_z_norms,
     abscissa_sequence,
     l_function_partial_with_error,
     spec_z_zeta_partial,
@@ -204,8 +204,7 @@ def test_criterion_09_integer_spectrum_zeta():
     tail_bound = 1.0 / 10 ** 4
     assert abs(partial + tail_bound - math.pi ** 2 / 6) <= 2e-4
     assert 0 <= math.pi ** 2 / 6 - partial <= tail_bound
-    norms = sorted(map(math.prod, _spec_z_cycle_tuples(50)))
-    assert norms == list(range(1, 51))
+    assert sorted(_spec_z_norms(50)) == list(range(1, 51))
     _report(9, "partial sum within tail bound of pi^2/6; norm bijection checked")
 
 

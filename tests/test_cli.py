@@ -186,6 +186,22 @@ def test_lfun_command(capsys):
     assert doc["results"]["real"]["value"] == pytest.approx(manual, rel=1e-9)
 
 
+def test_lfun_refuses_a_negative_pmax(capsys):
+    code, out, err = run_cli(capsys, "lfun", "--n", "1", "--l", "0", "--s", "3.5",
+                             "--pmax", "-5")
+    assert code == 2 and out == ""
+    assert err == "domain error: pmax must be >= 0\n"
+    # pmax 0 and 1 are the empty product
+    for pmax in ("0", "1"):
+        code, out, _ = run_cli(capsys, "lfun", "--n", "1", "--l", "0", "--s", "3.5",
+                               "--pmax", pmax)
+        assert code == 0 and out == (
+            '{"command": "lfun", "parameters": {"l": 0, "n": 1, "pmax": %s, "s": 3.5}, '
+            '"provenance": "partial Euler product of exact cellular local factors", '
+            '"results": {"imag": {"error": 2.4854883252692925, "value": 0.0}, '
+            '"real": {"error": 2.4854883252692925, "value": 1.0}}}\n' % pmax)
+
+
 @pytest.mark.parametrize("n, l, named", [
     (3, 1, "no closed form for l=1 on P3 (dim 3)"),
     (4, 2, "no closed form for l=2 on P4 (dim 4)"),
@@ -263,6 +279,21 @@ def test_height_commands(capsys):
     assert doc["results"]["height"]["value"] == pytest.approx(
         1 + 0.5 * math.log(2), abs=1e-3
     )
+
+
+def test_grid_refuses_radius_powers_past_the_float_range(capsys):
+    # 53.65^178 at the largest radius of 64 nodes is a float, 53.65^179 not
+    doc = run_json(capsys, "height", "nv", "--coords", "1,z1^178+z1", "--d", "1")
+    assert math.isfinite(doc["results"]["height"]["value"])
+    for coords, named in [("1,z1^200+z1", "degree 200 on 64 nodes"),
+                          ("1,z1^179+z1", "degree 179 on 64 nodes"),
+                          ("1,(10^300)*z1^10", "coefficients too large")]:
+        code, out, err = run_cli(capsys, "height", "nv", "--coords", coords, "--d", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("size cap exceeded: " + named)
+    code, out, err = run_cli(capsys, "height", "nv", "--coords", "1,z1^120", "--d", "1",
+                             "--nodes", "512")
+    assert code == 3 and "degree 120 on 512 nodes" in err and "at most degree 117" in err
 
 
 def test_census_commands(capsys):

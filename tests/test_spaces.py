@@ -98,10 +98,25 @@ def _trial_division_flags(limit):
 def test_is_prime_reads_the_sieve_and_beyond(edge):
     expected = _trial_division_flags(2 * 10 ** 5)
     assert primes_upto(edge) == [n for n in range(edge + 1) if expected[n]]
-    assert len(spaces._sieve_flags) == edge + 1
+    # the table covers every n < edge, and no n past edge
+    assert edge <= 2 * len(spaces._sieve_flags) <= edge + 1
     # inside the table, at its edge and past it (Miller-Rabin)
     assert [is_prime(n) for n in range(2 * 10 ** 5)] == expected
     assert not any(is_prime(n) for n in (-7, -2, -1))
+
+
+@pytest.mark.parametrize("edge", [5, 6, 97, 98, 99, 100, 10 ** 4, 10 ** 4 + 7])
+def test_is_prime_at_both_parities_of_the_table_edge(monkeypatch, edge):
+    expected = _trial_division_flags(2 * edge + 50)
+    primes_upto(edge)
+    # 2 and 4, the even numbers the table does not flag, right after a sieve
+    assert is_prime(2) and not is_prime(4)
+    around = range(edge - 3, edge + 4)
+    assert [is_prime(n) for n in around] == [expected[n] for n in around]
+    # every n < edge is read from the table: with no Miller-Rabin bases
+    # left, only n past the table (and past the small primes) would fail
+    monkeypatch.setattr(spaces, "_MR_BASES", ())
+    assert [is_prime(n) for n in range(edge)] == expected[:edge]
 
 
 def test_prime_power_still_proves_user_input_after_a_sieve():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from itertools import repeat
 
 import mpmath
 import pytest
@@ -18,7 +19,7 @@ from cyclezeta.errors import (
 from cyclezeta.exact_counts import cycle_count, cycle_counts, cycle_family, zero_cycle_count
 from cyclezeta.spaces import P1Power, PrimePower, ProjSpace
 from cyclezeta.zeta_series import (
-    _spec_z_cycle_tuples,
+    _spec_z_norms,
     abscissa_sequence,
     l_function_partial_with_error,
     local_zeta_series,
@@ -209,6 +210,40 @@ def test_l_function_builds_cycle_counts_at_most_once(monkeypatch):
         assert len(calls) == (1 if l == n else 0)
 
 
+def _complex_cellular_value(n, s, pmax):
+    # the 0-cycle Euler product in complex arithmetic throughout: the
+    # reference that the float path for real s must match bit for bit
+    primes = spaces.primes_upto(pmax)
+    one = complex(1.0)
+    denominator = one
+    for j in range(n + 1):
+        denominator *= math.prod(map(one.__sub__, map(pow, primes, repeat(j - s))))
+    return 1.0 / denominator
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_cellular_euler_product_is_the_complex_formula_bit_for_bit(n):
+    for sigma in (n + 1.5, n + 2.0, n + 2.718281828, n + 3.0, n + 6.1, n + 40.0):
+        for pmax in (0, 2, 3, 1000, 2 * 10 ** 5):
+            value, err = l_function_partial_with_error(n, 0, sigma, pmax)
+            expected = _complex_cellular_value(n, complex(sigma), pmax)
+            # repr round-trips every float, the sign of a zero imaginary part too
+            assert type(value) is complex and repr(value) == repr(expected)
+
+
+def test_negative_pmax_is_refused_before_the_sieve(monkeypatch):
+    empty = {pmax: l_function_partial_with_error(1, 0, 3.5, pmax) for pmax in (0, 1)}
+    assert empty[0] == empty[1] and empty[0][0] == 1.0  # the empty product
+
+    def no_sieve(limit):
+        raise AssertionError("sieved a negative range")
+
+    monkeypatch.setattr(zeta_series, "primes_upto", no_sieve)
+    for l, s in [(0, 3.5), (1, 2.5)]:
+        with pytest.raises(DomainError, match="pmax must be >= 0"):
+            l_function_partial_with_error(1, l, s, -5)
+
+
 def test_ranges_above_the_cap_are_refused_before_they_start(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("sieved past the cap")
@@ -249,33 +284,15 @@ def test_spec_z_partial_sums():
 
 
 def test_spec_z_audit_bijection():
-    cycles = sorted(_spec_z_cycle_tuples(50), key=math.prod)
-    assert list(map(math.prod, cycles)) == list(range(1, 51))
-    # factorization really is the prime factorization
-    assert cycles[0] == ()
-    assert cycles[11] == (2, 2, 3)
+    # each norm of the cycle walk once: the norm map hits 1..50
+    assert sorted(_spec_z_norms(50)) == list(range(1, 51))
     assert spec_z_zeta_partial(2.0, 50, audit=True) == spec_z_zeta_partial(2.0, 50)
 
 
-def _factorization(m):
-    # the primes of m with multiplicity, ascending
-    fac, p = [], 2
-    while p * p <= m:
-        while m % p == 0:
-            fac.append(p)
-            m //= p
-        p += 1
-    if m > 1:
-        fac.append(m)
-    return tuple(fac)
-
-
 def test_spec_z_cycles_are_the_factorizations():
-    # each cycle once, its primes in ascending order as the enumeration
-    # appends them
-    cycles = sorted(_spec_z_cycle_tuples(3000), key=math.prod)
-    assert cycles == [_factorization(m) for m in range(1, 3001)]
-    assert list(_spec_z_cycle_tuples(1)) == [()]
+    # a nondecreasing prime sequence per integer, so every norm once
+    for cutoff in (1, 50, 3000):
+        assert sorted(_spec_z_norms(cutoff)) == list(range(1, cutoff + 1))
     with pytest.raises(DomainError):
         spec_z_zeta_partial(2.0, 0, audit=True)
     with pytest.raises(SizeCapExceeded):
