@@ -1,0 +1,31 @@
+"""``cyclezeta divcount``: the bounded arithmetic-degree divisor census."""
+
+from __future__ import annotations
+
+from . import CommandResult, _add_quad_args, _finite_float, _params, _quad_config
+
+
+def add_arguments(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--lam", type=_finite_float, required=True)
+    p.add_argument("--h", type=_finite_float, required=True)
+    p.add_argument("--search-cap", type=int)  # default: fs_norms.DEFAULT_SEARCH_CAP
+    _add_quad_args(p)
+
+
+def run(args) -> CommandResult:
+    from .. import fs_norms
+
+    if args.search_cap is None:
+        args.search_cap = fs_norms.DEFAULT_SEARCH_CAP
+    cfg = _quad_config(args)
+    census = fs_norms.count_arith_divisors_bounded(
+        args.n, args.lam, args.h, cfg, search_cap=args.search_cap
+    )
+    res = CommandResult("divcount", _params(args))
+    res.add_int("count", census.count)
+    res.add_float("log_certified_bound", census.log_certified_bound)
+    res.add_int("coeff_box", census.max_inf_norm)
+    res.add_raw("borderline", [str(f) for f in census.borderline])
+    res.provenance = "exhaustive certified-region search with guard band"
+    return res

@@ -1,0 +1,41 @@
+"""``cyclezeta verify``: property verification drivers."""
+
+from __future__ import annotations
+
+from . import CommandResult, _add_quad_args, _params, _quad_config
+
+
+def add_arguments(p):
+    p.add_argument("kind", choices=["norms"])
+    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--nvars", type=int, default=2)
+    p.add_argument("--maxdeg", type=int, default=3)
+    p.add_argument("--coeff-bound", type=int, default=10)
+    _add_quad_args(p, add_seed=False)
+
+
+def run(args) -> CommandResult:
+    from .. import fs_norms
+
+    spec = fs_norms.NormSampleSpec(
+        samples=args.samples, seed=args.seed, nvars=args.nvars,
+        max_degree=args.maxdeg, coeff_bound=args.coeff_bound,
+    )
+    cfg = _quad_config(args)
+    report = fs_norms.verify_norm_props(spec, cfg)
+    res = CommandResult("verify", _params(args))
+    tally = report.tally()
+    res.add_int("checks", len(report.records))
+    res.add_int("pass", tally["pass"])
+    res.add_int("warn", tally["warn"])
+    res.add_int("fail", tally["fail"])
+    res.add_raw(
+        "failures",
+        [
+            {"sample": r.sample, "name": r.name, "lhs": r.lhs, "rhs": r.rhs}
+            for r in report.hard_failures
+        ],
+    )
+    res.provenance = "seeded random polynomials against norm inequalities"
+    return res

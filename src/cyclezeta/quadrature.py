@@ -88,14 +88,18 @@ half takes the same tables with Im X negated, as
 |sum X_a e^(-i a theta)| = |sum conj(X_a) e^(i a theta)|.  The integrand
 is then 1/2 log max(floor^2, max_i (Re^2 f_i + Im^2 f_i)), with no
 hypot.  A squared floor below the smallest normal float is raised to it
-(the floor 1e-300 of log max_i |f_i| acts as ~1.5e-154), and a row
-whose |f|^2 overflows at some node (|f| past 2^512) is redone scaled by
-a power of two, exactly, with its floor.  The powers of the largest
-radius (~54 at 64 nodes, ~426 at 512) must themselves be floats, so a
-monomial of total degree d with d log(r_max) past log(2^1024) is refused
-with ``SizeCapExceeded`` before the grid runs: degree 178 is the most at
-64 nodes, 117 at 512.  A row whose coefficients overflow the scaling
-bound is refused too, after the grid.
+(the floor 1e-300 of log max_i |f_i| acts as ~1.5e-154).  A row whose
+|f|^2 overflows at some node (|f| past 2^512) is redone scaled by a
+power of two 2^-e, exactly, with its floor; e is read from the bound
+(term count) max |c| r_max^deg, formed in the log domain, so a row with
+coefficients such as 10^300 answers too.  The rescaled row keeps
+subnormal values.  It is refused, after the grid, when 2^-e is no normal
+float (e past 1022), or when a node falls below the subnormal range
+while its squared floor does too, as that node would be floored too
+high.  The powers of the largest radius (~54 at 64 nodes, ~426 at 512)
+must themselves be floats, so a monomial of total degree d with
+d log(r_max) past log(2^1024) is refused with ``SizeCapExceeded`` before
+the grid runs: degree 178 is the most at 64 nodes, 117 at 512.
 The work runs in tiles of at most ``_TILE`` = 2^15 floats (256 kB) per
 buffer, through buffers allocated once per call.  Against complex
 evaluation with np.abs in blocks of 2^20 complex entries (16 MB), a
@@ -481,11 +485,13 @@ def _radius_powers(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return powers, signed
 
 
-def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndarray:
+def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float,
+          scaled: bool = False) -> np.ndarray:
     """Integral of log max(floor, max_i |f_ri|) on the grid, one per row r.
 
     ``C[r, i, j]`` is the coefficient of z^exponents[j] in function i of
     row r.  One variable is the case of a single z2 node of weight 1.
+    ``scaled`` marks rows redone by the overflow rescaling below.
     """
     if nvars > 2:
         raise DomainError(
@@ -521,8 +527,12 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
     tables = _angle_table(n, count, d1) if count > 1 else None
     powers = _radius_powers(n, d1)
     W1 = w1.reshape(radii, count)  # node sets are radius-major
-    # |f|^2 below the smallest normal float is not representable
-    floor2 = max(floor * floor, sys.float_info.min)
+    # |f|^2 below the smallest normal float is not representable.  A
+    # rescaled row (below) sits 2^-2e lower and keeps subnormal values;
+    # where its squared floor is below even those, a node under them would
+    # be floored too high, and the row is refused
+    floor2 = max(floor * floor, math.ulp(0.0) if scaled else sys.float_info.min)
+    raised = scaled and floor * floor < floor2
     # a tile holds X at t (function, column, radius) triples, a column
     # being a row at one z2 node, and |f_i|^2 at their t * count nodes; the
     # radial nodes need no X, but larger tiles there only fault in fresh
@@ -551,28 +561,38 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
                     if k > 1:  # max_i |f_i|^2, into the spare buffer
                         re = np.maximum.reduce(re.reshape(k, -1, count), axis=0,
                                                out=im[:len(re) // k])
+                    if raised and re.min() < floor2:
+                        raise SizeCapExceeded(
+                            "coefficients too large for a grid integral: the "
+                            "rescaled values pass below the float range"
+                        )
                     np.maximum(re, floor2, out=re)
                     np.log(re, out=re)
                     s = re.reshape(*cols, -1) @ W1[j0:j1].ravel()
                     out[r0:r0 + cols[0]] += s @ w2[m0:m0 + gm]
     out *= 0.5
-    if not np.isfinite(out).all():
-        # |f|^2 passed 2^1024: the rows whose sum |c| rho^a |z2|^b passes
-        # 2^500 on the grid are redone scaled by a power of two 2^-e,
-        # exactly, with their floor
-        with np.errstate(over="ignore"):
-            bound = np.abs(C).max(axis=1) @ rmax ** np.sum(E, axis=1)
-        if not np.isfinite(bound[~np.isfinite(out)]).all():
+    redo = np.flatnonzero(~np.isfinite(out))
+    if len(redo):
+        # |f|^2 passed 2^1024: those rows are redone scaled by a power of
+        # two 2^-e, exactly, with their floor, so that sum |c| rho^a |z2|^b
+        # stays below 2^501 on the grid.  The bound, (term count) max |c|
+        # r_max^deg, is formed in the log domain: it passes the float range
+        # before the row's integral does
+        with np.errstate(divide="ignore"):
+            log_c = np.log2(np.abs(C[redo]).max(axis=1))
+        log_bound = ((log_c + np.sum(E, axis=1) * math.log2(rmax)).max(axis=1)
+                     + math.log2(len(E)))
+        if not (log_bound < 1522).all():  # 2^-e past the normal floats
             raise SizeCapExceeded(
-                "coefficients too large for a grid integral: sum |c| r_max^deg "
-                "passes the float range"
+                "coefficients too large for a grid integral: scaling "
+                "sum |c| r_max^deg below 2^500 leaves the float range"
             )
-        e = np.maximum(np.frexp(bound)[1] - 500, 0)
+        e = np.maximum(np.floor(log_bound).astype(int) - 499, 0)
         for shift in set(e[e > 0].tolist()):
-            redo = np.flatnonzero(e == shift)
+            part = redo[e == shift]
             scale = 2.0 ** -shift
-            out[redo] = (_grid(C[redo] * scale, exponents, nvars, n, floor * scale)
-                         + shift * math.log(2.0))
+            out[part] = (_grid(C[part] * scale, exponents, nvars, n, floor * scale,
+                               scaled=True) + shift * math.log(2.0))
     return out
 
 

@@ -13,7 +13,8 @@ import pytest
 
 import cyclezeta
 from cyclezeta import cycle_oracle, field_census, spaces, zeta_series
-from cyclezeta.cli import _SPLIT_BITS, _int_text, build_parser, main
+from cyclezeta.cli import build_parser, main
+from cyclezeta.commands import _SPLIT_BITS, _int_text
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +169,43 @@ def test_one_subcommand_parser_matches_the_full_one(capsys, name):
     assert (code, out, err) == _exit(capsys, _full_parse, argv)
 
 
+# every float option, with the other arguments its command needs
+FLOAT_OPTIONS = [
+    ("bound counting-system", "--h"),
+    ("bound product-cycle", "--deg-d"),
+    ("bound product-cycle", "--deg-e"),
+    ("bound product-cycle", "--deg-c"),
+    ("lfun --n 1 --l 0 --pmax 100", "--s"),
+    ("lfun --n 1 --l 1 --pmax 100", "--s"),
+    ("speczeta --cutoff 100", "--s"),
+    ("delta --form X1", "--lam"),
+    ("divcount --n 1 --h 1", "--lam"),
+    ("divcount --n 1 --lam 1", "--h"),
+    ("census ff-points", "--h"),
+    ("census sh-set", "--a"),
+    ("census sh-set", "--h"),
+    ("norm --poly z1", "--tolerance"),
+    ("height nv --coords 1,z1", "--tolerance"),
+    ("verify norms --samples 1 --seed 1", "--tolerance"),
+]
+
+
+@pytest.mark.parametrize("command, option", FLOAT_OPTIONS)
+def test_float_options_refuse_non_finite_values(capsys, command, option):
+    argv = shlex.split(command)
+    for text in ("nan", "NaN", "inf", "-inf", "1e400"):
+        code, out, err = _exit(capsys, main, [*argv, f"{option}={text}"])
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage: cyclezeta {argv[0]} ")
+        assert err.endswith(f"error: argument {option}: non-finite float value: "
+                            f"{text!r}\n")
+    # the message for text that is no number at all is argparse's own
+    code, out, err = _exit(capsys, main, [*argv, option, "abc"])
+    assert code == 1 and out == ""
+    assert err.endswith(f"error: argument {option}: invalid float value: 'abc'\n")
+    assert vars(_full_parse([*argv, option, "2.5"]))[option[2:].replace("-", "_")] == 2.5
+
+
 def test_enum_outputs_forms(capsys):
     doc = run_json(
         capsys, "enum", "divisors", "--space", "pn", "--n", "1",
@@ -287,13 +325,29 @@ def test_grid_refuses_radius_powers_past_the_float_range(capsys):
     assert math.isfinite(doc["results"]["height"]["value"])
     for coords, named in [("1,z1^200+z1", "degree 200 on 64 nodes"),
                           ("1,z1^179+z1", "degree 179 on 64 nodes"),
-                          ("1,(10^300)*z1^10", "coefficients too large")]:
+                          ("1,(10^300)*z1^100", "coefficients too large")]:
         code, out, err = run_cli(capsys, "height", "nv", "--coords", coords, "--d", "1")
         assert code == 3 and out == ""
         assert err.startswith("size cap exceeded: " + named)
     code, out, err = run_cli(capsys, "height", "nv", "--coords", "1,z1^120", "--d", "1",
                              "--nodes", "512")
     assert code == 3 and "degree 120 on 512 nodes" in err and "at most degree 117" in err
+
+
+def test_grid_answers_rows_whose_scaling_bound_passes_the_float_range(capsys):
+    # 10^300 r_max^10 is no float, but its log is: the row is scaled, not
+    # refused; the height of (1 : c z^10) is 10 + log c
+    for e in (30, 200, 300):
+        doc = run_json(capsys, "height", "nv", "--coords", f"1,(10^{e})*z1^10", "--d", "1")
+        height = doc["results"]["height"]
+        exact = 10 + e * math.log(10)
+        assert abs(height["value"] - exact) <= max(height["error"], 1e-12 * exact), e
+    # the rescaled 1 of (1 : z^178 + z) is 2^-1048 squared: kept as a
+    # subnormal, not raised to 2^-1022 (which read 243.93 +- 4.29); the
+    # reference integral 61.691185903 is summed in the log domain
+    doc = run_json(capsys, "height", "nv", "--coords", "1,z1^178+z1", "--d", "1")
+    height = doc["results"]["height"]
+    assert abs(height["value"] - (178 + 61.691185903)) <= height["error"] < 0.1
 
 
 def test_census_commands(capsys):
@@ -853,6 +907,23 @@ def test_no_command_imports_dataclasses():
     assert not any("inspect" in seen[label][0] for label in _NUMPY_FREE_LABELS)
 
 
+# one command per subcommand, each probed in a process of its own
+_ONE_PER_COMMAND = [
+    "count zero-cycles --space pn --n 2 --q 3 --k 4",
+    "enum divisors --space pn --n 2 --q 2 --multidegree 1",
+    "bound constant --n 2 --l 1",
+    "zeta --space pn --n 1 --q 2 --l 0 --kmax 3",
+    "lfun --n 1 --l 0 --s 4 --pmax 1000",
+    "speczeta --s 2 --cutoff 1000 --audit",
+    "height ff --coords 1,t^2+1 --q 2",
+    "census ff-points --q 2 --n 1 --h 1",
+    "norm --poly z1 --nodes 8",
+    "delta --form X1-Y1 --nodes 8",
+    "divcount --n 1 --lam 1 --h 0.5 --nodes 8",
+    "verify norms --samples 1 --seed 1 --nvars 1 --maxdeg 1 --nodes 8",
+]
+
+
 def test_cli_loads_only_the_modules_its_command_runs():
     command = "bound constant --n 2 --l 1"
     seen = _probe(command)
@@ -864,6 +935,35 @@ def test_cli_loads_only_the_modules_its_command_runs():
     unused = {"cyclezeta.cycle_oracle", "cyclezeta.zeta_series",
               "cyclezeta.multipoly", "cyclezeta.height_lab"}
     assert not seen[command][1] & unused
+    assert {line.split()[0] for line in _ONE_PER_COMMAND} == set(SUBCOMMANDS)
+    for line in _ONE_PER_COMMAND:
+        loaded = {m for m in _probe(line)[line][1] if m.startswith("cyclezeta.commands.")}
+        assert loaded == {f"cyclezeta.commands.{line.split()[0]}"}, line
+
+
+# runs the dispatcher as python -m does, then lists the cyclezeta modules
+_RUN_AS_MAIN = """
+import contextlib, io, runpy, sys
+sys.argv[0] = "cyclezeta"
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    runpy.run_module("cyclezeta.cli", run_name="__main__", alter_sys=True)
+print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "cyclezeta")))
+"""
+
+
+@pytest.mark.parametrize("argv", ["count zero-cycles --space pn --n 2 --q 3 --k 4",
+                                  "lfun --n 1 --l 0 --s 4 --pmax 100", "--help"])
+def test_running_the_cli_module_never_imports_it_by_name(argv):
+    # under python -m the dispatcher is __main__; a command module that
+    # imported cyclezeta.cli would compile it again, with a second
+    # CommandResult class
+    proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN, *shlex.split(argv)],
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "cyclezeta.cli" not in loaded
+    names = SUBCOMMANDS if argv == "--help" else [argv.split()[0]]
+    assert {m for m in loaded if m.startswith("cyclezeta.commands.")} == {
+        f"cyclezeta.commands.{name}" for name in names}
 
 
 _NO_NUMPY = """

@@ -629,6 +629,29 @@ def test_grid_scales_rows_whose_squared_modulus_would_overflow():
         assert np.allclose(value, ref, rtol=1e-12, atol=1e-12)
 
 
+def test_grid_redoes_only_the_rows_that_overflow():
+    # |1e152 + z + z^10| stays below 2^512 on the grid, so that row keeps
+    # its bits next to a row whose bound 1e300 r_max^10 is no float; that
+    # row is scaled in the log domain and answers log 1e300 (Jensen)
+    exponents = [(0,), (1,), (10,)]
+    finite = np.array([[[1e152, 1.0, 1.0]]])
+    big = np.array([[[1.0, 0.0, 1e300]]])
+    alone = quadrature._grid(finite, exponents, 1, 64, 1.0)
+    both = quadrature._grid(np.concatenate([finite, big]), exponents, 1, 64, 1.0)
+    assert both[0] == alone[0]
+    assert math.isclose(both[1], 300 * math.log(10), rel_tol=1e-13)
+    # scaling 1e300 z^100 below 2^500 takes a scale 2^-1072: no normal float
+    exponents = [(0,), (100,)]
+    with pytest.raises(SizeCapExceeded, match="coefficients too large"):
+        quadrature._grid(np.array([[[1.0, 1e300]]]), exponents, 1, 64, 1.0)
+    # 1 + 1e150 z^100 takes 2^-575, and |f|^2 ~ 2^-1150 at the inner
+    # radii is below every float, as is the squared floor: raised to
+    # 2^-1074, the floor would act as 2^38 there, not as 1
+    for floor in (1.0, quadrature._TINY):
+        with pytest.raises(SizeCapExceeded, match="below the float range"):
+            quadrature._grid(np.array([[[1.0, 1e150]]]), exponents, 1, 64, floor)
+
+
 def test_grid_refuses_oversized_integrals():
     # real tuples at 128 nodes: 2 functions on 16 384 x 32 768 nodes
     polys = [poly("z1 + z2"), poly("7", 2)]

@@ -10,7 +10,7 @@ import copy
 import pytest
 
 from cyclezeta.bound_engine import CountingSystemSpec, ExplicitConstant
-from cyclezeta.cli import CommandResult
+from cyclezeta.commands import CommandResult
 from cyclezeta.cycle_oracle import ClosedPoint, FormClass, ZeroCycle
 from cyclezeta.errors import DomainError
 from cyclezeta.field_census import ClosedPointCensus
