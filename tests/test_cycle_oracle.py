@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -24,7 +25,7 @@ from cyclezeta.exact_counts import (
     divisor_count_by_degree,
     zero_cycle_count,
 )
-from cyclezeta.field_census import closed_point_census
+from cyclezeta.field_census import closed_point_census, point_count
 from cyclezeta.finite_fields import field
 from cyclezeta.spaces import P1Power, PrimePower, Product, ProjSpace
 
@@ -55,6 +56,34 @@ def test_closed_point_keys_are_canonical_and_sorted():
             assert keys == sorted(keys) and len(keys) == len(set(keys))
             assert all(key == min(_orbit(key, F, q.q)) for key in keys)
 
+
+
+_PIN_FIELDS = {2: PrimePower(2), 3: Q3, 4: PrimePower(2, 2), 5: PrimePower(5),
+               7: PrimePower(7), 8: PrimePower(2, 3), 9: PrimePower(3, 2)}
+
+
+# sha256 of the (degree, orbit_key) lists of every q above and every d with
+# at most 6 * 10^4 points over F_(q^d), and the number of (q, d) cases
+@pytest.mark.parametrize("space, digest, cases", [
+    (P1, "2e0875d49c918a29ca532a5cfbad436ac12f98db360c3d1df1639fae34171cec", 53),
+    (P2, "b813565a64f48200fa3b247f6c1aec91316f0273965aa14f31a4fedfca9cafd9", 24),
+    (ProjSpace(3), "12de529c3047c0fd4fc4aa881a436b37939a1d58a5732dd3b588f63559053307", 15),
+    (P1Power(2), "879146bc4aacb52fe39e1d5da89bea3c5feafc47519bad88a7ad35c840e3db50", 24),
+    (P1Power(3), "f5d7bd9742b0078361eb4963cea957fdb2e12ded0e71de15788e339c5405770f", 15),
+    (Product(P2, P1), "b3e969991e58daa61c4797720b02247e0c1a27ad8fd582284ac7df7a4a02e504", 15),
+], ids=["P1", "P2", "P3", "(P1)^2", "(P1)^3", "P2xP1"])
+def test_closed_point_keys_pinned(space, digest, cases):
+    h = hashlib.sha256()
+    seen = 0
+    for q, pp in _PIN_FIELDS.items():
+        d = 1
+        while point_count(space, pp, d) <= 6 * 10 ** 4:
+            # uncached, so the test keeps no point lists alive
+            pts = closed_points.__wrapped__(space, pp, d)
+            h.update(repr((q, d, [(p.degree, p.orbit_key) for p in pts])).encode())
+            d += 1
+            seen += 1
+    assert (h.hexdigest(), seen) == (digest, cases)
 
 def test_enum_divisors_examples():
     assert len(enum_divisors(P1, Q2, (1,))) == 3

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -148,6 +149,22 @@ def test_iter_ff_points_is_the_plain_filter(p, n, h):
             expected.append(coords)
     assert [pt.coords for pt in iter_ff_points(PrimePower(p), n, h)] == expected
 
+
+
+@pytest.mark.parametrize("q, n, h, count, digest", [
+    (Q2, 1, 4, 513, "f69bb3b87bad340fdf861d3d57db24fd32a7638b59d883a17eeca344fbf09d0c"),
+    (PrimePower(2, 2), 1, 2, 1025,
+     "deb2bb191a409e1d3a19f3e21999e85c926a9f4f65c6ef84e1656888d11ae0e9"),
+    (Q3, 2, 1, 325, "3619279e9e89a5bd56475948400d14ae20783b001204d78cfbf51766e8750863"),
+    (Q2, 3, 1, 225, "603356c8e20f4cfef90b5a0e6742dd5e99bc5e66f476e24729a1b3d80b08ab1d"),
+    (Q2, 1, 0, 3, "18a4c7d24450e2579cc13246eabef8a5c2bd57762ee04098f2b43a6b74e21d1a"),
+    (Q3, 3, 0, 40, "8ae73ba95f74f7a60f0d3a0910e29b6cd98f2fe1010ac458d07fcaa8f1e64cad"),
+    (Q2, 1, 6, 8193, "12fda56aa656b5e8f844ce405903dd69eca7790e1759254ce40fe44189681ed4"),
+], ids=["q2-n1-h4", "q4-n1-h2", "q3-n2-h1", "q2-n3-h1", "q2-n1-h0", "q3-n3-h0", "q2-n1-h6"])
+def test_iter_ff_points_order_pinned(q, n, h, count, digest):
+    coords = [pt.coords for pt in iter_ff_points(q, n, h)]
+    assert len(coords) == count == count_ff_points(q, n, h)
+    assert hashlib.sha256(repr(coords).encode()).hexdigest() == digest
 
 def test_count_ff_cap():
     with pytest.raises(SizeCapExceeded):
