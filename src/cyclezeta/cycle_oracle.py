@@ -26,6 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from itertools import compress
+from operator import eq, lt
 
 from . import exact_counts
 from .errors import DomainError, SizeCapExceeded
@@ -45,19 +47,14 @@ Point = tuple[tuple[int, ...], ...]  # one coordinate tuple per block
 # points and Frobenius orbits
 # ---------------------------------------------------------------------------
 
-def _leading_one_vectors(length: int, q: int):
+def _leading_one_vectors(length: int, q: int) -> list[tuple[int, ...]]:
     """Every vector in F_q^length whose first nonzero entry is 1, sorted: more
     leading zeros come first, and ``itertools.product`` sorts each tail."""
+    out = []
     for lead in range(length - 1, -1, -1):
         head = (0,) * lead + (1,)
-        for tail in itertools.product(range(q), repeat=length - 1 - lead):
-            yield head + tail
-
-
-def _space_points(space: SpaceDescriptor, F: Fq):
-    """The normalized points over F, in lexicographic order."""
-    blocks = [list(_leading_one_vectors(n + 1, F.order)) for n in space.slot_dims]
-    return itertools.product(*blocks)
+        out += map(head.__add__, itertools.product(range(q), repeat=length - 1 - lead))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -93,9 +90,46 @@ class ClosedPoint(FrozenRecord):
         return (self.degree, self.orbit_key)
 
 
+def _frobenius_permutation(space: SpaceDescriptor, F: Fq, q: int):
+    """The normalized points of the space over F, numbered in lexicographic
+    order, as Frobenius a -> a^q permutes them.
+
+    Returns (blocks, perm): ``blocks[b]`` lists the leading-one vectors of
+    block b in order, point i is the tuple of block vectors given by the
+    digits of i in the mixed radix of the block sizes (first block most
+    significant), and Frobenius maps point i to point ``perm[i]``.
+    """
+    Q = F.order
+    frob = _frobenius_table(F, q)
+    blocks, perm = [], [0]
+    for n in space.slot_dims:
+        # the vectors with a tail of length t follow the (Q^t - 1)/(Q - 1)
+        # with shorter tails; Frobenius fixes the leading 1 and maps the
+        # tail with base-Q digits (.., a, b) to (.., frob a, frob b)
+        block, tail = [0], [0]
+        for _ in range(n):
+            tail = [x * Q + f for x in tail for f in frob]
+            block += map(len(block).__add__, tail)
+        size = len(block)
+        perm = [x * size + y for x in perm for y in block]
+        blocks.append(_leading_one_vectors(n + 1, Q))
+    return blocks, perm
+
+
 @lru_cache(maxsize=None)
 def closed_points(space: SpaceDescriptor, q: PrimePower, d: int) -> tuple[ClosedPoint, ...]:
-    """All closed points of residue degree exactly d, canonically sorted."""
+    """All closed points of residue degree exactly d, canonically sorted.
+
+    Frobenius over F_q acts on the points over F_(q^d) as the permutation
+    of ``_frobenius_permutation``, and its d-th power is the identity, so
+    each orbit has a size s dividing d: s is the least j > 0 with
+    perm^j(i) = i, and perm^d(i) = i forces s | d.  Hence i is the key (the
+    least index) of an orbit of size exactly d iff i < perm^j(i) for every
+    j = 1 .. d - 1: an orbit of size s < d fails at j = s, and on an orbit
+    of size d those are the d - 1 other members.  The candidates are
+    filtered one power of the permutation at a time, and only the keys are
+    decoded into coordinates.
+    """
     if d < 1:
         raise DomainError("residue degree must be >= 1")
     if point_count(space, q, d) > ENUM_CAP:
@@ -103,17 +137,30 @@ def closed_points(space: SpaceDescriptor, q: PrimePower, d: int) -> tuple[Closed
             f"{space.label()} has more than {ENUM_CAP} points over extension {d}"
         )
     F = field(q.p, q.e * d)
-    # points come in lexicographic order and Frobenius keeps them
-    # normalized, so the first member met of an orbit is its least
-    seen: set[Point] = set()
+    blocks, perm = _frobenius_permutation(space, F, q.q)
+    indices = range(len(perm))
+    if d == 1:
+        keys = list(compress(indices, map(eq, indices, perm)))
+    else:
+        keys = list(compress(indices, map(lt, indices, perm)))
+        images = [perm[i] for i in keys]
+        for _ in range(d - 2):
+            images = list(map(perm.__getitem__, images))
+            keep = list(map(lt, keys, images))
+            keys = list(compress(keys, keep))
+            images = list(compress(images, keep))
+    if len(blocks) == 1:
+        vectors = blocks[0]
+        return tuple([ClosedPoint(space, q, d, (vectors[i],)) for i in keys])
+    sizes = [len(vectors) for vectors in blocks][::-1]
     found = []
-    for pt in _space_points(space, F):
-        if pt in seen:
-            continue
-        orbit = _orbit(pt, F, q.q)
-        seen.update(orbit)
-        if len(orbit) == d:
-            found.append(ClosedPoint(space, q, d, pt))
+    for i in keys:
+        digits = []
+        for size in sizes:
+            i, r = divmod(i, size)
+            digits.append(r)
+        key = tuple([vectors[r] for vectors, r in zip(blocks, reversed(digits))])
+        found.append(ClosedPoint(space, q, d, key))
     return tuple(found)
 
 

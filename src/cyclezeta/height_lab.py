@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, SizeCapExceeded
@@ -146,12 +147,50 @@ def height_ff(x: FunctionFieldPoint) -> int:
     return max(_fq_deg(c) for c in x.coords if c)
 
 
-def iter_ff_points(q: PrimePower, n: int, h: int):
-    """Yield every point of projective n-space over F_q(t) of height <= h.
+def _divisor_masks(F: Fq, h: int) -> list[int]:
+    """One bitmask per polynomial of degree <= h over F, with a bit for each
+    monic irreducible of degree <= h that divides it.
 
-    Exhaustive over coordinate tuples of degree <= h: keeps exactly the
-    coprime tuples in canonical normalized form, so each point appears
-    once.
+    Polynomials are numbered as ``itertools.product(range(Q), repeat=h + 1)``
+    lists their coefficient tuples c_0..c_h, so c has index
+    sum c_i Q^(h - i).  The sieve runs in degree order: a monic polynomial
+    of degree D is irreducible iff no irreducible of smaller degree marked
+    it, and an irreducible marks its nonzero multiples of degree <= h.  The
+    zero polynomial, which every polynomial divides, carries every bit.
+    """
+    Q = F.order
+    mul, add = F.mul, F.add
+    weights = [Q ** (h - i) for i in range(h + 1)]
+    masks = [0] * Q ** (h + 1)
+    bit = 1
+    for deg in range(1, h + 1):
+        multipliers = [r for r in itertools.product(range(Q), repeat=h - deg + 1) if any(r)]
+        for low in itertools.product(range(Q), repeat=deg):
+            p = low + (1,)
+            if masks[sum(map(operator.mul, p, weights))]:
+                continue
+            for r in multipliers:
+                prod = [0] * (h + 1)
+                for j, rj in enumerate(r):
+                    if rj:
+                        for i, pi in enumerate(p, j):
+                            prod[i] = add(prod[i], mul(pi, rj))
+                masks[sum(map(operator.mul, prod, weights))] |= bit
+            bit <<= 1
+    masks[0] = bit - 1
+    return masks
+
+
+def _ff_tuples(q: PrimePower, n: int, h: int):
+    """The normalized coprime coordinate tuples of ``iter_ff_points``, in
+    order, in batches: yields (polys, prefix, lasts), where each index c in
+    ``lasts`` makes the tuple of ``polys[i]`` for i in prefix + (c,).
+
+    A tuple is coprime iff the AND of its ``_divisor_masks`` is 0.  It is
+    normalized iff its first coordinate of least degree among the nonzero
+    ones is monic; that rests on the least degree L of the nonzero prefix
+    coordinates and on whether the first of them is monic, so the last
+    coordinates that can complete a prefix are listed once per such state.
     """
     if n < 1:
         raise DomainError("need projective dimension n >= 1")
@@ -160,32 +199,53 @@ def iter_ff_points(q: PrimePower, n: int, h: int):
     total = q.q ** ((n + 1) * (h + 1))
     if total > FF_CENSUS_CAP:
         raise SizeCapExceeded(f"{total} coordinate tuples exceed cap {FF_CENSUS_CAP}")
-    F = field(q.p, q.e)
-    polys = [
-        _fq_trim(c) for c in itertools.product(range(q.q), repeat=h + 1)
-    ]
-    for coords in itertools.product(polys, repeat=n + 1):
-        nonzero = [c for c in coords if c]
-        if not nonzero:
-            continue
-        # the normalization test is one lookup, so it goes before the gcd
-        lmin = min(map(len, nonzero))
-        if next(c[-1] for c in nonzero if len(c) == lmin) != 1:
-            continue
-        if lmin > 1:  # a nonzero constant coordinate makes the tuple coprime
-            g = nonzero[0]
-            for c in nonzero[1:]:
-                g = _fq_gcd(g, c, F)
-                if len(g) == 1:
-                    break
-            if len(g) > 1:
-                continue
-        yield FunctionFieldPoint(q, coords)
+    polys = [_fq_trim(c) for c in itertools.product(range(q.q), repeat=h + 1)]
+    masks = _divisor_masks(field(q.p, q.e), h)
+    lens = list(map(len, polys))
+    monic = [c[-1] == 1 if c else False for c in polys]
+    none = h + 2  # the length L of a prefix with no nonzero coordinate
+    candidates = {}
+    for least in range(1, none + 1):
+        for ok in (False, True):
+            # a shorter nonzero last coordinate is the first of least
+            # degree and must be monic; a zero or longer one keeps the
+            # prefix's (ok is False while the prefix is all zero)
+            cs = [c for c, length in enumerate(lens)
+                  if (monic[c] if 0 < length < least else ok)]
+            candidates[least, ok] = cs, [masks[c] for c in cs]
+    full = masks[0]
+    for prefix in itertools.product(range(len(polys)), repeat=n):
+        common, least, ok = full, none, False
+        for c in prefix:
+            common &= masks[c]
+            if 0 < lens[c] < least:
+                least, ok = lens[c], monic[c]
+        cs, ms = candidates[least, ok]
+        if common:
+            cs = [c for c, m in zip(cs, ms) if not m & common]
+        if cs:
+            yield polys, prefix, cs
+
+
+def iter_ff_points(q: PrimePower, n: int, h: int):
+    """Yield every point of projective n-space over F_q(t) of height <= h.
+
+    Exhaustive over coordinate tuples of degree <= h, in the lexicographic
+    order of their coefficient tuples: keeps exactly the coprime tuples in
+    canonical normalized form, so each point appears once.  Coprimality is
+    one AND of precomputed divisor bitmasks per tuple: ``_divisor_masks``
+    sieves the monic irreducibles of degree <= h and gives every
+    polynomial the bits of those that divide it (see ``_ff_tuples``).
+    """
+    for polys, prefix, lasts in _ff_tuples(q, n, h):
+        head = tuple([polys[c] for c in prefix])
+        for c in lasts:
+            yield FunctionFieldPoint(q, head + (polys[c],))
 
 
 def count_ff_points(q: PrimePower, n: int, h: int) -> int:
     """Exact number of points of projective n-space over F_q(t) of height <= h."""
-    return sum(1 for _ in iter_ff_points(q, n, h))
+    return sum(len(lasts) for _, _, lasts in _ff_tuples(q, n, h))
 
 
 # ---------------------------------------------------------------------------

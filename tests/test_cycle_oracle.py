@@ -11,8 +11,8 @@ from cyclezeta.cycle_oracle import (
     AUDITS,
     ClosedPoint,
     ZeroCycle,
+    _frobenius_permutation,
     _orbit,
-    _space_points,
     closed_points,
     enum_divisors,
     enum_zero_cycles,
@@ -145,14 +145,14 @@ def test_orbit_table_matches_repeated_pow(q, d):
     # Frobenius a -> a^q on F_(q^d): F_16 and F_64 for q = 4
     F = field(q.p, q.e * d)
     rng = random.Random(f"{q.q}:{d}")
-    for space in (P2, P1XP1):
-        points = list(_space_points(space, F))
-        for pt in rng.sample(points, 40):
-            expected, x = [], pt
-            while not expected or x != pt:
-                expected.append(x)
-                x = tuple(tuple(F.pow(c, q.q) for c in block) for block in x)
-            assert _orbit(pt, F, q.q) == expected
+    for space in (P2, P1XP1, Product(P1, P2)):
+        blocks, perm = _frobenius_permutation(space, F, q.q)
+        assert sorted(perm) == list(range(len(perm)))
+        points = list(itertools.product(*blocks))  # lexicographic: index i is point i
+        assert points == sorted(points)
+        for i in rng.sample(range(len(perm)), 40):
+            image = tuple(tuple(F.pow(c, q.q) for c in block) for block in points[i])
+            assert points[perm[i]] == image
 
 
 def test_divisor_oracle_by_degree_matches_closed_form():
