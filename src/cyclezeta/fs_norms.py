@@ -55,11 +55,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
 from .errors import BandAmbiguity, DomainError, SizeCapExceeded, ZeroPolynomial
-from .multipoly import IntegerForm, MultiPoly, monomial_grid
+from .multipoly import IntegerForm, MultiPoly, check_float_range, monomial_grid
 from .quadrature import (
     QuadratureConfig,
     batched_log_integrals_with_error,
@@ -75,24 +76,32 @@ BAND_FLOOR = 1e-9  # least half-width of the census guard band
 # borderline has delta at most h + band + its error, which at n = 1 is
 # h + 1e-9 + ~4e-12, and exp and the float product round by ~1e-15.
 _CAP_SLACK = 1e-6
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def norms(f: MultiPoly) -> tuple[float, float]:
     """(|f|_inf, |f|_2): max coefficient modulus and Euclidean coefficient norm."""
+    check_float_range([f])
     return f.norm_inf(), f.norm_two()
+
+
+def _exp_in_float_range(log_v: float) -> float:
+    if log_v > _LOG_FLOAT_MAX:
+        raise SizeCapExceeded(f"v = exp({log_v:.6g}) passes the float range (1.8e308)")
+    return math.exp(log_v)
 
 
 def v_measure(fs, cfg: QuadratureConfig) -> float:
     """exp of the Fubini-Study integral of log max_i |f_i|."""
     fs = [fs] if isinstance(fs, MultiPoly) else list(fs)
-    return math.exp(integrate_log_max(fs, cfg))
+    return _exp_in_float_range(integrate_log_max(fs, cfg))
 
 
 def v_measure_with_error(fs, cfg: QuadratureConfig) -> tuple[float, float]:
     """v and its error, v * (exp(e) - 1) for the integral's error e."""
     fs = [fs] if isinstance(fs, MultiPoly) else list(fs)
     log_v, err = integrate_log_max_with_error(fs, cfg)
-    v = math.exp(log_v)
+    v = _exp_in_float_range(log_v)
     return v, v * math.expm1(err)
 
 

@@ -26,9 +26,19 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 
-from .errors import DomainError, ZeroPolynomial
+from .errors import DomainError, SizeCapExceeded, ZeroPolynomial
 from .records import FrozenRecord
+
+
+def check_float_range(polys) -> None:
+    """Refuse, with ``SizeCapExceeded``, a polynomial with a coefficient
+    whose modulus passes the largest float (about 1.8e308): no float
+    evaluation can hold it, and exact integers would overflow converting."""
+    for f in polys:
+        if any(abs(c) > sys.float_info.max for c in f.coeffs.values()):
+            raise SizeCapExceeded("a coefficient passes the float range (1.8e308)")
 
 
 class MultiPoly:
@@ -81,7 +91,14 @@ class MultiPoly:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def norm_two(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
+        total = sum(abs(c) ** 2 for c in self.coeffs.values())
+        if isinstance(total, int) and total > sys.float_info.max:
+            # math.sqrt would convert the exact sum to a float first
+            root = math.isqrt(total)
+            if root > sys.float_info.max:
+                raise SizeCapExceeded("|f|_2 passes the float range (1.8e308)")
+            return float(root)
+        return math.sqrt(total)
 
     def leading_coefficient(self, i: int) -> "MultiPoly":
         """Coefficient of the top power of variable i, as a polynomial

@@ -145,6 +145,7 @@ from .multipoly import (
     _exact_div,
     _squarefree_parts,
     _univ_poly_gcd,
+    check_float_range,
 )
 from .records import FrozenRecord
 
@@ -252,8 +253,14 @@ def _root_sum(P: np.ndarray) -> np.ndarray:
     companion = np.zeros((len(P), m, m), dtype=complex)
     companion[:, 1:, :-1] = np.eye(m - 1)
     companion[:, :, -1] = -P[:, :-1] / P[:, -1:]
-    roots = np.linalg.eigvals(companion)
-    return 0.5 * np.log1p(np.abs(roots) ** 2).sum(axis=1)
+    r = np.abs(np.linalg.eigvals(companion))
+    # past 2^500, |c|^2 nears the float range: 1/2 log(1 + |c|^2) is then
+    # log |c| + 1/2 log(1 + |c|^-2)
+    big = r > 2.0 ** 500
+    half = 0.5 * np.log1p(np.where(big, 0.0, r) ** 2)
+    if big.any():
+        half[big] = np.log(r[big]) + 0.5 * np.log1p(r[big] ** -2.0)
+    return half.sum(axis=1)
 
 
 def _span_keys(nonzero: np.ndarray) -> np.ndarray:
@@ -268,7 +275,14 @@ def _jensen_span(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_jensen_rows`` for rows whose end coefficients are nonzero."""
     if P.shape[1] <= 2:  # log |a|, or 1/2 log(|a|^2 + |b|^2)
         mod = np.abs(P)
-        return 0.5 * np.log(np.einsum("ij,ij->i", mod, mod)), np.zeros(len(P))
+        big = mod.max(axis=1) > 2.0 ** 500  # the squares near the float range
+        small = np.where(big[:, None], 1.0, mod)
+        value = 0.5 * np.log(np.einsum("ij,ij->i", small, small))
+        if big.any():
+            top = mod[big].max(axis=1)
+            scaled = mod[big] / top[:, None]
+            value[big] = np.log(top) + 0.5 * np.log(np.einsum("ij,ij->i", scaled, scaled))
+        return value, np.zeros(len(P))
     top, bottom = np.abs(P[:, -1]), np.abs(P[:, 0])
     forward = np.log(top) + _root_sum(P)
     backward = np.log(bottom) + _root_sum(P[:, ::-1])
@@ -717,6 +731,7 @@ def _integrate(polys, cfg: QuadratureConfig, grid_error: bool):
     if nvars == 0 or (len(polys) == 1 and len(polys[0].coeffs) == 1):
         # a monomial c z^I: log |z_i| is odd under z_i -> 1/z_i
         return math.log(max(abs(c) for f in polys for c in f.coeffs.values())), 0.0
+    check_float_range(polys)
     if cfg.scheme == "monte_carlo":
         return _integrate_monte_carlo(polys, nvars, cfg)
     n = cfg.nodes_per_dim

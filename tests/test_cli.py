@@ -350,6 +350,31 @@ def test_grid_answers_rows_whose_scaling_bound_passes_the_float_range(capsys):
     assert abs(height["value"] - (178 + 61.691185903)) <= height["error"] < 0.1
 
 
+
+def test_height_refuses_coefficients_past_the_float_range(capsys):
+    # 10^309 is no float: refused with exit 3, not an OverflowError
+    for coords in ("1,(10^309)*z1^10", "(10^309),z1"):
+        code, out, err = run_cli(capsys, "height", "nv", "--coords", coords, "--d", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("size cap exceeded: a coefficient passes the float range")
+    doc = run_json(capsys, "height", "nv", "--coords", "1,(10^300)*z1^10", "--d", "1")
+    assert math.isfinite(doc["results"]["height"]["value"])
+    # a monomial integrates exactly as log |c|, which needs no float c
+    doc = run_json(capsys, "delta", "--form", "(10^309)*X1")
+    assert doc["results"]["delta"]["value"] == pytest.approx(1 + 309 * math.log(10))
+
+
+def test_norm_refuses_coefficients_past_the_float_range(capsys):
+    code, out, err = run_cli(capsys, "norm", "--poly", "(10^309)*z1 + 1")
+    assert code == 3 and out == ""
+    assert err.startswith("size cap exceeded: a coefficient passes the float range")
+    # |f|_2^2 = 10^400 + 1 is no float, but |f|_2 is
+    doc = run_json(capsys, "norm", "--poly", "(10^200)*z1 + 1")
+    assert doc["results"]["two"]["value"] == 1e200
+    # every coefficient is a float, but v = exp(709.9) is not
+    code, out, err = run_cli(capsys, "norm", "--poly", "(10^308)*(z1^2 + z1 + 1)")
+    assert code == 3 and out == "" and "passes the float range" in err
+
 def test_census_commands(capsys):
     doc = run_json(capsys, "census", "closed-points", "--space", "pn",
                    "--n", "1", "--q", "2", "--dmax", "2")
