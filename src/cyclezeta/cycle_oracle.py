@@ -15,9 +15,21 @@ equal points always compare equal no matter how they were produced.
 Frobenius a -> a^q is one lookup in a table built once per (field, q)
 and cached, with one ``Fq.pow`` per field element.
 
+The degree-d points are found by index arithmetic, not point by point.
+The normalized points over F_(q^d) are numbered in lexicographic order,
+and Frobenius becomes a permutation ``perm`` of the indices, built from
+the field table one coordinate and one block at a time.  Its d-th power
+is the identity, since a^(q^d) = a on F_(q^d); so the orbit of i has a
+size s dividing d (s is the least j > 0 with perm^j(i) = i, and d is a
+multiple of it).  Hence i is the key of a closed point of degree exactly
+d iff i < perm^j(i) for j = 1 .. d - 1: an orbit of size s < d fails at
+j = s, and on an orbit of size d those are the other members.  The test
+runs as whole-list passes, one power of ``perm`` at a time, and only the
+keys are decoded into coordinates.
+
 Every enumerator generates its objects in canonical order, so none sorts:
 points and forms are leading-one vectors listed lexicographically (the
-first point met of an orbit is its key), and the 0-cycles come out of a
+least index of an orbit is its key), and the 0-cycles come out of a
 depth-first walk over the sorted closed points in ``sort_key`` order.
 """
 
@@ -120,15 +132,15 @@ def _frobenius_permutation(space: SpaceDescriptor, F: Fq, q: int):
 def closed_points(space: SpaceDescriptor, q: PrimePower, d: int) -> tuple[ClosedPoint, ...]:
     """All closed points of residue degree exactly d, canonically sorted.
 
-    Frobenius over F_q acts on the points over F_(q^d) as the permutation
-    of ``_frobenius_permutation``, and its d-th power is the identity, so
-    each orbit has a size s dividing d: s is the least j > 0 with
-    perm^j(i) = i, and perm^d(i) = i forces s | d.  Hence i is the key (the
-    least index) of an orbit of size exactly d iff i < perm^j(i) for every
+    Frobenius over F_q permutes the points over F_(q^d) by ``perm`` of
+    ``_frobenius_permutation``, and perm^d is the identity.  So the orbit
+    size s of index i divides d: perm^d(i) = i, and the j with
+    perm^j(i) = i are the multiples of s.  Index i is therefore the key
+    (least index) of an orbit of size exactly d iff i < perm^j(i) for every
     j = 1 .. d - 1: an orbit of size s < d fails at j = s, and on an orbit
-    of size d those are the d - 1 other members.  The candidates are
-    filtered one power of the permutation at a time, and only the keys are
-    decoded into coordinates.
+    of size d these are its d - 1 other members.  For d = 1 the keys are
+    the fixed points.  Each pass keeps the candidates that pass one more
+    power of ``perm``; about half drop out at the first.
     """
     if d < 1:
         raise DomainError("residue degree must be >= 1")
@@ -150,17 +162,14 @@ def closed_points(space: SpaceDescriptor, q: PrimePower, d: int) -> tuple[Closed
             keys = list(compress(keys, keep))
             images = list(compress(images, keep))
     if len(blocks) == 1:
-        vectors = blocks[0]
-        return tuple([ClosedPoint(space, q, d, (vectors[i],)) for i in keys])
-    sizes = [len(vectors) for vectors in blocks][::-1]
+        return tuple([ClosedPoint(space, q, d, (blocks[0][i],)) for i in keys])
     found = []
     for i in keys:
-        digits = []
-        for size in sizes:
-            i, r = divmod(i, size)
-            digits.append(r)
-        key = tuple([vectors[r] for vectors, r in zip(blocks, reversed(digits))])
-        found.append(ClosedPoint(space, q, d, key))
+        key = []
+        for vectors in reversed(blocks):  # the last block is the lowest digit
+            i, r = divmod(i, len(vectors))
+            key.append(vectors[r])
+        found.append(ClosedPoint(space, q, d, tuple(reversed(key))))
     return tuple(found)
 
 

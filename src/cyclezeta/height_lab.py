@@ -38,6 +38,12 @@ from .spaces import PrimePower
 if TYPE_CHECKING:
     from .quadrature import QuadratureConfig
 
+# Coordinate tuples an F_q(t) census may scan.  On a 2-core x86 VM
+# (Python 3.11) ``count_ff_points`` takes 25-90 ns a tuple when the
+# coordinates have degree up to h >= 1 (q = 2, n = 1, h = 10: 4.2e6 tuples
+# in 0.25 s), and up to ~0.9 us a tuple for constants in many coordinates,
+# where the per-prefix pass dominates (q = 2, n = 22, h = 0: 8.4e6 in
+# 7.2 s); ``iter_ff_points`` adds ~1.6 us per point built.
 FF_CENSUS_CAP = 10 ** 7
 # Monte Carlo samples summed over the integrated rows of an sh-set box.
 # Each row is sampled on its own, at about 8e-8 s per row-sample on a
