@@ -37,7 +37,7 @@ def check_float_range(polys) -> None:
     whose modulus passes the largest float (about 1.8e308): no float
     evaluation can hold it, and exact integers would overflow converting."""
     for f in polys:
-        if any(abs(c) > sys.float_info.max for c in f.coeffs.values()):
+        if f.coeffs and max(map(abs, f.coeffs.values())) > sys.float_info.max:
             raise SizeCapExceeded("a coefficient passes the float range (1.8e308)")
 
 

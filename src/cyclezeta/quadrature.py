@@ -254,12 +254,12 @@ def _root_sum(P: np.ndarray) -> np.ndarray:
     companion[:, 1:, :-1] = np.eye(m - 1)
     companion[:, :, -1] = -P[:, :-1] / P[:, -1:]
     r = np.abs(np.linalg.eigvals(companion))
-    # past 2^500, |c|^2 nears the float range: 1/2 log(1 + |c|^2) is then
-    # log |c| + 1/2 log(1 + |c|^-2)
+    if r.max() <= 2.0 ** 500:
+        return 0.5 * np.log1p(r ** 2).sum(axis=1)
+    # |c|^2 nears the float range: 1/2 log(1 + |c|^2) = log |c| + 1/2 log(1 + |c|^-2)
     big = r > 2.0 ** 500
     half = 0.5 * np.log1p(np.where(big, 0.0, r) ** 2)
-    if big.any():
-        half[big] = np.log(r[big]) + 0.5 * np.log1p(r[big] ** -2.0)
+    half[big] = np.log(r[big]) + 0.5 * np.log1p(r[big] ** -2.0)
     return half.sum(axis=1)
 
 
@@ -275,10 +275,10 @@ def _jensen_span(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_jensen_rows`` for rows whose end coefficients are nonzero."""
     if P.shape[1] <= 2:  # log |a|, or 1/2 log(|a|^2 + |b|^2)
         mod = np.abs(P)
-        big = mod.max(axis=1) > 2.0 ** 500  # the squares near the float range
-        small = np.where(big[:, None], 1.0, mod)
-        value = 0.5 * np.log(np.einsum("ij,ij->i", small, small))
-        if big.any():
+        square = np.einsum("ij,ij->i", mod, mod)
+        value = 0.5 * np.log(square)
+        if square.max() > sys.float_info.max:  # inf: redo those rows scaled by their top
+            big = square > sys.float_info.max
             top = mod[big].max(axis=1)
             scaled = mod[big] / top[:, None]
             value[big] = np.log(top) + 0.5 * np.log(np.einsum("ij,ij->i", scaled, scaled))
@@ -426,7 +426,9 @@ def _jensen_2var(polys, n: int):
     """Exact route for nonzero bivariate polynomials.
 
     Returns (values, errors, certified); rows that are not certified
-    squarefree in z2 carry no value and must take the grid.
+    squarefree in z2, or whose coefficients in z2 at the z1 nodes could
+    pass the float range, carry no value and must take the grid, which
+    scales them.
     """
     rows = len(polys)
     values, errors = np.zeros(rows), np.zeros(rows)
@@ -435,6 +437,7 @@ def _jensen_2var(polys, n: int):
     width1 = 1 + max(f.deg(0) for f in polys)
     width2 = 1 + max(f.deg(1) for f in polys)
     G = np.zeros((rows, width1, width2), dtype=complex)
+    log_rmax = -0.5 * math.log(_radial_rule(n)[0][0])  # of the nodes of _outer
     for r, f in enumerate(polys):
         ints = _integer_poly(f)
         if ints is not None:
@@ -450,6 +453,11 @@ def _jensen_2var(polys, n: int):
                     errors[r] += e
         if len(f.coeffs) == 1:  # a monomial c z^I integrates to log |c|
             values[r] += math.log(abs(next(iter(f.coeffs.values()))))
+            continue
+        # each is at most (term count) max |c| r_max^deg_z1 at the nodes
+        if (math.log(len(f.coeffs) * max(map(abs, f.coeffs.values())))
+                + f.deg(0) * log_rmax > _LOG_FLOAT_MAX):
+            certified[r] = False
             continue
         outer[r] = True
         for (i, j), c in f.coeffs.items():

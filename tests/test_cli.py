@@ -375,6 +375,16 @@ def test_norm_refuses_coefficients_past_the_float_range(capsys):
     code, out, err = run_cli(capsys, "norm", "--poly", "(10^308)*(z1^2 + z1 + 1)")
     assert code == 3 and out == "" and "passes the float range" in err
 
+
+def test_two_variable_rows_past_the_float_range_take_the_grid(capsys):
+    # 10^300 z1^5 z2 passes the float range at the outer z1 nodes of the
+    # exact route (NaN at the parent); the grid scales the row instead.
+    # delta = lam * 6 + log 10^300, as the integral of log |z1^5 z2 + 10^-300|
+    # is within 10^-290 of that of log |z1^5 z2|, which is 0
+    doc = run_json(capsys, "delta", "--form", "(10^300)*X1^5*X2+Y1^5*Y2")
+    delta = doc["results"]["delta"]
+    assert abs(delta["value"] - (6 + 300 * math.log(10))) <= max(delta["error"], 1e-12)
+
 def test_census_commands(capsys):
     doc = run_json(capsys, "census", "closed-points", "--space", "pn",
                    "--n", "1", "--q", "2", "--dmax", "2")
