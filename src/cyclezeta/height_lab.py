@@ -172,15 +172,15 @@ def _divisor_masks(F: Fq, h: int) -> list[int]:
     for deg in range(1, h + 1):
         multipliers = [r for r in itertools.product(range(Q), repeat=h - deg + 1) if any(r)]
         for low in itertools.product(range(Q), repeat=deg):
-            p = low + (1,)
-            if masks[sum(map(operator.mul, p, weights))]:
+            monic = low + (1,)
+            if masks[sum(map(operator.mul, monic, weights))]:
                 continue
             for r in multipliers:
                 prod = [0] * (h + 1)
                 for j, rj in enumerate(r):
                     if rj:
-                        for i, pi in enumerate(p, j):
-                            prod[i] = add(prod[i], mul(pi, rj))
+                        for i, mi in enumerate(monic, j):
+                            prod[i] = add(prod[i], mul(mi, rj))
                 masks[sum(map(operator.mul, prod, weights))] |= bit
             bit <<= 1
     masks[0] = bit - 1
@@ -194,9 +194,10 @@ def _ff_tuples(q: PrimePower, n: int, h: int):
 
     A tuple is coprime iff the AND of its ``_divisor_masks`` is 0.  It is
     normalized iff its first coordinate of least degree among the nonzero
-    ones is monic; that rests on the least degree L of the nonzero prefix
-    coordinates and on whether the first of them is monic, so the last
-    coordinates that can complete a prefix are listed once per such state.
+    ones is monic.  Which last coordinates can complete a prefix rests on
+    the least length (degree + 1) of its nonzero coordinates and on whether
+    the first of that length is monic, so they are listed once per such
+    state, and each prefix only ANDs its masks with theirs.
     """
     if n < 1:
         raise DomainError("need projective dimension n >= 1")
@@ -209,9 +210,9 @@ def _ff_tuples(q: PrimePower, n: int, h: int):
     masks = _divisor_masks(field(q.p, q.e), h)
     lens = list(map(len, polys))
     monic = [c[-1] == 1 if c else False for c in polys]
-    none = h + 2  # the length L of a prefix with no nonzero coordinate
+    all_zero = h + 2  # the least length of a prefix with no nonzero coordinate
     candidates = {}
-    for least in range(1, none + 1):
+    for least in range(1, all_zero + 1):
         for ok in (False, True):
             # a shorter nonzero last coordinate is the first of least
             # degree and must be monic; a zero or longer one keeps the
@@ -221,7 +222,7 @@ def _ff_tuples(q: PrimePower, n: int, h: int):
             candidates[least, ok] = cs, [masks[c] for c in cs]
     full = masks[0]
     for prefix in itertools.product(range(len(polys)), repeat=n):
-        common, least, ok = full, none, False
+        common, least, ok = full, all_zero, False
         for c in prefix:
             common &= masks[c]
             if 0 < lens[c] < least:
