@@ -15,7 +15,7 @@ from cyclezeta.fs_norms import count_arith_divisors_bounded, delta_lambda
 from cyclezeta.multipoly import IntegerForm, parse_integer_form
 from cyclezeta.quadrature import QuadratureConfig
 
-CFG = QuadratureConfig(nodes_per_dim=96, tolerance=1e-3)
+CFG = QuadratureConfig(nodes_per_dim=96)
 
 
 def sweep(lam=1.0, hs=(0.0, 0.5, math.log(3), 1.5, 2.0, 2.5)):

@@ -4,8 +4,8 @@ divisors on products of projective lines over the integers, and
 bounded-height point counts over function fields.
 
 Exact counting is big-integer arithmetic validated against brute-force
-enumeration; the analytic side is seeded, tolerance-tracked quadrature
-against the product Fubini-Study volume.
+enumeration; the analytic side is seeded quadrature against the product
+Fubini-Study volume, each value with its measured error.
 
 Importing the package loads no submodule and no numpy.  Each export is
 loaded from its module on first access, so a program pays only for the

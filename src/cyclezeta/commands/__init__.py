@@ -129,7 +129,6 @@ def _add_quad_args(p, add_seed=True):
     p.add_argument("--mc-samples", type=int, default=1_000_000)
     if add_seed:
         p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance", type=_finite_float, default=1e-3)
 
 
 def _quad_config(args) -> QuadratureConfig:
@@ -143,7 +142,6 @@ def _quad_config(args) -> QuadratureConfig:
         nodes_per_dim=getattr(args, "nodes", 64),
         sample_count=getattr(args, "mc_samples", 1_000_000),
         seed=getattr(args, "seed", None),
-        tolerance=getattr(args, "tolerance", 1e-3),
     )
 
 

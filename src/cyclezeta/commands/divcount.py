@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import CommandResult, _add_quad_args, _finite_float, _params, _quad_config
+from . import CommandResult, _finite_float, _params, _quad_config
 
 
 def add_arguments(p):
@@ -10,7 +10,8 @@ def add_arguments(p):
     p.add_argument("--lam", type=_finite_float, required=True)
     p.add_argument("--h", type=_finite_float, required=True)
     p.add_argument("--search-cap", type=int)  # default: fs_norms.DEFAULT_SEARCH_CAP
-    _add_quad_args(p)
+    # the census integrates in batches, which take the tensor scheme only
+    p.add_argument("--nodes", type=int, default=64)
 
 
 def run(args) -> CommandResult:

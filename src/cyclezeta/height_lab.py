@@ -51,6 +51,9 @@ FF_CENSUS_CAP = 10 ** 7
 # about 3 s there; at the default 10^6 samples, the 421 rows of
 # d = 1, a = 0.25, h = 4 would take some 30 s.
 MC_WORK_CAP = 4 * 10 ** 7
+# Members of an sh-set box, every one built as a row of floats before
+# any integral.
+SH_SET_CAP = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +352,11 @@ class ShSetCensus(FrozenRecord):
     """Exhaustive count of the bounded-height polynomial box.
 
     ``count`` is the number of integer polynomials in the box (all of
-    which give distinct points (1 : f)); ``all_heights_ok`` records the
-    numerical verification that every member has height <= h within the
-    guard band of the configured tolerance; ``max_height_error`` is the
+    which give distinct points (1 : f)); ``max_height_error`` is the
     largest measured error over the integrated members (the node-doubling
     difference on the grid, three standard errors with Monte Carlo);
+    ``all_heights_ok`` records the numerical verification that every
+    member has height <= h + ``max_height_error``;
     ``analytic_lower_bound`` is the closed-form lower bound the census is
     compared against.
     """
@@ -370,10 +373,7 @@ class ShSetCensus(FrozenRecord):
                          max_height_error)
 
 
-def sh_set_table(
-    d: int, a: float, h: float, cfg: QuadratureConfig,
-    search_cap: int = 200_000,
-):
+def sh_set_table(d: int, a: float, h: float, cfg: QuadratureConfig):
     """Exponent grid, coefficient rows, and verified heights of the box.
 
     The box consists of f with deg_i(f) <= floor(a*h) and
@@ -384,7 +384,7 @@ def sh_set_table(
     first row of each class is integrated, and the others take its
     integral.
     """
-    return _sh_set(d, a, h, cfg, search_cap, with_error=False)[:5]
+    return _sh_set(d, a, h, cfg, with_error=False)[:5]
 
 
 def _sign_classes(rows, exponents, box: int, cfg: QuadratureConfig):
@@ -416,7 +416,7 @@ def _sign_classes(rows, exponents, box: int, cfg: QuadratureConfig):
     return first, np.searchsorted(first, keys)
 
 
-def _sh_set(d, a, h, cfg, search_cap, with_error):
+def _sh_set(d, a, h, cfg, with_error):
     """``sh_set_table`` and the largest measured error of its integrals;
     on the grid that takes an n / 2 pass, run only ``with_error``."""
     import numpy as np
@@ -439,8 +439,8 @@ def _sh_set(d, a, h, cfg, search_cap, with_error):
     )
     m = len(exponents)
     count = (2 * box + 1) ** m
-    if count > search_cap:
-        raise SizeCapExceeded(f"{count} box members exceed cap {search_cap}")
+    if count > SH_SET_CAP:
+        raise SizeCapExceeded(f"{count} box members exceed cap {SH_SET_CAP}")
     rows = np.array(
         list(itertools.product(*([range(-box, box + 1)] * m))), dtype=float
     )
@@ -479,27 +479,24 @@ def _sh_set(d, a, h, cfg, search_cap, with_error):
     return exponents, rows.astype(int), heights, box, degree_cap, error
 
 
-def sh_set_census(
-    d: int, a: float, h: float, cfg: QuadratureConfig,
-    search_cap: int = 200_000,
-) -> ShSetCensus:
+def sh_set_census(d: int, a: float, h: float, cfg: QuadratureConfig) -> ShSetCensus:
     """Count the certified box of integer polynomials of bounded height.
 
     Every member satisfies h((1:f)) <= h, which is re-verified numerically
-    with a guard band of cfg.tolerance; the count is compared against the
-    analytic lower bound exp(a^d (1 - 2ad) h^(d+1) - a^d h^d).  The error
-    of ``max_height`` is the largest over the integrated members, not that
-    of the maximal member alone: the integrals of neighbouring members
-    may change places on a finer grid.
+    with a guard band of ``max_height_error``; the count is compared
+    against the analytic lower bound exp(a^d (1 - 2ad) h^(d+1) - a^d h^d).
+    The error of ``max_height`` is the largest over the integrated
+    members, not that of the maximal member alone: the integrals of
+    neighbouring members may change places on a finer grid.
     """
     import numpy as np
 
     exponents, rows, heights, box, degree_cap, error = _sh_set(
-        d, a, h, cfg, search_cap, with_error=True
+        d, a, h, cfg, with_error=True
     )
     lower = math.exp(a ** d * (1.0 - 2.0 * a * d) * h ** (d + 1) - a ** d * h ** d)
     max_height = float(np.max(heights)) if len(heights) else 0.0
-    all_ok = bool(np.all(heights <= h + cfg.tolerance))
+    all_ok = bool(np.all(heights <= h + error))
     return ShSetCensus(
         d, a, h, len(rows), all_ok, max_height, lower, box, degree_cap, error
     )

@@ -157,12 +157,11 @@ _ROUNDING = 1e-12  # relative rounding allowance of every exact-route error
 class QuadratureConfig(FrozenRecord):
     """How to integrate: tensor Gauss-Legendre grid or seeded Monte Carlo."""
 
-    __slots__ = ("scheme", "nodes_per_dim", "sample_count", "seed", "tolerance")
+    __slots__ = ("scheme", "nodes_per_dim", "sample_count", "seed")
 
     def __init__(self, scheme: str = "tensor_gauss", nodes_per_dim: int = 64,
-                 sample_count: int = 1_000_000, seed: int | None = None,
-                 tolerance: float = 1e-3):
-        super().__init__(scheme, nodes_per_dim, sample_count, seed, tolerance)
+                 sample_count: int = 1_000_000, seed: int | None = None):
+        super().__init__(scheme, nodes_per_dim, sample_count, seed)
         if scheme not in ("tensor_gauss", "monte_carlo"):
             raise DomainError(f"unknown quadrature scheme {scheme!r}")
         if scheme == "tensor_gauss" and nodes_per_dim < 8:

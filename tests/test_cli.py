@@ -147,6 +147,8 @@ def test_help_lists_every_subcommand(capsys):
     "count nonsense --space pn --n 1 --q 2",
     "--tsv count",
     "count top-cycles --space pn --n 1 --q 2 --bogus",
+    "norm --poly z1 --tolerance 1e-3",
+    "divcount --n 1 --lam 1 --h 2 --scheme monte_carlo --seed 1",
 ])
 def test_usage_errors_match_the_full_parser(capsys, argv):
     argv = shlex.split(argv)
@@ -184,9 +186,6 @@ FLOAT_OPTIONS = [
     ("census ff-points", "--h"),
     ("census sh-set", "--a"),
     ("census sh-set", "--h"),
-    ("norm --poly z1", "--tolerance"),
-    ("height nv --coords 1,z1", "--tolerance"),
-    ("verify norms --samples 1 --seed 1", "--tolerance"),
 ]
 
 
@@ -516,7 +515,7 @@ PINNED_OUTPUTS = [
         '"d": 1, "dmax": 4, "h": 0.0, '
         '"kind": "closed-points", "mc_samples": 1000000, "n": 2, '
         '"nodes": 64, "q": "2", "scheme": "tensor_gauss", "space": "pn", '
-        '"stream": false, "tolerance": 0.001}, '
+        '"stream": false}, '
         '"provenance": "Moebius inversion of extension point counts", '
         '"results": {"b": {"error": 0, "value": ["7", "7", "22", "63"]}}}\n'
     ),
@@ -553,7 +552,7 @@ PINNED_OUTPUTS = [
         'norm --poly "3*z1*z2 - 4" --nodes 32',
         '{"command": "norm", "parameters": {'
         '"mc_samples": 1000000, "nodes": 32, "poly": "3*z1*z2 - 4", '
-        '"scheme": "tensor_gauss", "tolerance": 0.001}, "provenance": '
+        '"scheme": "tensor_gauss"}, "provenance": '
         '"coefficient norms exact; v by Fubini-Study quadrature", '
         '"results": {"inf": {"error": 0.0, "value": 4.0}, '
         '"lc_sigma_max": {"error": 0.0, "value": 3.0}, "two": {"error": '
@@ -564,7 +563,7 @@ PINNED_OUTPUTS = [
         'delta --form "X1^2 - 3*X1*Y1 + Y1^2" --lam 1',
         '{"command": "delta", "parameters": {"form": '
         '"X1^2 - 3*X1*Y1 + Y1^2", "lam": 1.0, "mc_samples": 1000000, '
-        '"nodes": 64, "scheme": "tensor_gauss", "tolerance": 0.001}, '
+        '"nodes": 64, "scheme": "tensor_gauss"}, '
         '"provenance": "lambda-degree term plus Fubini-Study integral", '
         '"results": {"delta": {"error": 2.09861228866811e-12, "value": '
         '3.09861228866811}, "multidegree": {"error": 0, "value": '
@@ -573,9 +572,8 @@ PINNED_OUTPUTS = [
     (
         'divcount --n 1 --lam 1 --h 1.0986122886681098',
         '{"command": "divcount", "parameters": {'
-        '"h": 1.0986122886681098, "lam": 1.0, "mc_samples": 1000000, '
-        '"n": 1, "nodes": 64, "scheme": "tensor_gauss", "search_cap": '
-        '2000000, "tolerance": 0.001}, "provenance": "exhaustive '
+        '"h": 1.0986122886681098, "lam": 1.0, "n": 1, "nodes": 64, '
+        '"search_cap": 2000000}, "provenance": "exhaustive '
         'certified-region search with guard band", "results": '
         '{"borderline": {"error": 0, "value": []}, "coeff_box": '
         '{"error": 0, "value": "3"}, "count": {"error": 0, "value": '
@@ -586,8 +584,8 @@ PINNED_OUTPUTS = [
         'height nv --coords 1,z1 --d 1 --nodes 128',
         '{"command": "height", "parameters": {'
         '"coords": "1,z1", "d": 1, "kind": "nv", "mc_samples": 1000000, '
-        '"nodes": 128, "q": "2", "scheme": "tensor_gauss", "tolerance": '
-        '0.001}, "provenance": "infinity degrees plus Fubini-Study '
+        '"nodes": 128, "q": "2", "scheme": "tensor_gauss"}, '
+        '"provenance": "infinity degrees plus Fubini-Study '
         'integral", "results": {"height": {"error": 5.678083896920594e-05, '
         '"value": 1.3465544705452155}}}\n'
     ),
@@ -595,8 +593,8 @@ PINNED_OUTPUTS = [
         'height ff --coords 1,t^2+1 --q 2',
         '{"command": "height", "parameters": {'
         '"coords": "1,t^2+1", "d": 1, "kind": "ff", "mc_samples": '
-        '1000000, "nodes": 64, "q": "2", "scheme": "tensor_gauss", '
-        '"tolerance": 0.001}, "provenance": "max coordinate degree after '
+        '1000000, "nodes": 64, "q": "2", "scheme": "tensor_gauss"}, '
+        '"provenance": "max coordinate degree after '
         'normalization", "results": {"height": {"error": 0, "value": '
         '"2"}}}\n'
     ),
@@ -641,8 +639,8 @@ PINNED_OUTPUTS = [
         '{"command": "census", "parameters": {"a": 0.25, "d": 1, '
         '"dmax": 1, "h": 4.0, "kind": "sh-set", '
         '"mc_samples": 1000000, "n": 1, "nodes": 64, "q": "2", "scheme": '
-        '"tensor_gauss", "space": "pn", "stream": false, "tolerance": '
-        '0.001}, "provenance": "exhaustive box census with numerical '
+        '"tensor_gauss", "space": "pn", "stream": false}, '
+        '"provenance": "exhaustive box census with numerical '
         'height check", "results": {"all_heights_ok": {"error": 0, '
         '"value": true}, "analytic_lower_bound": {"error": 0.0, "value": '
         '2.718281828459045}, "coeff_box": {"error": 0, "value": "14"}, '
@@ -654,7 +652,7 @@ PINNED_OUTPUTS = [
         '{"command": "verify", "parameters": {"coeff_bound": 10, '
         '"kind": "norms", "maxdeg": 3, '
         '"mc_samples": 1000000, "nodes": 16, "nvars": 2, "samples": 3, '
-        '"scheme": "tensor_gauss", "seed": 7, "tolerance": 0.001}, '
+        '"scheme": "tensor_gauss", "seed": 7}, '
         '"provenance": "seeded random polynomials against norm '
         'inequalities", "results": {"checks": {"error": 0, "value": '
         '"15"}, "fail": {"error": 0, "value": "0"}, "failures": '

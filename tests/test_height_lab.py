@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cyclezeta import quadrature
+from cyclezeta import height_lab, quadrature
 from cyclezeta.errors import DomainError, SizeCapExceeded
 from cyclezeta.field_census import point_count
 from cyclezeta.finite_fields import field
@@ -31,7 +31,7 @@ from cyclezeta.spaces import PrimePower, ProjSpace
 
 Q2 = PrimePower(2)
 Q3 = PrimePower(3)
-CFG = QuadratureConfig(nodes_per_dim=128, tolerance=1e-3)
+CFG = QuadratureConfig(nodes_per_dim=128)
 
 
 def poly(text, nvars=None):
@@ -223,7 +223,7 @@ def test_rational_point_normalization():
 
 
 def test_height_nv_nonnegative_and_permutation_invariant():
-    cfg = QuadratureConfig(nodes_per_dim=64, tolerance=1e-3)
+    cfg = QuadratureConfig(nodes_per_dim=64)
     pts = [
         [poly("1"), poly("z1 + 2")],
         [poly("z1"), poly("3*z1 - 1")],
@@ -256,10 +256,11 @@ def test_sh_set_census_degenerate_box():
     assert census.all_heights_ok
 
 
-def test_sh_set_census_monotone_in_h():
+def test_sh_set_census_monotone_in_h(monkeypatch):
+    monkeypatch.setattr(height_lab, "SH_SET_CAP", 10 ** 6)
     cfg = QuadratureConfig(nodes_per_dim=32)
-    c4 = sh_set_census(1, 0.25, 4.0, cfg, search_cap=10 ** 6)
-    c5 = sh_set_census(1, 0.25, 5.0, cfg, search_cap=10 ** 6)
+    c4 = sh_set_census(1, 0.25, 4.0, cfg)
+    c5 = sh_set_census(1, 0.25, 5.0, cfg)
     assert c5.count >= c4.count
 
 
@@ -271,12 +272,13 @@ def test_monte_carlo_census_refused_before_sampling(monkeypatch):
         sh_set_census(1, 0.25, 4.0, cfg)
 
 
-def test_sh_set_census_rejects_bad_parameters():
+def test_sh_set_census_rejects_bad_parameters(monkeypatch):
     cfg = QuadratureConfig(nodes_per_dim=32)
     with pytest.raises(DomainError):
         sh_set_census(1, 0.5, 2.0, cfg)  # 1 - 2da = 0
+    monkeypatch.setattr(height_lab, "SH_SET_CAP", 100)
     with pytest.raises(SizeCapExceeded):
-        sh_set_census(1, 0.25, 9.0, cfg, search_cap=100)
+        sh_set_census(1, 0.25, 9.0, cfg)
 
 
 def _unmirrored_heights(d, exponents, rows, cfg):

@@ -17,7 +17,6 @@ from cyclezeta.field_census import ClosedPointCensus
 from cyclezeta.fs_norms import (
     ArithDivisorCensus,
     CheckRecord,
-    NormPropertyReport,
     NormSampleSpec,
 )
 from cyclezeta.height_lab import FunctionFieldPoint, RationalFunctionPoint, ShSetCensus
@@ -29,15 +28,12 @@ from cyclezeta.zeta_series import AbscissaReport, SparseSeries
 P1, F2 = ProjSpace(1), PrimePower(2)
 POINT = ClosedPoint(P1, F2, 1, ((0, 1),))
 FORM = IntegerForm(1, (1,), (((0,), 1), ((1,), 2)))
-SPEC = NormSampleSpec(5, 7)
-CHECK = CheckRecord(0, "triangle", 1.0, 2.0)
 
 _P1 = "ProjSpace(n=1)"
 _F2 = "PrimePower(p=2, e=1)"
 _POINT = f"ClosedPoint(space={_P1}, q={_F2}, degree=1, orbit_key=((0, 1),))"
 _FORM = "IntegerForm(n=1, multidegree=(1,), coeffs=(((0,), 1), ((1,), 2)))"
 _SPEC = "NormSampleSpec(samples=5, seed=7, nvars=2, max_degree=3, coeff_bound=10)"
-_CHECK = "CheckRecord(sample=0, name='triangle', lhs=1.0, rhs=2.0)"
 
 # (class, constructor arguments, repr)
 CASES = [
@@ -68,14 +64,13 @@ CASES = [
     (IntegerForm, (1, (1,), (((0,), 1), ((1,), 2))), _FORM),
     (QuadratureConfig, (),
      "QuadratureConfig(scheme='tensor_gauss', nodes_per_dim=64, "
-     "sample_count=1000000, seed=None, tolerance=0.001)"),
+     "sample_count=1000000, seed=None)"),
     (ArithDivisorCensus, (1, 1.0, 2.0, 3, 4.5, (FORM,), 2),
      "ArithDivisorCensus(n=1, lam=1.0, h=2.0, count=3, log_certified_bound=4.5, "
      f"borderline=({_FORM},), max_inf_norm=2)"),
     (NormSampleSpec, (5, 7), _SPEC),
-    (CheckRecord, (0, "triangle", 1.0, 2.0), _CHECK),
-    (NormPropertyReport, (SPEC, 1e-3, (CHECK,)),
-     f"NormPropertyReport(spec={_SPEC}, tolerance=0.001, records=({_CHECK},))"),
+    (CheckRecord, (0, "triangle", 1.0, 2.0, 0.5),
+     "CheckRecord(sample=0, name='triangle', lhs=1.0, rhs=2.0, error=0.5)"),
     (FunctionFieldPoint, (F2, ((1,), (1, 0, 1))),
      f"FunctionFieldPoint(q={_F2}, coords=((1,), (1, 0, 1)))"),
     (RationalFunctionPoint, (1, ()), "RationalFunctionPoint(d=1, coords=())"),
