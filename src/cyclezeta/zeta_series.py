@@ -73,6 +73,8 @@ def _term_value(n_k: int, t, exponent: int):
         return 0.0
     if n_k.bit_length() < 900:
         return n_k * t ** exponent
+    if t == 0:  # p^(-s) underflowed
+        return 0.0
     mag = math.log(n_k) + exponent * math.log(abs(t))
     if mag < -745.0:
         return 0.0
@@ -84,8 +86,10 @@ def _term_value(n_k: int, t, exponent: int):
 
 
 def _geometric_tail(rho: float, kmax: int, l: int) -> float:
-    # sum over the exponents j >= (kmax+1)^(l+1) of rho^j, for 0 <= rho < 1
-    return rho ** ((kmax + 1) ** (l + 1)) / (1.0 - rho)
+    # sum over the exponents j >= (kmax+1)^(l+1) of rho^j, for 0 <= rho < 1;
+    # a certified rho is at most 1/2, so rho^j is 0.0 for every j >= 1075
+    # and the clamp keeps a huge int exponent from the float conversion
+    return rho ** min((kmax + 1) ** (l + 1), 1075) / (1.0 - rho)
 
 
 def _kmax_for_tail(rho: float, l: int, tol: float) -> int:
@@ -238,7 +242,10 @@ def _series_euler_product(n: int, l: int, s: complex, pmax: int):
 
     def truncation(p):
         t = complex(p) ** (-s)
-        rho = abs(t) * math.exp(cprime * math.log(p))
+        try:
+            rho = abs(t) * math.exp(cprime * math.log(p))
+        except OverflowError:  # p^C' passes the float range; rho = p^(C' - sigma)
+            rho = p ** (cprime - s.real)
         return t, rho, _kmax_for_tail(rho, l, _TAIL_TOL)
 
     longest = truncation(2)[2] if primes else 0

@@ -223,6 +223,25 @@ def test_lfun_command(capsys):
     assert doc["results"]["real"]["value"] == pytest.approx(manual, rel=1e-9)
 
 
+@pytest.mark.parametrize("n, l, s, pmax, local", [
+    # divisors of P^n: the k = 1 term (p^(n+1) - 1)/(p - 1) p^-s, as the
+    # exponents k^n of k >= 2 underflow.  p^(n+1) passes the float range
+    # from p = 21 961 at n = 70 and from p = 1 129 at n = 100, where p^-s
+    # is 0.0 from p = 1 439
+    (70, 69, 72.5, 100000, lambda p: 1 + p ** -2.5 * (1 - p ** -71) / (1 - 1 / p)),
+    (100, 99, 102.5, 2000, lambda p: 1 + p ** -2.5 * (1 - p ** -101) / (1 - 1 / p)),
+    # top cycles: 1 + p^-s, the next exponent is 2^1101
+    (1100, 1100, 2.0, 10, lambda p: 1 + p ** -2.0),
+])
+def test_lfun_answers_where_powers_pass_the_float_range(capsys, n, l, s, pmax, local):
+    code, out, err = run_cli(capsys, "lfun", "--n", str(n), "--l", str(l),
+                             "--s", str(s), "--pmax", str(pmax))
+    assert code == 0 and err == ""
+    real = json.loads(out)["results"]["real"]
+    expected = math.prod(map(local, spaces.primes_upto(pmax)))
+    assert abs(real["value"] - expected) <= real["error"]
+
+
 def test_lfun_refuses_a_negative_pmax(capsys):
     code, out, err = run_cli(capsys, "lfun", "--n", "1", "--l", "0", "--s", "3.5",
                              "--pmax", "-5")
@@ -538,6 +557,16 @@ PINNED_OUTPUTS = [
         '{"imag": {"error": 8.722543055870286e-11, "value": 0.0}, '
         '"real": {"error": 8.722543055870286e-11, "value": '
         '1.301014114527025}}}\n'
+    ),
+    (
+        # 6 116 of its 19 184 terms have coefficients of 900 bits or more,
+        # which zeta_series._term_value sums in the log domain
+        'lfun --n 60 --l 59 --s 62.5 --pmax 100000',
+        '{"command": "lfun", "parameters": {"l": 59, "n": 60, "pmax": 100000, '
+        '"s": 62.5}, "provenance": "ascending partial Euler product, '
+        'tail-bounded factors", "results": {"imag": {"error": '
+        '0.009785953825138104, "value": 0.0}, "real": {"error": '
+        '0.009785953825138104, "value": 1.5424072863870184}}}\n'
     ),
     (
         'speczeta --s 2 --cutoff 10000 --audit',
