@@ -91,21 +91,10 @@ def _fq_divmod(a, b, F: Fq):
 
 
 def _fq_gcd(a, b, F: Fq):
-    """A gcd of a and b (not made monic), by Euclid on remainders alone."""
-    mul, add, neg, inv = F.mul, F.add, F.neg, F.inv
+    """A gcd of a and b (not made monic), by Euclid."""
     a, b = _fq_trim(a), _fq_trim(b)
     while b:
-        r = list(a)
-        db = len(b) - 1
-        inv_lead = inv(b[-1])
-        while len(r) > db:  # cancel the leading term of r with c * t^shift * b
-            c = r.pop()
-            if c:
-                c = neg(mul(c, inv_lead))
-                shift = len(r) - db
-                for i in range(db):
-                    r[shift + i] = add(r[shift + i], mul(c, b[i]))
-        a, b = b, _fq_trim(r)
+        a, b = b, _fq_divmod(a, b, F)[1]
     return a
 
 

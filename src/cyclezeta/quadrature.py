@@ -74,7 +74,11 @@ three standard errors for Monte Carlo.
 
 Every node set is radii times angles: the 2 n radii r and 1/r, each at
 the n plane angles, the ceil(n / 2) folded ones or the one angle 0 of the
-radial nodes, the 1/r half at the angles -theta.  ``_grid`` evaluates in
+radial nodes.  The node sets carry the 1/r half at the angles -theta;
+``_grid`` takes it at +theta, which permutes the nodes at equal weights:
+the plane angles are symmetric under theta -> -theta, and a folded axis
+has real coefficients, so |f(conj z1, conj z2)| = |f(z1, z2)| while
+every z2 node set is closed under conjugation.  ``_grid`` evaluates in
 real arithmetic on that structure.  Each function is separable,
 f = sum_a z1^a B_a(z2) with B_a(z2) = sum_b c_ab z2^b, so the B_a are
 formed once per z2 node (a column; one variable is the case of a single
@@ -83,11 +87,9 @@ Re f = Re X @ cos(a theta) - Im X @ sin(a theta) and
 Im f = Re X @ sin(a theta) + Im X @ cos(a theta) are real matrix
 products against tables cached per (n, width): two for real X, four for
 complex X.  At the one angle 0 of the radial nodes, f = sum_a B_a rho^a
-is a single product with the table of rho^a, and no X is formed.  The 1/r
-half takes the same tables with Im X negated, as
-|sum X_a e^(-i a theta)| = |sum conj(X_a) e^(i a theta)|.  The integrand
-is then 1/2 log max(floor^2, max_i (Re^2 f_i + Im^2 f_i)), with no
-hypot.  A squared floor below the smallest normal float is raised to it
+is a single product with the table of rho^a, and no X is formed.  The
+integrand is then 1/2 log max(floor^2, max_i (Re^2 f_i + Im^2 f_i)),
+with no hypot.  A squared floor below the smallest normal float is raised to it
 (the floor 1e-300 of log max_i |f_i| acts as ~1.5e-154).  A row whose
 |f|^2 overflows at some node (|f| past 2^512) is redone scaled by a
 power of two 2^-e, exactly, with its floor; e is read from the bound
@@ -494,16 +496,11 @@ def _angle_table(n: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _radius_powers(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _radius_powers(n: int, width: int) -> np.ndarray:
     """rho^a, a < width down the rows, at the 2 n radii r, 1/r of the node
-    sets at n, and the same with the 1/r half negated.  The 1/r half
-    carries the angles -t; |sum X_a e^(-i a t)| = |sum conj(X_a) e^(i a t)|,
-    so it shares the angle table and negates Im X instead."""
+    sets at n."""
     r = np.sqrt(_radial_rule(n)[0])
-    powers = np.concatenate([r, 1.0 / r])[None, :] ** np.arange(width)[:, None]
-    signed = powers.copy()
-    signed[:, n:] *= -1.0
-    return powers, signed
+    return np.concatenate([r, 1.0 / r])[None, :] ** np.arange(width)[:, None]
 
 
 def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float,
@@ -577,7 +574,7 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float,
                     j1 = min(j0 + rc, radii)
                     t = B[0].size * (j1 - j0)
                     re, im, *tmp = (v[:t * count].reshape(t, count) for v in work)
-                    _abs2(B.reshape(d1, -1), [p[:, j0:j1] for p in powers], tables,
+                    _abs2(B.reshape(d1, -1), powers[:, j0:j1], tables,
                           X, re, im, *tmp)
                     if k > 1:  # max_i |f_i|^2, into the spare buffer
                         re = np.maximum.reduce(re.reshape(k, -1, count), axis=0,
@@ -629,17 +626,17 @@ def _abs2(B, powers, tables, X, re, im, tmp=None) -> None:
     angle 0 of the radial nodes (no ``tables``), f = B^T @ rho^a directly.
     """
     d1, m = B.shape
-    rc = powers[0].shape[1]
+    rc = powers.shape[1]
     cplx = B.dtype.kind == "c"
     if tables is None:
-        np.matmul(B.real.T, powers[0], out=re.reshape(m, rc))
+        np.matmul(B.real.T, powers, out=re.reshape(m, rc))
         if cplx:
-            np.matmul(B.imag.T, powers[1], out=im.reshape(m, rc))
+            np.matmul(B.imag.T, powers, out=im.reshape(m, rc))
     else:
         cos, sin = tables
-        x, *y = (np.multiply(part[:, :, None], p[:, None, :],
+        x, *y = (np.multiply(part[:, :, None], powers[:, None, :],
                              out=buf[:d1 * m * rc].reshape(d1, m, rc)).reshape(d1, -1).T
-                 for part, p, buf in zip((B.real, B.imag) if cplx else (B,), powers, X))
+                 for part, buf in zip((B.real, B.imag) if cplx else (B,), X))
         np.matmul(x, cos, out=re)
         np.matmul(x, sin, out=im)
         if cplx:
