@@ -60,7 +60,7 @@ import sys
 import numpy as np
 
 from .errors import BandAmbiguity, DomainError, SizeCapExceeded, ZeroPolynomial
-from .multipoly import IntegerForm, MultiPoly, check_float_range, monomial_grid
+from .multipoly import IntegerForm, MultiPoly, monomial_grid
 from .quadrature import (
     QuadratureConfig,
     batched_log_integrals_with_error,
@@ -80,8 +80,12 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def norms(f: MultiPoly) -> tuple[float, float]:
-    """(|f|_inf, |f|_2): max coefficient modulus and Euclidean coefficient norm."""
-    check_float_range([f])
+    """(|f|_inf, |f|_2): max coefficient modulus and Euclidean coefficient norm.
+
+    A coefficient past the largest float (about 1.8e308) is refused with
+    ``SizeCapExceeded``, as no printed |f|_inf can hold it."""
+    if f.coeffs and max(map(abs, f.coeffs.values())) > sys.float_info.max:
+        raise SizeCapExceeded("a coefficient passes the float range (1.8e308)")
     return f.norm_inf(), f.norm_two()
 
 

@@ -32,15 +32,6 @@ from .errors import DomainError, SizeCapExceeded, ZeroPolynomial
 from .records import FrozenRecord
 
 
-def check_float_range(polys) -> None:
-    """Refuse, with ``SizeCapExceeded``, a polynomial with a coefficient
-    whose modulus passes the largest float (about 1.8e308): no float
-    evaluation can hold it, and exact integers would overflow converting."""
-    for f in polys:
-        if f.coeffs and max(map(abs, f.coeffs.values())) > sys.float_info.max:
-            raise SizeCapExceeded("a coefficient passes the float range (1.8e308)")
-
-
 class MultiPoly:
     """Polynomial in ``nvars`` variables; ``coeffs`` maps exponents to values."""
 
@@ -147,8 +138,10 @@ class MultiPoly:
         if n < 0:
             raise DomainError("negative powers are not polynomials")
         result = MultiPoly.constant(1, self.nvars)
-        for _ in range(n):
-            result = result * self
+        for bit in bin(n)[2:]:  # square and multiply: log n products
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def _coerce(self, other) -> "MultiPoly":

@@ -66,16 +66,42 @@ instead of 2 n^2, again exact.  The fold applies to every grid integral
 and to the outer z1 integral of the exact route, since for real g the
 inner integral satisfies I(conj z1) = I(z1); complex coefficients keep
 the plane nodes.  Grids are limited to two complex variables, beyond
-which the seeded Monte Carlo sampler takes over, and to ``GRID_CAP``
-evaluated points (rows x functions x nodes): a larger integral is
-refused with ``SizeCapExceeded`` before anything is allocated.  The
-error is the node-doubling difference (n against n / 2 nodes), and
-three standard errors for Monte Carlo.
+which the seeded Monte Carlo sampler takes over.  The error is the
+node-doubling difference (n against n / 2 nodes), and three standard
+errors for Monte Carlo.
 
 Every node set is radii times angles: the 2 n radii r and 1/r, each at
 the n plane angles, the ceil(n / 2) folded ones or the one angle 0 of the
-radial nodes.  The node sets carry the 1/r half at the angles -theta;
-``_grid`` takes it at +theta, which permutes the nodes at equal weights:
+radial nodes; its 1/r half holds the pointwise inverses 1/w of its inner
+half w.  One overflow policy serves every route, so that no degree and no
+coefficient size is refused for its float range.  Reversal: at a node
+1/w the reversal is evaluated at w, |f(1/w)| = |w|^-D |w^D f(1/w)|, so no
+radius power exceeds 1; the grid reverses each variable with D = d - 1,
+the largest exponent of its rows there, and the exact route reverses z1
+with the row's z1-degree D, which keeps the z2-roots, adds D log |z1| to
+log |A| and turns the potential term into -D/2 log(1 + |w|^2).  Shift:
+each row is scaled by one power of two 2^-s before any coefficient
+becomes a float (``_shifted``), with e the largest exponent of the row,
+|c| < 2^e (the bit length of a Python int, the frexp exponent of a
+float): s = 0 while |e| + log2(terms) <= 509, else s brings the row's sum
+of |c| to 2^509, so |f|^2 stays below 2^1018 at every node and log |f|
+gains s log 2.  Floor: a node's |f|^2 is F |g|^2 with F = 2^2s |w|^-2D,
+and log max(floor^2, |f|^2) = log F + log max(floor^2 / F, |g|^2), with
+|g|^2 floored at the smallest normal float (the floor 1e-300 of
+log max_i |f_i| acts as ~1.5e-154 where F = 1) and log F summed apart
+with the weights; where F = 1, the inner half of an unshifted row, this
+is the forward arithmetic, and an exact zero of f at a node with F > 1
+counts F times higher, which moves only integrands singular on the
+nodes, such as (z1 - z2)^2, within their error.  The shift is per row:
+with radii at most 1 the row's largest coefficient bounds every ring, and
+only a row whose terms span more than ~2^1000 between rings is floored at
+2^(s - 511) on its inner rings.  Two work caps refuse with
+``SizeCapExceeded`` before anything is allocated or solved: ``GRID_CAP``
+on grid points times coefficient width (~5 s), and ``EXACT_CAP`` on the
+exact two-variable route's z1 nodes times (z2-degree)^3 (~4.5 s).
+
+``_grid`` takes the 1/r half of the z1 nodes at the angles +theta where
+the node sets carry -theta, which permutes the nodes at equal weights:
 the plane angles are symmetric under theta -> -theta, and a folded axis
 has real coefficients, so |f(conj z1, conj z2)| = |f(z1, z2)| while
 every z2 node set is closed under conjugation.  ``_grid`` evaluates in
@@ -89,25 +115,12 @@ products against tables cached per (n, width): two for real X, four for
 complex X.  At the one angle 0 of the radial nodes, f = sum_a B_a rho^a
 is a single product with the table of rho^a, and no X is formed.  The
 integrand is then 1/2 log max(floor^2, max_i (Re^2 f_i + Im^2 f_i)),
-with no hypot.  A squared floor below the smallest normal float is raised to it
-(the floor 1e-300 of log max_i |f_i| acts as ~1.5e-154).  A row whose
-|f|^2 overflows at some node (|f| past 2^512) is redone scaled by a
-power of two 2^-e, exactly, with its floor; e is read from the bound
-(term count) max |c| r_max^deg, formed in the log domain, so a row with
-coefficients such as 10^300 answers too.  The rescaled row keeps
-subnormal values.  It is refused, after the grid, when 2^-e is no normal
-float (e past 1022), or when a node falls below the subnormal range
-while its squared floor does too, as that node would be floored too
-high.  The powers of the largest radius (~54 at 64 nodes, ~426 at 512)
-must themselves be floats, so a monomial of total degree d with
-d log(r_max) past log(2^1024) is refused with ``SizeCapExceeded`` before
-the grid runs: degree 178 is the most at 64 nodes, 117 at 512.
-The work runs in tiles of at most ``_TILE`` = 2^15 floats (256 kB) per
-buffer, through buffers allocated once per call.  Against complex
-evaluation with np.abs in blocks of 2^20 complex entries (16 MB), a
-grid point costs ~5 ns instead of ~13-16 ns, and the ``census sh-set``
-box of a = 0.22, h = 4.6 peaks at 0.8 MB of numpy buffers instead of
-25 MB (numpy 2.4, one core of a 2-vCPU x86 VM).
+with no hypot.  The work runs in tiles of at most ``_TILE`` = 2^15
+floats (256 kB) per buffer, through buffers allocated once per call.
+Against complex evaluation with np.abs in blocks of 2^20 complex entries
+(16 MB), a grid point costs ~5 ns instead of ~13-16 ns, and the
+``census sh-set`` box of a = 0.22, h = 4.6 peaks at 0.8 MB of numpy
+buffers instead of 25 MB (numpy 2.4, one core of a 2-vCPU x86 VM).
 
 Monte Carlo route (scheme ``monte_carlo``, any number of variables).
 The estimate is the mean of log max_i |f_i| over ``sample_count``
@@ -129,6 +142,9 @@ ran about 15 % slower.  Each f_i is evaluated on a batch by nested
 Horner's rule (``MultiPoly.eval_grid``), one multiply and one add per
 coefficient and variable rather than one array product per monomial:
 on the 8 monomials of (z1 + 1)(z2 + 3)(z3 + 5) that is half the time.
+The tuple takes one shift, as a grid row does; a sample at which |f_i|
+still passes the float range (|z|^D past 2^1024, far out for a high
+degree) is refused with ``SizeCapExceeded``, so no NaN is averaged.
 """
 
 from __future__ import annotations
@@ -147,13 +163,43 @@ from .multipoly import (
     _exact_div,
     _squarefree_parts,
     _univ_poly_gcd,
-    check_float_range,
 )
 from .records import FrozenRecord
 
 _TINY = 1e-300
 _MC_BATCH = 4096  # Monte Carlo samples per batch (module docstring)
 _ROUNDING = 1e-12  # relative rounding allowance of every exact-route error
+_RANGE_BITS = 509  # a shifted row keeps sum |c| below 2^509 (module docstring)
+
+
+def _shifted(C, bits: int, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(C 2^-s, s) with one power-of-two shift s per row (first axis) of C.
+
+    e is the exponent of the row's largest modulus m, m < 2^e (the bit
+    length of an int, the frexp exponent of a float), raised to the
+    floor's; s = 0 while |e| + bits <= ``_RANGE_BITS``, else
+    e + bits - ``_RANGE_BITS``, so that 2^bits terms of the scaled row sum
+    below 2^509.  Python numbers (an object array) are scaled one by one,
+    an int (s >= 0 for it) by exact division before it becomes a float; a
+    float array by ldexp.
+    """
+    C = np.asarray(C)
+    flat = C.reshape(len(C), -1)
+    e = (np.array([m.bit_length() if isinstance(m, int) else math.frexp(m)[1]
+                   for m in (max(map(abs, row), default=0) for row in flat)])
+         if C.dtype == object else np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1])
+    e = np.maximum(e, math.frexp(floor)[1]) if floor > 0 else e
+    s = np.where(np.abs(e) + bits <= _RANGE_BITS, 0, e + bits - _RANGE_BITS)
+    if not s.any():  # 2^0: the floats of the coefficients themselves
+        return (C.astype(complex) if C.dtype == object else C), s
+    if C.dtype == object:  # an int past the float range has s > 0
+        return np.array([[int(c) / (1 << k) if isinstance(c, numbers.Integral) and k >= 0 else
+                          complex(math.ldexp(complex(c).real, -k), math.ldexp(complex(c).imag, -k))
+                          for c in row] for row, k in zip(flat, s.tolist())],
+                        dtype=complex).reshape(C.shape), s
+    k = -s.reshape(-1, *[1] * (C.ndim - 1))
+    return (np.ldexp(C.real, k) + 1j * np.ldexp(C.imag, k) if C.dtype.kind == "c"
+            else np.ldexp(C, k)), s
 
 
 class QuadratureConfig(FrozenRecord):
@@ -276,14 +322,7 @@ def _jensen_span(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_jensen_rows`` for rows whose end coefficients are nonzero."""
     if P.shape[1] <= 2:  # log |a|, or 1/2 log(|a|^2 + |b|^2)
         mod = np.abs(P)
-        square = np.einsum("ij,ij->i", mod, mod)
-        value = 0.5 * np.log(square)
-        if square.max() > sys.float_info.max:  # inf: redo those rows scaled by their top
-            big = square > sys.float_info.max
-            top = mod[big].max(axis=1)
-            scaled = mod[big] / top[:, None]
-            value[big] = np.log(top) + 0.5 * np.log(np.einsum("ij,ij->i", scaled, scaled))
-        return value, np.zeros(len(P))
+        return 0.5 * np.log(np.einsum("ij,ij->i", mod, mod)), np.zeros(len(P))
     top, bottom = np.abs(P[:, -1]), np.abs(P[:, 0])
     forward = np.log(top) + _root_sum(P)
     backward = np.log(bottom) + _root_sum(P[:, ::-1])
@@ -299,20 +338,20 @@ def _jensen_rows(C) -> tuple[np.ndarray, np.ndarray]:
     of the two is better conditioned depends on the root geometry (for
     the roots 1..16 it is p, though its reversal is the one made monic by
     the larger end coefficient), and the mean is within the error of
-    both.
+    both.  Each row is integrated scaled by its ``_shifted`` power of two.
     """
-    C = np.asarray(C, dtype=complex)
+    C, shift = _shifted(C, 1)
     if len(C) and C[:, 0].all() and C[:, -1].all():
-        return _jensen_span(C)
-    values = np.full(len(C), -np.inf)
-    errors = np.zeros(len(C))
-    keys, width = _span_keys(C != 0), C.shape[1]
-    # not np.unique, which imports numpy.ma (~15 ms) on its first call
-    for key in sorted(set(keys[keys >= 0].tolist())):
-        rows = np.flatnonzero(keys == key)
-        # zero roots integrate to 0, so only coefficients lo..hi matter
-        values[rows], errors[rows] = _jensen_span(C[rows, key // width:key % width + 1])
-    return values, errors
+        values, errors = _jensen_span(C)
+    else:
+        values, errors = np.full(len(C), -np.inf), np.zeros(len(C))
+        keys, width = _span_keys(C != 0), C.shape[1]
+        # not np.unique, which imports numpy.ma (~15 ms) on its first call
+        for key in sorted(set(keys[keys >= 0].tolist())):
+            rows = np.flatnonzero(keys == key)
+            # zero roots integrate to 0, so only coefficients lo..hi matter
+            values[rows], errors[rows] = _jensen_span(C[rows, key // width:key % width + 1])
+    return values + shift * math.log(2.0), errors
 
 
 def _integer_poly(f: MultiPoly) -> MultiPoly | None:
@@ -383,13 +422,23 @@ def _squarefree_in_z2(g: MultiPoly) -> bool:
 
 
 _BLOCK = 1 << 20  # complex entries per block of inner integrals in _outer
+# Work the exact two-variable route may take: the 5 n^2 / 4 folded z1
+# nodes of the outer integral (at n and n / 2) x (z2-degree)^3, summed
+# over rows; a unit is one node's share of the two companion eigenvalue
+# solves.  About
+# 4.5 s at 55-70 ns a unit (measured 2.9 s for one random polynomial of
+# z2-degree 20 at 64 nodes, 4.4 s at degree 25; numpy 2.4, one core of a
+# 2-vCPU x86 VM).  At 64 nodes it admits z2-degree 25 and refuses 26.
+EXACT_CAP = 8 * 10 ** 7
 
 
-def _outer(G: np.ndarray, D: np.ndarray, n: int):
+def _outer(G: np.ndarray, Grev: np.ndarray, D: np.ndarray, n: int):
     """Outer z1-integrals over exact inner z2-integrals, with errors.
 
     G[r, i, j] is the coefficient of z1^i z2^j of row r, D[r] its
-    z1-degree.  Runs on n and on n // 2 nodes.
+    z1-degree and Grev[r, D[r] - i, j] = G[r, i, j] its reversal in z1.
+    Runs on n and on n // 2 nodes, the 1/w half on the reversal at w
+    (module docstring).
     """
     # rows sharing the span of z2-powers present get inner polynomials
     # whose end coefficients vanish at no node (but at isolated zeros)
@@ -399,17 +448,19 @@ def _outer(G: np.ndarray, D: np.ndarray, n: int):
     results = []
     for m in (n, n // 2):
         z, w = nodes(m)
+        z = z[:len(z) // 2]  # the weights of the inner half repeat on the outer one
         powers = z[:, None] ** np.arange(G.shape[1])[None, :]
-        potential = 0.5 * np.log1p(np.abs(z) ** 2)
+        potential = np.tile(0.5 * np.log1p(np.abs(z) ** 2), 2)
         value, inner_err = np.empty(len(G)), np.empty(len(G))
         for key in sorted(set(keys.tolist())):  # not np.unique, as in _jensen_rows
             group = np.flatnonzero(keys == key)
             span = slice(key // width2, key % width2 + 1)
-            step = max(1, _BLOCK // (len(z) * (span.stop - span.start)))
+            step = max(1, _BLOCK // (len(w) * (span.stop - span.start)))
             for start in range(0, len(group), step):
                 rows = group[start:start + step]
                 # coefficients in z2 at every z1 node: (rows, nodes, span)
-                A = (powers @ G[rows, :, span]).reshape(-1, span.stop - span.start)
+                A = np.concatenate([powers @ G[rows, :, span], powers @ Grev[rows, :, span]],
+                                   axis=1).reshape(-1, span.stop - span.start)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     v, e = _jensen_span(A)
                 bad = ~np.isfinite(v + e)  # an end coefficient vanished at a node
@@ -427,18 +478,21 @@ def _jensen_2var(polys, n: int):
     """Exact route for nonzero bivariate polynomials.
 
     Returns (values, errors, certified); rows that are not certified
-    squarefree in z2, or whose coefficients in z2 at the z1 nodes could
-    pass the float range, carry no value and must take the grid, which
-    scales them.
+    squarefree in z2 carry no value and must take the grid.  More work
+    than ``EXACT_CAP`` is refused with ``SizeCapExceeded`` before any
+    solve.
     """
     rows = len(polys)
+    work = 5 * n * n // 4 * sum(f.deg(1) ** 3 for f in polys if len(f.coeffs) > 1)
+    if work > EXACT_CAP:
+        raise SizeCapExceeded(f"an exact two-variable integral of {work:.3g} units (z1 nodes x "
+                              f"z2-degree^3) exceeds the cap {EXACT_CAP:.0e}; lower the degree")
     values, errors = np.zeros(rows), np.zeros(rows)
     certified = np.ones(rows, dtype=bool)
     outer = np.zeros(rows, dtype=bool)
     width1 = 1 + max(f.deg(0) for f in polys)
     width2 = 1 + max(f.deg(1) for f in polys)
-    G = np.zeros((rows, width1, width2), dtype=complex)
-    log_rmax = -0.5 * math.log(_radial_rule(n)[0][0])  # of the nodes of _outer
+    G, Grev = np.zeros((2, rows, width1, width2), dtype=complex)  # and its z1-reversal
     for r, f in enumerate(polys):
         ints = _integer_poly(f)
         if ints is not None:
@@ -455,16 +509,15 @@ def _jensen_2var(polys, n: int):
         if len(f.coeffs) == 1:  # a monomial c z^I integrates to log |c|
             values[r] += math.log(abs(next(iter(f.coeffs.values()))))
             continue
-        # each is at most (term count) max |c| r_max^deg_z1 at the nodes
-        if (math.log(len(f.coeffs) * max(map(abs, f.coeffs.values())))
-                + f.deg(0) * log_rmax > _LOG_FLOAT_MAX):
-            certified[r] = False
-            continue
         outer[r] = True
-        for (i, j), c in f.coeffs.items():
-            G[r, i, j] = c
+        # |A_j(w)| <= sum_i |c_ij| at the nodes |w| <= 1: scaled by 2^-s,
+        # each z2-polynomial keeps its roots and log |A| gains s log 2
+        (coeffs,), (s,) = _shifted([list(f.coeffs.values())], width1.bit_length())
+        values[r] += s * math.log(2.0)
+        for (i, j), c in zip(f.coeffs, coeffs):
+            G[r, i, j] = Grev[r, f.deg(0) - i, j] = c
     D = (_span_keys((G != 0).any(axis=2)) % width1).astype(float)  # z1-degrees
-    v, e = _outer(G[outer], D[outer], n)
+    v, e = _outer(G[outer], Grev[outer], D[outer], n)
     values[outer] += v
     errors[outer] += e
     errors += _ROUNDING * (1 + np.abs(values))
@@ -475,14 +528,16 @@ def _jensen_2var(polys, n: int):
 # grid route
 # ---------------------------------------------------------------------------
 
-# Points one grid integral may evaluate (rows x functions x grid nodes):
-# about 5 s at ~5 ns a point (measured 4.7 ns on real one-variable rows at
-# 512 nodes, 5.6 ns on two-variable tuples at 48; numpy 2.4, one core of a
-# 2-vCPU x86 VM).  It admits a one-variable census box up to its search
-# cap (at most 1e5 rows on 4 096 folded nodes) and refuses a two-variable
-# box of 3.7e3 sign classes on 3.4e7 nodes.
-GRID_CAP = 10 ** 9
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # radius powers (module docstring)
+# Work one grid integral may take: evaluated points (rows x functions x
+# grid nodes) times the coefficient width max(d1, d2) of the rows, the
+# powers each point sums.  About 5 s at 2-3 ns a unit (measured 2.9 ns on
+# real one-variable rows of width 2 at 512 nodes, 2.1 ns on a
+# two-variable tuple of width 3 at 96; numpy 2.4, one core of a 2-vCPU
+# x86 VM).  It admits a one-variable census box up to its search cap (at
+# most 1e5 rows of width 2 on 4 096 folded nodes) and refuses a
+# two-variable box of 3.7e3 sign classes on 3.4e7 nodes, or a row of
+# width 10^7, before anything is allocated.
+GRID_CAP = 2 * 10 ** 9
 _TILE = 1 << 15  # float64 entries per work buffer of the grid (module docstring)
 
 
@@ -496,122 +551,106 @@ def _angle_table(n: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _radius_powers(n: int, width: int) -> np.ndarray:
-    """rho^a, a < width down the rows, at the 2 n radii r, 1/r of the node
-    sets at n."""
-    r = np.sqrt(_radial_rule(n)[0])
-    return np.concatenate([r, 1.0 / r])[None, :] ** np.arange(width)[:, None]
+def _radius_powers(n: int, width: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """rho^a, a < width down the rows, at the 2 n radii of the node sets at
+    n: r^a at the radii r < 1, and r^(width - 1 - a) of the reversal at the
+    radii 1/r.  With them the lift log r^-2(width - 1) of the reversal at
+    each radius (0 at r < 1), and its integral over the radial weights."""
+    u, w = _radial_rule(n)
+    powers = np.sqrt(u)[None, :] ** np.arange(width)[:, None]
+    lift = (width - 1) * np.concatenate([np.zeros(n), -np.log(u)])
+    return np.concatenate([powers, powers[::-1]], axis=1), lift, lift[n:] @ w
 
 
-def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float,
-          scaled: bool = False) -> np.ndarray:
+def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndarray:
     """Integral of log max(floor, max_i |f_ri|) on the grid, one per row r.
 
     ``C[r, i, j]`` is the coefficient of z^exponents[j] in function i of
     row r.  One variable is the case of a single z2 node of weight 1.
-    ``scaled`` marks rows redone by the overflow rescaling below.
+    Each row runs shifted, and reversed at the nodes 1/w (module
+    docstring).
     """
     if nvars > 2:
         raise DomainError(
             "tensor grids are limited to 2 complex variables; use monte_carlo"
         )
+    E = [tuple(e) + (0,) * (2 - nvars) for e in exponents]
+    d1, d2 = (1 + max(col) for col in zip(*E))
+    C, shift = _shifted(C, len(E).bit_length(), floor)
     rows, k, _ = C.shape
     supports = [[e for e, used in zip(exponents, C[:, i].any(axis=0)) if used]
                 for i in range(k)]
     real = not np.iscomplexobj(C) or not C.imag.any()
     (z1, w1), (z2, w2) = (_axis_nodes(supports, nvars, n, real)
                           + [(np.ones(1), np.ones(1))] * (2 - nvars))
-    points = rows * k * len(z1) * len(z2)
-    if points > GRID_CAP:
+    points, width = rows * k * len(z1) * len(z2), max(d1, d2)
+    if points * width > GRID_CAP:
         raise SizeCapExceeded(
-            f"a grid integral of {points:.3g} points exceeds the cap {GRID_CAP:.0e}; "
-            "lower nodes_per_dim or use monte_carlo"
-        )
-    E = [tuple(e) + (0,) * (2 - nvars) for e in exponents]
-    d1, d2 = (1 + max(col) for col in zip(*E))
-    degree = max(map(sum, E))
-    rmax = _radial_rule(n)[0][0] ** -0.5  # every axis has these radii
-    if degree * math.log(rmax) > _LOG_FLOAT_MAX:
-        raise SizeCapExceeded(
-            f"degree {degree} on {n} nodes per dimension: the largest radius "
-            f"{rmax:.4g} to that power passes the float range (at most degree "
-            f"{int(_LOG_FLOAT_MAX / math.log(rmax))} there); lower nodes_per_dim"
+            f"a grid integral of {points:.3g} points of coefficient width {width} exceeds "
+            f"the cap {GRID_CAP:.0e} on their product; lower nodes_per_dim or use monte_carlo"
         )
     G = np.zeros((d1, k, rows, d2), dtype=float if real else complex)
     for j, (a, b) in enumerate(E):
         G[a, :, :, b] += (C[:, :, j].real if real else C[:, :, j]).T
-    P2 = z2[None, :] ** np.arange(d2)[:, None]
+    # at the nodes 1/w, |f|^2 is |w|^-2D times that of the reversal at w,
+    # D = d - 1: log |w|^-2D on each half and radius (0 on the inner one)
+    powers, lw1, lift1 = _radius_powers(n, d1)
+    P2, lw2 = np.ones((1, 1)), np.zeros(1)
+    if nvars == 2:
+        half = z2[:len(z2) // 2]
+        P2 = np.hstack([half ** np.arange(d2)[:, None], half ** np.arange(d2)[::-1, None]])
+        lw2 = (d2 - 1) * -np.log(np.abs(np.hstack([half ** 0, half])) ** 2)
     radii, count = 2 * n, len(z1) // (2 * n)  # radial nodes: one angle, 0
     tables = _angle_table(n, count, d1) if count > 1 else None
-    powers = _radius_powers(n, d1)
     W1 = w1.reshape(radii, count)  # node sets are radius-major
-    # |f|^2 below the smallest normal float is not representable.  A
-    # rescaled row (below) sits 2^-2e lower and keeps subnormal values;
-    # where its squared floor is below even those, a node under them would
-    # be floored too high, and the row is refused
-    floor2 = max(floor * floor, math.ulp(0.0) if scaled else sys.float_info.min)
-    raised = scaled and floor * floor < floor2
+    # log max(floor^2, |f|^2) = lift + log max(floor^2 e^-lift, |f 2^-s w^D|^2)
+    # with lift = 2 s log 2 + log |w|^-2D, floored at the smallest normal float
+    # and integrated apart from the grid values
+    shift2, floor2 = shift * (2.0 * math.log(2.0)), max(floor * floor, sys.float_info.min)
+    lift = (w2 @ lw2 + shift2 * w2.sum()) * W1.sum() + lift1 * w2.sum()  # weights sum to ~1
+    binds = 2.0 * math.log(floor) - shift2.min(initial=0.0) > math.log(sys.float_info.min)
     # a tile holds X at t (function, column, radius) triples, a column
     # being a row at one z2 node, and |f_i|^2 at their t * count nodes; the
     # radial nodes need no X, but larger tiles there only fault in fresh
     # pages (a first 2-variable height call took 99 page faults, not 3)
     tile = max(1, _TILE // (k * max(count, d1)))
-    rc = min(radii, tile)
-    gm = min(len(z2), max(1, tile // radii))
-    gr = max(1, tile // (radii * len(z2)))
+    # a grid that fills more than one tile takes its radii by halves, so that
+    # a chunk below 1 lifts nothing
+    rc = min(radii if rows * len(z2) * radii <= tile else n, tile)
+    gm = min(len(z2), max(1, tile // rc))
+    gr = max(1, tile // (rc * len(z2)))
     size = k * min(gr, rows) * gm * rc
     parts = 2 if not real or np.iscomplexobj(z2) else 1  # Re X, and Im X
     X = np.empty((parts, d1 * size)) if tables else None
     work = np.empty((1 + parts, size * count))
     out = np.zeros(rows)
-    with np.errstate(over="ignore", invalid="ignore"):  # redone below
-        for r0 in range(0, rows, gr):
-            for m0 in range(0, len(z2), gm):
-                # B[a, i, row, node] = sum_b G[a, i, row, b] z2^b
-                B = np.matmul(G[:, :, r0:r0 + gr], P2[:, m0:m0 + gm])
-                cols = B.shape[2:]
-                for j0 in range(0, radii, rc):
-                    j1 = min(j0 + rc, radii)
-                    t = B[0].size * (j1 - j0)
-                    re, im, *tmp = (v[:t * count].reshape(t, count) for v in work)
-                    _abs2(B.reshape(d1, -1), powers[:, j0:j1], tables,
-                          X, re, im, *tmp)
-                    if k > 1:  # max_i |f_i|^2, into the spare buffer
-                        re = np.maximum.reduce(re.reshape(k, -1, count), axis=0,
-                                               out=im[:len(re) // k])
-                    if raised and re.min() < floor2:
-                        raise SizeCapExceeded(
-                            "coefficients too large for a grid integral: the "
-                            "rescaled values pass below the float range"
-                        )
-                    np.maximum(re, floor2, out=re)
-                    np.log(re, out=re)
-                    s = re.reshape(*cols, -1) @ W1[j0:j1].ravel()
-                    out[r0:r0 + cols[0]] += s @ w2[m0:m0 + gm]
-    out *= 0.5
-    redo = np.flatnonzero(~np.isfinite(out))
-    if len(redo):
-        # |f|^2 passed 2^1024: those rows are redone scaled by a power of
-        # two 2^-e, exactly, with their floor, so that sum |c| rho^a |z2|^b
-        # stays below 2^501 on the grid.  The bound, (term count) max |c|
-        # r_max^deg, is formed in the log domain: it passes the float range
-        # before the row's integral does
-        with np.errstate(divide="ignore"):
-            log_c = np.log2(np.abs(C[redo]).max(axis=1))
-        log_bound = ((log_c + np.sum(E, axis=1) * math.log2(rmax)).max(axis=1)
-                     + math.log2(len(E)))
-        if not (log_bound < 1522).all():  # 2^-e past the normal floats
-            raise SizeCapExceeded(
-                "coefficients too large for a grid integral: scaling "
-                "sum |c| r_max^deg below 2^500 leaves the float range"
-            )
-        e = np.maximum(np.floor(log_bound).astype(int) - 499, 0)
-        for shift in set(e[e > 0].tolist()):
-            part = redo[e == shift]
-            scale = 2.0 ** -shift
-            out[part] = (_grid(C[part] * scale, exponents, nvars, n, floor * scale,
-                               scaled=True) + shift * math.log(2.0))
-    return out
+    for r0 in range(0, rows, gr):
+        scaled = shift[r0:r0 + gr].any()
+        for m0 in range(0, len(z2), gm):
+            # B[a, i, row, node] = sum_b G[a, i, row, b] z2^b
+            B = np.matmul(G[:, :, r0:r0 + gr], P2[:, m0:m0 + gm])
+            cols = B.shape[2:]
+            for j0 in range(0, radii, rc):
+                j1 = min(j0 + rc, radii)
+                t = B[0].size * (j1 - j0)
+                re, im, *tmp = (v[:t * count].reshape(t, count) for v in work)
+                _abs2(B.reshape(d1, -1), powers[:, j0:j1], tables,
+                      X, re, im, *tmp)
+                if k > 1:  # max_i |f_i|^2, into the spare buffer
+                    re = np.maximum.reduce(re.reshape(k, -1, count), axis=0,
+                                           out=im[:len(re) // k])
+                # the floor in the units of each node: floor^2 where nothing is
+                # lifted (lw1 > 0 at the radii past n, lw2 at the z2 nodes past half)
+                plain = not (scaled or d1 > 1 and j1 > n or d2 > 1 and m0 + gm > len(z2) // 2)
+                nodes = re.reshape(*cols, j1 - j0, count)
+                np.maximum(nodes, floor2 if plain else np.exp(np.maximum(
+                    2.0 * math.log(floor) - lw1[j0:j1] - lw2[m0:m0 + gm, None]
+                    - shift2[r0:r0 + gr, None, None], math.log(sys.float_info.min)))[..., None]
+                    if binds else sys.float_info.min, out=nodes)
+                np.log(re, out=re)
+                s = re.reshape(*cols, -1) @ W1[j0:j1].ravel()
+                out[r0:r0 + cols[0]] += s @ w2[m0:m0 + gm]
+    return 0.5 * (out + lift)
 
 
 def _abs2(B, powers, tables, X, re, im, tmp=None) -> None:
@@ -707,19 +746,28 @@ class _OmegaSampler:
 
 
 def _integrate_monte_carlo(polys, nvars: int, cfg: QuadratureConfig):
+    # one shift for the tuple, so that max_i |f_i| scales by it (at most
+    # 2^20 terms a function)
+    (coeffs,), (shift,) = _shifted([[c for f in polys for c in f.coeffs.values()]], 20)
+    if shift:
+        scaled = iter(coeffs.tolist())
+        polys = [MultiPoly(nvars, {e: next(scaled) for e in f.coeffs}) for f in polys]
     sampler = _OmegaSampler(cfg.seed, _MC_BATCH)
     points = np.empty((nvars, _MC_BATCH), dtype=complex)
     acc = acc2 = 0.0
-    for start in range(0, cfg.sample_count, _MC_BATCH):
-        axes = list(points[:, :min(_MC_BATCH, cfg.sample_count - start)])
-        for axis in axes:
-            sampler.fill(axis)
-        vals = _log_max_abs(polys, axes)
-        acc += float(np.sum(vals))
-        acc2 += float(vals @ vals)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for start in range(0, cfg.sample_count, _MC_BATCH):
+            axes = list(points[:, :min(_MC_BATCH, cfg.sample_count - start)])
+            for axis in axes:
+                sampler.fill(axis)
+            vals = _log_max_abs(polys, axes)
+            acc += float(np.sum(vals))
+            acc2 += float(vals @ vals)
+            if not math.isfinite(acc2):  # |f| at a sample far out passed the float range
+                raise SizeCapExceeded("a Monte Carlo sample passes the float range")
     mean = acc / cfg.sample_count
     var = max(acc2 / cfg.sample_count - mean * mean, 0.0)
-    return mean, 3.0 * math.sqrt(var / cfg.sample_count)
+    return mean + int(shift) * math.log(2.0), 3.0 * math.sqrt(var / cfg.sample_count)
 
 
 def _integrate(polys, cfg: QuadratureConfig, grid_error: bool):
@@ -735,7 +783,6 @@ def _integrate(polys, cfg: QuadratureConfig, grid_error: bool):
     if nvars == 0 or (len(polys) == 1 and len(polys[0].coeffs) == 1):
         # a monomial c z^I: log |z_i| is odd under z_i -> 1/z_i
         return math.log(max(abs(c) for f in polys for c in f.coeffs.values())), 0.0
-    check_float_range(polys)
     if cfg.scheme == "monte_carlo":
         return _integrate_monte_carlo(polys, nvars, cfg)
     n = cfg.nodes_per_dim
@@ -746,7 +793,7 @@ def _integrate(polys, cfg: QuadratureConfig, grid_error: bool):
         if certified[0]:
             return float(values[0]), float(errors[0])
     exponents = sorted({e for f in polys for e in f.coeffs})
-    C = np.array([[[f.coeffs.get(e, 0) for e in exponents] for f in polys]], dtype=complex)
+    C = np.array([[[f.coeffs.get(e, 0) for e in exponents] for f in polys]], dtype=object)
     if not grid_error:
         return float(_grid(C, exponents, nvars, n, _TINY)[0]), math.nan
     value, error = _grid_with_error(C, exponents, nvars, n, _TINY)
@@ -819,7 +866,7 @@ def batched_log_integrals_with_error(
     errors = np.zeros(len(coeff_matrix))
     live = np.flatnonzero(np.any(coeff_matrix != 0, axis=1))
     if nvars == 1:
-        C = np.zeros((len(coeff_matrix), 1 + max(e[0] for e in exponents)), dtype=complex)
+        C = np.zeros((len(coeff_matrix), 1 + max(e[0] for e in exponents)), coeff_matrix.dtype)
         for k, e in enumerate(exponents):
             C[:, e[0]] += coeff_matrix[:, k]
         values[live], errors[live] = _jensen_rows(C[live])

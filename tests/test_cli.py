@@ -9,6 +9,7 @@ import sys
 import time
 
 import mpmath
+import numpy as np
 import pytest
 
 import cyclezeta
@@ -337,19 +338,81 @@ def test_height_commands(capsys):
     )
 
 
-def test_grid_refuses_radius_powers_past_the_float_range(capsys):
-    # 53.65^178 at the largest radius of 64 nodes is a float, 53.65^179 not
-    doc = run_json(capsys, "height", "nv", "--coords", "1,z1^178+z1", "--d", "1")
-    assert math.isfinite(doc["results"]["height"]["value"])
-    for coords, named in [("1,z1^200+z1", "degree 200 on 64 nodes"),
-                          ("1,z1^179+z1", "degree 179 on 64 nodes"),
-                          ("1,(10^300)*z1^100", "coefficients too large")]:
-        code, out, err = run_cli(capsys, "height", "nv", "--coords", coords, "--d", "1")
-        assert code == 3 and out == ""
-        assert err.startswith("size cap exceeded: " + named)
-    code, out, err = run_cli(capsys, "height", "nv", "--coords", "1,z1^120", "--d", "1",
-                             "--nodes", "512")
-    assert code == 3 and "degree 120 on 512 nodes" in err and "at most degree 117" in err
+def _log_max_one(log_b, k, log_c=None, D=0):
+    """Integral of log max(1, |b z^k (1 + c z^D)|) against the Fubini-Study
+    measure, b, c > 0 given by their logs (no c term when log_c is None).
+
+    Independent of the grid: at radius r the angle mean of
+    max(0, log b + k log r + log |1 + a e^(it)|), a = c r^D, is Jensen's
+    log b + k log r + log max(1, a) where the bracket is positive for
+    every t, 0 where it is negative for every t, and in between a
+    64-point Gauss-Legendre sum over t in [0, t*] up to its root t*.  The
+    radius runs on 64-point Gauss-Legendre pieces split around r = 1,
+    a = 1 and b r^k = 1; past the last piece the integral is closed.
+    """
+    t_gl, w_gl = np.polynomial.legendre.leggauss(64)
+
+    def mean(r):
+        base = log_b + k * math.log(r)
+        if log_c is None:
+            return max(base, 0.0)
+        la = log_c + D * math.log(r)
+
+        def log_abs(t):  # log |1 + a e^(it)|
+            if la > 0:
+                return la + 0.5 * np.log1p(math.exp(-2 * la) + 2 * math.exp(-la) * np.cos(t))
+            return 0.5 * np.log1p(math.exp(2 * la) + 2 * math.exp(la) * np.cos(t))
+        if base + log_abs(math.pi) >= 0:
+            return base + max(la, 0.0)
+        if base + log_abs(0.0) <= 0:
+            return 0.0
+        a = math.exp(la)
+        kink = math.acos((math.exp(-2 * base) - 1 - a * a) / (2 * a))
+        return float(w_gl @ (base + log_abs((t_gl + 1) * kink / 2))) * kink / (2 * math.pi)
+
+    def measure(r):  # the density 2 r / (1 + r^2)^2 of |z| at r
+        return 2 * r / (1 + r * r) ** 2
+
+    centers = [1.0] + ([math.exp(-log_c / D)] if log_c is not None else [])
+    centers += [math.exp(-log_b / k)] if k else []
+    edges = [0.0] + sorted({r0 * math.exp(x / (D + k)) for r0 in centers
+                            for x in (-16, -8, -4, -2, -1, -0.5, -0.25, 0,
+                                      0.25, 0.5, 1, 2, 4, 8, 16)})
+    total = sum((hi - lo) / 2 * sum(w * mean(r) * measure(r) for w, r in
+                                    zip(w_gl, (t_gl + 1) * (hi - lo) / 2 + lo))
+                for lo, hi in zip(edges, edges[1:]))
+    # past the last edge every kink lies behind: the mean is
+    # alpha + beta log r, whose integral over r > R is closed
+    R = edges[-1]
+    alpha = log_b + (log_c or 0.0)
+    beta = k + (D if log_c is not None else 0)
+    return total + (alpha + beta * math.log(R)) / (1 + R * R) + beta / 2 * math.log1p(R ** -2)
+
+
+def test_grid_answers_radius_powers_past_the_float_range(capsys):
+    # the 1/r half runs reversed, so no radius power passes the float range
+    # (degree 178 was the most at 64 nodes, 117 at 512); each height covers
+    # an independent one-dimensional evaluation within its printed error
+    for coords, degree, reference in [
+            ("1,z1^178+z1", 178, _log_max_one(0.0, 1, 0.0, 177)),
+            ("1,z1^200+z1", 200, _log_max_one(0.0, 1, 0.0, 199)),
+            ("1,(10^150)*z1^100+1", 100, _log_max_one(0.0, 0, 150 * math.log(10), 100))]:
+        height = run_json(capsys, "height", "nv", "--coords", coords, "--d", "1")[
+            "results"]["height"]
+        assert abs(height["value"] - (degree + reference)) <= height["error"] < 0.1, coords
+    # z^120 on 512 nodes: 120 + 120 times the integral of log |z| over |z| > 1
+    height = run_json(capsys, "height", "nv", "--coords", "1,z1^120", "--d", "1",
+                      "--nodes", "512")["results"]["height"]
+    assert abs(height["value"] - 120 * (1 + 0.5 * math.log(2))) <= height["error"]
+    # every node of 64 has |10^300 z^100| > 1, so the grid integrates
+    # log |10^300 z^100| there, 300 log 10 exactly; the disk |z| < 10^-3,
+    # where the 1 is larger, lies inside the innermost ring and adds 5.0e-5,
+    # which the node-doubling error cannot see
+    height = run_json(capsys, "height", "nv", "--coords", "1,(10^300)*z1^100",
+                      "--d", "1")["results"]["height"]
+    assert abs(height["value"] - (100 + 300 * math.log(10))) <= height["error"] < 1e-9
+    reference = 100 + _log_max_one(300 * math.log(10), 100)
+    assert reference - height["value"] == pytest.approx(5.0e-5, rel=1e-3)
 
 
 def test_grid_answers_rows_whose_scaling_bound_passes_the_float_range(capsys):
@@ -369,14 +432,15 @@ def test_grid_answers_rows_whose_scaling_bound_passes_the_float_range(capsys):
 
 
 
-def test_height_refuses_coefficients_past_the_float_range(capsys):
-    # 10^309 is no float: refused with exit 3, not an OverflowError
-    for coords in ("1,(10^309)*z1^10", "(10^309),z1"):
-        code, out, err = run_cli(capsys, "height", "nv", "--coords", coords, "--d", "1")
-        assert code == 3 and out == ""
-        assert err.startswith("size cap exceeded: a coefficient passes the float range")
-    doc = run_json(capsys, "height", "nv", "--coords", "1,(10^300)*z1^10", "--d", "1")
-    assert math.isfinite(doc["results"]["height"]["value"])
+def test_height_answers_coefficients_past_the_float_range(capsys):
+    # 10^309 is no float: the row is shifted by a power of two read off the
+    # exact integer; the height of (1 : c z^10) is 10 + log c, and that of
+    # (c : z) is 1 + log c, up to disks of mass below 10^-60
+    for coords, degree in [("1,(10^309)*z1^10", 10), ("(10^309),z1", 1)]:
+        height = run_json(capsys, "height", "nv", "--coords", coords, "--d", "1")[
+            "results"]["height"]
+        exact = degree + 309 * math.log(10)
+        assert abs(height["value"] - exact) <= max(height["error"], 1e-15 * exact), coords
     # a monomial integrates exactly as log |c|, which needs no float c
     doc = run_json(capsys, "delta", "--form", "(10^309)*X1")
     assert doc["results"]["delta"]["value"] == pytest.approx(1 + 309 * math.log(10))
@@ -394,14 +458,47 @@ def test_norm_refuses_coefficients_past_the_float_range(capsys):
     assert code == 3 and out == "" and "passes the float range" in err
 
 
-def test_two_variable_rows_past_the_float_range_take_the_grid(capsys):
-    # 10^300 z1^5 z2 passes the float range at the outer z1 nodes of the
-    # exact route (NaN at the parent); the grid scales the row instead.
-    # delta = lam * 6 + log 10^300, as the integral of log |z1^5 z2 + 10^-300|
-    # is within 10^-290 of that of log |z1^5 z2|, which is 0
-    doc = run_json(capsys, "delta", "--form", "(10^300)*X1^5*X2+Y1^5*Y2")
-    delta = doc["results"]["delta"]
-    assert abs(delta["value"] - (6 + 300 * math.log(10))) <= max(delta["error"], 1e-12)
+def test_two_variable_rows_past_the_float_range_answer_exactly(capsys):
+    # the exact route scales each row by a power of two and runs the z1
+    # nodes past the unit circle reversed, so neither 10^300 z1^5 z2 (NaN
+    # before the grid took it) nor a 10^309 coefficient leaves the float
+    # range; delta = lam (a + 1) + log c, as the integral of
+    # log |z1^a z2 + 1/c| is within 1/c of that of log |z1^a z2|, which is 0
+    for form, lam, a, e in [("(10^300)*X1^5*X2+Y1^5*Y2", "1", 5, 300),
+                            ("(10^309)*X1^2*X2+Y1^2*Y2", "1", 2, 309)]:
+        delta = run_json(capsys, "delta", "--form", form, "--lam", lam)["results"]["delta"]
+        assert abs(delta["value"] - (a + 1 + e * math.log(10))) <= delta["error"] < 0.01, form
+
+
+def test_work_caps_refuse_at_once(capsys):
+    # z2-degree 300 on 5 120 outer nodes is 1.4e11 units of the exact route,
+    # degree 80 is 2.6e9: both past EXACT_CAP, refused before any solve
+    for degree in ("300", "80"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "norms", "--samples", "3", "--nvars", "2",
+                                 "--maxdeg", degree, "--seed", "1")
+        assert code == 3 and out == "" and "exact two-variable integral" in err
+        assert time.perf_counter() - start < 20
+    # a row of width 10^7 + 1: its radius powers alone would take ~10 GB.
+    # In its own process, as the exact gcd that normalizes the point
+    # builds lists of 10^7 coefficients first
+    proc = subprocess.run([sys.executable, "-m", "cyclezeta.cli", "height", "nv", "--coords",
+                           "1,z1^10000000", "--d", "1"],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "coefficient width 10000001" in proc.stderr
+
+
+def test_monte_carlo_refuses_samples_past_the_float_range(capsys):
+    # |z|^200 passes 2^1024 at samples with |z| past ~35: refused, where the
+    # mean was NaN with exit 0 (not even JSON)
+    for argv in (["norm", "--poly", "z1^200+z2"],
+                 ["height", "nv", "--coords", "1,z1^150*z2^150+z2", "--d", "2"]):
+        code, out, err = run_cli(capsys, *argv, "--scheme", "monte_carlo", "--seed", "1",
+                                 "--mc-samples", "100000")
+        assert code == 3 and out == "" and "Monte Carlo sample" in err
+        assert "Warning" not in err
+
 
 def test_census_commands(capsys):
     doc = run_json(capsys, "census", "closed-points", "--space", "pn",
@@ -615,8 +712,8 @@ PINNED_OUTPUTS = [
         '"coords": "1,z1", "d": 1, "kind": "nv", "mc_samples": 1000000, '
         '"nodes": 128, "q": "2", "scheme": "tensor_gauss"}, '
         '"provenance": "infinity degrees plus Fubini-Study '
-        'integral", "results": {"height": {"error": 5.678083896920594e-05, '
-        '"value": 1.3465544705452155}}}\n'
+        'integral", "results": {"height": {"error": 5.6780838969094916e-05, '
+        '"value": 1.3465544705452153}}}\n'
     ),
     (
         'height ff --coords 1,t^2+1 --q 2',
@@ -674,7 +771,7 @@ PINNED_OUTPUTS = [
         '"value": true}, "analytic_lower_bound": {"error": 0.0, "value": '
         '2.718281828459045}, "coeff_box": {"error": 0, "value": "14"}, '
         '"count": {"error": 0, "value": "841"}, "max_height": {"error": '
-        '0.0007621847286256589, "value": 3.986130506979503}}}\n'
+        '0.000762184728626103, "value": 3.986130506979502}}}\n'
     ),
     (
         'verify norms --samples 3 --seed 7 --nvars 2 --maxdeg 3 --nodes 16',

@@ -629,10 +629,9 @@ def test_grid_scales_rows_whose_squared_modulus_would_overflow():
         assert np.allclose(value, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_grid_redoes_only_the_rows_that_overflow():
-    # |1e152 + z + z^10| stays below 2^512 on the grid, so that row keeps
-    # its bits next to a row whose bound 1e300 r_max^10 is no float; that
-    # row is scaled in the log domain and answers log 1e300 (Jensen)
+def test_grid_shifts_each_row_by_its_own_power_of_two():
+    # |1e152 + z + z^10| keeps its shift 0 and its bits next to a row that
+    # takes a shift: 1e300 z^10 answers log 1e300 (Jensen)
     exponents = [(0,), (1,), (10,)]
     finite = np.array([[[1e152, 1.0, 1.0]]])
     big = np.array([[[1.0, 0.0, 1e300]]])
@@ -640,16 +639,20 @@ def test_grid_redoes_only_the_rows_that_overflow():
     both = quadrature._grid(np.concatenate([finite, big]), exponents, 1, 64, 1.0)
     assert both[0] == alone[0]
     assert math.isclose(both[1], 300 * math.log(10), rel_tol=1e-13)
-    # scaling 1e300 z^100 below 2^500 takes a scale 2^-1072: no normal float
+    # the grid refused these (a scale 2^-1072, and values below the float
+    # range at the inner radii); within its error 1 + 1e150 z^100 answers
+    # Jensen's log 1e150 + 50 log(1 + 1e-3), plus 8e-6 where |f| < 1 when
+    # floored at 1 (a one-dimensional mpmath quadrature over the radius of
+    # the angle means), and 1e300 z^100 integrates log 1e300 at every node
+    # of 64 (|1e300 z^100| > 1 there)
     exponents = [(0,), (100,)]
-    with pytest.raises(SizeCapExceeded, match="coefficients too large"):
-        quadrature._grid(np.array([[[1.0, 1e300]]]), exponents, 1, 64, 1.0)
-    # 1 + 1e150 z^100 takes 2^-575, and |f|^2 ~ 2^-1150 at the inner
-    # radii is below every float, as is the squared floor: raised to
-    # 2^-1074, the floor would act as 2^38 there, not as 1
-    for floor in (1.0, quadrature._TINY):
-        with pytest.raises(SizeCapExceeded, match="below the float range"):
-            quadrature._grid(np.array([[[1.0, 1e150]]]), exponents, 1, 64, floor)
+    jensen = 150 * math.log(10) + 50 * math.log1p(1e-3)
+    for floor, ref in ((1.0, jensen + 8.0e-6), (quadrature._TINY, jensen)):
+        value, error = quadrature._grid_with_error(np.array([[[1.0, 1e150]]]), exponents,
+                                                   1, 64, floor)
+        assert abs(value[0] - ref) <= error[0] < 0.1, floor
+        value = quadrature._grid(np.array([[[0.0, 1e300]]]), exponents, 1, 64, floor)[0]
+        assert math.isclose(value, 300 * math.log(10), rel_tol=1e-13)
 
 
 def test_grid_refuses_oversized_integrals():
@@ -683,3 +686,73 @@ def test_integrals_leave_numpy_ma_unimported(call):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# ---------------------------------------------------------------------------
+# one overflow policy on every route: exact powers of two and the reversal
+# ---------------------------------------------------------------------------
+
+def _times_pow2(f, k):
+    """2^k f, with exact integer coefficients (floats for k < 0)."""
+    return MultiPoly(f.nvars, {e: c << k if k >= 0 else math.ldexp(c, k)
+                               for e, c in f.coeffs.items()})
+
+
+def _reversal(f, degrees):
+    """z^D f(1/z) in every variable, with the given degrees D."""
+    return MultiPoly(f.nvars, {tuple(d - a for d, a in zip(degrees, e)): c
+                               for e, c in f.coeffs.items()})
+
+
+_ROUTES = {
+    "1-var exact": ([poly("3*z1^3 - 5*z1 + 2")], CFG),
+    "2-var exact": ([poly("z1*z2 + 3*z1 - z2^2 + 2")], CFG),
+    "1-var grid tuple with floor": ([poly("2*z1 + 1"), poly("z1^3 - z1 + 4")], CFG),
+    "2-var grid tuple with floor": ([poly("1", 2), poly("z1*z2 - 3*z2^2 + 2")],
+                                    QuadratureConfig(nodes_per_dim=16)),
+    "Monte Carlo": ([poly("(z1 + 2)*(z2 - 3) + z1*z2^2")],
+                    QuadratureConfig(scheme="monte_carlo", seed=3, sample_count=20000)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_every_route_takes_exact_powers_of_two(route):
+    # I(2^k f) = I(f) + k log 2 within the printed errors; past k = 1023 the
+    # coefficients are no floats, which every route refused before; at
+    # k = -700, still above the floor 1e-300, |f|^2 needs a shift up
+    polys, cfg = _ROUTES[route]
+    base, base_err = integrate_log_max_with_error(polys, cfg)
+    for k in (0, 600, 1100, 2000, -700):
+        value, err = integrate_log_max_with_error([_times_pow2(f, k) for f in polys], cfg)
+        assert abs(value - (base + k * math.log(2))) <= err + base_err, (route, k)
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_every_route_is_invariant_under_reversal(route):
+    # omega is invariant under z -> 1/z, so I(z^D f(1/z)) = I(f)
+    polys, cfg = _ROUTES[route]
+    degrees = [max(f.deg(i) for f in polys) for i in range(polys[0].nvars)]
+    base, base_err = integrate_log_max_with_error(polys, cfg)
+    value, err = integrate_log_max_with_error([_reversal(f, degrees) for f in polys], cfg)
+    assert abs(value - base) <= err + base_err, route
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_batched_rows_take_exact_powers_of_two_and_reversal(nvars):
+    exponents = _EXPONENTS[nvars]
+    rows = [[2, -3, 1, 4, 0, 0], [1, 0, 5, 0, 2, -1], [0, 7, 0, 0, 0, 0],
+            [3, 1, 1, 1, 0, 0]]
+    rows = [row[:len(exponents)] for row in rows]
+    base, base_err = batched_log_integrals_with_error(
+        np.array(rows, dtype=object), exponents, nvars, CFG)
+    for k in (0, 600, 1100, 2000):
+        values, errors = batched_log_integrals_with_error(
+            np.array([[c << k for c in row] for row in rows], dtype=object),
+            exponents, nvars, CFG)
+        assert np.all(np.abs(values - (base + k * math.log(2))) <= errors + base_err), k
+    # reversed with the degrees of the shared support, row by row
+    degrees = [max(e[i] for e in exponents) for i in range(nvars)]
+    flipped = [tuple(d - a for d, a in zip(degrees, e)) for e in exponents]
+    values, errors = batched_log_integrals_with_error(
+        np.array(rows, dtype=object), flipped, nvars, CFG)
+    assert np.all(np.abs(values - base) <= errors + base_err)
