@@ -184,7 +184,7 @@ def _shifted(C, bits: int, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     float array by ldexp.
     """
     C = np.asarray(C)
-    flat = C.reshape(len(C), -1)
+    flat = C.reshape(len(C), math.prod(C.shape[1:]))
     e = (np.array([m.bit_length() if isinstance(m, int) else math.frexp(m)[1]
                    for m in (max(map(abs, row), default=0) for row in flat)])
          if C.dtype == object else np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1])

@@ -756,3 +756,6 @@ def test_batched_rows_take_exact_powers_of_two_and_reversal(nvars):
     values, errors = batched_log_integrals_with_error(
         np.array(rows, dtype=object), flipped, nvars, CFG)
     assert np.all(np.abs(values - base) <= errors + base_err)
+    if nvars == 1:  # no live row at all: nothing to shift
+        values, errors = batched_log_integrals_with_error(np.zeros((2, 4)), exponents, 1, CFG)
+        assert values.tolist() == [-math.inf] * 2 and errors.tolist() == [0.0] * 2
