@@ -291,7 +291,7 @@ class RationalFunctionPoint(FrozenRecord):
         )
         if content > 1:
             coords = [
-                MultiPoly(d, {e: c // content for e, c in f.coeffs.items()})
+                MultiPoly._build(d, {e: c // content for e, c in f.coeffs.items()})
                 for f in coords
             ]
         lead = next(

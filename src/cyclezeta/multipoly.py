@@ -19,12 +19,19 @@ bijection.
 The text grammar shared by the CLI accepts integer coefficients, ``+ - * ^``
 and parentheses over variables ``z1..z9`` (affine) or ``X1, Y1, ..``
 (homogeneous pairs).
+
+Two constructors: ``MultiPoly(nvars, coeffs)`` takes outside input and
+checks every exponent tuple (ints, nonnegative, of length nvars);
+``MultiPoly._build`` takes the results of ring operations and of the
+exact univariate algebra, whose exponent tuples are valid by
+construction, and only drops zero coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import sys
 
@@ -50,6 +57,15 @@ class MultiPoly:
                 clean[exps] = c
         self.coeffs = clean
 
+    @classmethod
+    def _build(cls, nvars: int, coeffs: dict) -> "MultiPoly":
+        """A polynomial over ``coeffs`` (which it keeps), whose exponent
+        tuples are valid by construction: only zero coefficients go."""
+        f = object.__new__(cls)
+        f.nvars = nvars
+        f.coeffs = {e: c for e, c in coeffs.items() if c != 0} if 0 in coeffs.values() else coeffs
+        return f
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -72,7 +88,7 @@ class MultiPoly:
         """Degree in variable i (0 for the zero polynomial)."""
         if not self.coeffs:
             return 0
-        return max(e[i] for e in self.coeffs)
+        return max(map(operator.itemgetter(i), self.coeffs))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -101,7 +117,7 @@ class MultiPoly:
         for exps, c in self.coeffs.items():
             if exps[i] == d:
                 out[exps[:i] + exps[i + 1:]] = c
-        return MultiPoly(self.nvars - 1, out)
+        return MultiPoly._build(self.nvars - 1, out)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -110,26 +126,26 @@ class MultiPoly:
         out = dict(self.coeffs)
         for exps, c in other.coeffs.items():
             out[exps] = out.get(exps, 0) + c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._build(self.nvars, out)
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.coeffs.items()})
+        return MultiPoly._build(self.nvars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return MultiPoly(
+            return MultiPoly._build(
                 self.nvars, {e: c * other for e, c in self.coeffs.items()}
             )
         other = self._coerce(other)
         out: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(operator.add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._build(self.nvars, out)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -242,11 +258,12 @@ def _horner(coeffs: dict, axes, i: int):
 # exact univariate algebra over Q
 # ---------------------------------------------------------------------------
 
-def _int_coeffs(f: MultiPoly) -> list[int]:
-    """Little-endian integer coefficients of a univariate polynomial."""
-    out = [0] * (f.deg(0) + 1)
+def _int_coeffs(f: MultiPoly, low: int = 0) -> list[int]:
+    """Little-endian integer coefficients of a univariate polynomial,
+    from that of z^low up."""
+    out = [0] * (f.deg(0) + 1 - low)
     for (i,), c in f.coeffs.items():
-        out[i] = int(c)
+        out[i - low] = int(c)
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -261,13 +278,20 @@ def _univ_poly_gcd(polys: list[MultiPoly]) -> MultiPoly:
     """Primitive gcd of univariate integer polynomials.
 
     Exact Euclid over Z with primitive pseudo-remainders: the gcd over Q
-    up to a rational factor, returned with content 1.
+    up to a rational factor, returned with content 1.  Each input first
+    loses its own power of z, and the gcd takes back the least one, so a
+    monomial (a nonzero constant among them) answers at once and no
+    dense list starts below an input's lowest term.
     """
+    polys = [f for f in polys if not f.is_zero]
+    if not polys:
+        raise DomainError("all polynomials vanish")
+    lows = [min(f.coeffs)[0] for f in polys]
+    if any(f.deg(0) == v for f, v in zip(polys, lows)):
+        return MultiPoly._build(1, {(min(lows),): 1})
     acc = None
-    for f in polys:
-        if f.is_zero:
-            continue
-        cur = _primitive(_int_coeffs(f))
+    for f, v in zip(polys, lows):
+        cur = _primitive(_int_coeffs(f, v))
         acc = cur if acc is None else acc
         while cur:
             a, lead = acc[:], cur[-1]
@@ -280,9 +304,7 @@ def _univ_poly_gcd(polys: list[MultiPoly]) -> MultiPoly:
                 while a and a[-1] == 0:
                     a.pop()
             acc, cur = cur, _primitive(a) if a else a
-    if acc is None:
-        raise DomainError("all polynomials vanish")
-    return MultiPoly(1, {(i,): c for i, c in enumerate(_primitive(acc))})
+    return MultiPoly._build(1, {(min(lows) + i,): c for i, c in enumerate(_primitive(acc))})
 
 
 def _exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -300,11 +322,11 @@ def _exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             fc[i + j] -= c * x
     if any(fc):
         raise DomainError("inexact polynomial division")
-    return MultiPoly(1, {(i,): c for i, c in enumerate(out)})
+    return MultiPoly._build(1, {(i,): c for i, c in enumerate(out)})
 
 
 def _derivative(f: MultiPoly) -> MultiPoly:
-    return MultiPoly(1, {(i - 1,): i * c for (i,), c in f.coeffs.items() if i})
+    return MultiPoly._build(1, {(i - 1,): i * c for (i,), c in f.coeffs.items() if i})
 
 
 def _squarefree_parts(f: MultiPoly) -> list[tuple[int, MultiPoly]]:
@@ -393,7 +415,7 @@ class IntegerForm(FrozenRecord):
 
     def dehomogenized(self) -> MultiPoly:
         """Substitute Y_i = 1, X_i = z_i."""
-        return MultiPoly(self.n, {exps: c for exps, c in self.coeffs})
+        return MultiPoly._build(self.n, dict(self.coeffs))
 
     def __mul__(self, other: "IntegerForm") -> "IntegerForm":
         if not isinstance(other, IntegerForm) or other.n != self.n:
@@ -429,27 +451,23 @@ class IntegerForm(FrozenRecord):
 # parser for the shared polynomial grammar
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([XYz][1-9])|([()+\-*^]))")
+# a token, or "" for a character that starts none
+_TOKEN = re.compile(r"\s*(?:(\d+|[XYz][1-9]|[()+\-*^])|\S)")
 
 
 class _Parser:
     def __init__(self, text: str):
         text = text.strip()
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                raise DomainError(f"cannot tokenize {text[pos:pos+10]!r}")
-            self.tokens.append(m.group(1) or m.group(2) or m.group(3))
-            pos = m.end()
+        self.tokens = _TOKEN.findall(text)
+        if "" in self.tokens:
+            pos = next(m.start() for m in _TOKEN.finditer(text) if not m.group(1))
+            raise DomainError(f"cannot tokenize {text[pos:pos+10]!r}")
+        self.names: set[str] = {t for t in self.tokens if t[0] in "XYz"}
+        self.tokens.append(None)  # the end
         self.pos = 0
-        self.names: set[str] = {
-            t for t in self.tokens if t[0] in "XYz" and len(t) == 2
-        }
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.peek()
@@ -468,14 +486,17 @@ class _Parser:
         return poly
 
     def expr(self, vi, nv):
-        sign = 1
+        negate = False
         while self.peek() in ("+", "-"):
             if self.next() == "-":
-                sign = -sign
-        poly = self.term(vi, nv) * sign
+                negate = not negate
+        poly = self.term(vi, nv)
+        if negate:
+            poly = -poly
         while self.peek() in ("+", "-"):
             op = self.next()
-            poly = poly + self.term(vi, nv) * (1 if op == "+" else -1)
+            term = self.term(vi, nv)
+            poly = poly + term if op == "+" else poly + -term
         return poly
 
     def term(self, vi, nv):
@@ -486,10 +507,10 @@ class _Parser:
         return poly
 
     def factor(self, vi, nv):
-        sign = 1
+        negate = False
         while self.peek() == "-":
             self.next()
-            sign = -sign
+            negate = not negate
         base = self.primary(vi, nv)
         if self.peek() == "^":
             self.next()
@@ -497,7 +518,7 @@ class _Parser:
             if exp is None or not exp.isdigit():
                 raise DomainError("exponent must be a literal integer")
             base = base ** int(exp)
-        return base * sign
+        return -base if negate else base
 
     def primary(self, vi, nv):
         tok = self.next()

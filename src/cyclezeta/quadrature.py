@@ -122,6 +122,16 @@ Against complex evaluation with np.abs in blocks of 2^20 complex entries
 ``census sh-set`` box of a = 0.22, h = 4.6 peaks at 0.8 MB of numpy
 buffers instead of 25 MB (numpy 2.4, one core of a 2-vCPU x86 VM).
 
+Tables that do not depend on the coefficients are built once and cached,
+read-only (``setflags(write=False)``), so that no caller can change a
+later integral by writing into them: the Gauss-Legendre rule and the
+plane, folded and radial node sets per n (``lru_cache`` maxsize 8 each);
+the angle tables per (n, angle count, width) and the radius powers per
+(n, width) of the grid (16 each); and, for the outer integral of the exact
+route, the powers z^i of the inner z1 nodes and the potential
+1/2 log(1 + |z|^2) per (node set, n, width) (16).  A small integral then
+pays for its nodes, not for its set-up.
+
 Monte Carlo route (scheme ``monte_carlo``, any number of variables).
 The estimate is the mean of log max_i |f_i| over ``sample_count``
 seeded samples, each variable drawn independently from omega with no
@@ -185,13 +195,19 @@ def _shifted(C, bits: int, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """
     C = np.asarray(C)
     flat = C.reshape(len(C), math.prod(C.shape[1:]))
-    e = (np.array([m.bit_length() if isinstance(m, int) else math.frexp(m)[1]
-                   for m in (max(map(abs, row), default=0) for row in flat)])
-         if C.dtype == object else np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1])
-    e = np.maximum(e, math.frexp(floor)[1]) if floor > 0 else e
+    if C.dtype == object:
+        low = math.frexp(floor)[1] if floor > 0 else -math.inf
+        e = [max(low, m.bit_length() if isinstance(m, int) else math.frexp(m)[1])
+             for m in (max(map(abs, row), default=0) for row in flat.tolist())]
+        top = max(map(abs, e), default=0)
+        e = np.array(e, dtype=int)
+    else:
+        e = np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1]
+        e = np.maximum(e, math.frexp(floor)[1]) if floor > 0 else e
+        top = np.abs(e).max(initial=0)
+    if top + bits <= _RANGE_BITS:  # 2^0: the floats of the coefficients themselves
+        return (C.astype(complex) if C.dtype == object else C), np.zeros(len(C), dtype=int)
     s = np.where(np.abs(e) + bits <= _RANGE_BITS, 0, e + bits - _RANGE_BITS)
-    if not s.any():  # 2^0: the floats of the coefficients themselves
-        return (C.astype(complex) if C.dtype == object else C), s
     if C.dtype == object:  # an int past the float range has s > 0
         return np.array([[int(c) / (1 << k) if isinstance(c, numbers.Integral) and k >= 0 else
                           complex(math.ldexp(complex(c).real, -k), math.ldexp(complex(c).imag, -k))
@@ -221,12 +237,19 @@ class QuadratureConfig(FrozenRecord):
                 raise DomainError("sample_count must be >= 1")
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cache hands the same ones to every call."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=8)
 def _radial_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes u = r^2 on [0, 1] and the disk weights w / (1 + u)^2."""
     ug, wg = np.polynomial.legendre.leggauss(n)
     u = (ug + 1.0) / 2.0
-    return u, wg / 2.0 / (1.0 + u) ** 2
+    return _frozen(u, wg / 2.0 / (1.0 + u) ** 2)
 
 
 def _disk_grid(n: int, angle_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +260,7 @@ def _disk_grid(n: int, angle_weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
     r = np.sqrt(u)
     z_disk = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
     w_disk = (w[:, None] * angle_weights[None, :]).ravel()
-    return np.concatenate([z_disk, 1.0 / z_disk]), np.concatenate([w_disk, w_disk])
+    return _frozen(np.concatenate([z_disk, 1.0 / z_disk]), np.concatenate([w_disk, w_disk]))
 
 
 @lru_cache(maxsize=8)
@@ -267,7 +290,7 @@ def _radial_nodes(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
     integrand that depends on the variable only through |z|."""
     u, w = _radial_rule(nodes_per_dim)
     r = np.sqrt(u)
-    return np.concatenate([r, 1.0 / r]), np.concatenate([w, w])
+    return _frozen(np.concatenate([r, 1.0 / r]), np.concatenate([w, w]))
 
 
 def _axis_nodes(supports, nvars: int, n: int, real: bool) -> list:
@@ -318,6 +341,17 @@ def _span_keys(nonzero: np.ndarray) -> np.ndarray:
     return np.where(nonzero.any(axis=1), lo * width + hi, -1)
 
 
+def _span_groups(nonzero: np.ndarray) -> list[tuple[slice, list[int]]]:
+    """The rows that share a ``_span_keys`` key, by increasing key, each
+    group as (the columns lo..hi, its rows); rows without a True drop out.
+    Grouped in Python: numpy would take a call or more per group."""
+    width, groups = nonzero.shape[1], {}
+    for row, key in enumerate(_span_keys(nonzero).tolist()):
+        if key >= 0:
+            groups.setdefault(key, []).append(row)
+    return [(slice(key // width, key % width + 1), groups[key]) for key in sorted(groups)]
+
+
 def _jensen_span(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_jensen_rows`` for rows whose end coefficients are nonzero."""
     if P.shape[1] <= 2:  # log |a|, or 1/2 log(|a|^2 + |b|^2)
@@ -345,12 +379,9 @@ def _jensen_rows(C) -> tuple[np.ndarray, np.ndarray]:
         values, errors = _jensen_span(C)
     else:
         values, errors = np.full(len(C), -np.inf), np.zeros(len(C))
-        keys, width = _span_keys(C != 0), C.shape[1]
-        # not np.unique, which imports numpy.ma (~15 ms) on its first call
-        for key in sorted(set(keys[keys >= 0].tolist())):
-            rows = np.flatnonzero(keys == key)
+        for span, rows in _span_groups(C != 0):
             # zero roots integrate to 0, so only coefficients lo..hi matter
-            values[rows], errors[rows] = _jensen_span(C[rows, key // width:key % width + 1])
+            values[rows], errors[rows] = _jensen_span(C[rows, span])
     return values + shift * math.log(2.0), errors
 
 
@@ -361,7 +392,7 @@ def _integer_poly(f: MultiPoly) -> MultiPoly | None:
             isinstance(c, numbers.Real) and float(c).is_integer()
         ):
             return None
-    return MultiPoly(f.nvars, {e: int(c) for e, c in f.coeffs.items()})
+    return MultiPoly._build(f.nvars, {e: int(c) for e, c in f.coeffs.items()})
 
 
 def _jensen_1var(f: MultiPoly) -> tuple[float, float]:
@@ -389,7 +420,7 @@ def _slices(f: MultiPoly, axis: int) -> dict[int, MultiPoly]:
     out: dict[int, dict] = {}
     for e, c in f.coeffs.items():
         out.setdefault(e[axis], {})[(e[1 - axis],)] = c
-    return {j: MultiPoly(1, d) for j, d in out.items()}
+    return {j: MultiPoly._build(1, d) for j, d in out.items()}
 
 
 def _split_content(f: MultiPoly, axis: int) -> tuple[MultiPoly, MultiPoly]:
@@ -404,7 +435,7 @@ def _split_content(f: MultiPoly, axis: int) -> tuple[MultiPoly, MultiPoly]:
     for j, a in slices.items():
         for (i,), v in _exact_div(a, c).coeffs.items():
             g[(i, j) if axis == 1 else (j, i)] = v
-    return c, MultiPoly(2, g)
+    return c, MultiPoly._build(2, g)
 
 
 def _squarefree_in_z2(g: MultiPoly) -> bool:
@@ -415,7 +446,7 @@ def _squarefree_in_z2(g: MultiPoly) -> bool:
     slices = _slices(g, 1)
     for k in range((2 * d - 1) * D + 1):
         r = (k + 1) // 2 if k % 2 else -(k // 2)  # 0, 1, -1, 2, -2, ...
-        p = MultiPoly(1, {(j,): a(r) for j, a in slices.items()})
+        p = MultiPoly._build(1, {(j,): a(r) for j, a in slices.items()})
         if p.deg(0) == d and _univ_poly_gcd([p, _derivative(p)]).deg(0) == 0:
             return True
     return False
@@ -432,6 +463,17 @@ _BLOCK = 1 << 20  # complex entries per block of inner integrals in _outer
 EXACT_CAP = 8 * 10 ** 7
 
 
+@lru_cache(maxsize=16)
+def _outer_tables(nodes, n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """z^i, i < width along the columns, at the inner half z of the node
+    set ``nodes(n)``, and the potential 1/2 log(1 + |z|^2) there, repeated
+    for the outer half (whose nodes 1/z take the reversal at z)."""
+    z = nodes(n)[0]
+    z = z[:len(z) // 2]
+    return _frozen(z[:, None] ** np.arange(width)[None, :],
+                   np.tile(0.5 * np.log1p(np.abs(z) ** 2), 2))
+
+
 def _outer(G: np.ndarray, Grev: np.ndarray, D: np.ndarray, n: int):
     """Outer z1-integrals over exact inner z2-integrals, with errors.
 
@@ -442,19 +484,15 @@ def _outer(G: np.ndarray, Grev: np.ndarray, D: np.ndarray, n: int):
     """
     # rows sharing the span of z2-powers present get inner polynomials
     # whose end coefficients vanish at no node (but at isolated zeros)
-    keys, width2 = _span_keys((G != 0).any(axis=1)), G.shape[2]
+    groups = _span_groups((G != 0).any(axis=1))
     # for real g, conjugating z2 too gives I(conj z1) = I(z1): fold z1
     nodes = plane_nodes if G.imag.any() else _folded_nodes
     results = []
     for m in (n, n // 2):
-        z, w = nodes(m)
-        z = z[:len(z) // 2]  # the weights of the inner half repeat on the outer one
-        powers = z[:, None] ** np.arange(G.shape[1])[None, :]
-        potential = np.tile(0.5 * np.log1p(np.abs(z) ** 2), 2)
+        w = nodes(m)[1]  # the weights of the inner half repeat on the outer one
+        powers, potential = _outer_tables(nodes, m, G.shape[1])
         value, inner_err = np.empty(len(G)), np.empty(len(G))
-        for key in sorted(set(keys.tolist())):  # not np.unique, as in _jensen_rows
-            group = np.flatnonzero(keys == key)
-            span = slice(key // width2, key % width2 + 1)
+        for span, group in groups:
             step = max(1, _BLOCK // (len(w) * (span.stop - span.start)))
             for start in range(0, len(group), step):
                 rows = group[start:start + step]
@@ -539,6 +577,10 @@ def _jensen_2var(polys, n: int):
 # width 10^7, before anything is allocated.
 GRID_CAP = 2 * 10 ** 9
 _TILE = 1 << 15  # float64 entries per work buffer of the grid (module docstring)
+# the z2 axis of a one-variable grid: one node z2 = 1 of weight 1, its
+# power table z2^0, nothing lifted (log |w|^-2D = 0) and a mass of 1
+_ONE_NODE = _frozen(np.ones(1), np.ones(1))
+_ONE_NODE_TABLES = (*_frozen(np.ones((1, 1)), np.zeros(1)), 0.0, 1.0)
 
 
 @lru_cache(maxsize=16)
@@ -547,7 +589,7 @@ def _angle_table(n: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray
     ``count`` midpoint angles t = (k + 1/2) 2 pi / n: those of the plane
     nodes (count n) or of the folded nodes (count ceil(n / 2))."""
     at = np.arange(width)[:, None] * ((np.arange(count) + 0.5) * (2.0 * np.pi / n))
-    return np.cos(at), np.sin(at)
+    return _frozen(np.cos(at), np.sin(at))
 
 
 @lru_cache(maxsize=16)
@@ -559,7 +601,7 @@ def _radius_powers(n: int, width: int) -> tuple[np.ndarray, np.ndarray, float]:
     u, w = _radial_rule(n)
     powers = np.sqrt(u)[None, :] ** np.arange(width)[:, None]
     lift = (width - 1) * np.concatenate([np.zeros(n), -np.log(u)])
-    return np.concatenate([powers, powers[::-1]], axis=1), lift, lift[n:] @ w
+    return (*_frozen(np.concatenate([powers, powers[::-1]], axis=1), lift), lift[n:] @ w)
 
 
 def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndarray:
@@ -578,11 +620,10 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
     d1, d2 = (1 + max(col) for col in zip(*E))
     C, shift = _shifted(C, len(E).bit_length(), floor)
     rows, k, _ = C.shape
-    supports = [[e for e, used in zip(exponents, C[:, i].any(axis=0)) if used]
-                for i in range(k)]
-    real = not np.iscomplexobj(C) or not C.imag.any()
-    (z1, w1), (z2, w2) = (_axis_nodes(supports, nvars, n, real)
-                          + [(np.ones(1), np.ones(1))] * (2 - nvars))
+    supports = [[e for e, used in zip(exponents, mask) if used]
+                for mask in (C != 0).any(axis=0).tolist()]
+    real = C.dtype.kind != "c" or not C.imag.any()
+    (z1, w1), (z2, w2) = _axis_nodes(supports, nvars, n, real) + [_ONE_NODE] * (2 - nvars)
     points, width = rows * k * len(z1) * len(z2), max(d1, d2)
     if points * width > GRID_CAP:
         raise SizeCapExceeded(
@@ -595,20 +636,24 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
     # at the nodes 1/w, |f|^2 is |w|^-2D times that of the reversal at w,
     # D = d - 1: log |w|^-2D on each half and radius (0 on the inner one)
     powers, lw1, lift1 = _radius_powers(n, d1)
-    P2, lw2 = np.ones((1, 1)), np.zeros(1)
+    P2, lw2, lift2, mass2 = _ONE_NODE_TABLES  # z2^b and log |w|^-2D at one node z2 = 1
     if nvars == 2:
         half = z2[:len(z2) // 2]
         P2 = np.hstack([half ** np.arange(d2)[:, None], half ** np.arange(d2)[::-1, None]])
         lw2 = (d2 - 1) * -np.log(np.abs(np.hstack([half ** 0, half])) ** 2)
+        lift2, mass2 = w2 @ lw2, w2.sum()
     radii, count = 2 * n, len(z1) // (2 * n)  # radial nodes: one angle, 0
     tables = _angle_table(n, count, d1) if count > 1 else None
     W1 = w1.reshape(radii, count)  # node sets are radius-major
     # log max(floor^2, |f|^2) = lift + log max(floor^2 e^-lift, |f 2^-s w^D|^2)
     # with lift = 2 s log 2 + log |w|^-2D, floored at the smallest normal float
     # and integrated apart from the grid values
-    shift2, floor2 = shift * (2.0 * math.log(2.0)), max(floor * floor, sys.float_info.min)
-    lift = (w2 @ lw2 + shift2 * w2.sum()) * W1.sum() + lift1 * w2.sum()  # weights sum to ~1
-    binds = 2.0 * math.log(floor) - shift2.min(initial=0.0) > math.log(sys.float_info.min)
+    scaled = shift.any()
+    shift2 = shift * (2.0 * math.log(2.0)) if scaled else 0.0
+    floor2 = max(floor * floor, sys.float_info.min)
+    lift = (lift2 + shift2 * mass2) * W1.sum() + lift1 * mass2  # weights sum to ~1
+    least = shift2.min(initial=0.0) if scaled else 0.0
+    binds = 2.0 * math.log(floor) - least > math.log(sys.float_info.min)
     # a tile holds X at t (function, column, radius) triples, a column
     # being a row at one z2 node, and |f_i|^2 at their t * count nodes; the
     # radial nodes need no X, but larger tiles there only fault in fresh
@@ -620,12 +665,12 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
     gm = min(len(z2), max(1, tile // rc))
     gr = max(1, tile // (rc * len(z2)))
     size = k * min(gr, rows) * gm * rc
-    parts = 2 if not real or np.iscomplexobj(z2) else 1  # Re X, and Im X
+    parts = 2 if not real or z2.dtype.kind == "c" else 1  # Re X, and Im X
     X = np.empty((parts, d1 * size)) if tables else None
     work = np.empty((1 + parts, size * count))
     out = np.zeros(rows)
     for r0 in range(0, rows, gr):
-        scaled = shift[r0:r0 + gr].any()
+        lifted = scaled and shift[r0:r0 + gr].any()
         for m0 in range(0, len(z2), gm):
             # B[a, i, row, node] = sum_b G[a, i, row, b] z2^b
             B = np.matmul(G[:, :, r0:r0 + gr], P2[:, m0:m0 + gm])
@@ -641,11 +686,12 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
                                            out=im[:len(re) // k])
                 # the floor in the units of each node: floor^2 where nothing is
                 # lifted (lw1 > 0 at the radii past n, lw2 at the z2 nodes past half)
-                plain = not (scaled or d1 > 1 and j1 > n or d2 > 1 and m0 + gm > len(z2) // 2)
+                plain = not (lifted or d1 > 1 and j1 > n or d2 > 1 and m0 + gm > len(z2) // 2)
                 nodes = re.reshape(*cols, j1 - j0, count)
                 np.maximum(nodes, floor2 if plain else np.exp(np.maximum(
                     2.0 * math.log(floor) - lw1[j0:j1] - lw2[m0:m0 + gm, None]
-                    - shift2[r0:r0 + gr, None, None], math.log(sys.float_info.min)))[..., None]
+                    - (shift2[r0:r0 + gr, None, None] if scaled else 0.0),
+                    math.log(sys.float_info.min)))[..., None]
                     if binds else sys.float_info.min, out=nodes)
                 np.log(re, out=re)
                 s = re.reshape(*cols, -1) @ W1[j0:j1].ravel()
@@ -862,17 +908,16 @@ def batched_log_integrals_with_error(
     n = cfg.nodes_per_dim
     if floor_at_one:
         return _grid_with_error(coeff_matrix[:, None], exponents, nvars, n, 1.0)
-    values = np.full(len(coeff_matrix), -np.inf)
-    errors = np.zeros(len(coeff_matrix))
-    live = np.flatnonzero(np.any(coeff_matrix != 0, axis=1))
     if nvars == 1:
         C = np.zeros((len(coeff_matrix), 1 + max(e[0] for e in exponents)), coeff_matrix.dtype)
         for k, e in enumerate(exponents):
             C[:, e[0]] += coeff_matrix[:, k]
-        values[live], errors[live] = _jensen_rows(C[live])
-        errors[live] += _ROUNDING * (1 + np.abs(values[live]))
-        return values, errors
-    grid = live
+        values, errors = _jensen_rows(C)  # zero rows: -inf, error 0
+        live = values != -np.inf
+        return values, np.where(live, errors + _ROUNDING * (1 + np.abs(values)), errors)
+    values = np.full(len(coeff_matrix), -np.inf)
+    errors = np.zeros(len(coeff_matrix))
+    grid = live = np.flatnonzero(np.any(coeff_matrix != 0, axis=1))
     if nvars == 2:
         polys = [
             MultiPoly(2, dict(zip(exponents, coeff_matrix[r].tolist()))) for r in live

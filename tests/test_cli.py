@@ -480,13 +480,17 @@ def test_work_caps_refuse_at_once(capsys):
         assert code == 3 and out == "" and "exact two-variable integral" in err
         assert time.perf_counter() - start < 20
     # a row of width 10^7 + 1: its radius powers alone would take ~10 GB.
-    # In its own process, as the exact gcd that normalizes the point
-    # builds lists of 10^7 coefficients first
-    proc = subprocess.run([sys.executable, "-m", "cyclezeta.cli", "height", "nv", "--coords",
+    # The constant coordinate makes the gcd that normalizes the point 1 at
+    # once; a dense Euclid over 10^7 coefficients peaked at 244 MB
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, "height", "nv", "--coords",
                            "1,z1^10000000", "--d", "1"],
                           capture_output=True, text=True, timeout=20)
     assert proc.returncode == 3 and proc.stdout == ""
-    assert "coefficient width 10000001" in proc.stderr
+    message, peak_mb = proc.stderr.splitlines()
+    assert "coefficient width 10000001" in message
+    assert int(peak_mb) < 100
+    assert time.perf_counter() - start < 10
 
 
 def test_monte_carlo_refuses_samples_past_the_float_range(capsys):
@@ -873,11 +877,14 @@ def test_oversized_ranges_refused(capsys, monkeypatch, argv):
     assert err.startswith("size cap exceeded")
 
 
+# the child's own peak RSS in MB, VmHWM: its ru_maxrss also holds the RSS of
+# the pytest process that spawned it, carried across exec
 _PEAK_RSS = """
-import resource, sys
+import sys
 from cyclezeta.cli import main
 code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024, file=sys.stderr)
+peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(int(peak.split()[1]) // 1024, file=sys.stderr)
 sys.exit(code)
 """
 

@@ -8,6 +8,10 @@ from cyclezeta.errors import DomainError, ZeroPolynomial
 from cyclezeta.multipoly import (
     IntegerForm,
     MultiPoly,
+    _derivative,
+    _exact_div,
+    _squarefree_parts,
+    _univ_poly_gcd,
     monomial_grid,
     parse_affine_polynomial,
     parse_integer_form,
@@ -180,3 +184,100 @@ def test_monomial_grid():
 def test_form_str_round_trips_through_parser():
     form = parse_integer_form("2*X1^2 - 3*X1*Y1 + Y1^2")
     assert parse_integer_form(str(form)) == form
+
+
+# ---------------------------------------------------------------------------
+# results of ring operations and of the exact algebra, built without checks
+# ---------------------------------------------------------------------------
+
+_small_ints = st.integers(-9, 9)
+_numbers = st.one_of(
+    _small_ints,
+    st.floats(-5, 5, allow_nan=False),
+    st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _polys(draw, nvars=None, coeffs=_numbers):
+    nvars = draw(st.integers(1, 3)) if nvars is None else nvars
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+    return MultiPoly(nvars, draw(st.dictionaries(exponents, coeffs, max_size=5)))
+
+
+def _validated(f):
+    """f rebuilt by the validating constructor, once f is checked to hold
+    no zero coefficient and only int exponent tuples of length nvars."""
+    assert all(c != 0 for c in f.coeffs.values())
+    for e in f.coeffs:
+        assert type(e) is tuple and len(e) == f.nvars
+        assert all(type(a) is int and a >= 0 for a in e)
+    return MultiPoly(f.nvars, dict(f.coeffs))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_ring_results_equal_their_validated_copies(data):
+    f = data.draw(_polys())
+    g = data.draw(_polys(f.nvars))
+    c = data.draw(_numbers)
+    results = [f + g, f - g, f * g, f * c, c * f, f + c, c + f, -f,
+               f ** data.draw(st.integers(0, 3))]
+    if not f.is_zero:
+        results += [f.leading_coefficient(i) for i in range(f.nvars)]
+    for h in results:
+        assert h == _validated(h)
+    assert f * 1 is not f and f * 1 == f  # a new object, as before
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_univariate_algebra_results_equal_their_validated_copies(data):
+    f = data.draw(_polys(1, _small_ints))
+    g = data.draw(_polys(1, _small_ints))
+    results = [_derivative(f)]
+    if not (f.is_zero and g.is_zero):
+        results.append(_univ_poly_gcd([f, g]))
+    if not g.is_zero:
+        results.append(_exact_div(f * g, g))
+        assert results[-1] == f
+    if not f.is_zero:
+        results += [a for _, a in _squarefree_parts(f)]
+    for h in results:
+        assert h == _validated(h)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_gcd_strips_the_common_power_of_z(data):
+    # the gcd divides both inputs, leaves coprime quotients and has content 1,
+    # with each input's own power of z split off before Euclid
+    a, b, c = (data.draw(_polys(1, _small_ints)) for _ in range(3))
+    i, j = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    f = a * c * MultiPoly(1, {(i,): 1})
+    h = b * c * MultiPoly(1, {(j,): 1})
+    if f.is_zero and h.is_zero:
+        return
+    g = _univ_poly_gcd([f, h])
+    assert math.gcd(*g.coeffs.values()) == 1
+    quotients = [_exact_div(p, g) for p in (f, h) if not p.is_zero]
+    assert _univ_poly_gcd(quotients).deg(0) == 0
+    if not (f.is_zero or h.is_zero):
+        assert min(g.coeffs)[0] == min(min(f.coeffs)[0], min(h.coeffs)[0])
+
+
+def test_gcd_of_a_monomial_answers_without_a_dense_list():
+    z = MultiPoly(1, {(10 ** 7,): 3})
+    assert _univ_poly_gcd([MultiPoly.constant(-4, 1), z]) == MultiPoly.constant(1, 1)
+    assert _univ_poly_gcd([MultiPoly(1, {(3,): 2, (5,): 1}), z]) == MultiPoly(1, {(3,): 1})
+    with pytest.raises(DomainError):
+        _univ_poly_gcd([MultiPoly(1), MultiPoly(1)])
+
+
+def test_public_constructor_checks_every_exponent_tuple():
+    for nvars, bad in ((1, {(-1,): 1}), (2, {(1,): 1}), (1, {(1, 0): 2}), (2, {(0, -3): 1})):
+        with pytest.raises(DomainError, match="bad exponent tuple"):
+            MultiPoly(nvars, bad)
+    with pytest.raises(DomainError):
+        MultiPoly(-1)
+    assert MultiPoly(2, {(1.0, 2): 3, (0, 0): 0}).coeffs == {(1, 2): 3}

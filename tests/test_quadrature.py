@@ -478,6 +478,39 @@ def test_folded_outer_integral_equals_the_unfolded_one(monkeypatch, text):
     assert abs(err - ref_err) <= 1e-12 * (1 + abs(ref))
 
 
+def test_cached_tables_are_read_only():
+    # every lru_cache hands the same arrays to every call: a write in place
+    # would corrupt each later integral on those nodes
+    f = parse_affine_polynomial("3*z1*z2 - 4", 2)
+    before = integrate_log_max_with_error([f], CFG)
+    n = CFG.nodes_per_dim
+    tables = [*quadrature._radial_rule(n), *plane_nodes(n), *quadrature._folded_nodes(n),
+              *quadrature._radial_nodes(n), *quadrature._angle_table(n, n // 2, 3),
+              *quadrature._radius_powers(n, 3)[:2],
+              *quadrature._outer_tables(quadrature._folded_nodes, n, 2)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 2
+    assert integrate_log_max_with_error([f], CFG) == before
+
+
+def test_outer_tables_are_cached_per_node_set_and_width():
+    # a linear two-variable row builds its z1-powers and potential once,
+    # and the fold turned off takes its own entry (never the folded one)
+    quadrature._outer_tables.cache_clear()
+    f = parse_affine_polynomial("z1 - 3*z2", 2)
+    first = integrate_log_max_with_error([f], CFG)
+    assert quadrature._outer_tables.cache_info().misses == 2  # n and n / 2
+    assert integrate_log_max_with_error([f], CFG) == first
+    assert quadrature._outer_tables.cache_info()[:2] == (2, 2)
+    powers, potential = quadrature._outer_tables(quadrature._folded_nodes, 64, 2)
+    z = quadrature._folded_nodes(64)[0][:len(powers)]
+    assert np.array_equal(powers, z[:, None] ** np.arange(2)[None, :])
+    assert np.array_equal(potential, np.tile(0.5 * np.log1p(np.abs(z) ** 2), 2))
+
+
 def _record_folds(monkeypatch):
     folded = []
     original = quadrature._folded_nodes
