@@ -490,13 +490,9 @@ class _Parser:
         while self.peek() in ("+", "-"):
             if self.next() == "-":
                 negate = not negate
-        poly = self.term(vi, nv)
-        if negate:
-            poly = -poly
+        poly = -self.term(vi, nv) if negate else self.term(vi, nv)
         while self.peek() in ("+", "-"):
-            op = self.next()
-            term = self.term(vi, nv)
-            poly = poly + term if op == "+" else poly + -term
+            poly = poly + (self.term(vi, nv) if self.next() == "+" else -self.term(vi, nv))
         return poly
 
     def term(self, vi, nv):

@@ -342,9 +342,8 @@ def _span_keys(nonzero: np.ndarray) -> np.ndarray:
 
 
 def _span_groups(nonzero: np.ndarray) -> list[tuple[slice, list[int]]]:
-    """The rows that share a ``_span_keys`` key, by increasing key, each
-    group as (the columns lo..hi, its rows); rows without a True drop out.
-    Grouped in Python: numpy would take a call or more per group."""
+    """(the columns lo..hi, its rows) for each ``_span_keys`` key >= 0 in
+    increasing order, grouped in Python: numpy takes calls per group."""
     width, groups = nonzero.shape[1], {}
     for row, key in enumerate(_span_keys(nonzero).tolist()):
         if key >= 0:
