@@ -42,14 +42,13 @@ class CountingSystemSpec(FrozenRecord):
     paired projections and must be nondecreasing in both arguments.
     """
 
-    __slots__ = ("n0", "n", "log_B", "log_A", "t0", "note")
+    _fields = ("n0", "n", "log_B", "log_A", "t0", "note")
 
-    def __init__(self, n0: int, n: int, log_B: Callable[[float], float],
-                 log_A: Callable[[float, float], float], t0: float = 0.0,
-                 note: str = ""):
-        super().__init__(n0, n, log_B, log_A, t0, note)
+    def __new__(cls, n0: int, n: int, log_B: Callable[[float], float],
+                log_A: Callable[[float, float], float], t0: float = 0.0, note: str = ""):
         if n < n0:
             raise DomainError(f"need n >= n0, got n={n}, n0={n0}")
+        return tuple.__new__(cls, (n0, n, log_B, log_A, t0, note))
 
 
 def counting_system_log_bound(spec: CountingSystemSpec, h: float) -> float:
@@ -155,10 +154,10 @@ def pushforward_bound(deg_pi: int, mults) -> int:
 class ExplicitConstant(FrozenRecord):
     """A pinned constant with the audit trail of its recursion."""
 
-    __slots__ = ("n", "l", "value", "derivation")
+    _fields = ("n", "l", "value", "derivation")
 
-    def __init__(self, n: int, l: int, value: int, derivation: tuple[str, ...] = ()):
-        super().__init__(n, l, value, derivation)
+    def __new__(cls, n: int, l: int, value: int, derivation: tuple[str, ...] = ()):
+        return tuple.__new__(cls, (n, l, value, derivation))
 
     def __repr__(self):  # the derivation is compared but not printed
         return f"ExplicitConstant(n={self.n!r}, l={self.l!r}, value={self.value!r})"

@@ -89,14 +89,10 @@ def _orbit(pt: Point, F: Fq, q: int) -> list[Point]:
 class ClosedPoint(FrozenRecord):
     """A Frobenius orbit: orbit size = residue degree over F_q."""
 
-    __slots__ = ("space", "q", "degree", "orbit_key")
+    _fields = ("space", "q", "degree", "orbit_key")
 
-    def __init__(self, space: SpaceDescriptor, q: PrimePower, degree: int,
-                 orbit_key: Point):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "orbit_key", orbit_key)
+    def __new__(cls, space: SpaceDescriptor, q: PrimePower, degree: int, orbit_key: Point):
+        return tuple.__new__(cls, (space, q, degree, orbit_key))
 
     def sort_key(self):
         return (self.degree, self.orbit_key)
@@ -180,13 +176,11 @@ def closed_points(space: SpaceDescriptor, q: PrimePower, d: int) -> tuple[Closed
 class ZeroCycle(FrozenRecord):
     """Effective 0-cycle: closed points with positive multiplicities."""
 
-    __slots__ = ("space", "q", "terms")
+    _fields = ("space", "q", "terms")
 
-    def __init__(self, space: SpaceDescriptor, q: PrimePower,
-                 terms: tuple[tuple[ClosedPoint, int], ...]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "terms", terms)
+    def __new__(cls, space: SpaceDescriptor, q: PrimePower,
+                terms: tuple[tuple[ClosedPoint, int], ...]):
+        return tuple.__new__(cls, (space, q, terms))
 
     @staticmethod
     def make(space, q, terms) -> "ZeroCycle":
@@ -366,14 +360,11 @@ class FormClass(FrozenRecord):
 
     NORMALIZATION = "leading-one"
 
-    __slots__ = ("space", "q", "multidegree", "coefficients")
+    _fields = ("space", "q", "multidegree", "coefficients")
 
-    def __init__(self, space: SpaceDescriptor, q: PrimePower, multidegree: MultiDegree,
-                 coefficients: tuple[int, ...]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "multidegree", multidegree)
-        object.__setattr__(self, "coefficients", coefficients)
+    def __new__(cls, space: SpaceDescriptor, q: PrimePower, multidegree: MultiDegree,
+                coefficients: tuple[int, ...]):
+        return tuple.__new__(cls, (space, q, multidegree, coefficients))
 
     def support(self):
         monos = monomial_exponents(self.space, self.multidegree)

@@ -65,10 +65,10 @@ def point_count(space: SpaceDescriptor, q: PrimePower, m: int) -> int:
 class ClosedPointCensus(FrozenRecord):
     """Counts b_d of closed points of residue degree d = 1..dmax."""
 
-    __slots__ = ("space", "q", "b")
+    _fields = ("space", "q", "b")
 
-    def __init__(self, space: SpaceDescriptor, q: PrimePower, b: tuple[int, ...]):
-        super().__init__(space, q, b)
+    def __new__(cls, space: SpaceDescriptor, q: PrimePower, b: tuple[int, ...]):
+        return tuple.__new__(cls, (space, q, b))
 
     @property
     def dmax(self) -> int:

@@ -160,13 +160,13 @@ class ArithDivisorCensus(FrozenRecord):
     a-priori finiteness bound for the searched region.
     """
 
-    __slots__ = ("n", "lam", "h", "count", "log_certified_bound", "borderline",
-                 "max_inf_norm")
+    _fields = ("n", "lam", "h", "count", "log_certified_bound", "borderline",
+               "max_inf_norm")
 
-    def __init__(self, n: int, lam: float, h: float, count: int,
-                 log_certified_bound: float, borderline: tuple[IntegerForm, ...],
-                 max_inf_norm: int):
-        super().__init__(n, lam, h, count, log_certified_bound, borderline, max_inf_norm)
+    def __new__(cls, n: int, lam: float, h: float, count: int, log_certified_bound: float,
+                borderline: tuple[IntegerForm, ...], max_inf_norm: int):
+        return tuple.__new__(cls, (n, lam, h, count, log_certified_bound, borderline,
+                                   max_inf_norm))
 
     def raise_if_ambiguous(self):
         if self.borderline:
@@ -303,23 +303,23 @@ def count_arith_divisors_bounded(
 class NormSampleSpec(FrozenRecord):
     """Seeded random-polynomial generator: dense integer coefficients."""
 
-    __slots__ = ("samples", "seed", "nvars", "max_degree", "coeff_bound")
+    _fields = ("samples", "seed", "nvars", "max_degree", "coeff_bound")
 
-    def __init__(self, samples: int, seed: int, nvars: int = 2, max_degree: int = 3,
-                 coeff_bound: int = 10):
-        super().__init__(samples, seed, nvars, max_degree, coeff_bound)
+    def __new__(cls, samples: int, seed: int, nvars: int = 2, max_degree: int = 3,
+                coeff_bound: int = 10):
         if samples < 1 or nvars < 1 or max_degree < 0:
             raise DomainError("bad sample specification")
+        return tuple.__new__(cls, (samples, seed, nvars, max_degree, coeff_bound))
 
 
 class CheckRecord(FrozenRecord):
     """One inequality lhs <= rhs on one sample; ``error`` bounds how far
     the measured quadrature error can move the slack rhs - lhs."""
 
-    __slots__ = ("sample", "name", "lhs", "rhs", "error")
+    _fields = ("sample", "name", "lhs", "rhs", "error")
 
-    def __init__(self, sample: int, name: str, lhs: float, rhs: float, error: float):
-        super().__init__(sample, name, lhs, rhs, error)
+    def __new__(cls, sample: int, name: str, lhs: float, rhs: float, error: float):
+        return tuple.__new__(cls, (sample, name, lhs, rhs, error))
 
     @property
     def slack(self) -> float:

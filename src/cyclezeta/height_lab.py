@@ -110,10 +110,10 @@ class FunctionFieldPoint(FrozenRecord):
     monic.  Representatives are unique, so censuses can count tuples.
     """
 
-    __slots__ = ("q", "coords")
+    _fields = ("q", "coords")
 
-    def __init__(self, q: PrimePower, coords: tuple[tuple[int, ...], ...]):
-        super().__init__(q, coords)
+    def __new__(cls, q: PrimePower, coords: tuple[tuple[int, ...], ...]):
+        return tuple.__new__(cls, (q, coords))
 
     @staticmethod
     def make(q: PrimePower, coords) -> "FunctionFieldPoint":
@@ -266,10 +266,10 @@ class RationalFunctionPoint(FrozenRecord):
     coprime coordinates), and the first nonzero coefficient positive.
     """
 
-    __slots__ = ("d", "coords")
+    _fields = ("d", "coords")
 
-    def __init__(self, d: int, coords: tuple[MultiPoly, ...]):
-        super().__init__(d, coords)
+    def __new__(cls, d: int, coords: tuple[MultiPoly, ...]):
+        return tuple.__new__(cls, (d, coords))
 
     @staticmethod
     def make(d: int, coords) -> "RationalFunctionPoint":
@@ -350,16 +350,15 @@ class ShSetCensus(FrozenRecord):
     compared against.
     """
 
-    __slots__ = ("d", "a", "h", "count", "all_heights_ok", "max_height",
-                 "analytic_lower_bound", "coeff_box", "degree_cap",
-                 "max_height_error")
+    _fields = ("d", "a", "h", "count", "all_heights_ok", "max_height",
+               "analytic_lower_bound", "coeff_box", "degree_cap",
+               "max_height_error")
 
-    def __init__(self, d: int, a: float, h: float, count: int, all_heights_ok: bool,
-                 max_height: float, analytic_lower_bound: float, coeff_box: int,
-                 degree_cap: int, max_height_error: float):
-        super().__init__(d, a, h, count, all_heights_ok, max_height,
-                         analytic_lower_bound, coeff_box, degree_cap,
-                         max_height_error)
+    def __new__(cls, d: int, a: float, h: float, count: int, all_heights_ok: bool,
+                max_height: float, analytic_lower_bound: float, coeff_box: int,
+                degree_cap: int, max_height_error: float):
+        return tuple.__new__(cls, (d, a, h, count, all_heights_ok, max_height,
+                                   analytic_lower_bound, coeff_box, degree_cap, max_height_error))
 
 
 def sh_set_table(d: int, a: float, h: float, cfg: QuadratureConfig):

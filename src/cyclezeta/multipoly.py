@@ -366,13 +366,11 @@ class IntegerForm(FrozenRecord):
     coefficient at the lexicographically greatest exponent is positive.
     """
 
-    __slots__ = ("n", "multidegree", "coeffs")
+    _fields = ("n", "multidegree", "coeffs")
 
-    def __init__(self, n: int, multidegree: tuple[int, ...],
-                 coeffs: tuple[tuple[tuple[int, ...], int], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "multidegree", multidegree)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __new__(cls, n: int, multidegree: tuple[int, ...],
+                coeffs: tuple[tuple[tuple[int, ...], int], ...]):
+        return tuple.__new__(cls, (n, multidegree, coeffs))
 
     @staticmethod
     def make(n: int, multidegree, coeffs: dict) -> "IntegerForm":

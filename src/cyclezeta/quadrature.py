@@ -95,10 +95,11 @@ counts F times higher, which moves only integrands singular on the
 nodes, such as (z1 - z2)^2, within their error.  The shift is per row:
 with radii at most 1 the row's largest coefficient bounds every ring, and
 only a row whose terms span more than ~2^1000 between rings is floored at
-2^(s - 511) on its inner rings.  Two work caps refuse with
+2^(s - 511) on its inner rings.  Three caps refuse with
 ``SizeCapExceeded`` before anything is allocated or solved: ``GRID_CAP``
-on grid points times coefficient width (~5 s), and ``EXACT_CAP`` on the
-exact two-variable route's z1 nodes times (z2-degree)^3 (~4.5 s).
+on grid points times coefficient width (~5 s), ``EXACT_CAP`` on the
+exact two-variable route's z1 nodes times (z2-degree)^3 (~4.5 s), and
+``TABLE_CAP`` on the floats of either route's power tables (128 MB).
 
 ``_grid`` takes the 1/r half of the z1 nodes at the angles +theta where
 the node sets carry -theta, which permutes the nodes at equal weights:
@@ -221,11 +222,10 @@ def _shifted(C, bits: int, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
 class QuadratureConfig(FrozenRecord):
     """How to integrate: tensor Gauss-Legendre grid or seeded Monte Carlo."""
 
-    __slots__ = ("scheme", "nodes_per_dim", "sample_count", "seed")
+    _fields = ("scheme", "nodes_per_dim", "sample_count", "seed")
 
-    def __init__(self, scheme: str = "tensor_gauss", nodes_per_dim: int = 64,
-                 sample_count: int = 1_000_000, seed: int | None = None):
-        super().__init__(scheme, nodes_per_dim, sample_count, seed)
+    def __new__(cls, scheme: str = "tensor_gauss", nodes_per_dim: int = 64,
+                sample_count: int = 1_000_000, seed: int | None = None):
         if scheme not in ("tensor_gauss", "monte_carlo"):
             raise DomainError(f"unknown quadrature scheme {scheme!r}")
         if scheme == "tensor_gauss" and nodes_per_dim < 8:
@@ -235,6 +235,7 @@ class QuadratureConfig(FrozenRecord):
                 raise DomainError("monte_carlo requires an explicit seed")
             if sample_count < 1:
                 raise DomainError("sample_count must be >= 1")
+        return tuple.__new__(cls, (scheme, nodes_per_dim, sample_count, seed))
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -516,18 +517,25 @@ def _jensen_2var(polys, n: int):
 
     Returns (values, errors, certified); rows that are not certified
     squarefree in z2 carry no value and must take the grid.  More work
-    than ``EXACT_CAP`` is refused with ``SizeCapExceeded`` before any
-    solve.
+    than ``EXACT_CAP``, or power tables of the z1 nodes larger than
+    ``TABLE_CAP``, is refused with ``SizeCapExceeded`` before any solve.
     """
     rows = len(polys)
     work = 5 * n * n // 4 * sum(f.deg(1) ** 3 for f in polys if len(f.coeffs) > 1)
     if work > EXACT_CAP:
         raise SizeCapExceeded(f"an exact two-variable integral of {work:.3g} units (z1 nodes x "
                               f"z2-degree^3) exceeds the cap {EXACT_CAP:.0e}; lower the degree")
+    width1 = 1 + max(f.deg(0) for f in polys)
+    # _outer_tables' complex z1^i, i < width1, at the inner nodes at n and
+    # n / 2: 5 n^2 / 8 of them folded, 5 n^2 / 4 on the plane
+    plane = any(isinstance(c, complex) and c.imag for f in polys for c in f.coeffs.values())
+    table = 2 * (5 * n * n // (4 if plane else 8)) * width1
+    if table > TABLE_CAP:
+        raise SizeCapExceeded(f"an exact two-variable integral of z1-width {width1} needs tables "
+                              f"of {table:.3g} floats, past the cap {TABLE_CAP:.3g}")
     values, errors = np.zeros(rows), np.zeros(rows)
     certified = np.ones(rows, dtype=bool)
     outer = np.zeros(rows, dtype=bool)
-    width1 = 1 + max(f.deg(0) for f in polys)
     width2 = 1 + max(f.deg(1) for f in polys)
     G, Grev = np.zeros((2, rows, width1, width2), dtype=complex)  # and its z1-reversal
     for r, f in enumerate(polys):
@@ -575,6 +583,13 @@ def _jensen_2var(polys, n: int):
 # two-variable box of 3.7e3 sign classes on 3.4e7 nodes, or a row of
 # width 10^7, before anything is allocated.
 GRID_CAP = 2 * 10 ** 9
+# Floats of the dense tables one integral builds, and their caches keep,
+# however sparse its rows: radius powers, cos and sin and z2 powers on the
+# grid, z1 powers on the exact route.  2^24 are 128 MB: radius powers of
+# width 131 072 at n = 64 took 0.83 s and 192 MB of peak RSS, the outer
+# tables of z1-width 3 276 2.1 s and 128 MB.  It admits (1 : z1^100000)
+# and z1^2000 z2 + 1, and refuses ten times those widths.
+TABLE_CAP = 1 << 24
 _TILE = 1 << 15  # float64 entries per work buffer of the grid (module docstring)
 # the z2 axis of a one-variable grid: one node z2 = 1 of weight 1, its
 # power table z2^0, nothing lifted (log |w|^-2D = 0) and a mass of 1
@@ -629,6 +644,11 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
             f"a grid integral of {points:.3g} points of coefficient width {width} exceeds "
             f"the cap {GRID_CAP:.0e} on their product; lower nodes_per_dim or use monte_carlo"
         )
+    radii, count = 2 * n, len(z1) // (2 * n)  # radial nodes: one angle, 0
+    table = d1 * (radii + 2 * count * (count > 1)) + 2 * d2 * len(z2) * (nvars == 2)
+    if table > TABLE_CAP:
+        raise SizeCapExceeded(f"a grid integral of coefficient width {width} needs tables of "
+                              f"{table:.3g} floats, past the cap {TABLE_CAP:.3g}")
     G = np.zeros((d1, k, rows, d2), dtype=float if real else complex)
     for j, (a, b) in enumerate(E):
         G[a, :, :, b] += (C[:, :, j].real if real else C[:, :, j]).T
@@ -641,7 +661,6 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
         P2 = np.hstack([half ** np.arange(d2)[:, None], half ** np.arange(d2)[::-1, None]])
         lw2 = (d2 - 1) * -np.log(np.abs(np.hstack([half ** 0, half])) ** 2)
         lift2, mass2 = w2 @ lw2, w2.sum()
-    radii, count = 2 * n, len(z1) // (2 * n)  # radial nodes: one angle, 0
     tables = _angle_table(n, count, d1) if count > 1 else None
     W1 = w1.reshape(radii, count)  # node sets are radius-major
     # log max(floor^2, |f|^2) = lift + log max(floor^2 e^-lift, |f 2^-s w^D|^2)

@@ -110,15 +110,14 @@ def is_prime(n: int) -> bool:
 class PrimePower(FrozenRecord):
     """A finite-field order q = p^e, kept as the exact pair (p, e)."""
 
-    __slots__ = ("p", "e")
+    _fields = ("p", "e")
 
-    def __init__(self, p: int, e: int = 1):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "e", e)
+    def __new__(cls, p: int, e: int = 1):
         if not is_prime(p):
             raise DomainError(f"p = {p} is not prime")
         if e < 1:
             raise DomainError(f"exponent e = {e} must be >= 1")
+        return tuple.__new__(cls, (p, e))
 
     @property
     def q(self) -> int:
@@ -135,8 +134,6 @@ class SpaceDescriptor(FrozenRecord):
     projective line, ``("pn", n)`` for P^n.  A divisor multidegree has one
     entry per slot, and all else read from a space is derived from them.
     """
-
-    __slots__ = ()
 
     @property
     def slots(self) -> tuple[tuple, ...]:
@@ -155,12 +152,12 @@ class SpaceDescriptor(FrozenRecord):
 
 
 class ProjSpace(SpaceDescriptor):
-    __slots__ = ("n",)
+    _fields = ("n",)
 
-    def __init__(self, n: int):
-        super().__init__(n)
+    def __new__(cls, n: int):
         if n < 0:
             raise DomainError("projective space dimension must be >= 0")
+        return tuple.__new__(cls, (n,))
 
     @property
     def slots(self) -> tuple[tuple, ...]:
@@ -171,12 +168,12 @@ class ProjSpace(SpaceDescriptor):
 
 
 class P1Power(SpaceDescriptor):
-    __slots__ = ("n",)
+    _fields = ("n",)
 
-    def __init__(self, n: int):
-        super().__init__(n)
+    def __new__(cls, n: int):
         if n < 0:
             raise DomainError("number of P1 factors must be >= 0")
+        return tuple.__new__(cls, (n,))
 
     @property
     def slots(self) -> tuple[tuple, ...]:
@@ -187,10 +184,10 @@ class P1Power(SpaceDescriptor):
 
 
 class Product(SpaceDescriptor):
-    __slots__ = ("left", "right")
+    _fields = ("left", "right")
 
-    def __init__(self, left: SpaceDescriptor, right: SpaceDescriptor):
-        super().__init__(left, right)
+    def __new__(cls, left: SpaceDescriptor, right: SpaceDescriptor):
+        return tuple.__new__(cls, (left, right))
 
     @property
     def slots(self) -> tuple[tuple, ...]:

@@ -50,11 +50,11 @@ _CPRIME_PN = {"top-cycles": lambda n: 0.0, "divisors": lambda n: n + 1.0}
 class SparseSeries(FrozenRecord):
     """Exact truncated cycle zeta series with sparse exponents k^(l+1)."""
 
-    __slots__ = ("space", "q", "l", "kmax", "coefficients")
+    _fields = ("space", "q", "l", "kmax", "coefficients")
 
-    def __init__(self, space: SpaceDescriptor, q: PrimePower, l: int, kmax: int,
-                 coefficients: tuple[int, ...]):  # n_0 .. n_kmax
-        super().__init__(space, q, l, kmax, coefficients)
+    def __new__(cls, space: SpaceDescriptor, q: PrimePower, l: int, kmax: int,
+                coefficients: tuple[int, ...]):  # n_0 .. n_kmax
+        return tuple.__new__(cls, (space, q, l, kmax, coefficients))
 
     def exponent(self, k: int) -> int:
         return k ** (self.l + 1)
@@ -377,11 +377,11 @@ def spec_z_zeta_partial_with_error(s: float, cutoff: int, audit: bool = False):
 class AbscissaReport(FrozenRecord):
     """log_q(n_k) / k^(l+1) for k = 1..kmax, with the predicted limit."""
 
-    __slots__ = ("space", "q", "l", "values", "predicted_limit")
+    _fields = ("space", "q", "l", "values", "predicted_limit")
 
-    def __init__(self, space: SpaceDescriptor, q: PrimePower, l: int,
-                 values: tuple[float, ...], predicted_limit: float | None):
-        super().__init__(space, q, l, values, predicted_limit)
+    def __new__(cls, space: SpaceDescriptor, q: PrimePower, l: int,
+                values: tuple[float, ...], predicted_limit: float | None):
+        return tuple.__new__(cls, (space, q, l, values, predicted_limit))
 
     def value(self, k: int) -> float:
         return self.values[k - 1]

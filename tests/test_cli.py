@@ -481,16 +481,23 @@ def test_work_caps_refuse_at_once(capsys):
         assert time.perf_counter() - start < 20
     # a row of width 10^7 + 1: its radius powers alone would take ~10 GB.
     # The constant coordinate makes the gcd that normalizes the point 1 at
-    # once; a dense Euclid over 10^7 coefficients peaked at 244 MB
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, "height", "nv", "--coords",
-                           "1,z1^10000000", "--d", "1"],
-                          capture_output=True, text=True, timeout=20)
-    assert proc.returncode == 3 and proc.stdout == ""
-    message, peak_mb = proc.stderr.splitlines()
-    assert "coefficient width 10000001" in message
-    assert int(peak_mb) < 100
-    assert time.perf_counter() - start < 10
+    # once; a dense Euclid over 10^7 coefficients peaked at 244 MB.  Width
+    # 10^6 + 1 passes GRID_CAP, but its radius powers (1 GB) do not pass
+    # TABLE_CAP; neither do the z1 powers of z1^20000 z2 + 1 (0.8 GB)
+    for argv, phrase in ((["height", "nv", "--coords", "1,z1^10000000", "--d", "1"],
+                          "coefficient width 10000001"),
+                         (["height", "nv", "--coords", "1,z1^1000000", "--d", "1"],
+                          "coefficient width 1000001 needs tables"),
+                         (["norm", "--poly", "z1^20000*z2+1"],
+                          "z1-width 20001 needs tables")):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv],
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 3 and proc.stdout == ""
+        message, peak_mb = proc.stderr.splitlines()
+        assert phrase in message
+        assert int(peak_mb) < 100
+        assert time.perf_counter() - start < 10
 
 
 def test_monte_carlo_refuses_samples_past_the_float_range(capsys):

@@ -5,12 +5,14 @@ frozen (or, for ``CommandResult``, mutable) standard-library data class;
 the repr strings below are the ones those data classes printed.
 """
 
+import argparse
 import copy
+import pickle
 
 import pytest
 
 from cyclezeta.bound_engine import CountingSystemSpec, ExplicitConstant
-from cyclezeta.commands import CommandResult
+from cyclezeta.commands import CommandResult, _params
 from cyclezeta.cycle_oracle import ClosedPoint, FormClass, ZeroCycle
 from cyclezeta.errors import DomainError
 from cyclezeta.field_census import ClosedPointCensus
@@ -86,15 +88,20 @@ def _ids(case):
     return case[0].__name__
 
 
+def _names(cls):
+    """The field list: ``_fields`` of a frozen record, ``__slots__`` of a mutable one."""
+    return cls.__slots__ if cls in MUTABLE else cls._fields
+
+
 def _fields(value):
-    return tuple(getattr(value, name) for name in type(value).__slots__)
+    return tuple(getattr(value, name) for name in _names(type(value)))
 
 
 @pytest.mark.parametrize("cls, args, text", CASES, ids=map(_ids, CASES))
 def test_equal_fields_make_equal_values(cls, args, text):
     a, b = cls(*args), cls(*args)
     assert a == b and not a != b
-    assert a == cls(**dict(zip(cls.__slots__, args)))  # fields name the arguments
+    assert a == cls(**dict(zip(_names(cls), args)))  # fields name the arguments
     assert _fields(a)[:len(args)] == args
     if cls in MUTABLE:
         with pytest.raises(TypeError):
@@ -119,7 +126,7 @@ def test_repr_is_the_data_class_repr(cls, args, text):
 @pytest.mark.parametrize("cls, args, text", CASES, ids=map(_ids, CASES))
 def test_frozen_fields_refuse_assignment(cls, args, text):
     value = cls(*args)
-    for name in cls.__slots__:
+    for name in _names(cls):
         if cls in MUTABLE:
             setattr(value, name, None)
             assert getattr(value, name) is None
@@ -159,3 +166,33 @@ def test_unequal_fields_and_classes():
 def test_construction_checks_still_raise(build):
     with pytest.raises(DomainError):
         build()
+
+
+@pytest.mark.parametrize("cls, args, text", CASES, ids=map(_ids, CASES))
+def test_pickle_round_trip(cls, args, text):
+    value = cls(*args)
+    again = pickle.loads(pickle.dumps(value))
+    assert type(again) is cls and again == value and repr(again) == text
+
+
+@pytest.mark.parametrize("cls, args, text", CASES, ids=map(_ids, CASES))
+def test_records_are_not_ordered(cls, args, text):
+    a, b = cls(*args), cls(*args)
+    with pytest.raises(TypeError):
+        sorted([a, b])
+    if cls not in MUTABLE:  # not even against the plain tuple of the fields
+        with pytest.raises(TypeError):
+            a < _fields(a)
+        with pytest.raises(TypeError):
+            _fields(a) <= a
+
+
+@pytest.mark.parametrize("cls, args, text", CASES, ids=map(_ids, CASES))
+def test_only_frozen_records_are_tuples(cls, args, text):
+    assert isinstance(cls(*args), tuple) == (cls not in MUTABLE)
+
+
+def test_params_echo_a_prime_power_as_text():
+    # a PrimePower is a tuple, but is echoed as the text of its order
+    args = argparse.Namespace(command="count", q=PrimePower(2, 2), multidegree=(1, 1))
+    assert _params(args) == {"q": "2^2", "multidegree": [1, 1]}
