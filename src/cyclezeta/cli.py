@@ -23,8 +23,12 @@ products: 3*z1^2, X1*Y2.
 # the dispatcher: it holds what every command runs (the command table,
 # the parser, ``--q``, the digit limit, the output and the exit codes)
 # and loads just ``errors`` and ``spaces`` at start-up.  Each subcommand
-# is one module, ``commands/<name>.py``, with ``add_arguments(p)`` and
-# ``run(args)``; what two or more share is in ``commands/__init__``.
+# is one module, ``commands/<name>.py``, whose ``add_arguments(p)`` sets
+# the function that runs it; what two or more share is in
+# ``commands/__init__``.  The kinds of ``count``, ``enum``, ``bound``,
+# ``height`` and ``census`` are sub-parsers, each holding only the options
+# its kind reads: any other option is a usage error, and the echoed
+# parameters are the options used.
 # ``build_parser`` imports the one command module named on the command
 # line (all twelve for ``--help``, a missing or an unknown command, so
 # usage and errors read the same).  A process without a bytecode cache
@@ -175,7 +179,6 @@ def build_parser(argv=None) -> _Parser:
             module = importlib.import_module(f".commands.{name}", __package__)
             p = sub.add_parser(name, help=help_text)
             module.add_arguments(p)
-            p.set_defaults(func=module.run)
     return parser
 
 

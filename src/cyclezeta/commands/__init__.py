@@ -1,8 +1,11 @@
 """What two or more subcommands share: the result record, decimal text of
 big integers, the echoed parameters, argument helpers and the audit.
 
-Each subcommand is one module here with ``add_arguments(p)`` and
-``run(args)``; ``cyclezeta.cli`` imports only the one argv names.  No
+Each subcommand is one module here whose ``add_arguments(p)`` sets the
+function that runs it (one per kind, where the command has kinds).
+That function imports the modules that compute its results, so that
+parsing, a usage error or ``--help`` loads none of them.
+``cyclezeta.cli`` imports only the one argv names.  No
 module here imports ``cyclezeta.cli``: under ``python -m cyclezeta.cli``
 that module runs as ``__main__``, and importing it by name would compile
 it a second time.
@@ -82,8 +85,15 @@ class CommandResult(Record):
 
 
 def _params(args) -> dict:
-    # the command is printed once, at the top level of the output
+    # the command is printed once, at the top level; a quadrature scheme
+    # reads only its own options: the grid no sample count and no seed
+    # (verify's seed also draws its polynomials), Monte Carlo no nodes
     skip = {"command", "func", "tsv", "timing"}
+    scheme = getattr(args, "scheme", None)
+    if scheme == "tensor_gauss":
+        skip |= {"mc_samples"} if args.command == "verify" else {"mc_samples", "seed"}
+    elif scheme == "monte_carlo":
+        skip.add("nodes")
     out = {}
     for key, val in sorted(vars(args).items()):
         if key in skip or val is None:
@@ -92,6 +102,11 @@ def _params(args) -> dict:
             list(val) if isinstance(val, tuple) else val
         )
     return out
+
+
+def _result(args, provenance: str) -> CommandResult:
+    """The result of the command args ran, with its echoed parameters."""
+    return CommandResult(args.command, _params(args), provenance=provenance)
 
 
 def _finite_float(text: str) -> float:
@@ -114,35 +129,44 @@ def _space(args):
     return parse_space(args.space, args.n)
 
 
-def _add_space_args(p, need_q=True):
-    p.add_argument("--space", required=True, help="pn or p1xn")
-    p.add_argument("--n", type=int, required=True)
-    if need_q:
-        p.add_argument("--q", required=True,
-                       help="prime power, e.g. 3 or 2^2")
+# options that several commands share: add_argument keywords by flag
+_SPACE = {
+    "--space": dict(required=True, help="pn or p1xn"),
+    "--n": dict(type=int, required=True),
+    "--q": dict(required=True, help="prime power, e.g. 3 or 2^2"),
+}
+_QUAD = {
+    "--scheme": dict(choices=["tensor_gauss", "monte_carlo"], default="tensor_gauss"),
+    "--nodes": dict(type=int, default=64),
+    "--mc-samples": dict(type=int, default=1_000_000),
+    "--seed": dict(type=int),
+}
 
 
-def _add_quad_args(p, add_seed=True):
-    p.add_argument("--scheme", choices=["tensor_gauss", "monte_carlo"],
-                   default="tensor_gauss")
-    p.add_argument("--nodes", type=int, default=64)
-    p.add_argument("--mc-samples", type=int, default=1_000_000)
-    if add_seed:
-        p.add_argument("--seed", type=int, default=None)
+def _add_options(p, options, names):
+    """Add the options named in the space-separated names from the table."""
+    for name in names.split():
+        p.add_argument(name, **options[name])
+
+
+def _add_kinds(p, options, kinds):
+    """One sub-parser per kind of ``{kind: (run, option names)}``, holding
+    only the named options from the table; returns them by kind.  No
+    abbreviation: another kind's --d must not read as this one's --dmax."""
+    sub = p.add_subparsers(dest="kind", required=True)
+    for kind, (run, names) in kinds.items():
+        k = sub.add_parser(kind, allow_abbrev=False)
+        _add_options(k, options, names)
+        k.set_defaults(func=run)
+    return sub.choices
 
 
 def _quad_config(args) -> QuadratureConfig:
     from ..quadrature import QuadratureConfig
 
-    scheme = getattr(args, "scheme", "tensor_gauss")
-    if scheme == "monte_carlo" and getattr(args, "seed", None) is None:
+    if args.scheme == "monte_carlo" and args.seed is None:
         raise DomainError("monte_carlo quadrature requires --seed")
-    return QuadratureConfig(
-        scheme=scheme,
-        nodes_per_dim=getattr(args, "nodes", 64),
-        sample_count=getattr(args, "mc_samples", 1_000_000),
-        seed=getattr(args, "seed", None),
-    )
+    return QuadratureConfig(args.scheme, args.nodes, args.mc_samples, args.seed)
 
 
 def _audit(res: CommandResult, family: str, space, q, counts) -> None:

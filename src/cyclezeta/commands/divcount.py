@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import CommandResult, _finite_float, _params, _quad_config
+from . import CommandResult, _finite_float, _result
 
 
 def add_arguments(p):
@@ -12,21 +12,22 @@ def add_arguments(p):
     p.add_argument("--search-cap", type=int)  # default: fs_norms.DEFAULT_SEARCH_CAP
     # the census integrates in batches, which take the tensor scheme only
     p.add_argument("--nodes", type=int, default=64)
+    p.set_defaults(func=run)
 
 
 def run(args) -> CommandResult:
     from .. import fs_norms
+    from ..quadrature import QuadratureConfig
 
     if args.search_cap is None:
         args.search_cap = fs_norms.DEFAULT_SEARCH_CAP
-    cfg = _quad_config(args)
+    cfg = QuadratureConfig(nodes_per_dim=args.nodes)
     census = fs_norms.count_arith_divisors_bounded(
         args.n, args.lam, args.h, cfg, search_cap=args.search_cap
     )
-    res = CommandResult("divcount", _params(args))
+    res = _result(args, "exhaustive certified-region search with guard band")
     res.add_int("count", census.count)
     res.add_float("log_certified_bound", census.log_certified_bound)
     res.add_int("coeff_box", census.max_inf_norm)
     res.add_raw("borderline", [str(f) for f in census.borderline])
-    res.provenance = "exhaustive certified-region search with guard band"
     return res

@@ -2,35 +2,43 @@
 
 from __future__ import annotations
 
-from . import CommandResult, _add_space_args, _multidegree, _params, _space
+from . import CommandResult, _SPACE, _add_kinds, _multidegree, _result, _space
+
+_OPTIONS = {
+    **_SPACE,
+    "--multidegree": dict(type=_multidegree, required=True),
+    "--k": dict(type=int, default=0),
+}
 
 
 def add_arguments(p):
-    p.add_argument("kind", choices=["divisors", "zero-cycles"])
-    _add_space_args(p)
-    p.add_argument("--multidegree", type=_multidegree)
-    p.add_argument("--k", type=int, default=0)
+    _add_kinds(p, _OPTIONS, {
+        "divisors": (divisors, "--space --n --q --multidegree"),
+        "zero-cycles": (zero_cycles, "--space --n --q --k"),
+    })
 
 
-def run(args) -> CommandResult:
+def divisors(args) -> CommandResult:
     from .. import cycle_oracle
 
-    space = _space(args)
-    res = CommandResult("enum", _params(args))
-    if args.kind == "divisors":
-        forms = cycle_oracle.enum_divisors(space, args.q, args.multidegree)
-        res.add_int("count", len(forms))
-        res.add_raw("forms", [str(f) for f in forms])
-        res.provenance = "exhaustive canonical-form enumeration"
-    else:
-        cycles = cycle_oracle.enum_zero_cycles(space, args.q, args.k)
-        res.add_int("count", len(cycles))
-        res.add_raw(
-            "cycles",
-            [
-                [[list(map(list, pt.orbit_key)), pt.degree, m] for pt, m in z.terms]
-                for z in cycles
-            ],
-        )
-        res.provenance = "exhaustive Frobenius-orbit enumeration"
+    forms = cycle_oracle.enum_divisors(_space(args), args.q, args.multidegree)
+    res = _result(args, "exhaustive canonical-form enumeration")
+    res.add_int("count", len(forms))
+    res.add_raw("forms", [str(f) for f in forms])
+    return res
+
+
+def zero_cycles(args) -> CommandResult:
+    from .. import cycle_oracle
+
+    cycles = cycle_oracle.enum_zero_cycles(_space(args), args.q, args.k)
+    res = _result(args, "exhaustive Frobenius-orbit enumeration")
+    res.add_int("count", len(cycles))
+    res.add_raw(
+        "cycles",
+        [
+            [[list(map(list, pt.orbit_key)), pt.degree, m] for pt, m in z.terms]
+            for z in cycles
+        ],
+    )
     return res

@@ -3,38 +3,46 @@
 from __future__ import annotations
 
 from ..spaces import PrimePower
-from . import CommandResult, _add_quad_args, _params, _quad_config
+from . import CommandResult, _QUAD, _add_kinds, _quad_config, _result
+
+_OPTIONS = {
+    "--coords": dict(required=True,
+                     help="comma-separated coordinates, e.g. '1,t^2+1' or '1,z1'"),
+    "--q": dict(default="2"),
+    "--d": dict(type=int, default=1),
+    **_QUAD,
+}
 
 
 def add_arguments(p):
-    p.add_argument("kind", choices=["ff", "nv"])
-    p.add_argument("--coords", required=True,
-                   help="comma-separated coordinates, e.g. '1,t^2+1' or '1,z1'")
-    p.add_argument("--q", default="2")
-    p.add_argument("--d", type=int, default=1)
-    _add_quad_args(p)
+    _add_kinds(p, _OPTIONS, {
+        "ff": (ff, "--coords --q"),
+        "nv": (nv, "--coords --d --scheme --nodes --mc-samples --seed"),
+    })
 
 
-def run(args) -> CommandResult:
+def ff(args) -> CommandResult:
     from .. import height_lab
 
-    res = CommandResult("height", _params(args))
     coords = [c.strip() for c in args.coords.split(",")]
-    if args.kind == "ff":
-        F = args.q
-        pt = height_lab.FunctionFieldPoint.make(
-            F, [_parse_fq_poly(c, F) for c in coords]
-        )
-        res.add_int("height", height_lab.height_ff(pt))
-        res.provenance = "max coordinate degree after normalization"
-    else:
-        from ..multipoly import parse_affine_polynomial
+    pt = height_lab.FunctionFieldPoint.make(
+        args.q, [_parse_fq_poly(c, args.q) for c in coords]
+    )
+    res = _result(args, "max coordinate degree after normalization")
+    res.add_int("height", height_lab.height_ff(pt))
+    return res
 
-        polys = [parse_affine_polynomial(c, nvars=args.d) for c in coords]
-        pt = height_lab.RationalFunctionPoint.make(args.d, polys)
-        cfg = _quad_config(args)
-        res.add_float("height", *height_lab.height_nv_with_error(pt, cfg))
-        res.provenance = "infinity degrees plus Fubini-Study integral"
+
+def nv(args) -> CommandResult:
+    from .. import height_lab
+    from ..multipoly import parse_affine_polynomial
+
+    coords = [c.strip() for c in args.coords.split(",")]
+    polys = [parse_affine_polynomial(c, nvars=args.d) for c in coords]
+    pt = height_lab.RationalFunctionPoint.make(args.d, polys)
+    cfg = _quad_config(args)
+    res = _result(args, "infinity degrees plus Fubini-Study integral")
+    res.add_float("height", *height_lab.height_nv_with_error(pt, cfg))
     return res
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import CommandResult, _finite_float, _params
+from . import CommandResult, _finite_float, _result
 
 
 def add_arguments(p):
@@ -10,6 +10,7 @@ def add_arguments(p):
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--s", type=_finite_float, required=True)
     p.add_argument("--pmax", type=int, required=True)
+    p.set_defaults(func=run)
 
 
 def run(args) -> CommandResult:
@@ -18,11 +19,10 @@ def run(args) -> CommandResult:
     value, err = zeta_series.l_function_partial_with_error(
         args.n, args.l, complex(args.s), args.pmax
     )
-    res = CommandResult("lfun", _params(args))
-    res.add_float("real", value.real, err)
-    res.add_float("imag", value.imag, err)
-    res.provenance = (
+    res = _result(args, (
         "partial Euler product of exact cellular local factors" if args.l == 0
         else "ascending partial Euler product, tail-bounded factors"
-    )
+    ))
+    res.add_float("real", value.real, err)
+    res.add_float("imag", value.imag, err)
     return res

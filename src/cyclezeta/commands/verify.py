@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import CommandResult, _add_quad_args, _params, _quad_config
+from . import CommandResult, _QUAD, _add_options, _quad_config, _result
 
 
 def add_arguments(p):
@@ -12,7 +12,8 @@ def add_arguments(p):
     p.add_argument("--nvars", type=int, default=2)
     p.add_argument("--maxdeg", type=int, default=3)
     p.add_argument("--coeff-bound", type=int, default=10)
-    _add_quad_args(p, add_seed=False)
+    _add_options(p, _QUAD, "--scheme --nodes --mc-samples")
+    p.set_defaults(func=run)
 
 
 def run(args) -> CommandResult:
@@ -24,7 +25,7 @@ def run(args) -> CommandResult:
     )
     records = fs_norms.verify_norm_props(spec, _quad_config(args))
     statuses = [r.status for r in records]
-    res = CommandResult("verify", _params(args))
+    res = _result(args, "seeded random polynomials against norm inequalities")
     res.add_int("checks", len(records))
     for status in ("pass", "warn", "fail"):
         res.add_int(status, statuses.count(status))
@@ -35,5 +36,4 @@ def run(args) -> CommandResult:
             for r in records if r.status == "fail"
         ],
     )
-    res.provenance = "seeded random polynomials against norm inequalities"
     return res

@@ -233,8 +233,9 @@ class QuadratureConfig(FrozenRecord):
         if scheme == "monte_carlo":
             if seed is None:
                 raise DomainError("monte_carlo requires an explicit seed")
-            if sample_count < 1:
-                raise DomainError("sample_count must be >= 1")
+            if sample_count < 2:
+                raise DomainError("sample_count must be >= 2: one sample has no "
+                                  "spread to estimate an error from")
         return tuple.__new__(cls, (scheme, nodes_per_dim, sample_count, seed))
 
 

@@ -69,7 +69,7 @@ def test_byte_identical_reruns(capsys):
 def test_timing_flag_attaches_elapsed(capsys):
     doc = run_json(
         capsys, "--timing", "count", "top-cycles", "--space", "p1xn",
-        "--n", "2", "--q", "2", "--k", "2",
+        "--n", "2", "--k", "2",
     )
     assert "elapsed_seconds" in doc
 
@@ -150,6 +150,7 @@ def test_help_lists_every_subcommand(capsys):
     "count top-cycles --space pn --n 1 --q 2 --bogus",
     "norm --poly z1 --tolerance 1e-3",
     "divcount --n 1 --lam 1 --h 2 --scheme monte_carlo --seed 1",
+    "census ff-points --q 2 --n 1 --h 2 --a 0.3",
 ])
 def test_usage_errors_match_the_full_parser(capsys, argv):
     argv = shlex.split(argv)
@@ -184,7 +185,6 @@ FLOAT_OPTIONS = [
     ("delta --form X1", "--lam"),
     ("divcount --n 1 --h 1", "--lam"),
     ("divcount --n 1 --lam 1", "--h"),
-    ("census ff-points", "--h"),
     ("census sh-set", "--a"),
     ("census sh-set", "--h"),
 ]
@@ -204,6 +204,109 @@ def test_float_options_refuse_non_finite_values(capsys, command, option):
     assert code == 1 and out == ""
     assert err.endswith(f"error: argument {option}: invalid float value: 'abc'\n")
     assert vars(_full_parse([*argv, option, "2.5"]))[option[2:].replace("-", "_")] == 2.5
+
+
+def test_ff_points_height_is_an_integer(capsys):
+    # a function-field height is a degree: 2.7 was counted as int(2.7) = 2
+    # while the echo said 2.7
+    for text in ("2.7", "nan", "inf"):
+        code, out, err = _exit(capsys, main, ["census", "ff-points", "--h", text])
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: argument --h: invalid int value: '{text}'\n")
+    doc = run_json(capsys, "census", "ff-points", "--q", "2", "--n", "1", "--h", "2")
+    assert doc["parameters"]["h"] == 2 and doc["results"]["count"]["value"] == "33"
+
+
+# Each kind of a command with kinds: the options its sub-parser holds,
+# which are the options its run reads, and a minimal command line
+KIND_OPTIONS = {
+    "count divisors": ("--space --n --q --audit --k --multidegree",
+                       "--space pn --n 1 --q 2 --k 1"),
+    "count zero-cycles": ("--space --n --q --k --audit", "--space pn --n 1 --q 2"),
+    "count top-cycles": ("--space --n --k", "--space pn --n 1"),
+    "count cycles": ("--space --n --q --l --k --audit", "--space pn --n 1 --q 2"),
+    "enum divisors": ("--space --n --q --multidegree",
+                      "--space pn --n 1 --q 2 --multidegree 1"),
+    "enum zero-cycles": ("--space --n --q --k", "--space pn --n 1 --q 2"),
+    "bound constant": ("--n --l", ""),
+    "bound counting-system": ("--q --n --l --h", ""),
+    "bound product-cycle": ("--deg-d --deg-e --deg-c --theta-d --theta-e", ""),
+    "bound pushforward": ("--deg-pi --mults", ""),
+    "height ff": ("--coords --q", "--coords 1,t"),
+    "height nv": ("--coords --d --scheme --nodes --mc-samples --seed", "--coords 1,z1"),
+    "census closed-points": ("--space --n --q --dmax", ""),
+    "census ff-points": ("--q --n --h --stream", ""),
+    "census sh-set": ("--d --a --h --stream --scheme --nodes --mc-samples --seed", ""),
+}
+_TOP_LEVEL = {"command", "func", "tsv", "timing"}
+
+
+def _kind_parsers():
+    """{"command kind": sub-parser} for every kind of every command."""
+    found = {}
+    for name, command in _choices(build_parser()).items():
+        found.update({f"{name} {kind}": p for kind, p in _choices(command).items()})
+    return found
+
+
+def _choices(parser):
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def test_each_kind_parses_and_echoes_only_the_options_it_reads(capsys):
+    parsers = _kind_parsers()
+    assert set(parsers) == set(KIND_OPTIONS)
+    for label, parser in parsers.items():
+        options = {o for a in parser._actions for o in a.option_strings}
+        assert options - {"-h", "--help"} == set(KIND_OPTIONS[label][0].split()), label
+        argv = [*label.split(), *shlex.split(KIND_OPTIONS[label][1])]
+        parsed = {k for k, v in vars(_full_parse(argv)).items() if v is not None}
+        if "scheme" in parsed:  # the tensor grid reads no Monte Carlo sample count
+            parsed.remove("mc_samples")
+        assert set(run_json(capsys, *argv)["parameters"]) == parsed - _TOP_LEVEL, label
+
+
+_EVERY_KIND_OPTION = sorted({o for names, _ in KIND_OPTIONS.values() for o in names.split()})
+
+
+@pytest.mark.parametrize("label", KIND_OPTIONS)
+def test_a_foreign_option_is_a_usage_error(capsys, label):
+    names, minimal = KIND_OPTIONS[label]
+    argv = [*label.split(), *shlex.split(minimal)]
+    foreign = [o for o in _EVERY_KIND_OPTION if o not in names.split()]
+    assert foreign
+    # no option abbreviates another: --d is not --dmax, --h not --help
+    for option in foreign:
+        code, out, err = _exit(capsys, main, [*argv, option, "1"])
+        assert (code, out) == (1, ""), (label, option)
+        assert err.startswith("usage: cyclezeta")
+        assert err.endswith(f"error: unrecognized arguments: {option} 1\n"), (label, option)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a TypeError traceback when --multidegree was optional here
+    ("enum divisors --space pn --n 1 --q 2",
+     "the following arguments are required: --multidegree"),
+    # --k was dropped in silence
+    ("count divisors --space pn --n 2 --q 2 --multidegree 1 --k 5",
+     "argument --k: not allowed with argument --multidegree"),
+    ("count divisors --space pn --n 2 --q 2",
+     "one of the arguments --k --multidegree is required"),
+])
+def test_divisor_degrees_are_checked_by_the_parser(capsys, argv, message):
+    code, out, err = _exit(capsys, main, shlex.split(argv))
+    assert (code, out) == (1, "") and "Traceback" not in err
+    assert err.endswith(f"error: {message}\n")
+
+
+def test_one_monte_carlo_sample_is_refused(capsys):
+    # its spread is 0, so it reported v = 24.63 +- 0.0 against sqrt(340)
+    code, out, err = run_cli(capsys, "norm", "--poly", "(z1+1)*(z2+3)*(z3+4)",
+                             "--scheme", "monte_carlo", "--seed", "1", "--mc-samples", "1")
+    assert (code, out) == (2, "")
+    assert err == ("domain error: sample_count must be >= 2: one sample has no "
+                   "spread to estimate an error from\n")
 
 
 def test_enum_outputs_forms(capsys):
@@ -551,7 +654,7 @@ PINNED_OUTPUTS = [
     (
         'count divisors --space p1xn --n 2 --q 2 --multidegree 1,1 --audit',
         '{"command": "count", "parameters": {"audit": true, '
-        '"k": 0, "kind": "divisors", "l": 0, '
+        '"kind": "divisors", '
         '"multidegree": [1, 1], "n": 2, "q": "2", "space": "p1xn"}, '
         '"provenance": "closed-form multidegree divisor count", '
         '"results": {"audit": {"error": 0, '
@@ -561,7 +664,7 @@ PINNED_OUTPUTS = [
     (
         'count divisors --space pn --n 2 --q 2 --k 2 --audit',
         '{"command": "count", "parameters": {"audit": true, '
-        '"k": 2, "kind": "divisors", "l": 0, "n": 2, '
+        '"k": 2, "kind": "divisors", "n": 2, '
         '"q": "2", "space": "pn"}, '
         '"provenance": "closed-form divisor count by polarization degree", '
         '"results": {"audit": {"error": 0, '
@@ -571,7 +674,7 @@ PINNED_OUTPUTS = [
     (
         'count divisors --space p1xn --n 2 --q 2 --k 2 --audit',
         '{"command": "count", "parameters": {"audit": true, '
-        '"k": 2, "kind": "divisors", "l": 0, "n": 2, '
+        '"k": 2, "kind": "divisors", "n": 2, '
         '"q": "2", "space": "p1xn"}, '
         '"provenance": "closed-form divisor count by polarization degree", '
         '"results": {"audit": {"error": 0, '
@@ -581,17 +684,17 @@ PINNED_OUTPUTS = [
     (
         'count zero-cycles --space pn --n 2 --q 2 --k 2 --audit',
         '{"command": "count", "parameters": {"audit": true, '
-        '"k": 2, "kind": "zero-cycles", "l": 0, "n": 2, '
+        '"k": 2, "kind": "zero-cycles", "n": 2, '
         '"q": "2", "space": "pn"}, "provenance": "product of the cell '
         'factors (1 - q^j T)^(-b_j)", "results": {"audit": {"error": 0, '
         '"value": "oracle enumeration matched"}, "count": {"error": 0, '
         '"value": "35"}}}\n'
     ),
     (
-        'count top-cycles --space pn --n 2 --q 2 --k 2',
-        '{"command": "count", "parameters": {"audit": false, '
-        '"k": 2, "kind": "top-cycles", "l": 0, "n": 2, '
-        '"q": "2", "space": "pn"}, '
+        'count top-cycles --space pn --n 2 --k 2',
+        '{"command": "count", "parameters": {'
+        '"k": 2, "kind": "top-cycles", "n": 2, '
+        '"space": "pn"}, '
         '"provenance": "divisibility by the top polarization degree", '
         '"results": {"count": {"error": 0, "value": "1"}}}\n'
     ),
@@ -638,20 +741,17 @@ PINNED_OUTPUTS = [
     ),
     (
         'census closed-points --space pn --n 2 --q 2 --dmax 4',
-        '{"command": "census", "parameters": {"a": 0.25, '
-        '"d": 1, "dmax": 4, "h": 0.0, '
-        '"kind": "closed-points", "mc_samples": 1000000, "n": 2, '
-        '"nodes": 64, "q": "2", "scheme": "tensor_gauss", "space": "pn", '
-        '"stream": false}, '
+        '{"command": "census", "parameters": {'
+        '"dmax": 4, '
+        '"kind": "closed-points", "n": 2, '
+        '"q": "2", "space": "pn"}, '
         '"provenance": "Moebius inversion of extension point counts", '
         '"results": {"b": {"error": 0, "value": ["7", "7", "22", "63"]}}}\n'
     ),
     (
         'bound constant --n 2 --l 1',
         '{"command": "bound", "parameters": {'
-        '"deg_c": 1.0, "deg_d": 1.0, "deg_e": 1.0, "deg_pi": 1, "h": '
-        '1.0, "kind": "constant", "l": 1, "mults": [1], "n": 2, "q": '
-        '"2", "theta_d": 1, "theta_e": 1}, "provenance": "pinned '
+        '"kind": "constant", "l": 1, "n": 2}, "provenance": "pinned '
         'recursion over boundary strata", "results": {"constant": '
         '{"error": 0, "value": "37"}, "derivation": {"error": 0, '
         '"value": ["C(1,1) = 1  (top-dimensional base case)", "C(2,1) = '
@@ -688,7 +788,7 @@ PINNED_OUTPUTS = [
     (
         'norm --poly "3*z1*z2 - 4" --nodes 32',
         '{"command": "norm", "parameters": {'
-        '"mc_samples": 1000000, "nodes": 32, "poly": "3*z1*z2 - 4", '
+        '"nodes": 32, "poly": "3*z1*z2 - 4", '
         '"scheme": "tensor_gauss"}, "provenance": '
         '"coefficient norms exact; v by Fubini-Study quadrature", '
         '"results": {"inf": {"error": 0.0, "value": 4.0}, '
@@ -699,7 +799,7 @@ PINNED_OUTPUTS = [
     (
         'delta --form "X1^2 - 3*X1*Y1 + Y1^2" --lam 1',
         '{"command": "delta", "parameters": {"form": '
-        '"X1^2 - 3*X1*Y1 + Y1^2", "lam": 1.0, "mc_samples": 1000000, '
+        '"X1^2 - 3*X1*Y1 + Y1^2", "lam": 1.0, '
         '"nodes": 64, "scheme": "tensor_gauss"}, '
         '"provenance": "lambda-degree term plus Fubini-Study integral", '
         '"results": {"delta": {"error": 2.09861228866811e-12, "value": '
@@ -720,8 +820,8 @@ PINNED_OUTPUTS = [
     (
         'height nv --coords 1,z1 --d 1 --nodes 128',
         '{"command": "height", "parameters": {'
-        '"coords": "1,z1", "d": 1, "kind": "nv", "mc_samples": 1000000, '
-        '"nodes": 128, "q": "2", "scheme": "tensor_gauss"}, '
+        '"coords": "1,z1", "d": 1, "kind": "nv", '
+        '"nodes": 128, "scheme": "tensor_gauss"}, '
         '"provenance": "infinity degrees plus Fubini-Study '
         'integral", "results": {"height": {"error": 5.6780838969094916e-05, '
         '"value": 1.3465544705452153}}}\n'
@@ -729,8 +829,8 @@ PINNED_OUTPUTS = [
     (
         'height ff --coords 1,t^2+1 --q 2',
         '{"command": "height", "parameters": {'
-        '"coords": "1,t^2+1", "d": 1, "kind": "ff", "mc_samples": '
-        '1000000, "nodes": 64, "q": "2", "scheme": "tensor_gauss"}, '
+        '"coords": "1,t^2+1", "kind": "ff", '
+        '"q": "2"}, '
         '"provenance": "max coordinate degree after '
         'normalization", "results": {"height": {"error": 0, "value": '
         '"2"}}}\n'
@@ -774,9 +874,9 @@ PINNED_OUTPUTS = [
     (
         'census sh-set --d 1 --a 0.25 --h 4',
         '{"command": "census", "parameters": {"a": 0.25, "d": 1, '
-        '"dmax": 1, "h": 4.0, "kind": "sh-set", '
-        '"mc_samples": 1000000, "n": 1, "nodes": 64, "q": "2", "scheme": '
-        '"tensor_gauss", "space": "pn", "stream": false}, '
+        '"h": 4.0, "kind": "sh-set", '
+        '"nodes": 64, "scheme": '
+        '"tensor_gauss", "stream": false}, '
         '"provenance": "exhaustive box census with numerical '
         'height check", "results": {"all_heights_ok": {"error": 0, '
         '"value": true}, "analytic_lower_bound": {"error": 0.0, "value": '
@@ -788,7 +888,7 @@ PINNED_OUTPUTS = [
         'verify norms --samples 3 --seed 7 --nvars 2 --maxdeg 3 --nodes 16',
         '{"command": "verify", "parameters": {"coeff_bound": 10, '
         '"kind": "norms", "maxdeg": 3, '
-        '"mc_samples": 1000000, "nodes": 16, "nvars": 2, "samples": 3, '
+        '"nodes": 16, "nvars": 2, "samples": 3, '
         '"scheme": "tensor_gauss", "seed": 7}, '
         '"provenance": "seeded random polynomials against norm '
         'inequalities", "results": {"checks": {"error": 0, "value": '

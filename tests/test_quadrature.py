@@ -199,6 +199,15 @@ def test_monte_carlo_reports_its_standard_error():
     assert abs(v - math.sqrt(2)) <= err
 
 
+def test_monte_carlo_needs_two_samples_for_an_error():
+    # one sample has no spread: its standard error would read 0
+    with pytest.raises(DomainError, match="sample_count must be >= 2"):
+        QuadratureConfig(scheme="monte_carlo", seed=1, sample_count=1)
+    mc = QuadratureConfig(scheme="monte_carlo", seed=1, sample_count=2)
+    value, err = integrate_log_max_with_error([poly("(z1 + 1)*(z2 + 3)*(z3 + 4)")], mc)
+    assert math.isfinite(value) and err > 0
+
+
 def _omega_points(seed, count):
     points = np.full(count, np.nan, dtype=complex)
     quadrature._OmegaSampler(seed, quadrature._MC_BATCH).fill(points)
