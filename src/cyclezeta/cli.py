@@ -27,8 +27,9 @@ products: 3*z1^2, X1*Y2.
 # the function that runs it; what two or more share is in
 # ``commands/__init__``.  The kinds of ``count``, ``enum``, ``bound``,
 # ``height`` and ``census`` are sub-parsers, each holding only the options
-# its kind reads: any other option is a usage error, and the echoed
-# parameters are the options used.
+# its kind reads: any other option, or an abbreviated one, is a usage
+# error reported by that kind's parser, and the echoed parameters are the
+# options used.
 # ``build_parser`` imports the one command module named on the command
 # line (all twelve for ``--help``, a missing or an unknown command, so
 # usage and errors read the same).  A process without a bytecode cache
@@ -71,6 +72,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(1)
+
+    def parse_args(self, args=None, namespace=None):
+        # argparse hands a sub-parser's unknown options up to the top level;
+        # the parser of the command (or kind) that was read reports them,
+        # so its usage line shows the options it takes
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            getattr(args, "_parser", self).error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
 
 
 def _emit(result, args) -> None:
@@ -167,7 +177,7 @@ def build_parser(argv=None) -> _Parser:
     built.
     """
     command = None if argv is None else _named_command(argv)
-    parser = _Parser(prog="cyclezeta", description=__doc__)
+    parser = _Parser(prog="cyclezeta", description=__doc__, allow_abbrev=False)
     parser.add_argument("--tsv", action="store_true", help="tabular output")
     parser.add_argument("--timing", action="store_true",
                         help="attach wall-clock time (breaks byte-identity)")
@@ -177,7 +187,8 @@ def build_parser(argv=None) -> _Parser:
     for name, help_text in _COMMANDS.items():
         if command in (None, name):
             module = importlib.import_module(f".commands.{name}", __package__)
-            p = sub.add_parser(name, help=help_text)
+            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+            p.set_defaults(_parser=p)
             module.add_arguments(p)
     return parser
 

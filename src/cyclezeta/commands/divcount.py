@@ -9,7 +9,6 @@ def add_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lam", type=_finite_float, required=True)
     p.add_argument("--h", type=_finite_float, required=True)
-    p.add_argument("--search-cap", type=int)  # default: fs_norms.DEFAULT_SEARCH_CAP
     # the census integrates in batches, which take the tensor scheme only
     p.add_argument("--nodes", type=int, default=64)
     p.set_defaults(func=run)
@@ -19,12 +18,8 @@ def run(args) -> CommandResult:
     from .. import fs_norms
     from ..quadrature import QuadratureConfig
 
-    if args.search_cap is None:
-        args.search_cap = fs_norms.DEFAULT_SEARCH_CAP
     cfg = QuadratureConfig(nodes_per_dim=args.nodes)
-    census = fs_norms.count_arith_divisors_bounded(
-        args.n, args.lam, args.h, cfg, search_cap=args.search_cap
-    )
+    census = fs_norms.count_arith_divisors_bounded(args.n, args.lam, args.h, cfg)
     res = _result(args, "exhaustive certified-region search with guard band")
     res.add_int("count", census.count)
     res.add_float("log_certified_bound", census.log_certified_bound)

@@ -199,9 +199,6 @@ class ZeroCycle(FrozenRecord):
         """sum_i sqrt(a_i * deg(x_i)), the fiber-bound weight of the cycle."""
         return sum(math.sqrt(m * pt.degree) for pt, m in self.terms)
 
-    def support_size(self) -> int:
-        return len(self.terms)
-
     def sort_key(self):
         return tuple((pt.degree, pt.orbit_key, m) for pt, m in self.terms)
 

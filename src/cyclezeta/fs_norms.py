@@ -59,7 +59,7 @@ import sys
 
 import numpy as np
 
-from .errors import BandAmbiguity, DomainError, SizeCapExceeded, ZeroPolynomial
+from .errors import DomainError, SizeCapExceeded, ZeroPolynomial
 from .multipoly import IntegerForm, MultiPoly, monomial_grid
 from .quadrature import (
     QuadratureConfig,
@@ -69,7 +69,9 @@ from .quadrature import (
 )
 from .records import FrozenRecord
 
-DEFAULT_SEARCH_CAP = 2_000_000
+# Coefficient vectors of a divisor census's search region, counted before
+# any form is built.
+SEARCH_CAP = 2_000_000
 BAND_FLOOR = 1e-9  # least half-width of the census guard band
 # Log-scale allowance on the census's coefficient caps.  The caps keep
 # every form with delta <= h + 1e-6; a form the census counts or lists as
@@ -168,14 +170,6 @@ class ArithDivisorCensus(FrozenRecord):
         return tuple.__new__(cls, (n, lam, h, count, log_certified_bound, borderline,
                                    max_inf_norm))
 
-    def raise_if_ambiguous(self):
-        if self.borderline:
-            raise BandAmbiguity(
-                f"{len(self.borderline)} divisors within the guard band",
-                self.borderline,
-            )
-        return self
-
 
 def _g_cap(h: float, lam: float) -> float:
     """Coefficient cap for forms of arithmetic degree at most h."""
@@ -192,13 +186,13 @@ def _multidegrees(n: int, total: int):
             yield (first, *rest)
 
 
-def _search_region(n, lam, h, box, search_cap):
+def _search_region(n, lam, h, box):
     """(multidegree, monomials, coefficient caps) of every searched slice.
 
     A member's coefficient at J is at most prod_i C(e_i, j_i) times
     exp(h - lam * sum(e)) (see the module docstring) and at most ``box``.
     The whole region is sized before any form is built: more than
-    ``search_cap`` coefficient vectors raise ``SizeCapExceeded``.
+    ``SEARCH_CAP`` coefficient vectors raise ``SizeCapExceeded``.
     """
     kmax_total = math.floor(h / lam + 1e-9)
     region = []
@@ -211,9 +205,9 @@ def _search_region(n, lam, h, box, search_cap):
             for J in monos
         ]
         work += math.prod(2 * c + 1 for c in caps)
-        if work > search_cap:
+        if work > SEARCH_CAP:
             raise SizeCapExceeded(
-                f"search region exceeds cap {search_cap} at multidegree {e}"
+                f"search region exceeds cap {SEARCH_CAP} at multidegree {e}"
             )
         region.append((e, monos, caps))
     return region
@@ -224,7 +218,6 @@ def count_arith_divisors_bounded(
     lam: float,
     h: float,
     cfg: QuadratureConfig,
-    search_cap: int = DEFAULT_SEARCH_CAP,
 ) -> ArithDivisorCensus:
     """Exact count of effective divisors with arithmetic degree <= h.
 
@@ -233,7 +226,7 @@ def count_arith_divisors_bounded(
     lambda * sum(k) <= h and, coefficient by coefficient,
     |a_J| <= min(g(h, lambda), prod_i C(k_i, j_i) * exp(h - lambda * sum(k)))
     (Mahler's inequality, see the module docstring), so the search region
-    is finite; ``search_cap`` bounds its coefficient vectors, counted
+    is finite; ``SEARCH_CAP`` bounds its coefficient vectors, counted
     before anything is integrated.  Each candidate's degree is integrated
     exactly (Jensen's formula, batched per multidegree) and classified
     with a guard band of +-e around h, where e is the largest measured
@@ -262,7 +255,7 @@ def count_arith_divisors_bounded(
 
     count = 0
     batches = []
-    for e, monos, caps in _search_region(n, lam, h, box, search_cap):
+    for e, monos, caps in _search_region(n, lam, h, box):
         deg_term = lam * sum(e)
         # partition candidates: exact ones (<= 1 nonzero coefficient) vs
         # integrated ones, batched per multidegree

@@ -400,16 +400,8 @@ class IntegerForm(FrozenRecord):
             raise DomainError("the zero form does not define a divisor")
         return IntegerForm.make(n, (0,) * n, {(0,) * n: abs(m)})
 
-    @property
-    def coeff_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def norm_inf(self) -> int:
         return max(abs(c) for _, c in self.coeffs)
-
-    @property
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
 
     def dehomogenized(self) -> MultiPoly:
         """Substitute Y_i = 1, X_i = z_i."""

@@ -475,6 +475,28 @@ def _outer_tables(nodes, n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
                    np.tile(0.5 * np.log1p(np.abs(z) ** 2), 2))
 
 
+def _drop_negligible_ends(A: np.ndarray) -> None:
+    """Set to 0, in place, the coefficients at either end of each row of A,
+    if wider than 2, below 2^-1022 of the row's largest modulus.
+
+    A companion matrix divides by an end coefficient, and a complex
+    quotient a_i / a_end is below 2 |a_i| / |a_end|, so only such an end
+    can put an entry past the float range into it.  Such ends arise where
+    |w|^D underflows, or nearly, on the inner rings of the outer
+    z1-integral (past D ~ 180 at 64 nodes).  Dropping one changes the row
+    by less than 2^-1022 of its size; a row with a zero end takes
+    ``_jensen_rows``, which integrates its span.
+    """
+    # every |A_j| < 2^509 (the shift in ``_jensen_2var``), so only an end
+    # below 2^-513 can be dropped; a row of width 2 takes no companion
+    if A.shape[1] <= 2 or np.abs(A[:, [0, -1]]).min() >= 2.0 ** -513:
+        return
+    mod = np.abs(A)
+    small = mod < mod.max(axis=1, keepdims=True) * 2.0 ** -1022
+    A[np.logical_and.accumulate(small, axis=1)
+      | np.logical_and.accumulate(small[:, ::-1], axis=1)[:, ::-1]] = 0
+
+
 def _outer(G: np.ndarray, Grev: np.ndarray, D: np.ndarray, n: int):
     """Outer z1-integrals over exact inner z2-integrals, with errors.
 
@@ -500,11 +522,8 @@ def _outer(G: np.ndarray, Grev: np.ndarray, D: np.ndarray, n: int):
                 # coefficients in z2 at every z1 node: (rows, nodes, span)
                 A = np.concatenate([powers @ G[rows, :, span], powers @ Grev[rows, :, span]],
                                    axis=1).reshape(-1, span.stop - span.start)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    v, e = _jensen_span(A)
-                bad = ~np.isfinite(v + e)  # an end coefficient vanished at a node
-                if bad.any():
-                    v[bad], e[bad] = _jensen_rows(A[bad])
+                _drop_negligible_ends(A)
+                v, e = (_jensen_span if A[:, [0, -1]].all() else _jensen_rows)(A)
                 v = v.reshape(len(rows), -1) - D[rows, None] * potential
                 value[rows] = v @ w + 0.5 * D[rows]
                 inner_err[rows] = e.reshape(len(rows), -1) @ w

@@ -17,6 +17,7 @@ from cyclezeta.cycle_oracle import (
     fiber_count,
 )
 from cyclezeta.exact_counts import (
+    cycle_counts,
     divisor_count,
     zero_cycle_count,
 )
@@ -45,6 +46,7 @@ from cyclezeta.zeta_series import (
 
 Q2 = PrimePower(2)
 Q3 = PrimePower(3)
+Q5 = PrimePower(5)
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
 P1X2 = P1Power(2)
@@ -100,20 +102,24 @@ def test_criterion_03_fiber_bound():
 
 
 def test_criterion_04_pinned_constants_bound_counts():
-    for q in (Q2, Q3):
+    # exact counts against the pinned constants; the oracle re-derives the
+    # counts it can enumerate quickly
+    for q in (Q2, Q3, Q5):
         for n in (1, 2):
             c = prime_constant_p1_power(n, 0)
             assert c == 3 * n
-            for h in (1, 2, 3, 4):
-                total = sum(
-                    len(enum_zero_cycles(P1Power(n), q, k)) for k in range(h + 1)
-                )
-                assert total <= q.q ** (c * h)
+            counts = cycle_counts(P1Power(n), q, 0, 8)
+            if q.q <= 3:
+                enumerated = [len(enum_zero_cycles(P1Power(n), q, k)) for k in range(5)]
+                assert enumerated == list(counts[:5])
+            for h in range(1, 9):
+                assert sum(counts[:h + 1]) <= q.q ** (c * h)
     c21 = explicit_constant_pn(2, 1).value
-    for h in (1, 2, 3):
-        total = sum(len(enum_divisors(P2, Q2, (k,))) for k in range(h + 1))
-        assert math.log2(total) <= c21 * h ** 2
-    _report(4, f"enumerated counts below q^(3nh) and 2^({c21} h^2) everywhere")
+    counts = cycle_counts(P2, Q2, 1, 6)
+    assert [len(enum_divisors(P2, Q2, (k,))) for k in range(4)] == list(counts[:4])
+    for h in range(1, 7):
+        assert math.log2(sum(counts[:h + 1])) <= c21 * h ** 2
+    _report(4, f"exact counts below q^(3nh) (h <= 8) and 2^({c21} h^2) (h <= 6)")
 
 
 def test_criterion_05_norm_inequalities_on_seeded_samples():
@@ -205,12 +211,13 @@ def test_criterion_09_integer_spectrum_zeta():
 
 
 def test_criterion_10_abscissa_convergence():
-    for space, l, limit in ((P1, 0, 1.0), (P2, 1, 0.5)):
-        rep = abscissa_sequence(space, Q2, l, 20)
+    # the limit does not depend on q; at k = 1, P^2's term is 2.81
+    for space, q, l, limit in ((P1, Q2, 0, 1.0), (P1, Q5, 0, 1.0), (P2, Q2, 1, 0.5)):
+        rep = abscissa_sequence(space, q, l, 24)
         assert rep.predicted_limit == limit
-        for k in range(5, 21):
+        for k in range(2, 25):
             assert abs(rep.value(k) - limit) <= 2.0 / k
-    _report(10, "abscissa terms within 2/k of the predicted limits 1 and 1/2")
+    _report(10, "abscissa terms within 2/k of the predicted limits 1 and 1/2 up to k = 24")
 
 
 def test_criterion_11_heights():

@@ -149,7 +149,7 @@ def test_fiber_counts_below_product_cycle_bound():
             if x.degree == 0 or y.degree == 0:
                 continue
             bound = product_cycle_bound(
-                x.degree, y.degree, 1, x.support_size(), y.support_size()
+                x.degree, y.degree, 1, len(x.terms), len(y.terms)
             )
             assert fiber_count(x, y, Q2) <= 2.0 ** bound * (1 + 1e-9)
 

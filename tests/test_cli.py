@@ -238,7 +238,7 @@ KIND_OPTIONS = {
     "census ff-points": ("--q --n --h --stream", ""),
     "census sh-set": ("--d --a --h --stream --scheme --nodes --mc-samples --seed", ""),
 }
-_TOP_LEVEL = {"command", "func", "tsv", "timing"}
+_TOP_LEVEL = {"command", "func", "_parser", "tsv", "timing"}
 
 
 def _kind_parsers():
@@ -280,8 +280,29 @@ def test_a_foreign_option_is_a_usage_error(capsys, label):
     for option in foreign:
         code, out, err = _exit(capsys, main, [*argv, option, "1"])
         assert (code, out) == (1, ""), (label, option)
-        assert err.startswith("usage: cyclezeta")
-        assert err.endswith(f"error: unrecognized arguments: {option} 1\n"), (label, option)
+        # the kind's own parser reports it, with the options it takes
+        assert err.startswith(f"usage: cyclezeta {label} "), (label, option)
+        assert err.endswith(f"cyclezeta {label}: error: unrecognized arguments: "
+                            f"{option} 1\n"), (label, option)
+
+
+# --h is not --help, --k not --kmax and --ts not --tsv; a foreign option is
+# reported by the parser of the command that was read
+@pytest.mark.parametrize("argv, prog, message", [
+    ("norm --poly z1 --h 1", "norm", "unrecognized arguments: --h 1"),
+    ("lfun --n 1 --l 0 --s 4 --pmax 100 --h 1", "lfun", "unrecognized arguments: --h 1"),
+    ("zeta --space pn --n 1 --q 2 --l 0 --k 3", "zeta",
+     "the following arguments are required: --kmax"),
+    ("--ts zeta --space pn --n 1 --q 2 --l 0 --kmax 3", "zeta",
+     "unrecognized arguments: --ts"),
+    ("divcount --n 1 --lam 1 --h 1 --search-cap 10", "divcount",
+     "unrecognized arguments: --search-cap 10"),
+])
+def test_no_command_takes_an_abbreviation_or_a_foreign_option(capsys, argv, prog, message):
+    code, out, err = _exit(capsys, main, shlex.split(argv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: cyclezeta {prog} ")
+    assert err.endswith(f"cyclezeta {prog}: error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -627,6 +648,24 @@ def test_census_commands(capsys):
     assert doc["results"]["all_heights_ok"]["value"] is True
 
 
+def test_sh_set_stream_lists_the_box(capsys):
+    from cyclezeta.height_lab import sh_set_table
+    from cyclezeta.quadrature import QuadratureConfig
+
+    argv = ["census", "sh-set", "--d", "1", "--a", "0.25", "--h", "4"]
+    code, out, err = run_cli(capsys, *argv, "--stream")
+    assert code == 0 and err == ""
+    lines = [json.loads(line) for line in out.splitlines()]
+    census = run_json(capsys, *argv)["results"]
+    assert len(lines) == int(census["count"]["value"])
+    _, rows, heights, _, _ = sh_set_table(1, 0.25, 4.0, QuadratureConfig())
+    assert [line["height"] for line in lines] == [round(float(x), 12) for x in heights]
+    assert max(line["height"] for line in lines) == round(census["max_height"]["value"], 12)
+    # each line's coefficients are its row of the box
+    assert [sorted(line["coeffs"].values()) for line in lines] == [
+        sorted(int(c) for c in row if c) for row in rows]
+
+
 def test_verify_command_reports_counts(capsys):
     doc = run_json(capsys, "verify", "norms", "--samples", "4", "--seed", "3",
                    "--nvars", "1", "--maxdeg", "3", "--nodes", "64")
@@ -809,8 +848,8 @@ PINNED_OUTPUTS = [
     (
         'divcount --n 1 --lam 1 --h 1.0986122886681098',
         '{"command": "divcount", "parameters": {'
-        '"h": 1.0986122886681098, "lam": 1.0, "n": 1, "nodes": 64, '
-        '"search_cap": 2000000}, "provenance": "exhaustive '
+        '"h": 1.0986122886681098, "lam": 1.0, "n": 1, "nodes": 64}, '
+        '"provenance": "exhaustive '
         'certified-region search with guard band", "results": '
         '{"borderline": {"error": 0, "value": []}, "coeff_box": '
         '{"error": 0, "value": "3"}, "count": {"error": 0, "value": '

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from cyclezeta import fs_norms, quadrature
 from cyclezeta.errors import (
     AllZero,
-    BandAmbiguity,
     DomainError,
     SizeCapExceeded,
     ZeroPolynomial,
 )
 from cyclezeta.fs_norms import (
     BAND_FLOOR,
+    SEARCH_CAP,
     CheckRecord,
     NormSampleSpec,
     count_arith_divisors_bounded,
@@ -185,7 +185,6 @@ def test_count_arith_divisors_examples():
     census = count_arith_divisors_bounded(1, 1.0, math.log(3), CFG)
     assert census.count == 5
     assert census.borderline == ()
-    census.raise_if_ambiguous()  # no-op when the band is empty
 
 
 def test_count_arith_divisors_members():
@@ -203,14 +202,13 @@ def test_count_arith_divisors_band_reporting():
     h = 1 + 0.5 * math.log(2)
     census = count_arith_divisors_bounded(1, 1.0, h, CFG)
     assert census.count == 5
-    assert len(census.borderline) == 2  # X + Y and X - Y
-    with pytest.raises(BandAmbiguity):
-        census.raise_if_ambiguous()
+    assert [str(f) for f in census.borderline] == ["X1 - Y1", "X1 + Y1"]
 
 
 def test_count_arith_divisors_cap():
-    with pytest.raises(SizeCapExceeded):
-        count_arith_divisors_bounded(2, 0.1, 3.0, CFG, search_cap=1000)
+    # sized before any form is built: refused at once
+    with pytest.raises(SizeCapExceeded, match=f"search region exceeds cap {SEARCH_CAP} "):
+        count_arith_divisors_bounded(2, 0.1, 3.0, CFG)
     # g(h, lam) = 2^(h / lam) overflows a float here
     with pytest.raises(SizeCapExceeded):
         count_arith_divisors_bounded(1, 1e-4, 1.0, CFG)

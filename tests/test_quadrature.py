@@ -123,6 +123,13 @@ def test_ill_conditioned_roots_show_in_the_error():
     assert err > 1e-8
 
 
+def test_roots_past_2_to_500_integrate_in_the_log_domain():
+    # |c|^2 of the roots 10^151 and 2 10^151 passes the float range, so
+    # 1/2 log(1 + |c|^2) is taken as log |c| + 1/2 log(1 + |c|^-2)
+    f = poly("(z1 + 10^151)*(z1 + 2*10^151)")
+    assert_honest(f, 302 * math.log(10) + math.log(2), 1e-9)
+
+
 def test_float_and_complex_coefficients_go_to_the_roots():
     c = 0.5 + 2j
     f = MultiPoly(1, {(1,): 2.5, (0,): -2.5 * c})
@@ -153,6 +160,19 @@ def test_two_variables_closed_forms():
         ref = float(mpmath.quad(lambda u: mpmath.log(1 + mpmath.sqrt(u)) / (1 + u) ** 2,
                                 [0, 1, mpmath.inf]))
     assert_honest(poly("z2^2 - z1"), ref, 1e-4)
+
+
+def test_inner_ends_that_underflow_on_the_inner_rings():
+    # z1^400 underflows to 0 on the innermost rings and is subnormal on
+    # the next ones, where its companion would overflow; the inner Jensen
+    # sum is log(1 + |z1|^400), which integrates over u = |z1|^2
+    with mpmath.workdps(30):
+        ref = float(mpmath.quad(lambda u: mpmath.log(1 + u ** 200) / (1 + u) ** 2,
+                                [0, 1, 2, 10, mpmath.inf]))
+    assert_honest(poly("z1^400*z2^2 + 1"), ref, 1e-6)
+    # no closed form: it answers within a finite error
+    value, err = integrate_log_max_with_error([poly("z1^200*z2^3 + z2 + 1")], CFG)
+    assert math.isfinite(value) and math.isfinite(err)
 
 
 def test_two_variables_converge_with_honest_errors():
