@@ -73,14 +73,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(1)
 
-    def parse_args(self, args=None, namespace=None):
-        # argparse hands a sub-parser's unknown options up to the top level;
-        # the parser of the command (or kind) that was read reports them,
-        # so its usage line shows the options it takes
-        args, extras = self.parse_known_args(args, namespace)
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse runs each command and kind parser through this and hands
+        # their unknown options up to the top level; each parser reports
+        # its own instead, so the usage line shows the options it takes
+        namespace, extras = super().parse_known_args(args, namespace)
         if extras:
-            getattr(args, "_parser", self).error(f"unrecognized arguments: {' '.join(extras)}")
-        return args
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _emit(result, args) -> None:
@@ -188,7 +188,6 @@ def build_parser(argv=None) -> _Parser:
         if command in (None, name):
             module = importlib.import_module(f".commands.{name}", __package__)
             p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-            p.set_defaults(_parser=p)
             module.add_arguments(p)
     return parser
 

@@ -88,7 +88,7 @@ def _params(args) -> dict:
     # the command is printed once, at the top level; a quadrature scheme
     # reads only its own options: the grid no sample count and no seed
     # (verify's seed also draws its polynomials), Monte Carlo no nodes
-    skip = {"command", "func", "_parser", "tsv", "timing"}
+    skip = {"command", "func", "tsv", "timing"}
     scheme = getattr(args, "scheme", None)
     if scheme == "tensor_gauss":
         skip |= {"mc_samples"} if args.command == "verify" else {"mc_samples", "seed"}
@@ -157,7 +157,7 @@ def _add_kinds(p, options, kinds):
     for kind, (run, names) in kinds.items():
         k = sub.add_parser(kind, allow_abbrev=False)
         _add_options(k, options, names)
-        k.set_defaults(func=run, _parser=k)
+        k.set_defaults(func=run)
     return sub.choices
 
 

@@ -59,7 +59,7 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, SizeCapExceeded, ZeroPolynomial
+from .errors import BandAmbiguity, DomainError, SizeCapExceeded, ZeroPolynomial
 from .multipoly import IntegerForm, MultiPoly, monomial_grid
 from .quadrature import (
     QuadratureConfig,
@@ -169,6 +169,14 @@ class ArithDivisorCensus(FrozenRecord):
                 borderline: tuple[IntegerForm, ...], max_inf_norm: int):
         return tuple.__new__(cls, (n, lam, h, count, log_certified_bound, borderline,
                                    max_inf_norm))
+
+    def raise_if_ambiguous(self):
+        if self.borderline:
+            raise BandAmbiguity(
+                f"{len(self.borderline)} divisors within the guard band",
+                self.borderline,
+            )
+        return self
 
 
 def _g_cap(h: float, lam: float) -> float:

@@ -579,8 +579,11 @@ def _jensen_2var(polys, n: int):
         # each z2-polynomial keeps its roots and log |A| gains s log 2
         (coeffs,), (s,) = _shifted([list(f.coeffs.values())], width1.bit_length())
         values[r] += s * math.log(2.0)
+        # f = z1^low * g, and z1^low integrates to 0: g has a z1-constant
+        # term, so no inner row underflows to 0 (the integer content did this)
+        low = min(i for i, _ in f.coeffs)
         for (i, j), c in zip(f.coeffs, coeffs):
-            G[r, i, j] = Grev[r, f.deg(0) - i, j] = c
+            G[r, i - low, j] = Grev[r, f.deg(0) - i, j] = c
     D = (_span_keys((G != 0).any(axis=2)) % width1).astype(float)  # z1-degrees
     v, e = _outer(G[outer], Grev[outer], D[outer], n)
     values[outer] += v

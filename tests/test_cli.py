@@ -238,7 +238,7 @@ KIND_OPTIONS = {
     "census ff-points": ("--q --n --h --stream", ""),
     "census sh-set": ("--d --a --h --stream --scheme --nodes --mc-samples --seed", ""),
 }
-_TOP_LEVEL = {"command", "func", "_parser", "tsv", "timing"}
+_TOP_LEVEL = {"command", "func", "tsv", "timing"}
 
 
 def _kind_parsers():
@@ -287,22 +287,25 @@ def test_a_foreign_option_is_a_usage_error(capsys, label):
 
 
 # --h is not --help, --k not --kmax and --ts not --tsv; a foreign option is
-# reported by the parser of the command that was read
+# reported by the parser (top level or command) whose part of argv holds it
 @pytest.mark.parametrize("argv, prog, message", [
-    ("norm --poly z1 --h 1", "norm", "unrecognized arguments: --h 1"),
-    ("lfun --n 1 --l 0 --s 4 --pmax 100 --h 1", "lfun", "unrecognized arguments: --h 1"),
-    ("zeta --space pn --n 1 --q 2 --l 0 --k 3", "zeta",
+    ("norm --poly z1 --h 1", "cyclezeta norm", "unrecognized arguments: --h 1"),
+    ("lfun --n 1 --l 0 --s 4 --pmax 100 --h 1", "cyclezeta lfun",
+     "unrecognized arguments: --h 1"),
+    ("zeta --space pn --n 1 --q 2 --l 0 --k 3", "cyclezeta zeta",
      "the following arguments are required: --kmax"),
-    ("--ts zeta --space pn --n 1 --q 2 --l 0 --kmax 3", "zeta",
+    ("--ts zeta --space pn --n 1 --q 2 --l 0 --kmax 3", "cyclezeta",
      "unrecognized arguments: --ts"),
-    ("divcount --n 1 --lam 1 --h 1 --search-cap 10", "divcount",
+    ("--ts zeta --space pn --n 1 --q 2 --l 0 --kmax 3 --k 3", "cyclezeta zeta",
+     "unrecognized arguments: --k 3"),
+    ("divcount --n 1 --lam 1 --h 1 --search-cap 10", "cyclezeta divcount",
      "unrecognized arguments: --search-cap 10"),
 ])
 def test_no_command_takes_an_abbreviation_or_a_foreign_option(capsys, argv, prog, message):
     code, out, err = _exit(capsys, main, shlex.split(argv))
     assert (code, out) == (1, "")
-    assert err.startswith(f"usage: cyclezeta {prog} ")
-    assert err.endswith(f"cyclezeta {prog}: error: {message}\n")
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"{prog}: error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, message", [

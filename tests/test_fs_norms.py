@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cyclezeta import fs_norms, quadrature
 from cyclezeta.errors import (
     AllZero,
+    BandAmbiguity,
     DomainError,
     SizeCapExceeded,
     ZeroPolynomial,
@@ -185,6 +186,7 @@ def test_count_arith_divisors_examples():
     census = count_arith_divisors_bounded(1, 1.0, math.log(3), CFG)
     assert census.count == 5
     assert census.borderline == ()
+    census.raise_if_ambiguous()  # no-op when the band is empty
 
 
 def test_count_arith_divisors_members():
@@ -203,6 +205,8 @@ def test_count_arith_divisors_band_reporting():
     census = count_arith_divisors_bounded(1, 1.0, h, CFG)
     assert census.count == 5
     assert [str(f) for f in census.borderline] == ["X1 - Y1", "X1 + Y1"]
+    with pytest.raises(BandAmbiguity):
+        census.raise_if_ambiguous()
 
 
 def test_count_arith_divisors_cap():

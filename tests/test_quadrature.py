@@ -170,6 +170,9 @@ def test_inner_ends_that_underflow_on_the_inner_rings():
         ref = float(mpmath.quad(lambda u: mpmath.log(1 + u ** 200) / (1 + u) ** 2,
                                 [0, 1, 2, 10, mpmath.inf]))
     assert_honest(poly("z1^400*z2^2 + 1"), ref, 1e-6)
+    # a common z1^400 of float coefficients is divided out, as the integer
+    # content is: log 1/2 + 0 + log 2, where every inner row was 0
+    assert_honest(MultiPoly(2, {(400, 2): 0.5, (400, 0): 0.5}), 0.0, 1e-12)
     # no closed form: it answers within a finite error
     value, err = integrate_log_max_with_error([poly("z1^200*z2^3 + z2 + 1")], CFG)
     assert math.isfinite(value) and math.isfinite(err)
