@@ -398,14 +398,17 @@ def enum_divisors(space: SpaceDescriptor, q: PrimePower, e) -> list[FormClass]:
     representative scales the first nonzero coefficient to 1.
     """
     e = _check_multidegree(e)
-    monos = monomial_exponents(space, e)
-    m = len(monos)
-    total = q.q ** m
-    if total > ENUM_CAP:
+    # the closed dimension only refuses early, before any monomial is built
+    # (q >= 2, so q^m passes the cap from m = 20 on); what is enumerated is
+    # counted from the monomials themselves
+    m = exact_counts._form_dimension(space, e)
+    if m >= ENUM_CAP.bit_length() or q.q ** m > ENUM_CAP:
         raise SizeCapExceeded(
             f"coefficient space of size {q.q}^{m} exceeds cap {ENUM_CAP}"
         )
-    return [FormClass(space, q, e, vec) for vec in _leading_one_vectors(m, q.q)]
+    monos = monomial_exponents(space, e)
+    return [FormClass(space, q, e, vec)
+            for vec in _leading_one_vectors(len(monos), q.q)]
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,8 @@ def _sh_set(d, a, h, cfg, with_error):
 
     if d < 1:
         raise DomainError("need d >= 1 variables")
+    if a < 0:  # the degree cap floor(a h) would leave no exponents
+        raise DomainError("need a >= 0")
     if 1.0 - 2.0 * d * a <= 0:
         raise DomainError("need 1 - 2da > 0")
     if h < 0:

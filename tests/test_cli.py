@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import math
+import pathlib
 import random
 import shlex
 import subprocess
@@ -12,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import cli_corpus
 import cyclezeta
 from cyclezeta import cycle_oracle, field_census, spaces, zeta_series
 from cyclezeta.cli import build_parser, main
@@ -30,15 +32,6 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
-def test_count_divisors_example(capsys):
-    doc = run_json(
-        capsys, "count", "divisors", "--space", "p1xn", "--n", "2",
-        "--q", "2", "--multidegree", "1,1",
-    )
-    assert doc["results"]["count"]["value"] == "15"
-    assert doc["results"]["count"]["error"] == 0
-
-
 def test_count_audit_flag(capsys):
     doc = run_json(
         capsys, "count", "zero-cycles", "--space", "pn", "--n", "1",
@@ -46,15 +39,6 @@ def test_count_audit_flag(capsys):
     )
     assert doc["results"]["count"]["value"] == "7"
     assert "audit" in doc["results"]
-
-
-def test_zeta_example(capsys):
-    doc = run_json(
-        capsys, "zeta", "--space", "pn", "--n", "1", "--q", "2",
-        "--l", "0", "--kmax", "3",
-    )
-    assert doc["results"]["coefficients"]["value"] == ["1", "3", "7", "15"]
-    assert doc["results"]["exponents"]["value"] == [0, 1, 2, 3]
 
 
 def test_byte_identical_reruns(capsys):
@@ -333,15 +317,6 @@ def test_one_monte_carlo_sample_is_refused(capsys):
                    "spread to estimate an error from\n")
 
 
-def test_enum_outputs_forms(capsys):
-    doc = run_json(
-        capsys, "enum", "divisors", "--space", "pn", "--n", "1",
-        "--q", "2", "--multidegree", "1",
-    )
-    assert doc["results"]["count"]["value"] == "3"
-    assert len(doc["results"]["forms"]["value"]) == 3
-
-
 def test_lfun_command(capsys):
     doc = run_json(capsys, "lfun", "--n", "1", "--l", "0", "--s", "4",
                    "--pmax", "50")
@@ -432,35 +407,10 @@ def test_int_text_equals_str():
             set_digits(limit)
 
 
-def test_norm_command(capsys):
-    doc = run_json(capsys, "norm", "--poly", "3*z1*z2 - 4", "--nodes", "16")
-    assert doc["results"]["inf"]["value"] == 4.0
-    assert doc["results"]["two"]["value"] == 5.0
-
-
 def test_delta_command(capsys):
     doc = run_json(capsys, "delta", "--form", "X1 - Y1", "--lam", "1",
                    "--nodes", "128")
     assert doc["results"]["delta"]["value"] == pytest.approx(
-        1 + 0.5 * math.log(2), abs=1e-3
-    )
-
-
-def test_divcount_command(capsys):
-    doc = run_json(
-        capsys, "divcount", "--n", "1", "--lam", "1",
-        "--h", str(math.log(3)), "--nodes", "64",
-    )
-    assert doc["results"]["count"]["value"] == "5"
-    assert doc["results"]["borderline"]["value"] == []
-
-
-def test_height_commands(capsys):
-    doc = run_json(capsys, "height", "ff", "--q", "2", "--coords", "1,t^2+1")
-    assert doc["results"]["height"]["value"] == "2"
-    doc = run_json(capsys, "height", "nv", "--coords", "1,z1", "--d", "1",
-                   "--nodes", "128")
-    assert doc["results"]["height"]["value"] == pytest.approx(
         1 + 0.5 * math.log(2), abs=1e-3
     )
 
@@ -688,292 +638,54 @@ def test_big_integers_serialized_as_strings(capsys):
     assert len(doc["results"]["count"]["value"]) == 6021
 
 
-# Full stdout of audited and census commands and of the README examples:
-# the echoed parameters, the provenance strings and the ``audit`` key are
-# part of the output contract.  ``verify norms`` runs at 3 samples and 16
-# nodes; the README's 100 samples at 64 nodes take about 90 s.
-PINNED_OUTPUTS = [
-    (
-        'count divisors --space p1xn --n 2 --q 2 --multidegree 1,1 --audit',
-        '{"command": "count", "parameters": {"audit": true, '
-        '"kind": "divisors", '
-        '"multidegree": [1, 1], "n": 2, "q": "2", "space": "p1xn"}, '
-        '"provenance": "closed-form multidegree divisor count", '
-        '"results": {"audit": {"error": 0, '
-        '"value": "oracle enumeration matched"}, "count": {"error": 0, '
-        '"value": "15"}}}\n'
-    ),
-    (
-        'count divisors --space pn --n 2 --q 2 --k 2 --audit',
-        '{"command": "count", "parameters": {"audit": true, '
-        '"k": 2, "kind": "divisors", "n": 2, '
-        '"q": "2", "space": "pn"}, '
-        '"provenance": "closed-form divisor count by polarization degree", '
-        '"results": {"audit": {"error": 0, '
-        '"value": "oracle enumeration matched"}, "count": {"error": 0, '
-        '"value": "63"}}}\n'
-    ),
-    (
-        'count divisors --space p1xn --n 2 --q 2 --k 2 --audit',
-        '{"command": "count", "parameters": {"audit": true, '
-        '"k": 2, "kind": "divisors", "n": 2, '
-        '"q": "2", "space": "p1xn"}, '
-        '"provenance": "closed-form divisor count by polarization degree", '
-        '"results": {"audit": {"error": 0, '
-        '"value": "oracle enumeration matched"}, "count": {"error": 0, '
-        '"value": "29"}}}\n'
-    ),
-    (
-        'count zero-cycles --space pn --n 2 --q 2 --k 2 --audit',
-        '{"command": "count", "parameters": {"audit": true, '
-        '"k": 2, "kind": "zero-cycles", "n": 2, '
-        '"q": "2", "space": "pn"}, "provenance": "product of the cell '
-        'factors (1 - q^j T)^(-b_j)", "results": {"audit": {"error": 0, '
-        '"value": "oracle enumeration matched"}, "count": {"error": 0, '
-        '"value": "35"}}}\n'
-    ),
-    (
-        'count top-cycles --space pn --n 2 --k 2',
-        '{"command": "count", "parameters": {'
-        '"k": 2, "kind": "top-cycles", "n": 2, '
-        '"space": "pn"}, '
-        '"provenance": "divisibility by the top polarization degree", '
-        '"results": {"count": {"error": 0, "value": "1"}}}\n'
-    ),
-    (
-        'count cycles --space pn --n 2 --q 2 --l 1 --k 2 --audit',
-        '{"command": "count", "parameters": {"audit": true, '
-        '"k": 2, "kind": "cycles", "l": 1, "n": 2, '
-        '"q": "2", "space": "pn"}, '
-        '"provenance": "closed-form dispatch on cycle dimension", '
-        '"results": {"audit": {"error": 0, '
-        '"value": "oracle enumeration matched"}, "count": {"error": 0, '
-        '"value": "63"}}}\n'
-    ),
-    (
-        'zeta --space pn --n 2 --q 2 --l 0 --kmax 3 --audit',
-        '{"command": "zeta", "parameters": {"audit": true, '
-        '"kmax": 3, "l": 0, "n": 2, "q": "2", '
-        '"space": "pn"}, '
-        '"provenance": "exact cycle counts at sparse exponents", '
-        '"results": {"audit": {"error": 0, '
-        '"value": "oracle enumeration matched"}, '
-        '"coefficients": {"error": 0, "value": ["1", "7", "35", "155"]}, '
-        '"exponents": {"error": 0, "value": [0, 1, 2, 3]}}}\n'
-    ),
-    (
-        'zeta --space pn --n 2 --q 2 --l 1 --kmax 2 --audit',
-        '{"command": "zeta", "parameters": {"audit": true, '
-        '"kmax": 2, "l": 1, "n": 2, "q": "2", '
-        '"space": "pn"}, '
-        '"provenance": "exact cycle counts at sparse exponents", '
-        '"results": {"audit": {"error": 0, '
-        '"value": "oracle enumeration matched"}, '
-        '"coefficients": {"error": 0, "value": ["1", "7", "63"]}, '
-        '"exponents": {"error": 0, "value": [0, 1, 4]}}}\n'
-    ),
-    (
-        'zeta --space pn --n 2 --q 2 --l 2 --kmax 3 --audit',
-        '{"command": "zeta", "parameters": {"audit": true, '
-        '"kmax": 3, "l": 2, "n": 2, "q": "2", '
-        '"space": "pn"}, '
-        '"provenance": "exact cycle counts at sparse exponents", '
-        '"results": {"coefficients": {"error": 0, "value": ["1", "1", "1", '
-        '"1"]}, "exponents": {"error": 0, "value": [0, 1, 8, 27]}}}\n'
-    ),
-    (
-        'census closed-points --space pn --n 2 --q 2 --dmax 4',
-        '{"command": "census", "parameters": {'
-        '"dmax": 4, '
-        '"kind": "closed-points", "n": 2, '
-        '"q": "2", "space": "pn"}, '
-        '"provenance": "Moebius inversion of extension point counts", '
-        '"results": {"b": {"error": 0, "value": ["7", "7", "22", "63"]}}}\n'
-    ),
-    (
-        'bound constant --n 2 --l 1',
-        '{"command": "bound", "parameters": {'
-        '"kind": "constant", "l": 1, "n": 2}, "provenance": "pinned '
-        'recursion over boundary strata", "results": {"constant": '
-        '{"error": 0, "value": "37"}, "derivation": {"error": 0, '
-        '"value": ["C(1,1) = 1  (top-dimensional base case)", "C(2,1) = '
-        'C(1,1) + 2^2 * C\'(2,1) = 1 + 4 * 9 = 37"]}}}\n'
-    ),
-    (
-        'lfun --n 1 --l 0 --s 4 --pmax 100000',
-        '{"command": "lfun", "parameters": {"l": 0, '
-        '"n": 1, "pmax": 100000, "s": 4.0}, "provenance": "partial Euler '
-        'product of exact cellular local factors", "results": '
-        '{"imag": {"error": 8.722543055870286e-11, "value": 0.0}, '
-        '"real": {"error": 8.722543055870286e-11, "value": '
-        '1.301014114527025}}}\n'
-    ),
-    (
-        # 6 116 of its 19 184 terms have coefficients of 900 bits or more,
-        # which zeta_series._term_value sums in the log domain
-        'lfun --n 60 --l 59 --s 62.5 --pmax 100000',
-        '{"command": "lfun", "parameters": {"l": 59, "n": 60, "pmax": 100000, '
-        '"s": 62.5}, "provenance": "ascending partial Euler product, '
-        'tail-bounded factors", "results": {"imag": {"error": '
-        '0.009785953825138104, "value": 0.0}, "real": {"error": '
-        '0.009785953825138104, "value": 1.5424072863870184}}}\n'
-    ),
-    (
-        'speczeta --s 2 --cutoff 10000 --audit',
-        '{"command": "speczeta", "parameters": {"audit": true, '
-        '"cutoff": 10000, "s": 2.0}, '
-        '"provenance": "cycle enumeration through the norm bijection", '
-        '"results": {"partial_sum": {"error": 7.30453063301466e-16, "value": '
-        '1.6448340718480599}, "tail_bound": {"error": 0.0, "value": '
-        '0.0001}}}\n'
-    ),
-    (
-        'norm --poly "3*z1*z2 - 4" --nodes 32',
-        '{"command": "norm", "parameters": {'
-        '"nodes": 32, "poly": "3*z1*z2 - 4", '
-        '"scheme": "tensor_gauss"}, "provenance": '
-        '"coefficient norms exact; v by Fubini-Study quadrature", '
-        '"results": {"inf": {"error": 0.0, "value": 4.0}, '
-        '"lc_sigma_max": {"error": 0.0, "value": 3.0}, "two": {"error": '
-        '0.0, "value": 5.0}, "v": {"error": 1.596014028119039e-11, '
-        '"value": 5.790225929224306}}}\n'
-    ),
-    (
-        'delta --form "X1^2 - 3*X1*Y1 + Y1^2" --lam 1',
-        '{"command": "delta", "parameters": {"form": '
-        '"X1^2 - 3*X1*Y1 + Y1^2", "lam": 1.0, '
-        '"nodes": 64, "scheme": "tensor_gauss"}, '
-        '"provenance": "lambda-degree term plus Fubini-Study integral", '
-        '"results": {"delta": {"error": 2.09861228866811e-12, "value": '
-        '3.09861228866811}, "multidegree": {"error": 0, "value": '
-        '[2]}}}\n'
-    ),
-    (
-        'divcount --n 1 --lam 1 --h 1.0986122886681098',
-        '{"command": "divcount", "parameters": {'
-        '"h": 1.0986122886681098, "lam": 1.0, "n": 1, "nodes": 64}, '
-        '"provenance": "exhaustive '
-        'certified-region search with guard band", "results": '
-        '{"borderline": {"error": 0, "value": []}, "coeff_box": '
-        '{"error": 0, "value": "3"}, "count": {"error": 0, "value": '
-        '"5"}, "log_certified_bound": {"error": 0.0, "value": '
-        '4.82498726282649}}}\n'
-    ),
-    (
-        'height nv --coords 1,z1 --d 1 --nodes 128',
-        '{"command": "height", "parameters": {'
-        '"coords": "1,z1", "d": 1, "kind": "nv", '
-        '"nodes": 128, "scheme": "tensor_gauss"}, '
-        '"provenance": "infinity degrees plus Fubini-Study '
-        'integral", "results": {"height": {"error": 5.6780838969094916e-05, '
-        '"value": 1.3465544705452153}}}\n'
-    ),
-    (
-        'height ff --coords 1,t^2+1 --q 2',
-        '{"command": "height", "parameters": {'
-        '"coords": "1,t^2+1", "kind": "ff", '
-        '"q": "2"}, '
-        '"provenance": "max coordinate degree after '
-        'normalization", "results": {"height": {"error": 0, "value": '
-        '"2"}}}\n'
-    ),
-    (
-        'census ff-points --q 2 --n 1 --h 2 --stream',
-        '{"coords": ["0", "1"], "height": 0}\n'
-        '{"coords": ["t^2", "1"], "height": 2}\n'
-        '{"coords": ["t^2", "1 + t^2"], "height": 2}\n'
-        '{"coords": ["t^2", "1 + t"], "height": 2}\n'
-        '{"coords": ["t^2", "1 + t + t^2"], "height": 2}\n'
-        '{"coords": ["t", "1"], "height": 1}\n'
-        '{"coords": ["t", "1 + t^2"], "height": 2}\n'
-        '{"coords": ["t", "1 + t"], "height": 1}\n'
-        '{"coords": ["t", "1 + t + t^2"], "height": 2}\n'
-        '{"coords": ["t + t^2", "1"], "height": 2}\n'
-        '{"coords": ["t + t^2", "1 + t + t^2"], "height": 2}\n'
-        '{"coords": ["1", "0"], "height": 0}\n'
-        '{"coords": ["1", "t^2"], "height": 2}\n'
-        '{"coords": ["1", "t"], "height": 1}\n'
-        '{"coords": ["1", "t + t^2"], "height": 2}\n'
-        '{"coords": ["1", "1"], "height": 0}\n'
-        '{"coords": ["1", "1 + t^2"], "height": 2}\n'
-        '{"coords": ["1", "1 + t"], "height": 1}\n'
-        '{"coords": ["1", "1 + t + t^2"], "height": 2}\n'
-        '{"coords": ["1 + t^2", "t^2"], "height": 2}\n'
-        '{"coords": ["1 + t^2", "t"], "height": 2}\n'
-        '{"coords": ["1 + t^2", "1"], "height": 2}\n'
-        '{"coords": ["1 + t^2", "1 + t + t^2"], "height": 2}\n'
-        '{"coords": ["1 + t", "t^2"], "height": 2}\n'
-        '{"coords": ["1 + t", "t"], "height": 1}\n'
-        '{"coords": ["1 + t", "1"], "height": 1}\n'
-        '{"coords": ["1 + t", "1 + t + t^2"], "height": 2}\n'
-        '{"coords": ["1 + t + t^2", "t^2"], "height": 2}\n'
-        '{"coords": ["1 + t + t^2", "t"], "height": 2}\n'
-        '{"coords": ["1 + t + t^2", "t + t^2"], "height": 2}\n'
-        '{"coords": ["1 + t + t^2", "1"], "height": 2}\n'
-        '{"coords": ["1 + t + t^2", "1 + t^2"], "height": 2}\n'
-        '{"coords": ["1 + t + t^2", "1 + t"], "height": 2}\n'
-    ),
-    (
-        'census sh-set --d 1 --a 0.25 --h 4',
-        '{"command": "census", "parameters": {"a": 0.25, "d": 1, '
-        '"h": 4.0, "kind": "sh-set", '
-        '"nodes": 64, "scheme": '
-        '"tensor_gauss", "stream": false}, '
-        '"provenance": "exhaustive box census with numerical '
-        'height check", "results": {"all_heights_ok": {"error": 0, '
-        '"value": true}, "analytic_lower_bound": {"error": 0.0, "value": '
-        '2.718281828459045}, "coeff_box": {"error": 0, "value": "14"}, '
-        '"count": {"error": 0, "value": "841"}, "max_height": {"error": '
-        '0.000762184728626103, "value": 3.986130506979502}}}\n'
-    ),
-    (
-        'verify norms --samples 3 --seed 7 --nvars 2 --maxdeg 3 --nodes 16',
-        '{"command": "verify", "parameters": {"coeff_bound": 10, '
-        '"kind": "norms", "maxdeg": 3, '
-        '"nodes": 16, "nvars": 2, "samples": 3, '
-        '"scheme": "tensor_gauss", "seed": 7}, '
-        '"provenance": "seeded random polynomials against norm '
-        'inequalities", "results": {"checks": {"error": 0, "value": '
-        '"15"}, "fail": {"error": 0, "value": "0"}, "failures": '
-        '{"error": 0, "value": []}, "pass": {"error": 0, "value": "15"}, '
-        '"warn": {"error": 0, "value": "0"}}}\n'
-    ),
-]
+@pytest.mark.parametrize("entry", cli_corpus.ENTRIES, ids=str)
+def test_pinned_outputs_byte_identical(entry):
+    # each corpus entry: its exit code, then its pinned bytes or its named
+    # check on the stream that answers, stdout on exit 0 and stderr
+    # otherwise; the other stream stays empty
+    code, out, err, seconds = cli_corpus.run(entry)
+    assert "Traceback" not in err
+    assert code == entry.code, err
+    shown, other = (out, err) if code == 0 else (err, out)
+    assert other == ""
+    if entry.check:
+        cli_corpus.CHECKS[entry.check](shown)
+    else:
+        assert shown == entry.pinned
+    assert entry.wall is None or seconds <= entry.wall
 
 
-@pytest.mark.parametrize("argv, expected", PINNED_OUTPUTS)
-def test_pinned_outputs_byte_identical(capsys, argv, expected):
-    code, out, err = run_cli(capsys, *shlex.split(argv))
-    assert code == 0, err
-    assert out == expected
-
-
-def _pinned(prefix):
-    return next(json.loads(out) for argv, out in PINNED_OUTPUTS
-                if argv.startswith(prefix))["results"]
+def test_readme_examples_are_corpus_entries():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    examples = [shlex.split(line)[1:] for block in readme.split("```")[1::2]
+                for line in block.splitlines() if line.startswith("cyclezeta ")]
+    assert examples
+    corpus = [entry.args for entry in cli_corpus.ENTRIES]
+    for args in examples:
+        assert args in corpus, args
 
 
 def test_pinned_integrals_match_closed_forms():
     # v(3 z1 z2 - 4) = 4 exp(a log a / (2 (a - 1))) with a = 9/16, and
     # z^2 - 3z + 1 has roots c, 1/c with (1 + c^2)(1 + c^-2) = 9
     a = 9 / 16
-    v = _pinned("norm")["v"]
+    v = cli_corpus.results('norm --poly "3*z1*z2 - 4" --nodes 32')["v"]
     assert abs(v["value"] - 4 * math.exp(0.5 * a * math.log(a) / (a - 1))) <= v["error"]
     assert v["error"] < 1e-9
-    delta = _pinned("delta")["delta"]
+    delta = cli_corpus.results('delta --form "X1^2 - 3*X1*Y1 + Y1^2" --lam 1')["delta"]
     assert abs(delta["value"] - (2 + math.log(3))) <= delta["error"]
     assert delta["error"] < 1e-9
 
 
 def test_pinned_lfun_error_bounds_the_zeta_product():
     # on P^1 the Euler product of the 0-cycle zetas is zeta(s) zeta(s - 1)
-    real = _pinned("lfun")["real"]
+    real = cli_corpus.results("lfun --n 1 --l 0 --s 4 --pmax 100000")["real"]
     exact = float(mpmath.zeta(4) * mpmath.zeta(3))
     assert abs(real["value"] - exact) <= real["error"] < 1e-9
 
 
 def test_pinned_speczeta_error_bounds_the_direct_sum():
-    partial = _pinned("speczeta")["partial_sum"]
+    partial = cli_corpus.results("speczeta --s 2 --cutoff 10000 --audit")["partial_sum"]
     with mpmath.workdps(40):
         exact = mpmath.fsum(mpmath.mpf(m) ** -2 for m in range(1, 10001))
     assert abs(partial["value"] - exact) <= partial["error"] < 1e-15
@@ -981,13 +693,13 @@ def test_pinned_speczeta_error_bounds_the_direct_sum():
 
 def test_pinned_height_error_bounds_the_closed_form():
     # (1 : z) has height 1 + integral of log max(1, |z|) = 1 + log(2)/2
-    height = _pinned("height nv")["height"]
+    height = cli_corpus.results("height nv --coords 1,z1 --d 1 --nodes 128")["height"]
     assert abs(height["value"] - (1 + 0.5 * math.log(2))) <= height["error"] < 1e-4
 
 
 def test_pinned_sh_set_height_agrees_with_a_finer_grid(capsys):
     # the census at 512 nodes per axis (8x the angles and radii)
-    pinned = _pinned("census sh-set")["max_height"]
+    pinned = cli_corpus.results("census sh-set --d 1 --a 0.25 --h 4")["max_height"]
     doc = run_json(capsys, "census", "sh-set", "--d", "1", "--a", "0.25",
                    "--h", "4", "--nodes", "512")
     fine = doc["results"]["max_height"]["value"]
@@ -1150,21 +862,12 @@ def test_plain_prime_power_q(capsys):
         assert f"q = {q} is not prime or a prime power" in err
 
 
-# One exact command per kind; none of them may import numpy.
-NUMPY_FREE_COMMANDS = [
-    "count zero-cycles --space pn --n 2 --q 3 --k 4",
-    "enum divisors --space pn --n 2 --q 2 --multidegree 1",
-    "zeta --space pn --n 1 --q 2 --l 0 --kmax 3",
-    "bound constant --n 2 --l 1",
-    "lfun --n 1 --l 0 --s 4 --pmax 1000",
-    "speczeta --s 2 --cutoff 1000 --audit",
-    "height ff --coords 1,t^2+1 --q 2",
-    "census closed-points --space pn --n 2 --q 2 --dmax 3",
-    "census ff-points --q 2 --n 1 --h 1",
-    # closed points of degree 2 and 3 over F_2: F_4 and F_8 need no numpy
-    "enum zero-cycles --space pn --n 2 --q 2 --k 2",
-    "zeta --space pn --n 2 --q 2 --l 0 --kmax 3 --audit",
-]
+# The answered corpus entries without a wall bound (the slow runs carry
+# one).  Those of the exact commands may not import numpy; one of a
+# command that integrates, probed last, does
+_CHEAP = [e.argv for e in cli_corpus.ENTRIES if e.code == 0 and not (e.check or e.wall)]
+_QUADRATURE = ("norm", "delta", "divcount", "height nv", "census sh-set", "verify")
+NUMPY_FREE_COMMANDS = [argv for argv in _CHEAP if not argv.startswith(_QUADRATURE)]
 
 # After each step: the label, which of numpy, dataclasses and inspect are
 # loaded, and the cyclezeta modules loaded so far
@@ -1203,7 +906,7 @@ def _probe(*commands):
     return seen
 
 
-_PROBED = (*NUMPY_FREE_COMMANDS, "norm --poly z1 --nodes 8")
+_PROBED = (*NUMPY_FREE_COMMANDS, "norm --poly z1")
 _NUMPY_FREE_LABELS = ["import cyclezeta", "import cyclezeta.cli", *NUMPY_FREE_COMMANDS]
 
 
@@ -1222,21 +925,10 @@ def test_no_command_imports_dataclasses():
     assert not any("inspect" in seen[label][0] for label in _NUMPY_FREE_LABELS)
 
 
-# one command per subcommand, each probed in a process of its own
-_ONE_PER_COMMAND = [
-    "count zero-cycles --space pn --n 2 --q 3 --k 4",
-    "enum divisors --space pn --n 2 --q 2 --multidegree 1",
-    "bound constant --n 2 --l 1",
-    "zeta --space pn --n 1 --q 2 --l 0 --kmax 3",
-    "lfun --n 1 --l 0 --s 4 --pmax 1000",
-    "speczeta --s 2 --cutoff 1000 --audit",
-    "height ff --coords 1,t^2+1 --q 2",
-    "census ff-points --q 2 --n 1 --h 1",
-    "norm --poly z1 --nodes 8",
-    "delta --form X1-Y1 --nodes 8",
-    "divcount --n 1 --lam 1 --h 0.5 --nodes 8",
-    "verify norms --samples 1 --seed 1 --nvars 1 --maxdeg 1 --nodes 8",
-]
+# the first cheap entry of each subcommand, each probed in a process of its own
+_ONE_PER_COMMAND = {}
+for _argv in _CHEAP:
+    _ONE_PER_COMMAND.setdefault(_argv.split()[0], _argv)
 
 
 def test_cli_loads_only_the_modules_its_command_runs():
@@ -1250,8 +942,8 @@ def test_cli_loads_only_the_modules_its_command_runs():
     unused = {"cyclezeta.cycle_oracle", "cyclezeta.zeta_series",
               "cyclezeta.multipoly", "cyclezeta.height_lab"}
     assert not seen[command][1] & unused
-    assert {line.split()[0] for line in _ONE_PER_COMMAND} == set(SUBCOMMANDS)
-    for line in _ONE_PER_COMMAND:
+    assert set(_ONE_PER_COMMAND) == set(SUBCOMMANDS)
+    for line in _ONE_PER_COMMAND.values():
         loaded = {m for m in _probe(line)[line][1] if m.startswith("cyclezeta.commands.")}
         assert loaded == {f"cyclezeta.commands.{line.split()[0]}"}, line
 
@@ -1290,15 +982,17 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_missing_numpy_exits_5_with_one_line():
-    for argv, name in (("norm --poly z1", "norm"),
-                       ("census sh-set --d 1 --h 4", "census sh-set")):
+    for argv, code, message in (
+            ("norm --poly z1", 5, "numpy is required for norm"),
+            ("census sh-set --d 1 --h 4", 5, "numpy is required for census sh-set"),
+            # an exact command's domain error stays a domain error
+            ("lfun --n 3 --l 1 --s 9 --pmax 100", 2,
+             "domain error: no closed form for l=1 on P3 (dim 3)")):
         proc = subprocess.run(
             [sys.executable, "-c", _NO_NUMPY, *shlex.split(argv)],
             capture_output=True, text=True,
         )
-        assert proc.returncode == 5
-        assert proc.stdout == ""
-        assert proc.stderr == f"numpy is required for {name}\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message + "\n")
 
 
 def test_delta_of_the_diagonal_form(capsys):

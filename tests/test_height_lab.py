@@ -276,6 +276,10 @@ def test_sh_set_census_rejects_bad_parameters(monkeypatch):
     cfg = QuadratureConfig(nodes_per_dim=32)
     with pytest.raises(DomainError):
         sh_set_census(1, 0.5, 2.0, cfg)  # 1 - 2da = 0
+    # a < 0 left no exponents under the degree cap floor(a h) = -1: an IndexError
+    for census in (sh_set_census, sh_set_table):
+        with pytest.raises(DomainError, match="need a >= 0"):
+            census(1, -0.1, 4.0, cfg)
     monkeypatch.setattr(height_lab, "SH_SET_CAP", 100)
     with pytest.raises(SizeCapExceeded):
         sh_set_census(1, 0.25, 9.0, cfg)
