@@ -72,6 +72,12 @@ from .records import FrozenRecord
 # Coefficient vectors of a divisor census's search region, counted before
 # any form is built.
 SEARCH_CAP = 2_000_000
+# Coefficients times variable orders of one random sample of
+# ``verify_norm_props``, (max_degree + 1)^nvars * nvars!, checked before
+# any sample is drawn: a sample is a dense coefficient array, and
+# ``lc_sigma_max`` walks every variable order.  7 variables of degree 1
+# (645 120) take about 0.5 s a sample there, 8 (1.0e7) several seconds.
+SAMPLE_CAP = 1_000_000
 BAND_FLOOR = 1e-9  # least half-width of the census guard band
 # Log-scale allowance on the census's coefficient caps.  The caps keep
 # every form with delta <= h + 1e-6; a form the census counts or lists as
@@ -366,8 +372,18 @@ def verify_norm_props(spec: NormSampleSpec,
 
     Each record carries the error of its slack, from the measured error e
     of log v(f): e on the log checks, v (exp(e) - 1) times the factor on
-    v in the two v checks, and 0 on the exact ``product_inf``.
+    v in the two v checks, and 0 on the exact ``product_inf``.  A shape
+    past ``SAMPLE_CAP`` raises ``SizeCapExceeded`` before any sample.
     """
+    work = 1  # (max_degree + 1)^nvars * nvars!, stopped once past the cap
+    for k in range(1, spec.nvars + 1):
+        work *= (spec.max_degree + 1) * k
+        if work > SAMPLE_CAP:
+            raise SizeCapExceeded(
+                f"{spec.nvars}-variable samples of degree {spec.max_degree} "
+                f"exceed the cap {SAMPLE_CAP} on coefficients x variable orders, "
+                "(max_degree + 1)^nvars * nvars!; lower nvars or max_degree"
+            )
     rng = np.random.default_rng(spec.seed)
     records = []
     for i in range(spec.samples):

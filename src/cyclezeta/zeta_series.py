@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import repeat
+from itertools import chain, repeat
+from operator import mul, setitem, sub
 from .errors import AuditMismatch, DomainError, RadiusError, SizeCapExceeded
 from .exact_counts import cycle_counts, cycle_family
 from .records import FrozenRecord
@@ -33,11 +34,13 @@ from .spaces import PrimePower, ProjSpace, SpaceDescriptor, primes_upto, top_deg
 SPEC_Z_AUDIT_CAP = 10 ** 6
 # Longest run of integers that one call may walk: the primes up to an
 # Euler product's pmax, or the integers of a direct integer-spectrum sum.
-# At 10^7 the odd-only sieve takes about 0.25 s, the whole 0-cycle
-# product of P^2 about 0.5 s in 48 MB (mostly the list of 664 579
-# primes), and the sum about 0.9 s (Python 3.11, one core of a 2-vCPU
+# At 10^7 the odd-only sieve takes about 0.13 s, the whole 0-cycle
+# product of P^2 about 0.3 s in 47 MB (mostly the list of 664 579
+# primes), and the sum about 0.7 s (Python 3.11, one core of a 2-vCPU
 # x86 VM); each grows linearly, so 10^9 would need gigabytes or minutes.
 RANGE_CAP = 10 ** 7
+# Most norms one list of the audited cycle walk holds (``_spec_z_norms``).
+_NORM_CHUNK = 8192
 _UNIT_ROUNDOFF = 2.0 ** -53
 # Tail bound below which ``_series_euler_product`` truncates each local series.
 _TAIL_TOL = 1e-12
@@ -192,7 +195,7 @@ def _cellular_euler_product(n: int, s: complex, pmax: int):
         one, t = complex(1.0), s
     denominator = one
     for j in range(n + 1):
-        denominator *= math.prod(map(one.__sub__, map(pow, primes, repeat(j - t))))
+        denominator *= math.prod(map(sub, repeat(one), map(pow, primes, repeat(j - t))))
     value = complex(1.0 / denominator)
     above = max(pmax, 1)
     rounding = (4 * (n + 1) * len(primes) + 3 * n + 16) * u
@@ -240,15 +243,15 @@ def _series_euler_product(n: int, l: int, s: complex, pmax: int):
     step = l + 1
     primes = primes_upto(pmax)
 
-    def truncation(p):
+    def truncation(p, log_p):
         t = complex(p) ** (-s)
         try:
-            rho = abs(t) * math.exp(cprime * math.log(p))
+            rho = abs(t) * math.exp(cprime * log_p)
         except OverflowError:  # p^C' passes the float range; rho = p^(C' - sigma)
             rho = p ** (cprime - s.real)
         return t, rho, _kmax_for_tail(rho, l, _TAIL_TOL)
 
-    longest = truncation(2)[2] if primes else 0
+    longest = truncation(2, math.log(2))[2] if primes else 0
     if family == "top-cycles":
         top = cycle_counts(space, PrimePower(2), l, longest)
 
@@ -262,17 +265,20 @@ def _series_euler_product(n: int, l: int, s: complex, pmax: int):
 
     value = complex(1.0, 0.0)
     log_growth = 0.0  # sum of log(1 + eps_i)
+    abs_s = abs(s)
     for p in primes:
-        t, rho, kmax = truncation(p)
+        log_p = math.log(p)
+        t, rho, kmax = truncation(p, log_p)
         # rounding allowance: each term n_k t^e is a power with relative
         # error growing like e * |s| log p, and the sum adds kmax ulps
-        weight = 1.0 + abs(s) * math.log(p)
+        weight = 1.0 + abs_s * log_p
         factor = complex(0.0, 0.0)
         noise = 0.0
         for k, n_k in enumerate(counts(p, kmax)):
-            term = _term_value(n_k, t, k ** step)
+            e = k ** step
+            term = _term_value(n_k, t, e)
             factor += term
-            noise += abs(term) * (8.0 * (1.0 + k ** step * weight) + kmax + 1)
+            noise += abs(term) * (8.0 * (1.0 + e * weight) + kmax + 1)
         bound = _geometric_tail(rho, kmax, l) + _UNIT_ROUNDOFF * noise
         value *= factor
         eps = bound / max(abs(factor) - bound, 1e-300) + 4.0 * _UNIT_ROUNDOFF
@@ -288,45 +294,62 @@ def _series_euler_product(n: int, l: int, s: complex, pmax: int):
 # ---------------------------------------------------------------------------
 
 def _spec_z_norms(cutoff: int):
-    """The norm of every effective 0-cycle of norm <= cutoff, once each.
+    """The norm of every effective 0-cycle of norm <= cutoff, once each,
+    in nonempty lists of at most ``_NORM_CHUNK`` norms.
 
     A cycle is a nondecreasing sequence of primes (with multiplicity),
     walked depth-first on an explicit stack: a node is the norm of a cycle
     and the index of its largest prime; its children append one prime no
     smaller than that, multiplying the norm by it.  Children whose own
-    children would pass the cutoff are leaves, and their norms are yielded
-    in one slice instead of being pushed.
+    children would pass the cutoff are leaves.  A node's leaves come out
+    in slices of at most ``_NORM_CHUNK`` primes, each multiplied by the
+    node's norm in one C-level ``map``; its other children, the branches
+    (at most pi(isqrt(cutoff)) of them, 168 at the audit cap), come out as
+    one list and are pushed only after it has been consumed, so every norm
+    is listed before the walk divides the cutoff by it.
     """
     primes = primes_upto(cutoff)
+    yield [1]
     stack = [(1, 0)]
     while stack:
         norm, lo = stack.pop()
-        yield norm
         room = cutoff // norm  # children p <= room; p <= isqrt(room) branch
         inner = bisect_right(primes, math.isqrt(room), lo)
-        yield from map(norm.__mul__, primes[inner:bisect_right(primes, room, inner)])
-        stack.extend(zip(map(norm.__mul__, primes[lo:inner]), range(lo, inner)))
+        top = bisect_right(primes, room, inner)
+        for a in range(inner, top, _NORM_CHUNK):
+            yield list(map(mul, repeat(norm), primes[a:min(a + _NORM_CHUNK, top)]))
+        if lo < inner:
+            branches = list(map(mul, repeat(norm), primes[lo:inner]))
+            yield branches
+            stack.extend(zip(branches, range(lo, inner)))
 
 
-def _audited_norms(norms, cutoff: int):
-    """Yield each norm of the cycle walk, checking that the norm map is a
-    bijection onto 1..cutoff.
+def _audited_norms(chunks, cutoff: int):
+    """Yield each list of norms of the cycle walk, checking that the norm
+    map is a bijection onto 1..cutoff.
 
-    A norm outside 1..cutoff or seen twice fails at once, so each norm
-    marks its own byte; a short count fails when the norms run out.
+    Each list is checked in bulk before it is passed on: its least and
+    largest norms must lie in 1..cutoff, and each of its norms marks its
+    own byte of a table, in one C-level ``map``.  When the lists run out,
+    the norms must number exactly cutoff and have marked cutoff distinct
+    bytes: so no norm repeats and every integer of 1..cutoff is hit.
     """
     seen = bytearray(cutoff + 1)
-    for norm in norms:
-        if not 0 < norm <= cutoff or seen[norm]:
+    count = 0
+    for chunk in chunks:
+        low, high = min(chunk), max(chunk)
+        if low < 1 or high > cutoff:
             raise AuditMismatch(
-                f"norm map is not injective into 1..{cutoff}: norm {norm}"
+                f"norm {low if low < 1 else high} of the cycle walk is outside 1..{cutoff}"
             )
-        seen[norm] = 1
-        yield norm
+        count += len(chunk)
+        any(map(setitem, repeat(seen), chunk, repeat(1)))  # setitem returns None
+        yield chunk
     hits = seen.count(1)
-    if hits != cutoff:
+    if count != cutoff or hits != cutoff:
         raise AuditMismatch(
-            f"norm map hits {hits} of the {cutoff} integers 1..{cutoff}"
+            f"norm map hits {hits} of the {cutoff} integers 1..{cutoff} "
+            f"with {count} norms"
         )
 
 
@@ -335,12 +358,14 @@ def spec_z_zeta_partial(s: float, cutoff: int, audit: bool = False) -> float:
 
     The norm bijection cycles <-> positive integers turns the cycle sum
     into sum_{m <= cutoff} m^(-s).  Audit mode walks the cycles, each
-    carrying its norm, streams the norms through a check that they are
-    1..cutoff once each and sums them, up to ``SPEC_Z_AUDIT_CAP``; it
-    never reads the direct sum.  Fast mode sums the integers directly, up
-    to ``RANGE_CAP``.  Larger cutoffs raise ``SizeCapExceeded``.  Both
-    take each term as one libm pow, and ``fsum`` is exactly rounded, so
-    both modes give the same float.
+    carrying its norm, streams the walk's lists of norms through a bulk
+    check that they are 1..cutoff once each and sums the norms they hold,
+    up to ``SPEC_Z_AUDIT_CAP``; it never reads the direct sum, and holds
+    one list of at most ``_NORM_CHUNK`` norms at a time, never all of
+    them.  Fast mode sums the integers directly, up to ``RANGE_CAP``.
+    Larger cutoffs raise ``SizeCapExceeded``.  Both take each term as one
+    libm pow, and ``fsum`` is exactly rounded, so both modes give the same
+    float.
     """
     if s <= 1:
         raise DomainError("need s > 1 for convergence")
@@ -349,8 +374,8 @@ def spec_z_zeta_partial(s: float, cutoff: int, audit: bool = False) -> float:
     if audit:
         if cutoff > SPEC_Z_AUDIT_CAP:
             raise SizeCapExceeded(f"audit cutoff capped at {SPEC_Z_AUDIT_CAP}")
-        norms = _audited_norms(_spec_z_norms(cutoff), cutoff)
-        return math.fsum(map(pow, norms, repeat(-s)))
+        chunks = _audited_norms(_spec_z_norms(cutoff), cutoff)
+        return math.fsum(map(pow, chain.from_iterable(chunks), repeat(-s)))
     if cutoff > RANGE_CAP:
         raise SizeCapExceeded(
             f"cutoff = {cutoff} above {RANGE_CAP}: the direct sum is refused"

@@ -339,6 +339,26 @@ def test_verify_norm_props_univariate():
     assert all(r.status != "fail" for r in verify_norm_props(spec, CFG))
 
 
+@pytest.mark.parametrize("nvars, max_degree", [(8, 1), (9, 1), (50, 3), (1, 10 ** 6),
+                                               (10 ** 9, 0)])
+def test_verify_norm_props_refuses_oversized_samples(monkeypatch, nvars, max_degree):
+    # refused on the shape alone, before a generator is made or a sample drawn
+    monkeypatch.setattr(fs_norms.np.random, "default_rng", None)
+    with pytest.raises(SizeCapExceeded, match=f"cap {fs_norms.SAMPLE_CAP} "):
+        verify_norm_props(NormSampleSpec(1, 1, nvars, max_degree), CFG)
+
+
+def test_sample_cap_counts_coefficients_times_variable_orders(monkeypatch):
+    # 2 variables of degree 3: 4^2 coefficients x 2! orders = 32
+    spec = NormSampleSpec(samples=1, seed=1, nvars=2, max_degree=3)
+    cfg = QuadratureConfig(nodes_per_dim=16)
+    monkeypatch.setattr(fs_norms, "SAMPLE_CAP", 32)
+    assert len(verify_norm_props(spec, cfg)) == 5
+    monkeypatch.setattr(fs_norms, "SAMPLE_CAP", 31)
+    with pytest.raises(SizeCapExceeded):
+        verify_norm_props(spec, cfg)
+
+
 def test_norm_inequality_pinned_instances():
     f = poly("z1 + 1")
     g = poly("z1 - 1")

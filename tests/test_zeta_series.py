@@ -1,7 +1,8 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 import mpmath
 import pytest
@@ -285,14 +286,14 @@ def test_spec_z_partial_sums():
 
 def test_spec_z_audit_bijection():
     # each norm of the cycle walk once: the norm map hits 1..50
-    assert sorted(_spec_z_norms(50)) == list(range(1, 51))
+    assert sorted(chain.from_iterable(_spec_z_norms(50))) == list(range(1, 51))
     assert spec_z_zeta_partial(2.0, 50, audit=True) == spec_z_zeta_partial(2.0, 50)
 
 
 def test_spec_z_cycles_are_the_factorizations():
     # a nondecreasing prime sequence per integer, so every norm once
     for cutoff in (1, 50, 3000):
-        assert sorted(_spec_z_norms(cutoff)) == list(range(1, cutoff + 1))
+        assert sorted(chain.from_iterable(_spec_z_norms(cutoff))) == list(range(1, cutoff + 1))
     with pytest.raises(DomainError):
         spec_z_zeta_partial(2.0, 0, audit=True)
     with pytest.raises(SizeCapExceeded):
@@ -309,6 +310,8 @@ def test_spec_z_audit_equals_fast_mode_bit_for_bit(s):
     lambda primes: [p for p in primes if p != 7],  # 7 and its multiples missing
     lambda primes: primes + [primes[-1]],  # the largest prime twice
     lambda primes: primes + [primes[-1] + 1],  # a composite passed as a prime
+    lambda primes: [2 * primes[-1]] + primes,  # a "prime" above the limit: a norm past it
+    lambda primes: [-1] + primes,  # a negative index would wrap in the byte table
 ])
 def test_spec_z_audit_fails_on_a_broken_enumeration(monkeypatch, mangle):
     monkeypatch.setattr(zeta_series, "primes_upto",
@@ -316,6 +319,29 @@ def test_spec_z_audit_fails_on_a_broken_enumeration(monkeypatch, mangle):
     with pytest.raises(AuditMismatch):
         spec_z_zeta_partial(2.0, 1000, audit=True)
     assert spec_z_zeta_partial(2.0, 1000) > 0  # fast mode does not enumerate
+
+
+def test_spec_z_walk_lists_are_short_and_nonempty(monkeypatch):
+    # a leaf slice longer than the chunk is split (a node has at most
+    # pi(54) = 16 branches); the audit reads the lists
+    monkeypatch.setattr(zeta_series, "_NORM_CHUNK", 20)
+    lists = list(_spec_z_norms(3000))
+    assert all(1 <= len(norms) <= 20 for norms in lists)
+    assert sorted(chain.from_iterable(lists)) == list(range(1, 3001))
+    assert spec_z_zeta_partial(2.5, 3000, audit=True) == spec_z_zeta_partial(2.5, 3000)
+
+
+@pytest.mark.parametrize("cutoff, cap_mib", [(10 ** 5, 2.0), (10 ** 6, 6.0)])
+def test_spec_z_audit_memory_stays_bounded(cutoff, cap_mib):
+    # the primes, the sieve's and the check's byte tables, and one list of
+    # at most _NORM_CHUNK norms: never the whole list of norms
+    tracemalloc.start()
+    try:
+        spec_z_zeta_partial(2.0, cutoff, audit=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap_mib * 2 ** 20
 
 
 def test_abscissa_examples():
