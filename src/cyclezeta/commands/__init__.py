@@ -18,7 +18,6 @@ import math
 from typing import TYPE_CHECKING
 
 from ..errors import AuditMismatch, DomainError
-from ..records import Record
 from ..spaces import PrimePower, parse_space
 
 if TYPE_CHECKING:
@@ -66,13 +65,14 @@ def _int_text(n: int) -> str:
         return str(convert(n, n.bit_length()))
 
 
-class CommandResult(Record):
+class CommandResult:
     __slots__ = ("command", "parameters", "results", "provenance", "elapsed")
 
     def __init__(self, command: str, parameters: dict, results: dict | None = None,
                  provenance: str = "", elapsed: float | None = None):
-        super().__init__(command, parameters, {} if results is None else results,
-                         provenance, elapsed)
+        self.command, self.parameters, self.provenance = command, parameters, provenance
+        self.results = {} if results is None else results
+        self.elapsed = elapsed
 
     def add_int(self, name: str, value: int):
         self.results[name] = {"value": _int_text(value), "error": 0}

@@ -103,7 +103,6 @@ def _is_irreducible(poly, p) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)

@@ -179,6 +179,14 @@ def _divisor_masks(F: Fq, h: int) -> list[int]:
     return masks
 
 
+def _refuse_power(base: int, exponent: int, cap: int, what: str) -> None:
+    """Refuse base^exponent items past cap without building a big power:
+    a base >= 2 passes any cap from exponent cap.bit_length() on."""
+    if base > 1 and exponent >= cap.bit_length() or base ** exponent > cap:
+        size = math.floor(exponent * math.log10(base))
+        raise SizeCapExceeded(f"~10^{size} {what} exceed cap {cap}")
+
+
 def _ff_tuples(q: PrimePower, n: int, h: int):
     """The normalized coprime coordinate tuples of ``iter_ff_points``, in
     order, in batches: yields (polys, prefix, lasts), where each index c in
@@ -195,9 +203,7 @@ def _ff_tuples(q: PrimePower, n: int, h: int):
         raise DomainError("need projective dimension n >= 1")
     if h < 0:
         raise DomainError("height bound must be >= 0")
-    total = q.q ** ((n + 1) * (h + 1))
-    if total > FF_CENSUS_CAP:
-        raise SizeCapExceeded(f"{total} coordinate tuples exceed cap {FF_CENSUS_CAP}")
+    _refuse_power(q.q, (n + 1) * (h + 1), FF_CENSUS_CAP, "coordinate tuples")
     polys = [_fq_trim(c) for c in itertools.product(range(q.q), repeat=h + 1)]
     masks = _divisor_masks(field(q.p, q.e), h)
     lens = list(map(len, polys))
@@ -424,13 +430,9 @@ def _sh_set(d, a, h, cfg, with_error):
         raise SizeCapExceeded(f"coefficient box exp({scale:.3g}) is not searchable")
     box = math.floor(math.exp(scale) / math.sqrt(2.0) + 1e-9)
     degree_cap = math.floor(a * h + 1e-9)
-    exponents = list(
-        itertools.product(range(degree_cap + 1), repeat=d)
-    )
-    m = len(exponents)
-    count = (2 * box + 1) ** m
-    if count > SH_SET_CAP:
-        raise SizeCapExceeded(f"{count} box members exceed cap {SH_SET_CAP}")
+    m = (degree_cap + 1) ** d
+    _refuse_power(2 * box + 1, m, SH_SET_CAP, "box members")
+    exponents = list(itertools.product(range(degree_cap + 1), repeat=d))
     rows = np.array(
         list(itertools.product(*([range(-box, box + 1)] * m))), dtype=float
     )

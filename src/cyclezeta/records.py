@@ -1,45 +1,20 @@
-"""Plain value classes: a mutable ``Record``, an immutable ``FrozenRecord``.
+"""Plain immutable value classes: ``FrozenRecord``.
 
-A ``Record`` subclass lists its fields as ``__slots__`` and writes its own
-``__init__``.  A ``FrozenRecord`` is the tuple of its fields: a subclass
-names them, in order, as ``_fields``, builds in ``__new__`` with
+A ``FrozenRecord`` is the tuple of its fields: a subclass names them, in
+order, as ``_fields``, builds in ``__new__`` with
 ``tuple.__new__(cls, (...))`` and reads each by name, through namedtuple's
 item descriptor.  So the oracle's tens of thousands of points, cycles and
 forms a pass are built and hashed in C: a ``ClosedPoint`` took 968 ns
 through ``object.__setattr__`` and takes 410 ns, a hash 2.0 us and 90 ns,
 while a field read takes 24 ns instead of a slot's 10-19 ns (best of
 7 x 100 000 calls; Python 3.11.7, one core of a 2-vCPU x86 VM).
-Either kind equals only its own class with equal fields, prints as
-``Name(field=value, ...)`` and is not ordered; a frozen record hashes as
-the tuple of its fields and refuses assignment.  The package never reads
-a record by length, iteration or index.  Data classes would load
-``inspect``, ``ast``, ``dis`` and ``tokenize`` into every CLI process.
-"""
+A record equals only its own class with equal fields, prints as
+``Name(field=value, ...)``, is not ordered, hashes as the tuple of its
+fields and refuses assignment.  The package never reads a record by
+length, iteration or index.  Data classes would load ``inspect``, ``ast``,
+``dis`` and ``tokenize`` into every CLI process."""
 
 from _collections import _tuplegetter
-
-
-class Record:
-    """Equality and repr over the fields named in ``__slots__``."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
 
 
 class _FrozenRecordType(type):

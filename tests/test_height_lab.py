@@ -285,6 +285,22 @@ def test_sh_set_census_rejects_bad_parameters(monkeypatch):
         sh_set_census(1, 0.25, 9.0, cfg)
 
 
+def test_size_caps_hold_exactly_at_the_boundary(monkeypatch):
+    # decided from the exponent where it passes the cap's bit length, by
+    # the exact power below that; the size prints as a power of ten
+    monkeypatch.setattr(height_lab, "FF_CENSUS_CAP", 16)
+    assert count_ff_points(Q2, 1, 1) == 9  # 2^4 tuples
+    monkeypatch.setattr(height_lab, "FF_CENSUS_CAP", 15)
+    with pytest.raises(SizeCapExceeded, match=r"^~10\^1 coordinate tuples exceed cap 15$"):
+        count_ff_points(Q2, 1, 1)
+    cfg = QuadratureConfig(nodes_per_dim=32)
+    monkeypatch.setattr(height_lab, "SH_SET_CAP", 841)
+    assert sh_set_census(1, 0.25, 4.0, cfg).count == 841  # 29^2 members
+    monkeypatch.setattr(height_lab, "SH_SET_CAP", 840)
+    with pytest.raises(SizeCapExceeded, match=r"^~10\^2 box members exceed cap 840$"):
+        sh_set_census(1, 0.25, 4.0, cfg)
+
+
 def _unmirrored_heights(d, exponents, rows, cfg):
     """Every row integrated, and its degree term read off row by row."""
     if cfg.scheme == "tensor_gauss":

@@ -1,8 +1,8 @@
 """Value semantics of the package's record classes.
 
 Each class keeps the equality, hash, repr and immutability it had as a
-frozen (or, for ``CommandResult``, mutable) standard-library data class;
-the repr strings below are the ones those data classes printed.
+frozen standard-library data class; the repr strings below are the ones
+those data classes printed.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import pickle
 import pytest
 
 from cyclezeta.bound_engine import CountingSystemSpec, ExplicitConstant
-from cyclezeta.commands import CommandResult, _params
+from cyclezeta.commands import _params
 from cyclezeta.cycle_oracle import ClosedPoint, FormClass, ZeroCycle
 from cyclezeta.errors import DomainError
 from cyclezeta.field_census import ClosedPointCensus
@@ -43,9 +43,6 @@ CASES = [
     (ProjSpace, (2,), "ProjSpace(n=2)"),
     (P1Power, (2,), "P1Power(n=2)"),
     (Product, (P1, P1Power(2)), f"Product(left={_P1}, right=P1Power(n=2))"),
-    (CommandResult, ("count", {"k": 1}),
-     "CommandResult(command='count', parameters={'k': 1}, results={}, "
-     "provenance='', elapsed=None)"),
     (ClosedPointCensus, (P1, F2, (3, 2)),
      f"ClosedPointCensus(space={_P1}, q={_F2}, b=(3, 2))"),
     (ClosedPoint, (P1, F2, 1, ((0, 1),)), _POINT),
@@ -81,33 +78,23 @@ CASES = [
      "max_height=3.9, analytic_lower_bound=2.0, coeff_box=3, degree_cap=2, "
      "max_height_error=0.0001)"),
 ]
-MUTABLE = {CommandResult}
 
 
 def _ids(case):
     return case[0].__name__
 
 
-def _names(cls):
-    """The field list: ``_fields`` of a frozen record, ``__slots__`` of a mutable one."""
-    return cls.__slots__ if cls in MUTABLE else cls._fields
-
-
 def _fields(value):
-    return tuple(getattr(value, name) for name in _names(type(value)))
+    return tuple(getattr(value, name) for name in value._fields)
 
 
 @pytest.mark.parametrize("cls, args, text", CASES, ids=map(_ids, CASES))
 def test_equal_fields_make_equal_values(cls, args, text):
     a, b = cls(*args), cls(*args)
     assert a == b and not a != b
-    assert a == cls(**dict(zip(_names(cls), args)))  # fields name the arguments
+    assert a == cls(**dict(zip(cls._fields, args)))  # fields name the arguments
     assert _fields(a)[:len(args)] == args
-    if cls in MUTABLE:
-        with pytest.raises(TypeError):
-            hash(a)
-    else:
-        assert hash(a) == hash(b) == hash(_fields(a))  # as data classes hashed
+    assert hash(a) == hash(b) == hash(_fields(a))  # as data classes hashed
     assert copy.copy(a) == a and copy.deepcopy(a) == a
 
 
@@ -126,20 +113,15 @@ def test_repr_is_the_data_class_repr(cls, args, text):
 @pytest.mark.parametrize("cls, args, text", CASES, ids=map(_ids, CASES))
 def test_frozen_fields_refuse_assignment(cls, args, text):
     value = cls(*args)
-    for name in _names(cls):
-        if cls in MUTABLE:
-            setattr(value, name, None)
-            assert getattr(value, name) is None
-            continue
+    for name in cls._fields:
         before = getattr(value, name)
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, name)
         assert getattr(value, name) is before
-    if cls not in MUTABLE:
-        with pytest.raises(AttributeError):
-            value.no_such_field = 1
+    with pytest.raises(AttributeError):
+        value.no_such_field = 1
 
 
 def test_unequal_fields_and_classes():
@@ -180,16 +162,16 @@ def test_records_are_not_ordered(cls, args, text):
     a, b = cls(*args), cls(*args)
     with pytest.raises(TypeError):
         sorted([a, b])
-    if cls not in MUTABLE:  # not even against the plain tuple of the fields
-        with pytest.raises(TypeError):
-            a < _fields(a)
-        with pytest.raises(TypeError):
-            _fields(a) <= a
+    # not even against the plain tuple of the fields
+    with pytest.raises(TypeError):
+        a < _fields(a)
+    with pytest.raises(TypeError):
+        _fields(a) <= a
 
 
 @pytest.mark.parametrize("cls, args, text", CASES, ids=map(_ids, CASES))
 def test_only_frozen_records_are_tuples(cls, args, text):
-    assert isinstance(cls(*args), tuple) == (cls not in MUTABLE)
+    assert isinstance(cls(*args), tuple)
 
 
 def test_params_echo_a_prime_power_as_text():
