@@ -77,6 +77,10 @@ SEARCH_CAP = 2_000_000
 # any sample is drawn: a sample is a dense coefficient array, and
 # ``lc_sigma_max`` walks every variable order.  7 variables of degree 1
 # (645 120) take about 0.5 s a sample there, 8 (1.0e7) several seconds.
+# One variable on the tensor scheme takes the exact route (Yun's split
+# and two companion eigensolves), charged (max_degree + 1)^3 / 8 in the
+# same units: 0.06 s a sample at degree 100, 0.58 s at 200 (the cap
+# admits 199), 2.8 s at 300 (in process, numpy 2.4, 2-vCPU x86 VM).
 SAMPLE_CAP = 1_000_000
 BAND_FLOOR = 1e-9  # least half-width of the census guard band
 # Log-scale allowance on the census's coefficient caps.  The caps keep
@@ -314,8 +318,10 @@ class NormSampleSpec(FrozenRecord):
 
     def __new__(cls, samples: int, seed: int, nvars: int = 2, max_degree: int = 3,
                 coeff_bound: int = 10):
-        if samples < 1 or nvars < 1 or max_degree < 0:
-            raise DomainError("bad sample specification")
+        for name, value, least in (("samples", samples, 1), ("nvars", nvars, 1),
+                                   ("max_degree", max_degree, 0), ("coeff_bound", coeff_bound, 1)):
+            if value < least:  # coeff_bound 0 draws only the zero polynomial, forever
+                raise DomainError(f"need {name} >= {least}")
         return tuple.__new__(cls, (samples, seed, nvars, max_degree, coeff_bound))
 
 
@@ -373,7 +379,8 @@ def verify_norm_props(spec: NormSampleSpec,
     Each record carries the error of its slack, from the measured error e
     of log v(f): e on the log checks, v (exp(e) - 1) times the factor on
     v in the two v checks, and 0 on the exact ``product_inf``.  A shape
-    past ``SAMPLE_CAP`` raises ``SizeCapExceeded`` before any sample.
+    past ``SAMPLE_CAP`` (its comment gives the work counted) raises
+    ``SizeCapExceeded`` before any sample.
     """
     work = 1  # (max_degree + 1)^nvars * nvars!, stopped once past the cap
     for k in range(1, spec.nvars + 1):
@@ -384,6 +391,12 @@ def verify_norm_props(spec: NormSampleSpec,
                 f"exceed the cap {SAMPLE_CAP} on coefficients x variable orders, "
                 "(max_degree + 1)^nvars * nvars!; lower nvars or max_degree"
             )
+    exact = (spec.max_degree + 1) ** 3 // 8
+    if spec.nvars == 1 and cfg.scheme == "tensor_gauss" and exact > SAMPLE_CAP:
+        raise SizeCapExceeded(
+            f"one-variable samples of degree {spec.max_degree} exceed the cap {SAMPLE_CAP} "
+            "on the exact route's work, (max_degree + 1)^3 / 8; lower max_degree"
+        )
     rng = np.random.default_rng(spec.seed)
     records = []
     for i in range(spec.samples):

@@ -46,10 +46,12 @@ if TYPE_CHECKING:
 # 7.2 s); ``iter_ff_points`` adds ~1.6 us per point built.
 FF_CENSUS_CAP = 10 ** 7
 # Monte Carlo samples summed over the integrated rows of an sh-set box.
-# Each row is sampled on its own, at about 8e-8 s per row-sample on a
-# 2-core x86 VM (Python 3.11, numpy 2.4), so the cap keeps a census under
-# about 3 s there; at the default 10^6 samples, the 421 rows of
-# d = 1, a = 0.25, h = 4 would take some 30 s.
+# The rows share one sample stream, drawn once per batch, and each row
+# costs its Horner steps and one log per sample: at the cap, the 421 rows
+# of d = 1, a = 0.25, h = 4 at 95 000 samples take 0.46-0.55 s as a CLI
+# process (1.5-2.1 s when each row drew its own copy of the stream), and
+# the 14 281 rows of d = 2, a = 0.24, h = 4.2 at 2 500 take 1.1-1.3 s
+# (3.4-3.5 s); 2-vCPU x86 VM, Python 3.11, numpy 2.4.
 MC_WORK_CAP = 4 * 10 ** 7
 # Members of an sh-set box, every one built as a row of floats before
 # any integral.
@@ -449,12 +451,8 @@ def _sh_set(d, a, h, cfg, with_error):
                 f"cap {MC_WORK_CAP:.0e}; lower sample_count (--mc-samples)"
             )
         one = MultiPoly.constant(1, d)
-        integrals, errors = np.transpose([
-            quadrature.integrate_log_max_with_error(
-                [one, MultiPoly(d, dict(zip(exponents, row)))], cfg
-            )
-            for row in reps
-        ])
+        integrals, errors = np.transpose(quadrature.integrate_log_max_rows_with_error(
+            [[one, MultiPoly(d, dict(zip(exponents, row)))] for row in reps], cfg))
     elif with_error:
         integrals, errors = quadrature.batched_log_integrals_with_error(
             reps, exponents, d, cfg, floor_at_one=True

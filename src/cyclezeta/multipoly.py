@@ -195,10 +195,13 @@ class MultiPoly:
     def eval_grid(self, axes):
         """Evaluate on broadcastable numpy axes (one array per variable).
 
-        Nested Horner's rule, one variable at a time.  The constant term
-        is taken as complex, so a polynomial that has one evaluates to a
-        complex array; otherwise the dtype is that of the coefficients
-        and the axes.
+        Runs the schedule of ``horner_steps``: nested Horner's rule, one
+        variable at a time, one multiply and one add per coefficient and
+        variable.  The constant term is taken as complex, so a polynomial
+        that has one evaluates to a complex array; otherwise the dtype is
+        that of the coefficients and the axes.  Each step allocates its
+        result here; the Monte Carlo route runs the same steps into
+        buffers it allocates once per integral.
         """
         import numpy as np
 
@@ -207,11 +210,11 @@ class MultiPoly:
         shape = np.broadcast_shapes(*[np.shape(a) for a in axes])
         if not self.coeffs:
             return np.zeros(shape, dtype=complex)
-        coeffs = dict(self.coeffs)
-        zero = (0,) * self.nvars
-        if zero in coeffs:
-            coeffs[zero] = complex(coeffs[zero])
-        total = _horner(coeffs, axes, 0)
+        steps, result = horner_steps(self)
+        values = {("x", i): a for i, a in enumerate(axes)}
+        values.update({o: power(axes[o[1]], o[2]) for step in steps for o in step[1:3]
+                       if o[0] == "p"})
+        total = run_steps(steps, result, values)
         if np.shape(total) != shape:
             total = np.broadcast_to(total, shape)
         return total
@@ -234,24 +237,75 @@ class MultiPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _horner(coeffs: dict, axes, i: int):
-    """sum of c * prod_{j >= i} axes[j] ** e[j] over the (exponents e,
-    coefficient c) of ``coeffs``, all sharing e[:i]: Horner's rule in
-    axes[i] over the coefficients in the later axes."""
-    if i == len(axes):
-        (c,) = coeffs.values()
-        return c
-    groups: dict[int, dict] = {}
-    for e, c in coeffs.items():
-        groups.setdefault(e[i], {})[e] = c
-    powers = sorted(groups, reverse=True) + [0]
-    acc = None
-    for p, lower in zip(powers, powers[1:]):
-        inner = _horner(groups[p], axes, i + 1)
-        acc = inner if acc is None else acc + inner
-        if p > lower:
-            acc = acc * (axes[i] if p - lower == 1 else axes[i] ** (p - lower))
-    return acc
+def horner_steps(f: MultiPoly) -> tuple[list, tuple]:
+    """Nested Horner's rule for f as a flat schedule: (steps, result).
+
+    A step (op, a, b, r), op ``np.multiply`` or ``np.add``, sets register
+    r to op(a, b).  An operand is ("c", c) for a coefficient c (the
+    constant term as complex), ("x", i) for variable i, ("p", i, k) for
+    z_i^k, k >= 2 (``power``), or ("r", i) for register i, the running
+    sum of variable i's rule; ``result`` holds f.  The monomials are
+    walked in decreasing lexicographic order: between e and the next e',
+    first differing in variable j, the rules after j are closed
+    (multiplied by their last power and added into the rule before them)
+    and rule j is multiplied by z_j^(e_j - e'_j).  A coefficient stays a
+    Python number, so each step's arithmetic is that of the recursion
+    f = sum_p z_j^p f_p it unrolls.
+    """
+    import numpy as np
+
+    n = f.nvars
+    steps, acc = [], [None] * (n + 1)  # acc[l + 1]: the running sum of variable l
+
+    def mul(level, k):
+        if k:
+            steps.append((np.multiply, acc[level + 1], ("x", level) if k == 1
+                          else ("p", level, k), ("r", level)))
+            acc[level + 1] = ("r", level)
+
+    def fold(level, value):  # add value into the rule of variable ``level``
+        if acc[level + 1] is None:
+            acc[level + 1] = value
+        else:
+            steps.append((np.add, acc[level + 1], value, ("r", level)))
+            acc[level + 1] = ("r", level)
+
+    prev = None
+    for e in sorted(f.coeffs, reverse=True):
+        j = n if prev is None else next(i for i in range(n) if prev[i] != e[i])
+        for level in range(n - 1, j, -1):  # close the rules after variable j
+            mul(level, prev[level])
+            fold(level - 1, acc[level + 1])
+            acc[level + 1] = None
+        if prev is not None:
+            mul(j, prev[j] - e[j])
+        c = f.coeffs[e]
+        fold(n - 1, ("c", complex(c) if not any(e) else c))
+        prev = e
+    for level in range(n - 1, -1, -1):
+        mul(level, prev[level])
+        fold(level - 1, acc[level + 1])
+    return steps, acc[0]
+
+
+def power(x, k: int, out=None):
+    """x ** k for an int k >= 2, into ``out`` when given: numpy's ``**``
+    squares for k = 2 and calls ``np.power`` otherwise."""
+    import numpy as np
+
+    return np.square(x, out=out) if k == 2 else np.power(x, k, out=out)
+
+
+def run_steps(steps, result, values: dict, registers=None):
+    """Run ``horner_steps``: ``values`` maps each variable and power
+    operand to its array, and takes each register's value; a register in
+    ``registers`` is written into that buffer, any other is a fresh
+    array.  Returns f, a Python number if f is constant."""
+    registers = registers or {}
+    for op, a, b, r in steps:
+        values[r] = op(a[1] if a[0] == "c" else values[a], b[1] if b[0] == "c" else values[b],
+                       out=registers.get(r))
+    return result[1] if result[0] == "c" else values[result]
 
 
 # ---------------------------------------------------------------------------

@@ -136,26 +136,31 @@ pays for its nodes, not for its set-up.
 Monte Carlo route (scheme ``monte_carlo``, any number of variables).
 The estimate is the mean of log max_i |f_i| over ``sample_count``
 seeded samples, each variable drawn independently from omega with no
-trigonometry: w is uniform on the disk |w| < 1/2, by rejection from the
-square [-1/2, 1/2)^2 (one generator call of 2m uniform floats, viewed as
-m complex numbers, of which about pi/4 are kept), and
+trigonometry (whose cos and sin alone cost more per point): w is uniform
+on the disk |w| < 1/2, by rejection from the square [-1/2, 1/2)^2, and
 z = w / sqrt(1/4 - |w|^2).  Then s = 4 |w|^2 is uniform on [0, 1] and
-independent of the uniform angle, so |z|^2 = s / (1 - s) has the law
-of omega, which gives |z|^2 <= t the mass t / (1 + t).  Surplus
-accepted draws are dropped, so a seed fixes the estimate.  The cos and
-sin of a uniform angle alone cost more per point than the whole
-rejection draw (numpy 2.4 on a 2-vCPU x86 VM).  Samples are taken
-``_MC_BATCH`` = 4096 at a time, through work buffers reused across
-batches, so that no array a batch allocates exceeds 64 kB and the
-allocator recycles them: with 8192 samples a batch, a 3-variable
-integral of 10^6 samples faulted in some 20 000 fresh pages there and
-ran about 15 % slower.  Each f_i is evaluated on a batch by nested
-Horner's rule (``MultiPoly.eval_grid``), one multiply and one add per
-coefficient and variable rather than one array product per monomial:
-on the 8 monomials of (z1 + 1)(z2 + 3)(z3 + 5) that is half the time.
-The tuple takes one shift, as a grid row does; a sample at which |f_i|
-still passes the float range (|z|^D past 2^1024, far out for a high
-degree) is refused with ``SizeCapExceeded``, so no NaN is averaged.
+independent of the uniform angle, so |z|^2 = s / (1 - s) has the law of
+omega, which gives |z|^2 <= t the mass t / (1 + t).  Samples come
+``_MC_BATCH`` = 4096 at a time, shared by every row of a census
+(``integrate_log_max_rows_with_error``).  Each axis of a batch takes its
+points in rounds: for the ``need`` points still missing, a round reads
+``_round(need)`` candidates and keeps the first ``need`` accepted, so a
+seed fixes every point.  The first rounds of all axes are drawn in one
+generator call and mapped to z at once; the axes read them through a
+cursor, and a short round (4.5 standard deviations off at a full batch)
+reads on from it: the points of one draw per axis and round, at half the
+numpy calls.  Each f_i runs nested Horner's rule
+(``multipoly.horner_steps``), one multiply and one add per coefficient
+and variable, half the time of one product per monomial on
+(z1 + 1)(z2 + 3)(z3 + 5), with the powers z_j^k formed once per batch.
+Candidates, points, powers, registers and |f_i| live in buffers
+allocated once per integral: per-batch 64 kB temporaries sat at the heap
+top, which glibc trims after each batch, and were faulted in again by
+every batch (14 976 minor faults against 362 for one 10^6-sample job,
+20 % slower).  Each row takes one shift, as a grid row does; a sample at
+which |f_i| still passes the float range (|z|^D past 2^1024) is refused
+with ``SizeCapExceeded``, so no NaN is averaged.  Timings: numpy 2.4 on
+a 2-vCPU x86 VM.
 """
 
 from __future__ import annotations
@@ -174,6 +179,9 @@ from .multipoly import (
     _exact_div,
     _squarefree_parts,
     _univ_poly_gcd,
+    horner_steps,
+    power,
+    run_steps,
 )
 from .records import FrozenRecord
 
@@ -780,84 +788,125 @@ def _grid_with_error(C, exponents, nvars: int, n: int, floor: float):
     return value, np.abs(value - _grid(C, exponents, nvars, n // 2, floor))
 
 
-def _log_max_abs(polys, axes) -> np.ndarray:
-    vals = None
-    for f in polys:
-        a = np.abs(f.eval_grid(axes))
-        vals = a if vals is None else np.maximum(vals, a, out=vals)
-    np.maximum(vals, _TINY, out=vals)
-    return np.log(vals, out=vals)
+def _round(need: int) -> int:
+    """Candidates one rejection round reads for ``need`` points: 4 / pi
+    candidates a point, plus a margin."""
+    return need * 13 // 10 + 64
 
 
 class _OmegaSampler:
     """Seeded points of C drawn from omega, written into arrays the caller
-    owns, through work buffers sized for ``batch`` points (module
-    docstring)."""
+    owns (module docstring).  ``w[lo:hi]`` holds the candidates drawn and
+    not yet read, already mapped to z, and ``s`` their |w|^2 (accepted
+    below 1/4); the buffers hold the first rounds of ``nvars`` axes."""
 
-    def __init__(self, seed: int, batch: int):
+    def __init__(self, seed: int, batch: int, nvars: int = 1):
         self.rng = np.random.default_rng(seed)
-        m = batch * 13 // 10 + 64  # 4 / pi draws a point, plus a margin
+        m = nvars * _round(batch)
         self.w = np.empty(m, dtype=complex)
-        self.s = np.empty(m)
-        self.t = np.empty(m)
-        self.scale = np.empty(batch)
+        self.s, self.t = np.empty((2, m))
+        self.batch, self.lo, self.hi, self.ahead = batch, 0, 0, 0
 
-    def fill(self, out: np.ndarray) -> None:
-        """Fill the complex 1-d array ``out`` with independent points.
-
-        w is uniform on the disk |w| < 1/2, by rejection from the square
-        [-1/2, 1/2)^2, and z = w / sqrt(1/4 - |w|^2).  Each round draws
-        for the points still missing, up to the buffer size, and drops
-        surplus accepted draws, so the seed fixes every point.
-        """
-        filled = 0
-        while filled < len(out):
-            need = min(len(out) - filled, len(self.scale))
-            m = need * 13 // 10 + 64
-            w, s, t = self.w[:m], self.s[:m], self.t[:m]
+    def _read(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next m candidates and their s; when fewer are left, the
+        rest move to the front and at least ``ahead`` more are drawn."""
+        keep = self.hi - self.lo
+        if keep < m:
+            new = max(m, self.ahead) - keep
+            self.ahead = 0
+            self.w[:keep], self.s[:keep] = self.w[self.lo:self.hi], self.s[self.lo:self.hi]
+            w, s, t = self.w[keep:keep + new], self.s[keep:keep + new], self.t[:new]
             self.rng.random(out=w.view(float))
             w -= 0.5 + 0.5j
             np.multiply(w.real, w.real, out=s)
             np.multiply(w.imag, w.imag, out=t)
             s += t
-            idx = np.flatnonzero(s < 0.25)[:need]
-            scale = self.scale[:len(idx)]
-            np.take(s, idx, out=scale)
-            np.subtract(0.25, scale, out=scale)
-            np.sqrt(scale, out=scale)
-            np.divide(1.0, scale, out=scale)
-            z = out[filled:filled + len(idx)]
-            np.take(w, idx, out=z)
-            z *= scale
-            filled += len(idx)
+            with np.errstate(invalid="ignore", divide="ignore"):  # NaN where rejected
+                np.subtract(0.25, s, out=t)
+                np.sqrt(t, out=t)
+                np.divide(1.0, t, out=t)
+                w *= t
+            self.lo, self.hi = 0, keep + new
+        self.lo += m
+        return self.w[self.lo - m:self.lo], self.s[self.lo - m:self.lo]
+
+    def draw(self, out: np.ndarray) -> None:
+        """Fill each row of the complex 2-d array ``out`` with the points
+        ``fill`` would write row by row, the first rounds drawn at once."""
+        self.ahead = len(out) * _round(min(out.shape[1], self.batch))
+        for z in out:
+            filled = 0
+            while filled < len(z):
+                need = min(len(z) - filled, self.batch)
+                w, s = self._read(_round(need))
+                idx = (s < 0.25).nonzero()[0][:need]
+                w.take(idx, out=z[filled:filled + len(idx)])
+                filled += len(idx)
+
+    def fill(self, out: np.ndarray) -> None:
+        """Fill the complex 1-d array ``out`` with independent points."""
+        self.draw(out[None])
 
 
-def _integrate_monte_carlo(polys, nvars: int, cfg: QuadratureConfig):
-    # one shift for the tuple, so that max_i |f_i| scales by it (at most
-    # 2^20 terms a function)
-    (coeffs,), (shift,) = _shifted([[c for f in polys for c in f.coeffs.values()]], 20)
-    if shift:
-        scaled = iter(coeffs.tolist())
-        polys = [MultiPoly(nvars, {e: next(scaled) for e in f.coeffs}) for f in polys]
-    sampler = _OmegaSampler(cfg.seed, _MC_BATCH)
-    points = np.empty((nvars, _MC_BATCH), dtype=complex)
-    acc = acc2 = 0.0
+def _monte_carlo(rows, nvars: int, cfg: QuadratureConfig) -> list[tuple[float, float]]:
+    """Estimates of log max_i |f_i| and three standard errors, one per row
+    of nonzero polynomials (not a lone monomial), all on the same samples.
+
+    Each row takes one shift (at most 2^20 terms a function) and each f_i
+    its ``horner_steps``; the powers of the axes they use are formed once
+    per batch, and every f_i runs in the same ``nvars`` registers.
+    """
+    programs, operands = [], set()
+    for polys in rows:
+        (coeffs,), (shift,) = _shifted([[c for f in polys for c in f.coeffs.values()]], 20)
+        if shift:
+            scaled = iter(coeffs.tolist())
+            polys = [MultiPoly(nvars, {e: next(scaled) for e in f.coeffs}) for f in polys]
+        steps = [horner_steps(f) for f in polys]
+        # |c| of a constant f_i as np.abs takes it on an array
+        top = max([float(np.abs(np.full(1, c))[0]) for _, (k, c) in steps if k == "c"] + [_TINY])
+        programs.append(([run for run in steps if run[1][0] == "r"], top, int(shift)))
+        operands.update(o for run, _ in steps for step in run for o in step[1:] if o[0] in "pr")
+    count, batch = cfg.sample_count, min(_MC_BATCH, cfg.sample_count)
+    sampler = _OmegaSampler(cfg.seed, batch, nvars)
+    points = np.empty((nvars, batch), dtype=complex)
+    buffers = {o: np.empty(batch, dtype=complex) for o in operands}
+    vals, tmp = np.empty((2, batch))
+    sums = np.zeros((len(rows), 2))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for start in range(0, cfg.sample_count, _MC_BATCH):
-            axes = list(points[:, :min(_MC_BATCH, cfg.sample_count - start)])
-            for axis in axes:
-                sampler.fill(axis)
-            vals = _log_max_abs(polys, axes)
-            acc += float(np.sum(vals))
-            acc2 += float(vals @ vals)
-            if not math.isfinite(acc2):  # |f| at a sample far out passed the float range
+        for start in range(0, count, batch):
+            m = min(batch, count - start)
+            sampler.draw(points[:, :m])
+            views = {o: buf[:m] for o, buf in buffers.items()}
+            values = {o: power(points[o[1], :m], o[2], out=buf)
+                      for o, buf in views.items() if o[0] == "p"}
+            values.update((("x", i), z) for i, z in enumerate(points[:, :m]))
+            v, t = vals[:m], tmp[:m]
+            for r, (evals, top, _) in enumerate(programs):
+                for i, (steps, result) in enumerate(evals):
+                    np.abs(run_steps(steps, result, values, views), out=t if i else v)
+                    if i:
+                        np.maximum(v, t, out=v)
+                if evals:
+                    np.maximum(v, top, out=v)
+                else:
+                    v.fill(top)
+                np.log(v, out=v)
+                sums[r, 0] += float(v.sum())
+                sums[r, 1] += float(v @ v)
+            if not np.isfinite(sums[:, 1]).all():  # |f| far out passed the float range
                 raise SizeCapExceeded("a Monte Carlo sample passes the float range")
-    mean = acc / cfg.sample_count
-    var = max(acc2 / cfg.sample_count - mean * mean, 0.0)
-    return mean + int(shift) * math.log(2.0), 3.0 * math.sqrt(var / cfg.sample_count)
+    out = []
+    for (acc, acc2), (_, _, shift) in zip(sums.tolist(), programs):
+        mean = acc / count
+        var = max(acc2 / count - mean * mean, 0.0)
+        out.append((mean + shift * math.log(2.0), 3.0 * math.sqrt(var / count)))
+    return out
 
 
-def _integrate(polys, cfg: QuadratureConfig, grid_error: bool):
+def _reduced(polys):
+    """(the nonzero f_i, None), or (f_i, log |c|) when the integral is that
+    of a monomial c z^I: log |z_i| is odd under z_i -> 1/z_i."""
     polys = list(polys)
     if not polys:
         raise AllZero("no polynomials given")
@@ -868,10 +917,17 @@ def _integrate(polys, cfg: QuadratureConfig, grid_error: bool):
     if not polys:
         raise AllZero("log max |f_i| is identically -infinity")
     if nvars == 0 or (len(polys) == 1 and len(polys[0].coeffs) == 1):
-        # a monomial c z^I: log |z_i| is odd under z_i -> 1/z_i
-        return math.log(max(abs(c) for f in polys for c in f.coeffs.values())), 0.0
+        return polys, math.log(max(abs(c) for f in polys for c in f.coeffs.values()))
+    return polys, None
+
+
+def _integrate(polys, cfg: QuadratureConfig, grid_error: bool):
+    polys, value = _reduced(polys)
+    if value is not None:
+        return value, 0.0
+    nvars = polys[0].nvars
     if cfg.scheme == "monte_carlo":
-        return _integrate_monte_carlo(polys, nvars, cfg)
+        return _monte_carlo([polys], nvars, cfg)[0]
     n = cfg.nodes_per_dim
     if len(polys) == 1 and nvars == 1:
         return _jensen_1var(polys[0])
@@ -902,6 +958,20 @@ def integrate_log_max(polys, cfg: QuadratureConfig) -> float:
 def integrate_log_max_with_error(polys, cfg: QuadratureConfig) -> tuple[float, float]:
     """``integrate_log_max`` with its measured error (module docstring)."""
     return _integrate(polys, cfg, grid_error=True)
+
+
+def integrate_log_max_rows_with_error(rows, cfg: QuadratureConfig) -> list[tuple[float, float]]:
+    """``integrate_log_max_with_error`` of each tuple of ``rows``, bit for
+    bit.  With Monte Carlo every row is estimated on the same samples,
+    drawn once per batch, so the rows must share the variable count."""
+    if cfg.scheme != "monte_carlo":
+        return [_integrate(polys, cfg, grid_error=True) for polys in rows]
+    rows = [_reduced(polys) for polys in rows]
+    live = [polys for polys, value in rows if value is None]
+    if len({polys[0].nvars for polys in live}) > 1:
+        raise DomainError("rows on shared samples must share the variable count")
+    estimates = iter(_monte_carlo(live, live[0][0].nvars, cfg) if live else ())
+    return [(value, 0.0) if value is not None else next(estimates) for _, value in rows]
 
 
 def batched_log_integrals(

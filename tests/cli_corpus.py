@@ -93,9 +93,9 @@ def shown(code, out, err):
     """(what an entry pins of a run, the other stream, which stays empty)."""
     if code == 0:
         return out, err
-    if code == 1:
+    if code == 1:  # the usage lines are those of the parser that reports the error
         usage, _, error = err.rstrip("\n").rpartition("\n")
-        assert usage.startswith("usage: cyclezeta"), err
+        assert usage.startswith(f"usage: {error.partition(': error: ')[0]} [-h]"), err
         return error + "\n", out
     return err, out
 

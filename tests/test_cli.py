@@ -49,22 +49,6 @@ def test_timing_flag_attaches_elapsed(capsys):
     assert "elapsed_seconds" in doc
 
 
-def test_exit_codes(capsys):
-    code, _, err = run_cli(
-        capsys, "count", "divisors", "--space", "p1xn", "--n", "2",
-        "--q", "6", "--multidegree", "1,1",
-    )
-    assert code == 2 and "not prime" in err
-    code, _, err = run_cli(
-        capsys, "enum", "divisors", "--space", "p1xn", "--n", "4",
-        "--q", "5", "--multidegree", "4,4,4,4",
-    )
-    assert code == 3
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "nonsense", "--space", "pn", "--n", "1", "--q", "2"])
-    assert exc.value.code == 1
-
-
 def test_counting_system_bound_past_float_overflow(capsys):
     # B(40) = 41^2 2^1681 overflows a float; its log does not
     doc = run_json(capsys, "bound", "counting-system", "--n", "3", "--l", "1",
@@ -238,53 +222,6 @@ def test_a_foreign_option_is_a_usage_error(capsys, label):
                             f"{option} 1\n"), (label, option)
 
 
-# --h is not --help, --k not --kmax and --ts not --tsv; a foreign option is
-# reported by the parser (top level or command) whose part of argv holds it
-@pytest.mark.parametrize("argv, prog, message", [
-    ("norm --poly z1 --h 1", "cyclezeta norm", "unrecognized arguments: --h 1"),
-    ("lfun --n 1 --l 0 --s 4 --pmax 100 --h 1", "cyclezeta lfun",
-     "unrecognized arguments: --h 1"),
-    ("zeta --space pn --n 1 --q 2 --l 0 --k 3", "cyclezeta zeta",
-     "the following arguments are required: --kmax"),
-    ("--ts zeta --space pn --n 1 --q 2 --l 0 --kmax 3", "cyclezeta",
-     "unrecognized arguments: --ts"),
-    ("--ts zeta --space pn --n 1 --q 2 --l 0 --kmax 3 --k 3", "cyclezeta zeta",
-     "unrecognized arguments: --k 3"),
-    ("divcount --n 1 --lam 1 --h 1 --search-cap 10", "cyclezeta divcount",
-     "unrecognized arguments: --search-cap 10"),
-])
-def test_no_command_takes_an_abbreviation_or_a_foreign_option(capsys, argv, prog, message):
-    code, out, err = _exit(capsys, main, shlex.split(argv))
-    assert (code, out) == (1, "")
-    assert err.startswith(f"usage: {prog} [-h]")
-    assert err.endswith(f"{prog}: error: {message}\n")
-
-
-@pytest.mark.parametrize("argv, message", [
-    # a TypeError traceback when --multidegree was optional here
-    ("enum divisors --space pn --n 1 --q 2",
-     "the following arguments are required: --multidegree"),
-    # --k was dropped in silence
-    ("count divisors --space pn --n 2 --q 2 --multidegree 1 --k 5",
-     "argument --k: not allowed with argument --multidegree"),
-    ("count divisors --space pn --n 2 --q 2",
-     "one of the arguments --k --multidegree is required"),
-])
-def test_divisor_degrees_are_checked_by_the_parser(capsys, argv, message):
-    code, out, err = _exit(capsys, main, shlex.split(argv))
-    assert (code, out) == (1, "") and "Traceback" not in err
-    assert err.endswith(f"error: {message}\n")
-
-
-def test_one_monte_carlo_sample_is_refused(capsys):
-    # its spread is 0, so it reported v = 24.63 +- 0.0 against sqrt(340)
-    code, out, err = run_cli(capsys, "norm", "--poly", "(z1+1)*(z2+3)*(z3+4)",
-                             "--scheme", "monte_carlo", "--seed", "1", "--mc-samples", "1")
-    assert (code, out) == (2, "")
-    assert err == ("domain error: sample_count must be >= 2: one sample has no "
-                   "spread to estimate an error from\n")
-
-
 def test_lfun_command(capsys):
     doc = run_json(capsys, "lfun", "--n", "1", "--l", "0", "--s", "4",
                    "--pmax", "50")
@@ -311,19 +248,6 @@ def test_lfun_answers_where_powers_pass_the_float_range(capsys, n, l, s, pmax, l
     real = json.loads(out)["results"]["real"]
     expected = math.prod(map(local, spaces.primes_upto(pmax)))
     assert abs(real["value"] - expected) <= real["error"]
-
-
-@pytest.mark.parametrize("n, l, named", [
-    (3, 1, "no closed form for l=1 on P3 (dim 3)"),
-    (4, 2, "no closed form for l=2 on P4 (dim 4)"),
-    (2, 3, "cycle dimension l=3 outside 0..2"),
-    (1, -1, "cycle dimension l=-1 outside 0..1"),
-])
-def test_lfun_refuses_a_cycle_dimension_without_a_closed_form(capsys, n, l, named):
-    code, out, err = run_cli(capsys, "lfun", "--n", str(n), "--l", str(l),
-                             "--s", "9", "--pmax", "100")
-    assert code == 2 and out == ""
-    assert err == f"domain error: {named}\n"
 
 
 def test_speczeta_audit(capsys):
@@ -668,22 +592,6 @@ def test_oversized_grid_refused_before_it_is_allocated():
     message, peak_mb = proc.stderr.splitlines()
     assert message.startswith("size cap exceeded: a grid integral of 1.24e+11 points")
     assert int(peak_mb) < 200
-
-
-@pytest.mark.parametrize("argv", [
-    # q^C(40,20): about 17 GB if it were built
-    "count divisors --space pn --n 20 --q 3 --multidegree 20",
-    "zeta --space pn --n 2 --q 3 --l 0 --kmax 100000",
-    "count zero-cycles --space pn --n 0 --q 2 --k 1000000000",
-    # each n_k is under the cap, the whole sequence is not
-    "zeta --space pn --n 2 --q 2 --l 1 --kmax 2000",
-    # one small int per degree, but a million of them
-    "zeta --space pn --n 1 --q 2 --l 1 --kmax 1000000",
-])
-def test_oversized_closed_forms_refused(capsys, argv):
-    code, out, err = run_cli(capsys, *shlex.split(argv))
-    assert code == 3 and out == ""
-    assert err.startswith("size cap exceeded")
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,6 +15,7 @@ from cyclezeta.multipoly import (
     monomial_grid,
     parse_affine_polynomial,
     parse_integer_form,
+    power,
 )
 
 
@@ -109,6 +110,19 @@ def test_eval_grid_horner_equals_the_monomial_sum(data):
     want, scale = _monomial_sum(f, axes)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7])
+def test_power_is_the_power_operator(k):
+    # the Monte Carlo route forms x ** k into a buffer, with the bits of
+    # the nested Horner's rule that wrote x ** k
+    import numpy as np
+
+    rng = np.random.default_rng(k)
+    for x in (rng.normal(size=99) + 1j * rng.normal(size=99), rng.normal(size=99)):
+        out = np.empty_like(x)
+        assert power(x, k, out=out) is out
+        assert np.array_equal(out, x ** k) and np.array_equal(power(x, k), x ** k)
 
 
 @given(st.data())

@@ -256,6 +256,92 @@ def test_sampler_draws_the_fubini_study_measure():
     assert abs(np.mean(z / np.abs(z))) <= 4 / math.sqrt(n)
 
 
+def _per_axis_rounds(seed, axes, count, batch=quadrature._MC_BATCH):
+    """The points of ``axes`` variables, a batch at a time, each axis in
+    rounds of ``_round(need)`` fresh candidates of its own: the sampler's
+    stream written out with no cursor and no shared draw."""
+    rng = np.random.default_rng(seed)
+    points = np.empty((axes, count), dtype=complex)
+    for start in range(0, count, batch):
+        for z in points[:, start:start + batch]:
+            filled = 0
+            while filled < len(z):
+                need = len(z) - filled
+                w = rng.random(2 * quadrature._round(need)).view(complex) - (0.5 + 0.5j)
+                s = w.real * w.real + w.imag * w.imag
+                idx = np.flatnonzero(s < 0.25)[:need]
+                z[filled:filled + len(idx)] = w[idx] * (1.0 / np.sqrt(0.25 - s[idx]))
+                filled += len(idx)
+    return points
+
+
+def _batched_draw(seed, axes, count, batch=quadrature._MC_BATCH):
+    """The points of one multi-axis draw per batch, and those of ``axes``
+    sequential ``fill`` calls per batch."""
+    drawn, filled = np.empty((2, axes, count), dtype=complex)
+    shared = quadrature._OmegaSampler(seed, batch, axes)
+    single = quadrature._OmegaSampler(seed, batch)
+    for start in range(0, count, batch):
+        shared.draw(drawn[:, start:start + batch])
+        for z in filled[:, start:start + batch]:
+            single.fill(z)
+    return drawn, filled
+
+
+@pytest.mark.parametrize("count", [2, quadrature._MC_BATCH - 1, quadrature._MC_BATCH,
+                                   quadrature._MC_BATCH + 1, 10 ** 5 + 1])
+def test_one_draw_for_all_axes_gives_the_points_of_one_fill_per_axis(count):
+    drawn, filled = _batched_draw(5, 3, count)
+    assert np.array_equal(drawn, filled)
+    assert np.array_equal(drawn, _per_axis_rounds(5, 3, count))
+
+
+@pytest.mark.parametrize("count", [2, 37, 300])
+def test_a_short_round_reads_on_from_the_cursor(monkeypatch, count):
+    # with no margin most rounds accept fewer points than they need, so
+    # every axis reads further rounds past its first, into the
+    # candidates drawn for the next axis and past the end of the batch
+    needs = []
+
+    def no_margin(need):
+        needs.append(need)
+        return need
+
+    monkeypatch.setattr(quadrature, "_round", no_margin)
+    drawn, filled = _batched_draw(2, 3, count, batch=64)
+    assert any(need < min(count, 64) for need in needs)  # a round was short
+    assert np.array_equal(drawn, filled)
+    assert np.array_equal(drawn, _per_axis_rounds(2, 3, count, batch=64))
+
+
+def test_census_rows_on_shared_samples_equal_single_integrals():
+    one = MultiPoly.constant(1, 2)
+    rows = [[one, poly("3*z1*z2 - z2 + 2")], [one, MultiPoly(2)],  # log max(1, 0): a monomial
+            [poly("-5*z1^2*z2", 2)],  # a monomial alone: log 5
+            [one, poly("z1^2 - 4*z2 + 1")], [MultiPoly.constant(7, 2), one],
+            [one, poly("(10^300)*z1^3 + z2")], [poly("z1 + 1", 2), poly("z2^2 - 3")]]
+    for count in (2, quadrature._MC_BATCH + 1, 20_000):
+        mc = QuadratureConfig(scheme="monte_carlo", seed=4, sample_count=count)
+        shared = quadrature.integrate_log_max_rows_with_error(rows, mc)
+        assert shared == [integrate_log_max_with_error(row, mc) for row in rows]
+        assert shared[1] == (0.0, 0.0) and shared[2] == (math.log(5), 0.0)
+
+
+def test_rows_on_shared_samples_share_the_variable_count():
+    mc = QuadratureConfig(scheme="monte_carlo", seed=1, sample_count=10)
+    with pytest.raises(DomainError, match="share the variable count"):
+        quadrature.integrate_log_max_rows_with_error([[poly("z1 + 1")], [poly("z1*z2 + 1")]], mc)
+
+
+@pytest.mark.parametrize("texts", [["z1 + 1", "z1^2 - 3"], ["(10^300)*z1^10 + z1", "1"]])
+def test_monte_carlo_repeats_its_value_for_one_seed(texts):
+    mc = QuadratureConfig(scheme="monte_carlo", seed=9, sample_count=10_000)
+    polys = [poly(t, nvars=1) for t in texts]
+    first = integrate_log_max_with_error(polys, mc)
+    assert first == integrate_log_max_with_error(polys, mc)
+    assert all(math.isfinite(x) for x in first)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_monte_carlo_three_variables_within_its_error(seed):
     mc = QuadratureConfig(scheme="monte_carlo", seed=seed, sample_count=200_000)
