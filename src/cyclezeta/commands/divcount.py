@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from . import CommandResult, _finite_float, _result
+from . import CommandResult, _QUAD, _add_options, _finite_float, _result
 
 
 def add_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lam", type=_finite_float, required=True)
     p.add_argument("--h", type=_finite_float, required=True)
-    # the census integrates in batches, which take the tensor scheme only
-    p.add_argument("--nodes", type=int, default=64)
+    # the census integrates plain log |f| rows in batches, which take the
+    # tensor scheme only: of the shared quadrature options, just the nodes
+    _add_options(p, _QUAD, "--nodes")
     p.set_defaults(func=run)
 
 

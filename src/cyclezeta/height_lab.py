@@ -19,7 +19,11 @@ integer polynomials whose members all satisfy h((1:f)) <= h.
 
 The function-field half is exact integer work and imports without
 numpy; ``height_nv``, ``height_nv_with_error``, ``sh_set_table`` and
-``sh_set_census`` load numpy and ``quadrature`` when first called.
+``sh_set_census`` load numpy and ``quadrature`` when first called.  The
+box census integrates its sign classes in one batched call,
+``quadrature.batched_log_integrals(_with_error)`` with the floor at one,
+on either scheme: the grid, or Monte Carlo on one sample stream, whose
+cap ``quadrature.MC_WORK_CAP`` that call checks.
 """
 
 from __future__ import annotations
@@ -45,14 +49,6 @@ if TYPE_CHECKING:
 # where the per-prefix pass dominates (q = 2, n = 22, h = 0: 8.4e6 in
 # 7.2 s); ``iter_ff_points`` adds ~1.6 us per point built.
 FF_CENSUS_CAP = 10 ** 7
-# Monte Carlo samples summed over the integrated rows of an sh-set box.
-# The rows share one sample stream, drawn once per batch, and each row
-# costs its Horner steps and one log per sample: at the cap, the 421 rows
-# of d = 1, a = 0.25, h = 4 at 95 000 samples take 0.46-0.55 s as a CLI
-# process (1.5-2.1 s when each row drew its own copy of the stream), and
-# the 14 281 rows of d = 2, a = 0.24, h = 4.2 at 2 500 take 1.1-1.3 s
-# (3.4-3.5 s); 2-vCPU x86 VM, Python 3.11, numpy 2.4.
-MC_WORK_CAP = 4 * 10 ** 7
 # Members of an sh-set box, every one built as a row of floats before
 # any integral.
 SH_SET_CAP = 200_000
@@ -413,8 +409,8 @@ def _sign_classes(rows, exponents, box: int, cfg: QuadratureConfig):
 
 
 def _sh_set(d, a, h, cfg, with_error):
-    """``sh_set_table`` and the largest measured error of its integrals;
-    on the grid that takes an n / 2 pass, run only ``with_error``."""
+    """``sh_set_table`` and the largest measured error of its integrals
+    (run only ``with_error``, as on the grid it takes an n / 2 pass)."""
     import numpy as np
 
     from . import quadrature
@@ -440,20 +436,7 @@ def _sh_set(d, a, h, cfg, with_error):
     )
     first, inverse = _sign_classes(rows, exponents, box, cfg)
     reps = rows[first]
-    errors = np.zeros(0)
-    if d > 2 or cfg.scheme != "tensor_gauss":
-        # Monte Carlo reports three standard errors at no extra cost; the
-        # grid refuses d > 2
-        work = len(reps) * cfg.sample_count
-        if cfg.scheme == "monte_carlo" and work > MC_WORK_CAP:
-            raise SizeCapExceeded(
-                f"{len(reps)} rows x {cfg.sample_count} samples exceed the Monte Carlo "
-                f"cap {MC_WORK_CAP:.0e}; lower sample_count (--mc-samples)"
-            )
-        one = MultiPoly.constant(1, d)
-        integrals, errors = np.transpose(quadrature.integrate_log_max_rows_with_error(
-            [[one, MultiPoly(d, dict(zip(exponents, row)))] for row in reps], cfg))
-    elif with_error:
+    if with_error:
         integrals, errors = quadrature.batched_log_integrals_with_error(
             reps, exponents, d, cfg, floor_at_one=True
         )
@@ -461,6 +444,7 @@ def _sh_set(d, a, h, cfg, with_error):
         integrals = quadrature.batched_log_integrals(
             reps, exponents, d, cfg, floor_at_one=True
         )
+        errors = np.zeros(0)
     integrals = integrals[inverse]
     # deg_j f: the largest j-th exponent with a nonzero coefficient, or 0
     degrees = np.where(rows[:, :, None] != 0, np.array(exponents)[None], 0)

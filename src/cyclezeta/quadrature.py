@@ -95,11 +95,15 @@ counts F times higher, which moves only integrands singular on the
 nodes, such as (z1 - z2)^2, within their error.  The shift is per row:
 with radii at most 1 the row's largest coefficient bounds every ring, and
 only a row whose terms span more than ~2^1000 between rings is floored at
-2^(s - 511) on its inner rings.  Three caps refuse with
-``SizeCapExceeded`` before anything is allocated or solved: ``GRID_CAP``
-on grid points times coefficient width (~5 s), ``EXACT_CAP`` on the
-exact two-variable route's z1 nodes times (z2-degree)^3 (~4.5 s), and
-``TABLE_CAP`` on the floats of either route's power tables (128 MB).
+2^(s - 511) on its inner rings.  Five caps refuse with
+``SizeCapExceeded`` before anything is allocated, solved or sampled:
+``EXACT_1VAR_CAP`` on the exact one-variable route's degree^3, plus
+degree^4 / 16 for Yun's split of four or more integer terms (~5 s, before
+any gcd), ``GRID_CAP`` on grid points times coefficient width (~5 s),
+``EXACT_CAP`` on the exact two-variable route's z1 nodes times
+(z2-degree)^3 (~4.5 s), ``TABLE_CAP`` on the floats of either route's
+power tables (128 MB), and ``MC_WORK_CAP`` on the rows times samples of
+a batched Monte Carlo integral (~0.5-1.3 s).
 
 ``_grid`` takes the 1/r half of the z1 nodes at the angles +theta where
 the node sets carry -theta, which permutes the nodes at equal weights:
@@ -134,33 +138,37 @@ route, the powers z^i of the inner z1 nodes and the potential
 pays for its nodes, not for its set-up.
 
 Monte Carlo route (scheme ``monte_carlo``, any number of variables).
-The estimate is the mean of log max_i |f_i| over ``sample_count``
-seeded samples, each variable drawn independently from omega with no
-trigonometry (whose cos and sin alone cost more per point): w is uniform
-on the disk |w| < 1/2, by rejection from the square [-1/2, 1/2)^2, and
-z = w / sqrt(1/4 - |w|^2).  Then s = 4 |w|^2 is uniform on [0, 1] and
-independent of the uniform angle, so |z|^2 = s / (1 - s) has the law of
-omega, which gives |z|^2 <= t the mass t / (1 + t).  Samples come
-``_MC_BATCH`` = 4096 at a time, shared by every row of a census
-(``integrate_log_max_rows_with_error``).  Each axis of a batch takes its
-points in rounds: for the ``need`` points still missing, a round reads
-``_round(need)`` candidates and keeps the first ``need`` accepted, so a
-seed fixes every point.  The first rounds of all axes are drawn in one
-generator call and mapped to z at once; the axes read them through a
-cursor, and a short round (4.5 standard deviations off at a full batch)
-reads on from it: the points of one draw per axis and round, at half the
-numpy calls.  Each f_i runs nested Horner's rule
-(``multipoly.horner_steps``), one multiply and one add per coefficient
-and variable, half the time of one product per monomial on
-(z1 + 1)(z2 + 3)(z3 + 5), with the powers z_j^k formed once per batch.
-Candidates, points, powers, registers and |f_i| live in buffers
-allocated once per integral: per-batch 64 kB temporaries sat at the heap
-top, which glibc trims after each batch, and were faulted in again by
-every batch (14 976 minor faults against 362 for one 10^6-sample job,
-20 % slower).  Each row takes one shift, as a grid row does; a sample at
-which |f_i| still passes the float range (|z|^D past 2^1024) is refused
-with ``SizeCapExceeded``, so no NaN is averaged.  Timings: numpy 2.4 on
-a 2-vCPU x86 VM.
+``_monte_carlo`` reads the rows that ``_grid`` reads, coefficients
+C[row, function, exponent] on one exponent list.  A single tuple is one
+row; ``batched_log_integrals_with_error`` integrates rows of
+log max(1, |f|), such as those of the ``census sh-set`` box, as the
+tuples (1, f), all on one sample stream, while plain rows of log |f|
+keep the tensor scheme.  The estimate is the mean of log max_i |f_i|
+over ``sample_count`` seeded samples, each variable drawn independently
+from omega with no trigonometry (whose cos and sin alone cost more per
+point): w is uniform on the disk |w| < 1/2, by rejection from the square
+[-1/2, 1/2)^2, and z = w / sqrt(1/4 - |w|^2).  Then s = 4 |w|^2 is
+uniform on [0, 1] and independent of the uniform angle, so
+|z|^2 = s / (1 - s) has the law of omega, which gives |z|^2 <= t the
+mass t / (1 + t).  Samples come ``_MC_BATCH`` = 4096 at a time, shared
+by every row.  Each axis of a batch takes its points in rounds: for the
+``need`` points still missing, a round reads ``_round(need)`` candidates
+and keeps the first ``need`` accepted, so a seed fixes every point.  The
+first rounds of all axes are drawn in one generator call and mapped to z
+at once; the axes read them through a cursor, and a short round (4.5
+standard deviations off at a full batch) reads on from it: the points of
+one draw per axis and round, at half the numpy calls.  Each f_i runs
+nested Horner's rule (``multipoly.horner_steps``), one multiply and one
+add per coefficient and variable, half the time of one product per
+monomial on (z1 + 1)(z2 + 3)(z3 + 5), with the powers z_j^k formed once
+per batch.  Candidates, points, powers, registers and |f_i| live in
+buffers allocated once per integral: per-batch 64 kB temporaries sat at
+the heap top, which glibc trims after each batch, and were faulted in
+again by every batch (14 976 minor faults against 362 for one
+10^6-sample job, 20 % slower).  Each row takes one shift, as a grid row
+does; a sample at which |f_i| still passes the float range (|z|^D past
+2^1024) is refused with ``SizeCapExceeded``, so no NaN is averaged.
+Timings: numpy 2.4 on a 2-vCPU x86 VM.
 """
 
 from __future__ import annotations
@@ -404,9 +412,30 @@ def _integer_poly(f: MultiPoly) -> MultiPoly | None:
     return MultiPoly._build(f.nvars, {e: int(c) for e, c in f.coeffs.items()})
 
 
+# Work the exact one-variable route may take, in units of ~6 ns: D^3 for
+# the two companion eigenvalue solves of degree D, and D^4 / 16 for Yun's
+# split of an integer f of four or more terms, whose Euclid over Z runs
+# dense (measured 4.7-5.2 s for the solves at D = 900, and 2.6 s for the
+# split of a dense row with coefficients below 10 at D = 300, 5.5 s at
+# 340; a trinomial's first pseudo-remainder is a binomial, so its split
+# stays sparse: 0.18 s at D = 4 000; numpy 2.4, one core of a 2-vCPU x86
+# VM).  It admits a trinomial of degree 928 and a dense integer row of
+# degree 332, and refuses degrees 929 and 333.
+EXACT_1VAR_CAP = 8 * 10 ** 8
+
+
 def _jensen_1var(f: MultiPoly) -> tuple[float, float]:
-    """Exact integral of log |f| for a nonzero univariate f, with its error."""
+    """Exact integral of log |f| for a nonzero univariate f, with its
+    error.  More work than ``EXACT_1VAR_CAP`` is refused with
+    ``SizeCapExceeded`` before any gcd or solve."""
     ints = _integer_poly(f)
+    D = f.deg(0)
+    work = D ** 3 + (D ** 4 // 16 if ints is not None and len(f.coeffs) > 3 else 0)
+    if work > EXACT_1VAR_CAP:
+        raise SizeCapExceeded(
+            f"an exact one-variable integral of {work:.3g} units (degree^3, and degree^4 / 16 "
+            f"for the squarefree split of 4 or more integer terms) exceeds the cap "
+            f"{EXACT_1VAR_CAP:.0e}; lower the degree")
     if ints is None:
         parts, const = [(1, f)], 0.0
     else:
@@ -788,6 +817,17 @@ def _grid_with_error(C, exponents, nvars: int, n: int, floor: float):
     return value, np.abs(value - _grid(C, exponents, nvars, n // 2, floor))
 
 
+# Monte Carlo samples summed over the rows of one batched integral, such
+# as those of an sh-set box.  The rows share one sample stream, drawn
+# once per batch, and each row costs its Horner steps and one log per
+# sample: at the cap, the 421 rows of d = 1, a = 0.25, h = 4 at 95 000
+# samples take 0.46-0.55 s as a CLI process (1.5-2.1 s when each row drew
+# its own copy of the stream), and the 14 281 rows of d = 2, a = 0.24,
+# h = 4.2 at 2 500 take 1.1-1.3 s (3.4-3.5 s); 2-vCPU x86 VM, Python 3.11,
+# numpy 2.4.
+MC_WORK_CAP = 4 * 10 ** 7
+
+
 def _round(need: int) -> int:
     """Candidates one rejection round reads for ``need`` points: 4 / pi
     candidates a point, plus a margin."""
@@ -831,8 +871,9 @@ class _OmegaSampler:
         return self.w[self.lo - m:self.lo], self.s[self.lo - m:self.lo]
 
     def draw(self, out: np.ndarray) -> None:
-        """Fill each row of the complex 2-d array ``out`` with the points
-        ``fill`` would write row by row, the first rounds drawn at once."""
+        """Fill each row of the complex 2-d array ``out`` with independent
+        points, row by row in rounds, the first rounds of all rows drawn
+        at once."""
         self.ahead = len(out) * _round(min(out.shape[1], self.batch))
         for z in out:
             filled = 0
@@ -843,36 +884,32 @@ class _OmegaSampler:
                 w.take(idx, out=z[filled:filled + len(idx)])
                 filled += len(idx)
 
-    def fill(self, out: np.ndarray) -> None:
-        """Fill the complex 1-d array ``out`` with independent points."""
-        self.draw(out[None])
 
+def _monte_carlo(C, exponents, nvars: int, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates of log max(_TINY, max_i |f_ri|) and three standard
+    errors, one per row r, all on the same samples; ``C`` and
+    ``exponents`` are read as by ``_grid``.
 
-def _monte_carlo(rows, nvars: int, cfg: QuadratureConfig) -> list[tuple[float, float]]:
-    """Estimates of log max_i |f_i| and three standard errors, one per row
-    of nonzero polynomials (not a lone monomial), all on the same samples.
-
-    Each row takes one shift (at most 2^20 terms a function) and each f_i
-    its ``horner_steps``; the powers of the axes they use are formed once
-    per batch, and every f_i runs in the same ``nvars`` registers.
+    Each row takes one shift (at most 2^20 terms a function) and each
+    nonzero f_ri its ``horner_steps``, a constant f_ri only raising the
+    floor; the powers of the axes they use are formed once per batch, and
+    every f_ri runs in the same ``nvars`` registers.
     """
+    C, shift = _shifted(C, 20)
     programs, operands = [], set()
-    for polys in rows:
-        (coeffs,), (shift,) = _shifted([[c for f in polys for c in f.coeffs.values()]], 20)
-        if shift:
-            scaled = iter(coeffs.tolist())
-            polys = [MultiPoly(nvars, {e: next(scaled) for e in f.coeffs}) for f in polys]
-        steps = [horner_steps(f) for f in polys]
+    for row in C.tolist():
+        steps = [horner_steps(MultiPoly(nvars, dict(zip(exponents, coeffs))))
+                 for coeffs in row if any(coeffs)]
         # |c| of a constant f_i as np.abs takes it on an array
         top = max([float(np.abs(np.full(1, c))[0]) for _, (k, c) in steps if k == "c"] + [_TINY])
-        programs.append(([run for run in steps if run[1][0] == "r"], top, int(shift)))
+        programs.append(([run for run in steps if run[1][0] == "r"], top))
         operands.update(o for run, _ in steps for step in run for o in step[1:] if o[0] in "pr")
     count, batch = cfg.sample_count, min(_MC_BATCH, cfg.sample_count)
     sampler = _OmegaSampler(cfg.seed, batch, nvars)
     points = np.empty((nvars, batch), dtype=complex)
     buffers = {o: np.empty(batch, dtype=complex) for o in operands}
     vals, tmp = np.empty((2, batch))
-    sums = np.zeros((len(rows), 2))
+    sums = np.zeros((len(programs), 2))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         for start in range(0, count, batch):
             m = min(batch, count - start)
@@ -882,7 +919,7 @@ def _monte_carlo(rows, nvars: int, cfg: QuadratureConfig) -> list[tuple[float, f
                       for o, buf in views.items() if o[0] == "p"}
             values.update((("x", i), z) for i, z in enumerate(points[:, :m]))
             v, t = vals[:m], tmp[:m]
-            for r, (evals, top, _) in enumerate(programs):
+            for r, (evals, top) in enumerate(programs):
                 for i, (steps, result) in enumerate(evals):
                     np.abs(run_steps(steps, result, values, views), out=t if i else v)
                     if i:
@@ -896,17 +933,12 @@ def _monte_carlo(rows, nvars: int, cfg: QuadratureConfig) -> list[tuple[float, f
                 sums[r, 1] += float(v @ v)
             if not np.isfinite(sums[:, 1]).all():  # |f| far out passed the float range
                 raise SizeCapExceeded("a Monte Carlo sample passes the float range")
-    out = []
-    for (acc, acc2), (_, _, shift) in zip(sums.tolist(), programs):
-        mean = acc / count
-        var = max(acc2 / count - mean * mean, 0.0)
-        out.append((mean + shift * math.log(2.0), 3.0 * math.sqrt(var / count)))
-    return out
+    mean = sums[:, 0] / count
+    var = np.maximum(sums[:, 1] / count - mean * mean, 0.0)
+    return mean + shift * math.log(2.0), 3.0 * np.sqrt(var / count)
 
 
-def _reduced(polys):
-    """(the nonzero f_i, None), or (f_i, log |c|) when the integral is that
-    of a monomial c z^I: log |z_i| is odd under z_i -> 1/z_i."""
+def _integrate(polys, cfg: QuadratureConfig, grid_error: bool):
     polys = list(polys)
     if not polys:
         raise AllZero("no polynomials given")
@@ -917,29 +949,23 @@ def _reduced(polys):
     if not polys:
         raise AllZero("log max |f_i| is identically -infinity")
     if nvars == 0 or (len(polys) == 1 and len(polys[0].coeffs) == 1):
-        return polys, math.log(max(abs(c) for f in polys for c in f.coeffs.values()))
-    return polys, None
-
-
-def _integrate(polys, cfg: QuadratureConfig, grid_error: bool):
-    polys, value = _reduced(polys)
-    if value is not None:
-        return value, 0.0
-    nvars = polys[0].nvars
-    if cfg.scheme == "monte_carlo":
-        return _monte_carlo([polys], nvars, cfg)[0]
+        # a monomial c z^I: log |z_i| is odd under z_i -> 1/z_i
+        return math.log(max(abs(c) for f in polys for c in f.coeffs.values())), 0.0
     n = cfg.nodes_per_dim
-    if len(polys) == 1 and nvars == 1:
+    if cfg.scheme == "tensor_gauss" and len(polys) == 1 and nvars == 1:
         return _jensen_1var(polys[0])
-    if len(polys) == 1 and nvars == 2:
+    if cfg.scheme == "tensor_gauss" and len(polys) == 1 and nvars == 2:
         values, errors, certified = _jensen_2var(polys, n)
         if certified[0]:
             return float(values[0]), float(errors[0])
     exponents = sorted({e for f in polys for e in f.coeffs})
     C = np.array([[[f.coeffs.get(e, 0) for e in exponents] for f in polys]], dtype=object)
-    if not grid_error:
+    if cfg.scheme == "monte_carlo":
+        value, error = _monte_carlo(C, exponents, nvars, cfg)
+    elif grid_error:
+        value, error = _grid_with_error(C, exponents, nvars, n, _TINY)
+    else:
         return float(_grid(C, exponents, nvars, n, _TINY)[0]), math.nan
-    value, error = _grid_with_error(C, exponents, nvars, n, _TINY)
     return float(value[0]), float(error[0])
 
 
@@ -960,20 +986,6 @@ def integrate_log_max_with_error(polys, cfg: QuadratureConfig) -> tuple[float, f
     return _integrate(polys, cfg, grid_error=True)
 
 
-def integrate_log_max_rows_with_error(rows, cfg: QuadratureConfig) -> list[tuple[float, float]]:
-    """``integrate_log_max_with_error`` of each tuple of ``rows``, bit for
-    bit.  With Monte Carlo every row is estimated on the same samples,
-    drawn once per batch, so the rows must share the variable count."""
-    if cfg.scheme != "monte_carlo":
-        return [_integrate(polys, cfg, grid_error=True) for polys in rows]
-    rows = [_reduced(polys) for polys in rows]
-    live = [polys for polys, value in rows if value is None]
-    if len({polys[0].nvars for polys in live}) > 1:
-        raise DomainError("rows on shared samples must share the variable count")
-    estimates = iter(_monte_carlo(live, live[0][0].nvars, cfg) if live else ())
-    return [(value, 0.0) if value is not None else next(estimates) for _, value in rows]
-
-
 def batched_log_integrals(
     coeff_matrix: np.ndarray, exponents, nvars: int, cfg: QuadratureConfig,
     floor_at_one: bool = False,
@@ -983,11 +995,11 @@ def batched_log_integrals(
     Row j of ``coeff_matrix`` holds the coefficients of one polynomial on
     the common ``exponents`` (tuples of length nvars).  With
     ``floor_at_one`` the integrand is log max(1, |f|) instead of log |f|
-    and runs on the grid; log |f| takes the exact route of
+    and runs on the grid or Monte Carlo; log |f| takes the exact route of
     ``batched_log_integrals_with_error``.  Rows that are identically zero
     integrate to -inf (or 0 when floored).
     """
-    if floor_at_one and cfg.scheme == "tensor_gauss" and nvars <= 2:
+    if floor_at_one and cfg.scheme == "tensor_gauss":
         # one pass, no error
         rows = np.asarray(coeff_matrix)[:, None]
         return _grid(rows, exponents, nvars, cfg.nodes_per_dim, 1.0)
@@ -1008,17 +1020,35 @@ def batched_log_integrals_with_error(
     with the exact content split and certificate for integer rows.
     Uncertified rows, and every row of log max(1, |f|) with
     ``floor_at_one``, take the grid and report its node-doubling
-    difference.  Zero rows integrate to -inf with error 0.  More than two
+    difference.  On ``monte_carlo``, log max(1, |f|) is log max |f_i| of
+    the tuple (1, f), every row on the same samples with three standard
+    errors, after ``MC_WORK_CAP``; log |f| is refused there.  Zero rows
+    integrate to -inf with error 0.  Plain rows in more than two
     variables are refused with ``DomainError`` before any integral.
     """
+    coeff_matrix = np.asarray(coeff_matrix)
+    n = cfg.nodes_per_dim
+    if floor_at_one and cfg.scheme == "monte_carlo":
+        work = len(coeff_matrix) * cfg.sample_count
+        if work > MC_WORK_CAP:
+            raise SizeCapExceeded(
+                f"{len(coeff_matrix)} rows x {cfg.sample_count} samples exceed the Monte Carlo "
+                f"cap {MC_WORK_CAP:.0e}; lower sample_count (--mc-samples)"
+            )
+        # function 0 of each row is the constant 1, at the exponent 0
+        exponents, zero = [tuple(e) for e in exponents], (0,) * nvars
+        if zero not in exponents:
+            exponents.append(zero)
+            coeff_matrix = np.hstack([coeff_matrix, np.zeros_like(coeff_matrix[:, :1])])
+        C = np.stack([np.zeros_like(coeff_matrix), coeff_matrix], axis=1)
+        C[:, 0, exponents.index(zero)] = 1
+        return _monte_carlo(C, exponents, nvars, cfg)
+    if floor_at_one:
+        return _grid_with_error(coeff_matrix[:, None], exponents, nvars, n, 1.0)
     if nvars > 2:
         raise DomainError("batched integrals are limited to 2 complex variables")
     if cfg.scheme != "tensor_gauss":
         raise DomainError("batched integrals support the tensor scheme only")
-    coeff_matrix = np.asarray(coeff_matrix)
-    n = cfg.nodes_per_dim
-    if floor_at_one:
-        return _grid_with_error(coeff_matrix[:, None], exponents, nvars, n, 1.0)
     if nvars == 1:
         C = np.zeros((len(coeff_matrix), 1 + max(e[0] for e in exponents)), coeff_matrix.dtype)
         for k, e in enumerate(exponents):

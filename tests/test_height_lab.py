@@ -266,7 +266,7 @@ def test_sh_set_census_monotone_in_h(monkeypatch):
 
 def test_monte_carlo_census_refused_before_sampling(monkeypatch):
     # 421 integrated rows at the default 10^6 samples: some 100 s of work
-    monkeypatch.setattr(quadrature, "integrate_log_max_with_error", None)
+    monkeypatch.setattr(quadrature, "_monte_carlo", None)
     cfg = QuadratureConfig(scheme="monte_carlo", seed=1)
     with pytest.raises(SizeCapExceeded, match="Monte Carlo"):
         sh_set_census(1, 0.25, 4.0, cfg)

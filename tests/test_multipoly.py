@@ -27,6 +27,9 @@ def test_parse_basic():
     h = parse_affine_polynomial("-(z1 - 2)^2")
     assert h.coeffs == {(2,): -1, (1,): 4, (0,): -4}
     assert parse_affine_polynomial("2^3").coeffs == {(): 8} or True
+    # a minus after * negates the factor it starts
+    for text, same in (("z1*-z2", "-z1*z2"), ("2*-3*z1", "-6*z1"), ("3*-(z1+1)", "-3*z1 - 3")):
+        assert parse_affine_polynomial(text).coeffs == parse_affine_polynomial(same).coeffs
 
 
 def test_parse_rejects_garbage():

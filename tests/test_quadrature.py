@@ -233,7 +233,7 @@ def test_monte_carlo_needs_two_samples_for_an_error():
 
 def _omega_points(seed, count):
     points = np.full(count, np.nan, dtype=complex)
-    quadrature._OmegaSampler(seed, quadrature._MC_BATCH).fill(points)
+    quadrature._OmegaSampler(seed, quadrature._MC_BATCH).draw(points[None])
     return points
 
 
@@ -277,14 +277,14 @@ def _per_axis_rounds(seed, axes, count, batch=quadrature._MC_BATCH):
 
 def _batched_draw(seed, axes, count, batch=quadrature._MC_BATCH):
     """The points of one multi-axis draw per batch, and those of ``axes``
-    sequential ``fill`` calls per batch."""
+    sequential one-axis draws per batch."""
     drawn, filled = np.empty((2, axes, count), dtype=complex)
     shared = quadrature._OmegaSampler(seed, batch, axes)
     single = quadrature._OmegaSampler(seed, batch)
     for start in range(0, count, batch):
         shared.draw(drawn[:, start:start + batch])
         for z in filled[:, start:start + batch]:
-            single.fill(z)
+            single.draw(z[None])
     return drawn, filled
 
 
@@ -315,22 +315,30 @@ def test_a_short_round_reads_on_from_the_cursor(monkeypatch, count):
 
 
 def test_census_rows_on_shared_samples_equal_single_integrals():
+    # log max(1, |f|) of each row on one stream is the integral of the
+    # tuple (1, f) on its own; the zero row is the monomial 1 there, and
+    # the exponent list lacks z^0, which the batch supplies
+    exponents = [(1, 1), (0, 1), (2, 0), (3, 0), (1, 0)]
+    texts = ["3*z1*z2 - z2", "0", "-5*z1^2", "z1^2 - 4*z2", "(10^300)*z1^3 + z2"]
+    rows = np.array([[poly(t, 2).coeffs.get(e, 0) for e in exponents] for t in texts],
+                    dtype=object)
     one = MultiPoly.constant(1, 2)
-    rows = [[one, poly("3*z1*z2 - z2 + 2")], [one, MultiPoly(2)],  # log max(1, 0): a monomial
-            [poly("-5*z1^2*z2", 2)],  # a monomial alone: log 5
-            [one, poly("z1^2 - 4*z2 + 1")], [MultiPoly.constant(7, 2), one],
-            [one, poly("(10^300)*z1^3 + z2")], [poly("z1 + 1", 2), poly("z2^2 - 3")]]
     for count in (2, quadrature._MC_BATCH + 1, 20_000):
         mc = QuadratureConfig(scheme="monte_carlo", seed=4, sample_count=count)
-        shared = quadrature.integrate_log_max_rows_with_error(rows, mc)
-        assert shared == [integrate_log_max_with_error(row, mc) for row in rows]
-        assert shared[1] == (0.0, 0.0) and shared[2] == (math.log(5), 0.0)
+        values, errors = batched_log_integrals_with_error(rows, exponents, 2, mc,
+                                                          floor_at_one=True)
+        assert list(zip(values.tolist(), errors.tolist())) == [
+            integrate_log_max_with_error([one, poly(t, 2)], mc) for t in texts]
+        assert (values[1], errors[1]) == (0.0, 0.0)
+        assert np.array_equal(values, batched_log_integrals(rows, exponents, 2, mc,
+                                                            floor_at_one=True))
 
 
-def test_rows_on_shared_samples_share_the_variable_count():
+def test_plain_monte_carlo_rows_are_refused():
+    # log |f| in batches takes the exact route, which is the tensor scheme's
     mc = QuadratureConfig(scheme="monte_carlo", seed=1, sample_count=10)
-    with pytest.raises(DomainError, match="share the variable count"):
-        quadrature.integrate_log_max_rows_with_error([[poly("z1 + 1")], [poly("z1*z2 + 1")]], mc)
+    with pytest.raises(DomainError, match="^batched integrals support the tensor scheme only$"):
+        batched_log_integrals_with_error(np.array([[1.0, 2.0]]), [(0,), (1,)], 1, mc)
 
 
 @pytest.mark.parametrize("texts", [["z1 + 1", "z1^2 - 3"], ["(10^300)*z1^10 + z1", "1"]])
@@ -816,6 +824,31 @@ def test_grid_refuses_oversized_integrals():
         batched_log_integrals(rows, [(0,), (1,)], 1, CFG, floor_at_one=True)
     with pytest.raises(DomainError):
         integrate_log_max([poly("z1 + z2 + z3"), poly("1", 3)], CFG)
+
+
+def test_one_variable_exact_route_is_capped_before_any_gcd_or_solve(monkeypatch):
+    # Yun's split of a dense integer row of degree 700 took some 90 s, and
+    # the eigensolves of z1^3000 + z1 + 1 as long; a row the cap admits
+    # reaches the split (integer coefficients) or the solves (floats)
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+    for name in ("_squarefree_parts", "_jensen_rows"):
+        monkeypatch.setattr(quadrature, name, reached)
+    rng = np.random.default_rng(7)
+
+    def dense(degree):
+        return MultiPoly(1, {(i,): int(c) for i, c in enumerate(rng.integers(1, 10, degree + 1))})
+    cases = [(dense(700), False), (dense(333), False), (dense(332), True),
+             (poly("z1^3000 + z1 + 1"), False), (poly("z1^929 + z1 + 1"), False),
+             (poly("z1^928 + z1 + 1"), True), (poly("z1^928 + z1^2 + z1 + 1"), False),
+             (MultiPoly(1, {(929,): 0.5, (0,): 1}), False),
+             (MultiPoly(1, {(928,): 0.5, (1,): 1, (0,): 1, (7,): 3}), True)]
+    for f, admitted in cases:
+        with pytest.raises(Reached if admitted else SizeCapExceeded):
+            integrate_log_max_with_error([f], CFG)
 
 
 @pytest.mark.parametrize("call", [
