@@ -19,10 +19,10 @@ __version__ = "0.1.0"
 
 # module -> the names it exports, resolved by __getattr__
 _EXPORTS = {
-    "spaces": ("P1Power", "PrimePower", "Product", "ProjSpace", "SpaceDescriptor"),
-    "field_census": (
-        "ClosedPointCensus", "closed_point_census", "point_count",
+    "spaces": (
+        "P1Power", "PrimePower", "Product", "ProjSpace", "SpaceDescriptor", "point_count",
     ),
+    "field_census": ("ClosedPointCensus", "closed_point_census"),
     "exact_counts": (
         "cycle_count", "divisor_count", "divisor_count_by_degree", "top_cycle_count",
         "zero_cycle_count",

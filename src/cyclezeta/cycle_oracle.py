@@ -25,12 +25,18 @@ multiple of it).  Hence i is the key of a closed point of degree exactly
 d iff i < perm^j(i) for j = 1 .. d - 1: an orbit of size s < d fails at
 j = s, and on an orbit of size d those are the other members.  The test
 runs as whole-list passes, one power of ``perm`` at a time, and only the
-keys are decoded into coordinates.
+keys are decoded into coordinates: one ``map(divmod, ...)`` pass per
+block splits off the keys' lowest mixed-radix digits, which index that
+block's vectors, and ``zip`` joins the columns into orbit keys.
 
 Every enumerator generates its objects in canonical order, so none sorts:
 points and forms are leading-one vectors listed lexicographically (the
 least index of an orbit is its key), and the 0-cycles come out of a
 depth-first walk over the sorted closed points in ``sort_key`` order.
+No enumerator calls a record's constructor per object: ``ClosedPoint``,
+``ZeroCycle`` and ``FormClass`` records are packed by ``tuple.__new__``
+from zipped columns of their fields in one C-level pass (``_records``),
+so their ``__new__`` must stay a plain packing of the fields.
 """
 
 from __future__ import annotations
@@ -38,21 +44,32 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from itertools import compress
-from operator import eq, lt
+from itertools import compress, product, repeat, starmap
+from operator import add, eq, lt
 
 from . import exact_counts
 from .errors import DomainError, SizeCapExceeded
 from .exact_counts import MultiDegree, _check_multidegree, polarization_multidegrees
-from .field_census import point_count
 from .finite_fields import Fq, embedding, field
 from .records import FrozenRecord
-from .spaces import PrimePower, SpaceDescriptor, product_factor
+from .spaces import PrimePower, SpaceDescriptor, point_count, product_factor
 
 ENUM_CAP = 10 ** 6
 FIBER_DEGREE_CAP = 8
 
 Point = tuple[tuple[int, ...], ...]  # one coordinate tuple per block
+
+
+def _records(cls, *columns):
+    """``cls(*row)`` for each row of the parallel field columns, built by
+    ``tuple.__new__`` in one C-level pass: only for the record classes
+    here, whose ``__new__`` just packs its fields (see ``records``)."""
+    return map(tuple.__new__, repeat(cls), zip(*columns))
+
+
+def _spread(outer: list[int], scale: int, inner) -> list[int]:
+    """[x * scale + y for x in outer for y in inner], in one C-level pass."""
+    return list(starmap(add, product(map(scale.__mul__, outer), inner)))
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +81,7 @@ def _leading_one_vectors(length: int, q: int) -> list[tuple[int, ...]]:
     leading zeros come first, and ``itertools.product`` sorts each tail."""
     out = []
     for lead in range(length - 1, -1, -1):
-        head = (0,) * lead + (1,)
-        out += map(head.__add__, itertools.product(range(q), repeat=length - 1 - lead))
+        out += product(*[(0,)] * lead, (1,), *[range(q)] * (length - 1 - lead))
     return out
 
 
@@ -116,10 +132,9 @@ def _frobenius_permutation(space: SpaceDescriptor, F: Fq, q: int):
         # tail with base-Q digits (.., a, b) to (.., frob a, frob b)
         block, tail = [0], [0]
         for _ in range(n):
-            tail = [x * Q + f for x in tail for f in frob]
+            tail = _spread(tail, Q, frob)
             block += map(len(block).__add__, tail)
-        size = len(block)
-        perm = [x * size + y for x in perm for y in block]
+        perm = _spread(perm, len(block), block) if blocks else block
         blocks.append(_leading_one_vectors(n + 1, Q))
     return blocks, perm
 
@@ -151,22 +166,24 @@ def closed_points(space: SpaceDescriptor, q: PrimePower, d: int) -> tuple[Closed
         keys = list(compress(indices, map(eq, indices, perm)))
     else:
         keys = list(compress(indices, map(lt, indices, perm)))
-        images = [perm[i] for i in keys]
+        images = list(map(perm.__getitem__, keys))
         for _ in range(d - 2):
             images = list(map(perm.__getitem__, images))
             keep = list(map(lt, keys, images))
             keys = list(compress(keys, keep))
             images = list(compress(images, keep))
-    if len(blocks) == 1:
-        return tuple([ClosedPoint(space, q, d, (blocks[0][i],)) for i in keys])
-    found = []
-    for i in keys:
-        key = []
-        for vectors in reversed(blocks):  # the last block is the lowest digit
-            i, r = divmod(i, len(vectors))
-            key.append(vectors[r])
-        found.append(ClosedPoint(space, q, d, tuple(reversed(key))))
-    return tuple(found)
+    if not keys:
+        return ()
+    # one column of block vectors per block, read off the keys' digits
+    # from the last block (the lowest digit) up; a point has no blocks
+    columns = []
+    for vectors in reversed(blocks[1:]):
+        keys, digits = zip(*map(divmod, keys, repeat(len(vectors))))
+        columns.append(map(vectors.__getitem__, digits))
+    if blocks:
+        columns.append(map(blocks[0].__getitem__, keys))
+    orbit_keys = zip(*reversed(columns)) if blocks else [()]
+    return tuple(_records(ClosedPoint, repeat(space), repeat(q), repeat(d), orbit_keys))
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +224,17 @@ def enum_zero_cycles(space: SpaceDescriptor, q: PrimePower, k: int) -> list[Zero
     """Every effective 0-cycle of degree exactly k, duplicate-free, sorted."""
     if k < 0:
         raise DomainError("degree k must be >= 0")
-    if k == 0:
-        return [ZeroCycle(space, q, ())]
     pts: list[ClosedPoint] = []
     for d in range(1, k + 1):
         pts.extend(closed_points(space, q, d))
     # sorted by (degree, orbit key): the scan below can stop early, and the
     # depth-first walk emits canonical cycles in ``sort_key`` order; depth
     # is at most k because every level consumes at least one unit of degree
-    out: list[ZeroCycle] = []
+    out = []
 
     def recurse(start: int, remaining: int, chosen):
         if remaining == 0:
-            out.append(ZeroCycle(space, q, tuple(chosen)))
+            out.append(tuple(chosen))
             if len(out) > ENUM_CAP:
                 raise SizeCapExceeded(f"more than {ENUM_CAP} zero-cycles")
             return
@@ -233,7 +248,7 @@ def enum_zero_cycles(space: SpaceDescriptor, q: PrimePower, k: int) -> list[Zero
                 chosen.pop()
 
     recurse(0, k, [])
-    return out
+    return list(_records(ZeroCycle, repeat(space), repeat(q), out))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +421,8 @@ def enum_divisors(space: SpaceDescriptor, q: PrimePower, e) -> list[FormClass]:
         raise SizeCapExceeded(
             f"coefficient space of size {q.q}^{m} exceeds cap {ENUM_CAP}"
         )
-    monos = monomial_exponents(space, e)
-    return [FormClass(space, q, e, vec)
-            for vec in _leading_one_vectors(len(monos), q.q)]
+    vectors = _leading_one_vectors(len(monomial_exponents(space, e)), q.q)
+    return list(_records(FormClass, repeat(space), repeat(q), repeat(e), vectors))
 
 
 # ---------------------------------------------------------------------------

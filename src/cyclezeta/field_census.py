@@ -1,8 +1,10 @@
-"""Point counts over field extensions and closed-point censuses.
+"""Closed-point censuses from the point counts over field extensions.
 
 For every supported space the number N_m of points rational over the
-m-th extension has a geometric closed form.  The number b_d of closed
-points of residue degree d then follows by Moebius inversion of
+m-th extension has a geometric closed form, ``spaces.point_count`` (it
+lives there, beside ``cell_counts``, so that the oracle's cap check does
+not load this module).  The number b_d of closed points of residue
+degree d then follows by Moebius inversion of
 
     N_m = sum_{d | m} d * b_d.
 
@@ -13,12 +15,11 @@ slip through silently.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .errors import DomainError, IntegralityError
 from .records import FrozenRecord
-from .spaces import PrimePower, SpaceDescriptor
+from .spaces import PrimePower, SpaceDescriptor, point_count
 
 
 def divisors(n: int) -> list[int]:
@@ -49,17 +50,6 @@ def mobius(n: int) -> int:
     if n > 1:
         result = -result
     return result
-
-
-def point_count(space: SpaceDescriptor, q: PrimePower, m: int) -> int:
-    """Number of points of the space rational over the m-th extension of F_q.
-
-    Each factor P^n has (Q^(n+1) - 1)/(Q - 1) points over F_Q, Q = q^m.
-    """
-    if m < 1:
-        raise DomainError("extension degree m must be >= 1")
-    qm = q.q ** m
-    return math.prod((qm ** (n + 1) - 1) // (qm - 1) for n in space.slot_dims)
 
 
 class ClosedPointCensus(FrozenRecord):

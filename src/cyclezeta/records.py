@@ -12,7 +12,15 @@ A record equals only its own class with equal fields, prints as
 ``Name(field=value, ...)``, is not ordered, hashes as the tuple of its
 fields and refuses assignment.  The package never reads a record by
 length, iteration or index.  Data classes would load ``inspect``, ``ast``,
-``dis`` and ``tokenize`` into every CLI process."""
+``dis`` and ``tokenize`` into every CLI process.
+
+The oracle's ``ClosedPoint``, ``ZeroCycle`` and ``FormClass`` are built in
+bulk, by ``map(tuple.__new__, repeat(cls), zip(...))`` over columns of
+their fields, which skips ``cls.__new__`` and so runs no Python frame per
+record (``cycle_oracle._records``).  Their ``__new__`` therefore only packs
+its arguments: a check added there would not run on the records the
+enumerators return.  A class whose ``__new__`` validates, such as
+``PrimePower``, is always built through it."""
 
 from _collections import _tuplegetter
 

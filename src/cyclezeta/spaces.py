@@ -243,6 +243,17 @@ def cell_counts(space: SpaceDescriptor) -> tuple[int, ...]:
     return tuple(b)
 
 
+def point_count(space: SpaceDescriptor, q: PrimePower, m: int) -> int:
+    """Number of points of the space rational over the m-th extension of F_q.
+
+    Each factor P^n has (Q^(n+1) - 1)/(Q - 1) points over F_Q, Q = q^m.
+    """
+    if m < 1:
+        raise DomainError("extension degree m must be >= 1")
+    qm = q.q ** m
+    return math.prod((qm ** (n + 1) - 1) // (qm - 1) for n in space.slot_dims)
+
+
 def parse_space(kind: str, n: int) -> SpaceDescriptor:
     """Build a descriptor from the CLI tokens ``pn`` / ``p1xn``."""
     kind = kind.lower()

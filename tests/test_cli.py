@@ -754,6 +754,14 @@ def test_cli_loads_only_the_modules_its_command_runs():
     unused = {"cyclezeta.cycle_oracle", "cyclezeta.zeta_series",
               "cyclezeta.multipoly", "cyclezeta.height_lab"}
     assert not seen[command][1] & unused
+    # the oracle's closed-point cap reads spaces.point_count, so neither
+    # it nor an audit loads the census module
+    oracle_runs = ("enum zero-cycles --space pn --n 2 --q 2 --k 2",
+                   "count divisors --space pn --n 2 --q 2 --k 2 --audit",
+                   "zeta --space pn --n 2 --q 2 --l 0 --kmax 3 --audit")
+    seen = _probe(*oracle_runs)
+    assert "cyclezeta.cycle_oracle" in seen[oracle_runs[0]][1]
+    assert not any("cyclezeta.field_census" in seen[line][1] for line in oracle_runs)
     assert set(_ONE_PER_COMMAND) == set(SUBCOMMANDS)
     for line in _ONE_PER_COMMAND.values():
         loaded = {m for m in _probe(line)[line][1] if m.startswith("cyclezeta.commands.")}

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cyclezeta import cycle_oracle
 from cyclezeta.cycle_oracle import (
     AUDITS,
     ClosedPoint,
+    FormClass,
     ZeroCycle,
     _frobenius_permutation,
     _orbit,
@@ -137,6 +139,55 @@ def test_enum_zero_cycles_come_out_in_canonical_order(space, q):
         cycles = enum_zero_cycles(space, q, k)
         assert cycles == sorted(cycles, key=ZeroCycle.sort_key)
         assert len({z.sort_key() for z in cycles}) == len(cycles)
+
+
+@pytest.mark.parametrize("space, q, k", [(P1, Q2, 5), (P2, Q2, 3), (P1XP1, Q2, 3),
+                                         (P1Power(2), Q3, 2)])
+def test_zero_cycle_cap_is_exact(monkeypatch, space, q, k):
+    # the cap refuses exactly the degrees with more cycles than it allows
+    count = zero_cycle_count(space, q, k)
+    monkeypatch.setattr(cycle_oracle, "ENUM_CAP", count)
+    assert len(enum_zero_cycles(space, q, k)) == count
+    monkeypatch.setattr(cycle_oracle, "ENUM_CAP", count - 1)
+    with pytest.raises(SizeCapExceeded, match=f"more than {count - 1} zero-cycles"):
+        enum_zero_cycles(space, q, k)
+
+
+def _fields(record):
+    return [getattr(record, name) for name in type(record)._fields]
+
+
+def test_enumerated_records_are_constructed_records():
+    # the enumerators pack their records without calling the constructor;
+    # each must still be of its class, and equal and hash like the record
+    # the constructor builds (FrozenRecord.__eq__ refuses a plain tuple)
+    cases = [
+        (ClosedPoint, closed_points(P2, Q2, 3)),
+        (ClosedPoint, closed_points(P2, Q3, 2)),
+        (ClosedPoint, closed_points(P1Power(2), Q2, 3)),
+        (ClosedPoint, closed_points(P1XP1, Q3, 2)),
+        (ClosedPoint, closed_points(Product(P1, P2), Q2, 2)),
+        (ClosedPoint, closed_points(P1Power(0), Q2, 1)),
+        (ZeroCycle, enum_zero_cycles(P1XP1, Q2, 3)),
+        (ZeroCycle, enum_zero_cycles(P2, Q3, 2)),
+        (ZeroCycle, enum_zero_cycles(P2, Q2, 0)),
+        (FormClass, enum_divisors(P2, Q2, (2,))),
+        (FormClass, enum_divisors(P1XP1, Q2, (1, 2))),
+    ]
+    for cls, records in cases:
+        assert records
+        for x in records:
+            built = cls(*_fields(x))
+            assert type(x) is cls
+            assert x == built and built == x and hash(x) == hash(built)
+            assert x != tuple(built)
+            if cls is ClosedPoint:
+                assert len(x.orbit_key) == len(x.space.slots)
+                assert all(type(block) is tuple for block in x.orbit_key)
+            if cls is ZeroCycle:
+                assert all(type(pt) is ClosedPoint and type(m) is int for pt, m in x.terms)
+    assert closed_points(P1Power(0), Q2, 1)[0].orbit_key == ()
+    assert closed_points(P1Power(2), Q2, 3)[0].degree == 3
 
 
 @pytest.mark.parametrize("q, d", [(Q2, 3), (Q3, 2), (PrimePower(2, 2), 2),

@@ -162,7 +162,9 @@ def _divides(d, c, p):
     return not any(r)
 
 
-@pytest.mark.parametrize("p, n, h", [(3, 1, 2), (2, 2, 2)])
+# n >= 4: the odometer over the stems carries across more than one digit;
+# h = 0 has no divisors, so every AND is 0
+@pytest.mark.parametrize("p, n, h", [(3, 1, 2), (2, 2, 2), (2, 4, 1), (2, 5, 0)])
 def test_iter_ff_points_is_the_plain_filter(p, n, h):
     # coprime (no monic divisor of degree 1..h divides every coordinate)
     # and the first coordinate of least degree has leading coefficient 1
