@@ -40,24 +40,26 @@ PRIME_CAP = _MR_BASES[-1][0]
 BIT_CAP = 1 << 21
 
 
-# The odd-number flags of the most recent ``primes_upto`` sieve: byte i is
-# 1 exactly when 2i + 1 is prime, for every odd 2i + 1 up to its limit.  A
-# sieve is a proof, so ``is_prime`` reads it for the n it covers (every
+# The odd-number flags of the most recent ``sieve``: byte i is 1 exactly
+# when 2i + 1 is prime, for every odd 2i + 1 up to its limit.  A sieve is
+# a proof, so ``is_prime`` reads it for the n it covers (every
 # n < 2 len(_sieve_flags), the even ones being prime only at 2) instead of
 # proving them again.
 _sieve_flags = bytearray()
 
 
-def primes_upto(limit: int) -> list[int]:
-    """The primes p <= limit in ascending order, by the sieve of Eratosthenes.
+def sieve(limit: int) -> bytearray:
+    """The sieve of Eratosthenes up to limit, as flags of the odd numbers:
+    byte i is 1 exactly when 2i + 1 <= limit is prime.
 
     Only odd numbers are sieved, so the table is half the limit in bytes
-    (5 MB at 10^7).  Its flags replace the prime table that ``is_prime``
-    reads, so the primes returned here are never re-proven by Miller-Rabin.
+    (5 MB at 10^7).  It replaces the prime table that ``is_prime`` reads,
+    so the primes it flags are never re-proven by Miller-Rabin.  A limit
+    below 2 flags nothing and leaves that table as it is.
     """
     global _sieve_flags
     if limit < 2:
-        return []
+        return bytearray()
     size = (limit + 1) // 2  # the odd numbers 1, 3, .., <= limit
     odd = bytearray([1]) * size
     odd[0] = 0
@@ -67,7 +69,23 @@ def primes_upto(limit: int) -> list[int]:
             # p^2 has index p^2 // 2, and its odd multiples p^2 + 2p, ... follow p apart
             odd[p * p // 2::p] = bytes(len(range(p * p // 2, size, p)))
     _sieve_flags = odd
-    return [2, *compress(range(1, limit + 1, 2), odd)]
+    return odd
+
+
+def prime_count(flags: bytearray) -> int:
+    """pi(limit) of the flags ``sieve(limit)`` returned: its odd primes and 2."""
+    return flags.count(1) + 1 if flags else 0
+
+
+def sieved_primes(flags: bytearray, limit: int) -> list[int]:
+    """The primes p <= limit in ascending order, read from the flags of a
+    sieve that reaches limit."""
+    return [2, *compress(range(1, limit + 1, 2), flags)] if limit >= 2 else []
+
+
+def primes_upto(limit: int) -> list[int]:
+    """The primes p <= limit in ascending order, by ``sieve``."""
+    return sieved_primes(sieve(limit), limit)
 
 
 def is_prime(n: int) -> bool:

@@ -23,20 +23,24 @@ covers the truncation, and are certified for Re(s) > C' + 1.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import chain, repeat
+from bisect import bisect_left, bisect_right
+from itertools import chain, islice, repeat
 from operator import mul, setitem, sub
 from .errors import AuditMismatch, DomainError, RadiusError, SizeCapExceeded
 from .exact_counts import cycle_counts, cycle_family
 from .records import FrozenRecord
-from .spaces import PrimePower, ProjSpace, SpaceDescriptor, primes_upto, top_degree
+from .spaces import (
+    PrimePower, ProjSpace, SpaceDescriptor, prime_count, primes_upto, sieve, sieved_primes,
+    top_degree,
+)
 
 SPEC_Z_AUDIT_CAP = 10 ** 6
 # Longest run of integers that one call may walk: the primes up to an
 # Euler product's pmax, or the integers of a direct integer-spectrum sum.
-# At 10^7 the odd-only sieve takes about 0.13 s, the whole 0-cycle
-# product of P^2 about 0.3 s in 47 MB (mostly the list of 664 579
-# primes), and the sum about 0.7 s (Python 3.11, one core of a 2-vCPU
+# At 10^7 the odd-only sieve takes about 0.02 s and listing its 664 579
+# primes 0.13 s more; the 0-cycle product of P^2 at s = 6.5, which lists
+# only the primes below 4 096, takes about 0.03 s (an lfun process peaks
+# at 22 MB), and the sum about 0.7 s (Python 3.11, one core of a 2-vCPU
 # x86 VM); each grows linearly, so 10^9 would need gigabytes or minutes.
 RANGE_CAP = 10 ** 7
 # Most norms one list of the audited cycle walk holds (``_spec_z_norms``).
@@ -139,6 +143,15 @@ def l_function_partial_with_error(n: int, l: int, s: complex, pmax: int):
     return _series_euler_product(n, l, s, pmax)
 
 
+def _unit_cuts(one, t, n: int, pmax: int) -> list[int]:
+    """For j = 0..n, the least integer x in [2, pmax] whose factor
+    one - x^(j-t) is exactly one, or pmax + 1 if there is none: a
+    bisection on a predicate that is monotone for real t (see
+    ``_cellular_euler_product``)."""
+    return [2 + bisect_left(range(2, pmax + 1), True, key=lambda x: one - pow(x, j - t) == one)
+            for j in range(n + 1)]
+
+
 def _cellular_euler_product(n: int, s: complex, pmax: int):
     """The 0-cycle Euler product of P^n over p <= pmax, and its error.
 
@@ -172,6 +185,24 @@ def _cellular_euler_product(n: int, s: complex, pmax: int):
     imaginary parts reduce to the float products, and (1+0j)/(d+0j) is
     1/d.  An integral sigma keeps the complex arithmetic, whose power takes
     integral exponents up to 100 by binary powering instead of libm pow.
+
+    Most factors are exactly one: 1 - x rounds to 1 once x <= 2^-54, which
+    at sigma = 6.5 holds for every p >= 317 at j = 0.  For a real s each
+    j has a cut c_j, the least integer x in [2, pmax] with
+    one - x^(j-t) == one in the arithmetic of the product (pmax + 1 if
+    there is none), found by bisection, and only the primes below it are
+    multiplied.  The predicate is monotone: p^(j-sigma) strictly decreases
+    in p, consecutive integers up to 10^7 move it by a relative 10^-7 or
+    more, far above the few ulps of error of its power, so the computed
+    powers decrease too.  Every factor from c_j on is then exactly the
+    float 1.0, or the complex 1 + 0j whose product with a number of
+    positive real part and imaginary part +0.0 (every partial product
+    here) is that number: skipping them keeps every bit.  A non-real s is
+    never cut: the imaginary part of p^(j-s) turns with the phase
+    Im(s) log p, so the predicate need not be monotone.  The prime
+    list is built only below the largest cut; the rounding allowance
+    still counts all pi(pmax) primes, read from the flags of the one
+    sieve to pmax, which ``is_prime`` reads afterwards.
     """
     sigma = s.real
     if sigma <= n + 1:
@@ -188,17 +219,20 @@ def _cellular_euler_product(n: int, s: complex, pmax: int):
         raise DomainError(
             f"|Im(s)| = {abs(s.imag)} is too large for a rounding bound"
         )
-    primes = primes_upto(pmax)
+    flags = sieve(pmax)
     if s.imag == 0 and not sigma.is_integer():
         one, t = 1.0, sigma
     else:
         one, t = complex(1.0), s
+    cuts = _unit_cuts(one, t, n, pmax) if s.imag == 0 else [pmax + 1] * (n + 1)
+    primes = sieved_primes(flags, max(cuts) - 1)
     denominator = one
-    for j in range(n + 1):
-        denominator *= math.prod(map(sub, repeat(one), map(pow, primes, repeat(j - t))))
+    for j, cut in enumerate(cuts):
+        below = islice(primes, bisect_left(primes, cut))
+        denominator *= math.prod(map(sub, repeat(one), map(pow, below, repeat(j - t))))
     value = complex(1.0 / denominator)
     above = max(pmax, 1)
-    rounding = (4 * (n + 1) * len(primes) + 3 * n + 16) * u
+    rounding = (4 * (n + 1) * prime_count(flags) + 3 * n + 16) * u
     tail = 0.0
     for j in range(n + 1):
         a = sigma - j
@@ -271,14 +305,17 @@ def _series_euler_product(n: int, l: int, s: complex, pmax: int):
         t, rho, kmax = truncation(p, log_p)
         # rounding allowance: each term n_k t^e is a power with relative
         # error growing like e * |s| log p, and the sum adds kmax ulps
-        weight = 1.0 + abs_s * log_p
-        factor = complex(0.0, 0.0)
-        noise = 0.0
-        for k, n_k in enumerate(counts(p, kmax)):
-            e = k ** step
-            term = _term_value(n_k, t, e)
-            factor += term
-            noise += abs(term) * (8.0 * (1.0 + e * weight) + kmax + 1)
+        if kmax == 0:  # the term n_0 t^0 = 1 + 0j alone, whose noise is 1 * (8 + 1)
+            factor, noise = complex(1.0, 0.0), 9.0
+        else:
+            weight = 1.0 + abs_s * log_p
+            factor = complex(0.0, 0.0)
+            noise = 0.0
+            for k, n_k in enumerate(counts(p, kmax)):
+                e = k ** step
+                term = _term_value(n_k, t, e)
+                factor += term
+                noise += abs(term) * (8.0 * (1.0 + e * weight) + kmax + 1)
         bound = _geometric_tail(rho, kmax, l) + _UNIT_ROUNDOFF * noise
         value *= factor
         eps = bound / max(abs(factor) - bound, 1e-300) + 4.0 * _UNIT_ROUNDOFF

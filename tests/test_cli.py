@@ -560,10 +560,9 @@ def test_pinned_sh_set_height_agrees_with_a_finer_grid(capsys):
     "speczeta --s 2 --cutoff 10000001",
     "speczeta --s 2 --cutoff 2000000 --audit",
 ])
-def test_oversized_ranges_refused(capsys, monkeypatch, argv):
+def test_oversized_ranges_refused(capsys, block_sieves, argv):
     # refused before the sieve or the sum starts
-    monkeypatch.setattr(spaces, "primes_upto", None)
-    monkeypatch.setattr(zeta_series, "primes_upto", None)
+    block_sieves()
     code, out, err = run_cli(capsys, *shlex.split(argv))
     assert code == 3 and out == ""
     assert err.startswith("size cap exceeded")

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, repeat
 
@@ -222,34 +223,90 @@ def _complex_cellular_value(n, s, pmax):
     return 1.0 / denominator
 
 
+def _arithmetic(s):
+    # the (one, t) of the product: floats for a real s that is not an integer
+    return (1.0, s) if not float(s).is_integer() else (complex(1.0), complex(s))
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_cellular_euler_product_is_the_complex_formula_bit_for_bit(n):
-    for sigma in (n + 1.5, n + 2.0, n + 2.718281828, n + 3.0, n + 6.1, n + 40.0):
-        for pmax in (0, 2, 3, 1000, 2 * 10 ** 5):
-            value, err = l_function_partial_with_error(n, 0, sigma, pmax)
-            expected = _complex_cellular_value(n, complex(sigma), pmax)
-            # repr round-trips every float, the sign of a zero imaginary part too
-            assert type(value) is complex and repr(value) == repr(expected)
+    # n + 200.5 makes every factor one, n + 2.5 + 3j is never cut, and
+    # integral sigma multiplies in complex arithmetic
+    cases = [(s, pmax)
+             for s in (n + 1.5, n + 2.0, n + 2.718281828, n + 3.0, n + 6.1, n + 40.0,
+                       n + 200.5, complex(n + 2.5, 3.0))
+             for pmax in (0, 2, 3, 1000, 2 * 10 ** 5)]
+    cases += [(n + 2.0, 10 ** 6), (n + 3.0, 10 ** 6)]
+    # pmax just below and at each cut that lies inside 2 * 10^5
+    for s in (n + 2.0, n + 2.718281828, n + 6.1):
+        cuts = zeta_series._unit_cuts(*_arithmetic(s), n, 2 * 10 ** 5)
+        cases += [(s, pmax) for cut in cuts if cut <= 2 * 10 ** 5 for pmax in (cut - 1, cut)]
+    for s, pmax in cases:
+        value, err = l_function_partial_with_error(n, 0, s, pmax)
+        expected = _complex_cellular_value(n, complex(s), pmax)
+        # repr round-trips every float, the sign of a zero imaginary part too
+        assert type(value) is complex and repr(value) == repr(expected), (s, pmax)
 
 
-def test_negative_pmax_is_refused_before_the_sieve(monkeypatch):
+@pytest.mark.parametrize("n, s, pmax, expected", [
+    (0, 2.5, 10 ** 5, [100_001]),  # no cut inside pmax
+    (1, 4.0, 10 ** 6, [11_586, 262_144]),  # 2^18: x^-3 = 2^-54, a tie that rounds to 1
+    (2, 6.1, 2 * 10 ** 5, [463, 1_540, 9_222]),
+    (2, 6.5, 10 ** 6, [317, 903, 4_096]),
+    (1, 2.5, 10 ** 7, [3_178_689, 10 ** 7 + 1]),  # c_1 lies past pmax
+    (3, 203.5, 1000, [2, 2, 2, 2]),  # every factor is one
+])
+def test_every_factor_from_each_cut_on_is_exactly_one(n, s, pmax, expected):
+    one, t = _arithmetic(s)
+    primes = spaces.primes_upto(pmax)
+    cuts = zeta_series._unit_cuts(one, t, n, pmax)
+    assert cuts == expected
+    for j, cut in enumerate(cuts):
+        def factor(x):
+            return one - pow(x, j - t)
+
+        # the least such integer: one at the cut, not one just below it
+        assert cut > pmax or factor(cut) == one
+        assert cut == 2 or factor(cut - 1) != one
+        k = bisect_left(primes, cut)
+        if k < len(primes):  # the first and the last skipped prime
+            assert factor(primes[k]) == one and factor(primes[-1]) == one
+        if k:  # the largest prime multiplied
+            assert factor(primes[k - 1]) != one
+
+
+def test_prime_count_reads_the_sieve_flags():
+    # len(primes_upto(m)) for every m, read off one list
+    primes = spaces.primes_upto(2 * 10 ** 4)
+    assert all(spaces.prime_count(spaces.sieve(m)) == bisect_right(primes, m)
+               for m in range(-2, 2 * 10 ** 4 + 1))
+    assert spaces.prime_count(spaces.sieve(10 ** 7)) == len(spaces.primes_upto(10 ** 7)) == 664_579
+
+
+def test_is_prime_reads_the_table_of_the_euler_product_sieve(monkeypatch):
+    # the product lists only the primes below its cuts (4 096 here), but
+    # its sieve reaches pmax and replaces the table that is_prime reads
+    spaces.primes_upto(10)
+    l_function_partial_with_error(2, 0, 6.5, 100_003)
+    assert 2 * len(spaces._sieve_flags) == 100_004
+    # with no Miller-Rabin bases left, only the table can answer
+    monkeypatch.setattr(spaces, "_MR_BASES", ())
+    around = range(99_900, 100_004)
+    assert [spaces.is_prime(m) for m in around] == [
+        m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1)) for m in around]
+
+
+def test_negative_pmax_is_refused_before_the_sieve(block_sieves):
     empty = {pmax: l_function_partial_with_error(1, 0, 3.5, pmax) for pmax in (0, 1)}
     assert empty[0] == empty[1] and empty[0][0] == 1.0  # the empty product
-
-    def no_sieve(limit):
-        raise AssertionError("sieved a negative range")
-
-    monkeypatch.setattr(zeta_series, "primes_upto", no_sieve)
+    block_sieves()
     for l, s in [(0, 3.5), (1, 2.5)]:
         with pytest.raises(DomainError, match="pmax must be >= 0"):
             l_function_partial_with_error(1, l, s, -5)
 
 
-def test_ranges_above_the_cap_are_refused_before_they_start(monkeypatch):
-    def no_sieve(limit):
-        raise AssertionError("sieved past the cap")
-
-    monkeypatch.setattr(zeta_series, "primes_upto", no_sieve)
+def test_ranges_above_the_cap_are_refused_before_they_start(block_sieves):
+    block_sieves()
     for l, s in [(0, 4.0), (1, 2.5)]:
         with pytest.raises(SizeCapExceeded):
             l_function_partial_with_error(1, l, s, zeta_series.RANGE_CAP + 1)
