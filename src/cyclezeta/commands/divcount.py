@@ -9,8 +9,9 @@ def add_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lam", type=_finite_float, required=True)
     p.add_argument("--h", type=_finite_float, required=True)
-    # the census integrates plain log |f| rows in batches, which take the
-    # tensor scheme only: of the shared quadrature options, just the nodes
+    # of the shared quadrature options, just the nodes: the census's guard
+    # band is built from the errors of the exact and grid routes, and
+    # three Monte Carlo standard errors would make it a statistical one
     _add_options(p, _QUAD, "--nodes")
     p.set_defaults(func=run)
 

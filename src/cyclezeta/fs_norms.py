@@ -80,7 +80,11 @@ SEARCH_CAP = 2_000_000
 # One variable on the tensor scheme takes the exact route (Yun's split
 # and two companion eigensolves), charged (max_degree + 1)^3 / 8 in the
 # same units: 0.06 s a sample at degree 100, 0.58 s at 200 (the cap
-# admits 199), 2.8 s at 300 (in process, numpy 2.4, 2-vCPU x86 VM).
+# admits 199), 2.8 s at 300 (in process, numpy 2.4, 2-vCPU x86 VM).  The
+# samples times that charge are held to the same cap, as every sample
+# keeps five records: the default shape (2 variables of degree 3, 32
+# units, about 0.07 s a sample, mostly its exact integral) admits 31 250
+# samples, and 10^9 samples are refused at once.
 SAMPLE_CAP = 1_000_000
 BAND_FLOOR = 1e-9  # least half-width of the census guard band
 # Log-scale allowance on the census's coefficient caps.  The caps keep
@@ -292,6 +296,9 @@ def count_arith_divisors_bounded(
             else:
                 quad_rows.append(vec)
         if quad_rows:
+            if n > 2:  # no scheme integrates them: the grid stops at two variables,
+                # and a Monte Carlo band would be a statistical one
+                raise DomainError("divisor censuses are limited to 2 complex variables")
             rows = np.array(quad_rows, dtype=float)
             values, errors = batched_log_integrals_with_error(rows, monos, n, cfg)
             batches.append((e, monos, quad_rows, deg_term + values, errors))
@@ -378,9 +385,9 @@ def verify_norm_props(spec: NormSampleSpec,
 
     Each record carries the error of its slack, from the measured error e
     of log v(f): e on the log checks, v (exp(e) - 1) times the factor on
-    v in the two v checks, and 0 on the exact ``product_inf``.  A shape
-    past ``SAMPLE_CAP`` (its comment gives the work counted) raises
-    ``SizeCapExceeded`` before any sample.
+    v in the two v checks, and 0 on the exact ``product_inf``.  A shape,
+    or samples times a shape, past ``SAMPLE_CAP`` (its comment gives the
+    work counted) raises ``SizeCapExceeded`` before any sample.
     """
     work = 1  # (max_degree + 1)^nvars * nvars!, stopped once past the cap
     for k in range(1, spec.nvars + 1):
@@ -392,10 +399,17 @@ def verify_norm_props(spec: NormSampleSpec,
                 "(max_degree + 1)^nvars * nvars!; lower nvars or max_degree"
             )
     exact = (spec.max_degree + 1) ** 3 // 8
-    if spec.nvars == 1 and cfg.scheme == "tensor_gauss" and exact > SAMPLE_CAP:
+    if spec.nvars == 1 and cfg.scheme == "tensor_gauss":
+        if exact > SAMPLE_CAP:
+            raise SizeCapExceeded(
+                f"one-variable samples of degree {spec.max_degree} exceed the cap {SAMPLE_CAP} "
+                "on the exact route's work, (max_degree + 1)^3 / 8; lower max_degree"
+            )
+        work = max(work, exact)
+    if spec.samples * work > SAMPLE_CAP:
         raise SizeCapExceeded(
-            f"one-variable samples of degree {spec.max_degree} exceed the cap {SAMPLE_CAP} "
-            "on the exact route's work, (max_degree + 1)^3 / 8; lower max_degree"
+            f"{spec.samples} samples of {work} units each exceed the cap {SAMPLE_CAP} "
+            "on the work of all samples; lower samples"
         )
     rng = np.random.default_rng(spec.seed)
     records = []

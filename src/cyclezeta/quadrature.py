@@ -7,175 +7,158 @@ The relevant measure per complex variable is
 a probability measure on C giving mass 1/2 to the unit disk and
 invariant under z -> 1/z.
 
-Exact route (scheme ``tensor_gauss``; a single polynomial in one or two
-variables, and the rows of ``batched_log_integrals`` without the floor
-at one).  Jensen's formula for omega,
+Coefficients are integers (Python ints, or floats that are integers),
+as the parsers, the census boxes and the ``verify norms`` samples make
+them; any other coefficient is refused with ``DomainError`` before any
+integral.  One dispatcher, ``_integrals``, integrates
+log max(floor, max_i |f_ri|) over coefficient rows C[row, function,
+exponent] on one exponent list, with the floor 1e-300, or 1 for rows
+floored at one.  A tuple of polynomials (``integrate_log_max``) is a
+batch of one row, and the rows of ``batched_log_integrals`` hold one
+function each.  Each row takes one route, by scheme, variable count,
+function count and floor:
 
-    integral of log |z - c| = 1/2 log(1 + |c|^2),
+* a zero row integrates to -inf with error 0, unless floored;
+* one monomial c z^I, or constants, integrate to log |c| (log max |c|)
+  with error 0 on every scheme: log |z_i| is odd under z_i -> 1/z_i;
+* on ``monte_carlo``, every other row takes Monte Carlo;
+* on ``tensor_gauss``, one polynomial in one or two variables, not
+  floored, takes the exact route, and rows that the two-variable route
+  cannot certify take the grid, as do tuples and floored rows.
 
-integrates log |f| from the roots of f (Mahler, J. London Math. Soc. 37,
-1962):
+Exact route.  Jensen's formula for omega, integral of log |z - c| =
+1/2 log(1 + |c|^2), integrates log |f| from the roots of f (Mahler,
+J. London Math. Soc. 37, 1962):
 
 * one variable: f = a prod (z - c_i)^(m_i) integrates to
-  log |a| + 1/2 sum m_i log(1 + |c_i|^2).  An integer polynomial is
-  first split into squarefree parts exactly (Yun's algorithm over Q), so
-  every root the eigenvalue solver sees is simple; float or complex
-  coefficients go straight to the roots.  Roots are companion-matrix
-  eigenvalues, batched over rows.
-* two variables: the z2-content and the z1-content of an integer f (each
-  a polynomial in one variable) take the one-variable route.  For the
-  rest g, the z2-integral is exact at each z1 node:
-  log |A(z1)| + 1/2 sum log(1 + |c_i(z1)|^2) with A the top coefficient
-  and c_i the roots in z2; for g linear in z2, A z2 + B, it is
-  1/2 log(|A|^2 + |B|^2).  Subtracting D/2 log(1 + |z1|^2), where D is
-  the z1-degree of g, removes the logarithmic growth at infinity (it
-  integrates to D/2); what is left is bounded on the sphere and runs on
-  the one-variable node set below.  An integer g must be certified
-  squarefree in z2: for some integer r, g(r, z2) keeps its z2-degree
-  and is coprime to its z2-derivative over Q.  (2d - 1) D + 1 trial
-  values of r suffice when g is squarefree, d = deg_z2 g, because only
-  zeros of the top coefficient and of the discriminant can fail; when
-  none passes the polynomial takes the grid.
+  log |a| + 1/2 sum m_i log(1 + |c_i|^2), the roots being
+  companion-matrix eigenvalues, batched over rows.  The one-polynomial
+  entry first splits f into squarefree parts exactly (Yun's algorithm
+  over Q), so that the eigenvalue solver sees simple roots only; an f
+  that Yun finds squarefree is integrated as its own row, so a single
+  call and a batched row take the same bits.  Batched rows are not
+  split: Yun costs ~100 us a row in Python, the batched integral ~11 us
+  (the 12 348 rows of ``divcount --n 1 --lam 1 --h 4`` take 0.13 s, and
+  their splits would take 1.3 s more), so a repeated root of a batched
+  row shows only in its measured error, which can miss it.
+* two variables: the z2-content and the z1-content of f (polynomials in
+  one variable) take the one-variable route.  For the rest g, the
+  z2-integral is exact at each z1 node: log |A(z1)| +
+  1/2 sum log(1 + |c_i(z1)|^2) with A the top coefficient and c_i the
+  roots in z2, or 1/2 log(|A|^2 + |B|^2) for g = A z2 + B.  Less
+  D/2 log(1 + |z1|^2), D the z1-degree of g, which integrates to D/2, it
+  is bounded on the sphere and runs on the one-variable node set below.
+  g must be certified squarefree in z2: for some integer r, g(r, z2)
+  keeps its z2-degree and is coprime to its z2-derivative over Q.
+  (2d - 1) D + 1 trial values of r, d = deg_z2 g, suffice when g is
+  squarefree, as only zeros of the top coefficient and of the
+  discriminant fail; when none passes, g takes the grid.
 
-Measured errors on the exact route: the difference between the root
-sums of p and of its reversal z^d p(1/z), equal in exact arithmetic
-because omega is invariant under z -> 1/z; with two variables that
-difference integrated over z1, plus the difference between the outer
-integrals on n and n / 2 nodes.  Every exact-route error also carries a
-rounding allowance of 1e-12 (1 + |value|).
+The measured error of the exact route is the difference between the
+root sums of p and of its reversal z^d p(1/z), equal in exact arithmetic
+as omega is invariant under z -> 1/z; with two variables, that
+difference integrated over z1 plus the difference between the outer
+integrals on n and n / 2 nodes; and always a rounding allowance of
+1e-12 (1 + |value|).
 
-Grid route (tuples log max_i |f_i|, log max(1, |f|), uncertified
-two-variable polynomials).  One evaluator, ``_grid``, integrates
-log max(floor, max_i |f_ri|) for R rows of k functions on a shared
-support.  The plane is covered without an unbounded domain: the exterior
-is pulled back to the disk by z -> 1/z, so the node set is a disk grid
-together with its pointwise inverses at the same weights.  On the disk
-the substitution u = r^2 turns the radial factor into du / (1 + u)^2 on
-[0, 1], handled by Gauss-Legendre; the angle uses the periodic midpoint
-rule.  A variable z_j is angle-free when every function has a single
-z_j-exponent, f_i = z_j^e g_i with g_i free of z_j: the midpoint rule
-gives every angle the same value, so that axis takes the radial nodes r
-and 1/r with the summed weight w / (1 + u)^2 each, 2 n nodes instead of
-2 n^2, equal to the full grid in exact arithmetic.  When every
-coefficient is real, |f(conj z)| = |f(z)| with all variables conjugated
-at once, and the measure and the grid are invariant too (angle k pairs
-with n - 1 - k, and the radial nodes are fixed); so the first axis on
-plane nodes keeps only the angles k < n - 1 - k, each at weight 2, and
-the self-paired k = (n - 1) / 2 of an odd n at weight 1: n^2 nodes
-instead of 2 n^2, again exact.  The fold applies to every grid integral
-and to the outer z1 integral of the exact route, since for real g the
-inner integral satisfies I(conj z1) = I(z1); complex coefficients keep
-the plane nodes.  Grids are limited to two complex variables, beyond
-which the seeded Monte Carlo sampler takes over.  The error is the
+Grid route.  ``_grid`` integrates log max(floor, max_i |f_ri|) for R
+rows of k functions on a shared support.  The exterior of the disk is
+pulled back by z -> 1/z, so a node set is a disk grid together with its
+pointwise inverses at the same weights.  On the disk u = r^2 turns the
+radial factor into du / (1 + u)^2 on [0, 1], handled by Gauss-Legendre;
+the angle takes the periodic midpoint rule.  A variable z_j is
+angle-free when every function has a single z_j-exponent: every angle
+then gives the same value, so that axis takes the radial nodes r and 1/r
+at the summed weight w / (1 + u)^2, 2 n nodes instead of 2 n^2, equal to
+the full grid in exact arithmetic.  Real coefficients give
+|f(conj z)| = |f(z)|, and the measure and the grid are invariant too
+(angle k pairs with n - 1 - k); so the first axis on plane nodes keeps
+only the angles k < n - 1 - k at weight 2, and the self-paired
+k = (n - 1) / 2 of an odd n at weight 1, again exactly.  The fold applies
+to every grid integral and to the outer z1 integral of the exact route,
+whose inner integral satisfies I(conj z1) = I(z1).  Grids stop at two
+complex variables; Monte Carlo takes any number.  The error is the
 node-doubling difference (n against n / 2 nodes), and three standard
 errors for Monte Carlo.
 
 Every node set is radii times angles: the 2 n radii r and 1/r, each at
 the n plane angles, the ceil(n / 2) folded ones or the one angle 0 of the
-radial nodes; its 1/r half holds the pointwise inverses 1/w of its inner
-half w.  One overflow policy serves every route, so that no degree and no
+radial nodes; its 1/r half holds the inverses 1/w of its inner half w.
+One overflow policy serves every route, so that no degree and no
 coefficient size is refused for its float range.  Reversal: at a node
 1/w the reversal is evaluated at w, |f(1/w)| = |w|^-D |w^D f(1/w)|, so no
 radius power exceeds 1; the grid reverses each variable with D = d - 1,
-the largest exponent of its rows there, and the exact route reverses z1
-with the row's z1-degree D, which keeps the z2-roots, adds D log |z1| to
-log |A| and turns the potential term into -D/2 log(1 + |w|^2).  Shift:
-each row is scaled by one power of two 2^-s before any coefficient
-becomes a float (``_shifted``), with e the largest exponent of the row,
-|c| < 2^e (the bit length of a Python int, the frexp exponent of a
-float): s = 0 while |e| + log2(terms) <= 509, else s brings the row's sum
-of |c| to 2^509, so |f|^2 stays below 2^1018 at every node and log |f|
-gains s log 2.  Floor: a node's |f|^2 is F |g|^2 with F = 2^2s |w|^-2D,
-and log max(floor^2, |f|^2) = log F + log max(floor^2 / F, |g|^2), with
-|g|^2 floored at the smallest normal float (the floor 1e-300 of
-log max_i |f_i| acts as ~1.5e-154 where F = 1) and log F summed apart
-with the weights; where F = 1, the inner half of an unshifted row, this
-is the forward arithmetic, and an exact zero of f at a node with F > 1
-counts F times higher, which moves only integrands singular on the
-nodes, such as (z1 - z2)^2, within their error.  The shift is per row:
-with radii at most 1 the row's largest coefficient bounds every ring, and
-only a row whose terms span more than ~2^1000 between rings is floored at
-2^(s - 511) on its inner rings.  Five caps refuse with
-``SizeCapExceeded`` before anything is allocated, solved or sampled:
-``EXACT_1VAR_CAP`` on the exact one-variable route's degree^3, plus
-degree^4 / 16 for Yun's split of four or more integer terms (~5 s, before
-any gcd), ``GRID_CAP`` on grid points times coefficient width (~5 s),
-``EXACT_CAP`` on the exact two-variable route's z1 nodes times
-(z2-degree)^3 (~4.5 s), ``TABLE_CAP`` on the floats of either route's
-power tables (128 MB), and ``MC_WORK_CAP`` on the rows times samples of
-a batched Monte Carlo integral (~0.5-1.3 s).
+d - 1 the largest exponent in use there, and the exact route reverses z1
+with the row's z1-degree, which keeps the z2-roots and turns the
+potential term into -D/2 log(1 + |w|^2).  Shift (``_shifted``): each row
+is scaled by 2^-s before any coefficient becomes a float, s = 0 while
+the bit length of its largest |c| plus log2(terms) is at most 509, else
+the s that brings its sum of |c| to 2^509, so |f|^2 stays below 2^1018
+and log |f| gains s log 2.  Floor: a node's |f|^2 is F |g|^2 with
+F = 2^2s |w|^-2D, and log max(floor^2, |f|^2) = log F +
+log max(floor^2 / F, |g|^2), |g|^2 floored at the smallest normal float
+(the floor 1e-300 acts as ~1.5e-154 where F = 1) and log F summed apart
+with the weights.  An exact zero of f at a node with F > 1 counts F times
+higher, which moves only integrands singular on the nodes, such as
+(z1 - z2)^2, within their error; a row whose terms span more than
+~2^1000 between rings is floored at 2^(s - 511) on its inner rings.
+Five caps refuse with ``SizeCapExceeded`` before anything is allocated,
+solved or sampled: ``EXACT_1VAR_CAP`` on the exact one-variable route's
+degree^3, plus degree^4 / 16 for Yun's split of four or more terms and
+for the two-variable route's content gcd (~5 s, before any gcd);
+``GRID_CAP`` on grid points times coefficient width (~5 s); ``EXACT_CAP``
+on the exact two-variable route's z1 nodes times (z2-degree)^3 (~4.5 s);
+``TABLE_CAP`` on the floats of either route's power tables (128 MB); and
+``MC_WORK_CAP`` on the rows times samples of Monte Carlo (~0.5-1.3 s).
 
 ``_grid`` takes the 1/r half of the z1 nodes at the angles +theta where
-the node sets carry -theta, which permutes the nodes at equal weights:
-the plane angles are symmetric under theta -> -theta, and a folded axis
-has real coefficients, so |f(conj z1, conj z2)| = |f(z1, z2)| while
-every z2 node set is closed under conjugation.  ``_grid`` evaluates in
-real arithmetic on that structure.  Each function is separable,
-f = sum_a z1^a B_a(z2) with B_a(z2) = sum_b c_ab z2^b, so the B_a are
-formed once per z2 node (a column; one variable is the case of a single
-z2 node), and at a radius rho, with X_a = B_a rho^a,
-Re f = Re X @ cos(a theta) - Im X @ sin(a theta) and
-Im f = Re X @ sin(a theta) + Im X @ cos(a theta) are real matrix
-products against tables cached per (n, width): two for real X, four for
-complex X.  At the one angle 0 of the radial nodes, f = sum_a B_a rho^a
-is a single product with the table of rho^a, and no X is formed.  The
-integrand is then 1/2 log max(floor^2, max_i (Re^2 f_i + Im^2 f_i)),
-with no hypot.  The work runs in tiles of at most ``_TILE`` = 2^15
-floats (256 kB) per buffer, through buffers allocated once per call.
-Against complex evaluation with np.abs in blocks of 2^20 complex entries
-(16 MB), a grid point costs ~5 ns instead of ~13-16 ns, and the
-``census sh-set`` box of a = 0.22, h = 4.6 peaks at 0.8 MB of numpy
-buffers instead of 25 MB (numpy 2.4, one core of a 2-vCPU x86 VM).
+the node sets carry -theta, which permutes the nodes at equal weights,
+and evaluates in real arithmetic on that structure.  Each function is
+separable, f = sum_a z1^a B_a(z2), so the B_a are formed once per z2 node
+(a column; one variable has a single z2 node), and at a radius rho, with
+X_a = B_a rho^a, Re f = Re X @ cos(a theta) - Im X @ sin(a theta) and
+Im f = Re X @ sin(a theta) + Im X @ cos(a theta) are real matrix products
+against tables cached per (n, width): two for real X (one variable, or
+z2 on radial nodes), four for complex X.  At the one angle 0 of the
+radial nodes, f = sum_a B_a rho^a is one product with the table of
+rho^a.  The integrand is 1/2 log max(floor^2, max_i (Re^2 f_i +
+Im^2 f_i)), with no hypot, in tiles of at most ``_TILE`` = 2^15 floats
+(256 kB) per buffer, through buffers allocated once per call.
 
-Tables that do not depend on the coefficients are built once and cached,
-read-only (``setflags(write=False)``), so that no caller can change a
-later integral by writing into them: the Gauss-Legendre rule and the
-plane, folded and radial node sets per n (``lru_cache`` maxsize 8 each);
-the angle tables per (n, angle count, width) and the radius powers per
-(n, width) of the grid (16 each); and, for the outer integral of the exact
-route, the powers z^i of the inner z1 nodes and the potential
-1/2 log(1 + |z|^2) per (node set, n, width) (16).  A small integral then
-pays for its nodes, not for its set-up.
+Tables that do not depend on the coefficients (node sets, the grid's
+angle tables and radius powers, the exact route's powers of the z1
+nodes) are built once, cached by ``lru_cache`` and made read-only, so
+that no caller can change a later integral by writing into them; a
+small integral pays for its nodes, not for its set-up.
 
-Monte Carlo route (scheme ``monte_carlo``, any number of variables).
-``_monte_carlo`` reads the rows that ``_grid`` reads, coefficients
-C[row, function, exponent] on one exponent list.  A single tuple is one
-row; ``batched_log_integrals_with_error`` integrates rows of
-log max(1, |f|), such as those of the ``census sh-set`` box, as the
-tuples (1, f), all on one sample stream, while plain rows of log |f|
-keep the tensor scheme.  The estimate is the mean of log max_i |f_i|
-over ``sample_count`` seeded samples, each variable drawn independently
-from omega with no trigonometry (whose cos and sin alone cost more per
-point): w is uniform on the disk |w| < 1/2, by rejection from the square
-[-1/2, 1/2)^2, and z = w / sqrt(1/4 - |w|^2).  Then s = 4 |w|^2 is
-uniform on [0, 1] and independent of the uniform angle, so
-|z|^2 = s / (1 - s) has the law of omega, which gives |z|^2 <= t the
-mass t / (1 + t).  Samples come ``_MC_BATCH`` = 4096 at a time, shared
-by every row.  Each axis of a batch takes its points in rounds: for the
-``need`` points still missing, a round reads ``_round(need)`` candidates
-and keeps the first ``need`` accepted, so a seed fixes every point.  The
-first rounds of all axes are drawn in one generator call and mapped to z
-at once; the axes read them through a cursor, and a short round (4.5
-standard deviations off at a full batch) reads on from it: the points of
-one draw per axis and round, at half the numpy calls.  Each f_i runs
-nested Horner's rule (``multipoly.horner_steps``), one multiply and one
-add per coefficient and variable, half the time of one product per
-monomial on (z1 + 1)(z2 + 3)(z3 + 5), with the powers z_j^k formed once
-per batch.  Candidates, points, powers, registers and |f_i| live in
-buffers allocated once per integral: per-batch 64 kB temporaries sat at
-the heap top, which glibc trims after each batch, and were faulted in
-again by every batch (14 976 minor faults against 362 for one
-10^6-sample job, 20 % slower).  Each row takes one shift, as a grid row
-does; a sample at which |f_i| still passes the float range (|z|^D past
-2^1024) is refused with ``SizeCapExceeded``, so no NaN is averaged.
-Timings: numpy 2.4 on a 2-vCPU x86 VM.
+Monte Carlo route.  ``_monte_carlo`` reads the rows that ``_grid`` reads,
+all on one sample stream, so a row in a batch takes the bits it takes
+alone.  The estimate is the mean of log max(floor, max_i |f_i|) over
+``sample_count`` seeded samples, each variable drawn independently from
+omega with no trigonometry: w is uniform on the disk |w| < 1/2, by
+rejection from the square [-1/2, 1/2)^2, and z = w / sqrt(1/4 - |w|^2).
+Then s = 4 |w|^2 is uniform on [0, 1] and independent of the uniform
+angle, so |z|^2 = s / (1 - s) has the law of omega, which gives
+|z|^2 <= t the mass t / (1 + t).  Samples come ``_MC_BATCH`` = 4096 at a
+time, shared by every row.  Each axis of a batch takes its points in
+rounds: for the ``need`` points still missing, a round reads
+``_round(need)`` candidates and keeps the first ``need`` accepted, so a
+seed fixes every point; the first rounds of all axes come from one
+generator call, read through a cursor.  Each f_i runs nested Horner's
+rule (``multipoly.horner_steps``) on the powers z_j^k of the batch, in
+buffers allocated once per integral (per-batch temporaries, trimmed from
+the heap top by glibc, were faulted in again by every batch: 20 %
+slower).  Each row takes one shift, as a grid row does; a sample at which
+|f_i| still passes the float range is refused with ``SizeCapExceeded``,
+so no NaN is averaged.  Timings: numpy 2.4 on one core of a 2-vCPU x86
+VM, Python 3.11.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import sys
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -199,40 +182,29 @@ _ROUNDING = 1e-12  # relative rounding allowance of every exact-route error
 _RANGE_BITS = 509  # a shifted row keeps sum |c| below 2^509 (module docstring)
 
 
-def _shifted(C, bits: int, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(C 2^-s, s) with one power-of-two shift s per row (first axis) of C.
+def _shifted(C, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C 2^-s as floats, s) with one power-of-two shift s per row (first
+    axis) of the integer array C.
 
-    e is the exponent of the row's largest modulus m, m < 2^e (the bit
-    length of an int, the frexp exponent of a float), raised to the
-    floor's; s = 0 while |e| + bits <= ``_RANGE_BITS``, else
+    e is the bit length of the row's largest |c| (the frexp exponent of
+    a float); s = 0 while e + bits <= ``_RANGE_BITS``, else
     e + bits - ``_RANGE_BITS``, so that 2^bits terms of the scaled row sum
-    below 2^509.  Python numbers (an object array) are scaled one by one,
-    an int (s >= 0 for it) by exact division before it becomes a float; a
-    float array by ldexp.
+    below 2^509.  Python ints (an object array) are scaled by exact
+    division before they become floats, a numeric array by ldexp.
     """
     C = np.asarray(C)
     flat = C.reshape(len(C), math.prod(C.shape[1:]))
-    if C.dtype == object:
-        low = math.frexp(floor)[1] if floor > 0 else -math.inf
-        e = [max(low, m.bit_length() if isinstance(m, int) else math.frexp(m)[1])
-             for m in (max(map(abs, row), default=0) for row in flat.tolist())]
-        top = max(map(abs, e), default=0)
-        e = np.array(e, dtype=int)
-    else:
-        e = np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1]
-        e = np.maximum(e, math.frexp(floor)[1]) if floor > 0 else e
-        top = np.abs(e).max(initial=0)
-    if top + bits <= _RANGE_BITS:  # 2^0: the floats of the coefficients themselves
-        return (C.astype(complex) if C.dtype == object else C), np.zeros(len(C), dtype=int)
-    s = np.where(np.abs(e) + bits <= _RANGE_BITS, 0, e + bits - _RANGE_BITS)
-    if C.dtype == object:  # an int past the float range has s > 0
-        return np.array([[int(c) / (1 << k) if isinstance(c, numbers.Integral) and k >= 0 else
-                          complex(math.ldexp(complex(c).real, -k), math.ldexp(complex(c).imag, -k))
-                          for c in row] for row, k in zip(flat, s.tolist())],
-                        dtype=complex).reshape(C.shape), s
-    k = -s.reshape(-1, *[1] * (C.ndim - 1))
-    return (np.ldexp(C.real, k) + 1j * np.ldexp(C.imag, k) if C.dtype.kind == "c"
-            else np.ldexp(C, k)), s
+    ints = C.dtype == object
+    e = ([int(max(map(abs, row), default=0)).bit_length() for row in flat.tolist()] if ints
+         else [math.frexp(np.abs(C).max(initial=0))[1]])
+    if max(e, default=0) + bits <= _RANGE_BITS:  # 2^0 on every row
+        return C.astype(float), np.zeros(len(C), dtype=int)
+    e = np.array(e) if ints else np.frexp(np.abs(flat).max(axis=1))[1]
+    s = np.maximum(e + bits - _RANGE_BITS, 0)
+    if ints:  # an int past the float range has s > 0
+        return np.array([[int(c) / (1 << k) for c in row] for row, k in zip(flat, s.tolist())],
+                        dtype=float).reshape(C.shape), s
+    return np.ldexp(C.astype(float), -s.reshape(-1, *[1] * (C.ndim - 1))), s
 
 
 class QuadratureConfig(FrozenRecord):
@@ -311,23 +283,21 @@ def _radial_nodes(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(np.concatenate([r, 1.0 / r]), np.concatenate([w, w]))
 
 
-def _axis_nodes(supports, nvars: int, n: int, real: bool) -> list:
+def _axis_nodes(supports, nvars: int, n: int) -> list:
     """Node sets for the variables of a grid, one per axis.
 
     ``supports`` holds one collection of exponent tuples per function.
     An axis on which each has a single exponent is angle-free and takes
-    the radial nodes; with ``real`` coefficients the first axis left
-    takes the folded nodes, the others the plane nodes.
+    the radial nodes; the first axis left takes the folded nodes (the
+    coefficients are real), the others the plane nodes.
     """
-    axes = []
+    axes, fold = [], True
     for axis in range(nvars):
         if all(len({e[axis] for e in s}) == 1 for s in supports):
             axes.append(_radial_nodes(n))
-        elif real:
-            axes.append(_folded_nodes(n))
-            real = False
         else:
-            axes.append(plane_nodes(n))
+            axes.append(_folded_nodes(n) if fold else plane_nodes(n))
+            fold = False
     return axes
 
 
@@ -380,76 +350,77 @@ def _jensen_span(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (forward + backward), np.abs(forward - backward)
 
 
-def _jensen_rows(C) -> tuple[np.ndarray, np.ndarray]:
-    """Integral of log |p| and its measured error for each row p of C.
+def _jensen_rows(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integral of log |p| and its measured error for each row p of P.
 
-    Rows hold coefficients from the constant term up; zero rows give
-    -inf.  The value is the mean of the integrals from the roots of p and
-    from the roots of its reversal; the error is their difference.  Which
-    of the two is better conditioned depends on the root geometry (for
-    the roots 1..16 it is p, though its reversal is the one made monic by
-    the larger end coefficient), and the mean is within the error of
-    both.  Each row is integrated scaled by its ``_shifted`` power of two.
+    Rows hold coefficients from the constant term up, each below 2^509
+    (``_shifted``); zero rows give -inf.  The value is the mean of the
+    integrals from the roots of p and of its reversal, the error their
+    difference: which is better conditioned depends on the root geometry
+    (for the roots 1..16 it is p), and the mean is within the error of both.
     """
-    C, shift = _shifted(C, 1)
-    if len(C) and C[:, 0].all() and C[:, -1].all():
-        values, errors = _jensen_span(C)
-    else:
-        values, errors = np.full(len(C), -np.inf), np.zeros(len(C))
-        for span, rows in _span_groups(C != 0):
-            # zero roots integrate to 0, so only coefficients lo..hi matter
-            values[rows], errors[rows] = _jensen_span(C[rows, span])
-    return values + shift * math.log(2.0), errors
-
-
-def _integer_poly(f: MultiPoly) -> MultiPoly | None:
-    """f with int coefficients when every coefficient is an integer."""
-    for c in f.coeffs.values():
-        if not isinstance(c, numbers.Integral) and not (
-            isinstance(c, numbers.Real) and float(c).is_integer()
-        ):
-            return None
-    return MultiPoly._build(f.nvars, {e: int(c) for e, c in f.coeffs.items()})
+    if len(P) and P[:, 0].all() and P[:, -1].all():
+        return _jensen_span(P)
+    values, errors = np.full(len(P), -np.inf), np.zeros(len(P))
+    for span, rows in _span_groups(P != 0):
+        # zero roots integrate to 0, so only coefficients lo..hi matter
+        values[rows], errors[rows] = _jensen_span(P[rows, span])
+    return values, errors
 
 
 # Work the exact one-variable route may take, in units of ~6 ns: D^3 for
 # the two companion eigenvalue solves of degree D, and D^4 / 16 for Yun's
-# split of an integer f of four or more terms, whose Euclid over Z runs
-# dense (measured 4.7-5.2 s for the solves at D = 900, and 2.6 s for the
-# split of a dense row with coefficients below 10 at D = 300, 5.5 s at
-# 340; a trinomial's first pseudo-remainder is a binomial, so its split
-# stays sparse: 0.18 s at D = 4 000; numpy 2.4, one core of a 2-vCPU x86
-# VM).  It admits a trinomial of degree 928 and a dense integer row of
-# degree 332, and refuses degrees 929 and 333.
+# split of f of four or more terms, whose Euclid over Z runs dense
+# (4.7-5.2 s for the solves at D = 900, 2.6 s for the split of a dense
+# row with coefficients below 10 at D = 300 and 5.5 s at 340; a
+# trinomial's split stays sparse, 0.18 s at D = 4 000).  It admits a
+# trinomial of degree 928 and a dense row of degree 332.  The content gcd
+# of the exact two-variable route, the same Euclid over the z1-slices,
+# is charged z1-degree^4 / 16 too: dense rows A(z1) z2 + B(z1) of
+# z1-degree 300 take 1.1-1.3 s, 2.7-2.9 s at 400, and 336 is admitted.
 EXACT_1VAR_CAP = 8 * 10 ** 8
 
 
-def _jensen_1var(f: MultiPoly) -> tuple[float, float]:
-    """Exact integral of log |f| for a nonzero univariate f, with its
-    error.  More work than ``EXACT_1VAR_CAP`` is refused with
-    ``SizeCapExceeded`` before any gcd or solve."""
-    ints = _integer_poly(f)
-    D = f.deg(0)
-    work = D ** 3 + (D ** 4 // 16 if ints is not None and len(f.coeffs) > 3 else 0)
+def _jensen_1var(C, degrees, split: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Exact integrals of log |f| and their errors for nonzero rows f of
+    one variable, ``C[r, j]`` the coefficient of z^degrees[j].
+
+    With ``split`` (one row, the one-polynomial entry, whose ``degrees``
+    are its support) f takes Yun's squarefree split, unless it is
+    squarefree.  More work than
+    ``EXACT_1VAR_CAP`` is refused with ``SizeCapExceeded`` before any gcd
+    or solve.
+    """
+    D = max(degrees)  # each row is charged at the largest degree
+    work = len(C) * D ** 3 + (D ** 4 // 16 if split and len(degrees) > 3 else 0)
     if work > EXACT_1VAR_CAP:
         raise SizeCapExceeded(
             f"an exact one-variable integral of {work:.3g} units (degree^3, and degree^4 / 16 "
             f"for the squarefree split of 4 or more integer terms) exceeds the cap "
             f"{EXACT_1VAR_CAP:.0e}; lower the degree")
-    if ints is None:
-        parts, const = [(1, f)], 0.0
-    else:
-        # f = const * prod a^m with squarefree a: integrate each a once
-        parts = _squarefree_parts(ints)
-        const = math.log(abs(ints.coeffs[(ints.deg(0),)])) - sum(
-            m * math.log(abs(a.coeffs[(a.deg(0),)])) for m, a in parts
-        )
-    width = 1 + max(a.deg(0) for _, a in parts)
-    rows = [[a.coeffs.get((i,), 0) for i in range(width)] for _, a in parts]
-    values, errors = _jensen_rows(rows)
+    if split:
+        # f = const * prod a^m with squarefree a: integrate each a once, and
+        # a squarefree f as its own row
+        f = MultiPoly._build(1, {(i,): int(c) for i, c in zip(degrees, C[0].tolist())})
+        parts = _squarefree_parts(f) if D > 1 else [(1, f)]
+        parts = [(1, f)] if parts[0][0] == 1 and len(parts) == 1 else parts
+        const = math.log(abs(f.coeffs[(D,)])) - sum(
+            m * math.log(abs(a.coeffs[(a.deg(0),)])) for m, a in parts)
+        width = 1 + max(a.deg(0) for _, a in parts)
+        P = np.array([[a.coeffs.get((i,), 0) for i in range(width)] for _, a in parts],
+                     dtype=object)
+    else:  # dense, from z^0 up
+        P = np.zeros((len(C), 1 + D), dtype=C.dtype)
+        for j, i in enumerate(degrees):
+            P[:, i] = C[:, j]
+    P, shift = _shifted(P, 1)
+    values, errors = _jensen_rows(P)
+    values += shift * math.log(2.0)
+    if not split:
+        return values, errors + _ROUNDING * (1 + np.abs(values))
     mult = np.array([m for m, _ in parts], dtype=float)
     value = const + float(mult @ values)
-    return value, float(mult @ errors) + _ROUNDING * (1 + abs(value))
+    return np.array([value]), np.array([float(mult @ errors) + _ROUNDING * (1 + abs(value))])
 
 
 def _slices(f: MultiPoly, axis: int) -> dict[int, MultiPoly]:
@@ -494,10 +465,9 @@ _BLOCK = 1 << 20  # complex entries per block of inner integrals in _outer
 # Work the exact two-variable route may take: the 5 n^2 / 4 folded z1
 # nodes of the outer integral (at n and n / 2) x (z2-degree)^3, summed
 # over rows; a unit is one node's share of the two companion eigenvalue
-# solves.  About
-# 4.5 s at 55-70 ns a unit (measured 2.9 s for one random polynomial of
-# z2-degree 20 at 64 nodes, 4.4 s at degree 25; numpy 2.4, one core of a
-# 2-vCPU x86 VM).  At 64 nodes it admits z2-degree 25 and refuses 26.
+# solves.  About 4.5 s at 55-70 ns a unit (2.9 s for one random
+# polynomial of z2-degree 20 at 64 nodes, 4.4 s at degree 25).  At 64
+# nodes it admits z2-degree 25 and refuses 26.
 EXACT_CAP = 8 * 10 ** 7
 
 
@@ -516,13 +486,12 @@ def _drop_negligible_ends(A: np.ndarray) -> None:
     """Set to 0, in place, the coefficients at either end of each row of A,
     if wider than 2, below 2^-1022 of the row's largest modulus.
 
-    A companion matrix divides by an end coefficient, and a complex
-    quotient a_i / a_end is below 2 |a_i| / |a_end|, so only such an end
-    can put an entry past the float range into it.  Such ends arise where
-    |w|^D underflows, or nearly, on the inner rings of the outer
+    A companion matrix divides by an end coefficient, so only such an
+    end can put an entry past the float range into it.  Such ends arise
+    where |w|^D underflows, or nearly, on the inner rings of the outer
     z1-integral (past D ~ 180 at 64 nodes).  Dropping one changes the row
-    by less than 2^-1022 of its size; a row with a zero end takes
-    ``_jensen_rows``, which integrates its span.
+    by less than 2^-1022 of its size, and ``_jensen_rows`` integrates the
+    span that is left.
     """
     # every |A_j| < 2^509 (the shift in ``_jensen_2var``), so only an end
     # below 2^-513 can be dropped; a row of width 2 takes no companion
@@ -545,12 +514,12 @@ def _outer(G: np.ndarray, Grev: np.ndarray, D: np.ndarray, n: int):
     # rows sharing the span of z2-powers present get inner polynomials
     # whose end coefficients vanish at no node (but at isolated zeros)
     groups = _span_groups((G != 0).any(axis=1))
-    # for real g, conjugating z2 too gives I(conj z1) = I(z1): fold z1
-    nodes = plane_nodes if G.imag.any() else _folded_nodes
     results = []
     for m in (n, n // 2):
-        w = nodes(m)[1]  # the weights of the inner half repeat on the outer one
-        powers, potential = _outer_tables(nodes, m, G.shape[1])
+        # conjugating z2 too gives I(conj z1) = I(z1) for real g: fold z1; the
+        # weights of the inner half repeat on the outer one
+        w = _folded_nodes(m)[1]
+        powers, potential = _outer_tables(_folded_nodes, m, G.shape[1])
         value, inner_err = np.empty(len(G)), np.empty(len(G))
         for span, group in groups:
             step = max(1, _BLOCK // (len(w) * (span.stop - span.start)))
@@ -560,7 +529,7 @@ def _outer(G: np.ndarray, Grev: np.ndarray, D: np.ndarray, n: int):
                 A = np.concatenate([powers @ G[rows, :, span], powers @ Grev[rows, :, span]],
                                    axis=1).reshape(-1, span.stop - span.start)
                 _drop_negligible_ends(A)
-                v, e = (_jensen_span if A[:, [0, -1]].all() else _jensen_rows)(A)
+                v, e = _jensen_rows(A)
                 v = v.reshape(len(rows), -1) - D[rows, None] * potential
                 value[rows] = v @ w + 0.5 * D[rows]
                 inner_err[rows] = e.reshape(len(rows), -1) @ w
@@ -574,8 +543,9 @@ def _jensen_2var(polys, n: int):
 
     Returns (values, errors, certified); rows that are not certified
     squarefree in z2 carry no value and must take the grid.  More work
-    than ``EXACT_CAP``, or power tables of the z1 nodes larger than
-    ``TABLE_CAP``, is refused with ``SizeCapExceeded`` before any solve.
+    than ``EXACT_CAP``, power tables of the z1 nodes larger than
+    ``TABLE_CAP``, or a content gcd charged past ``EXACT_1VAR_CAP``, is
+    refused with ``SizeCapExceeded`` before any gcd or solve.
     """
     rows = len(polys)
     work = 5 * n * n // 4 * sum(f.deg(1) ** 3 for f in polys if len(f.coeffs) > 1)
@@ -583,38 +553,43 @@ def _jensen_2var(polys, n: int):
         raise SizeCapExceeded(f"an exact two-variable integral of {work:.3g} units (z1 nodes x "
                               f"z2-degree^3) exceeds the cap {EXACT_CAP:.0e}; lower the degree")
     width1 = 1 + max(f.deg(0) for f in polys)
-    # _outer_tables' complex z1^i, i < width1, at the inner nodes at n and
-    # n / 2: 5 n^2 / 8 of them folded, 5 n^2 / 4 on the plane
-    plane = any(isinstance(c, complex) and c.imag for f in polys for c in f.coeffs.values())
-    table = 2 * (5 * n * n // (4 if plane else 8)) * width1
+    # _outer_tables' complex z1^i, i < width1, at the 5 n^2 / 8 folded inner
+    # nodes at n and n / 2
+    table = 2 * (5 * n * n // 8) * width1
     if table > TABLE_CAP:
         raise SizeCapExceeded(f"an exact two-variable integral of z1-width {width1} needs tables "
                               f"of {table:.3g} floats, past the cap {TABLE_CAP:.3g}")
+    # the z2-content's Euclid over the z1-slices runs dense, unless a slice
+    # is a monomial, which answers at once
+    gcd = sum(f.deg(0) ** 4 // 16 for f in polys if f.deg(0) > 1
+              and 1 not in Counter(j for _, j in f.coeffs).values())
+    if gcd > EXACT_1VAR_CAP:
+        raise SizeCapExceeded(
+            f"the content split of an exact two-variable integral of {gcd:.3g} units "
+            f"(z1-degree^4 / 16) exceeds the cap {EXACT_1VAR_CAP:.0e}; lower the degree")
     values, errors = np.zeros(rows), np.zeros(rows)
-    certified = np.ones(rows, dtype=bool)
-    outer = np.zeros(rows, dtype=bool)
+    certified, outer = np.ones(rows, dtype=bool), np.zeros(rows, dtype=bool)
     width2 = 1 + max(f.deg(1) for f in polys)
     G, Grev = np.zeros((2, rows, width1, width2), dtype=complex)  # and its z1-reversal
     for r, f in enumerate(polys):
-        ints = _integer_poly(f)
-        if ints is not None:
-            c2, f = _split_content(ints, 1)  # z2-content: a polynomial in z1
-            c1, f = _split_content(f, 0)  # z1-content: a polynomial in z2
-            if not _squarefree_in_z2(f):
-                certified[r] = False
-                continue
-            for c in (c1, c2):
-                if c.deg(0):
-                    v, e = _jensen_1var(c)
-                    values[r] += v
-                    errors[r] += e
+        c2, f = _split_content(f, 1)  # z2-content: a polynomial in z1
+        c1, f = _split_content(f, 0)  # z1-content: a polynomial in z2
+        if not _squarefree_in_z2(f):
+            certified[r] = False
+            continue
+        for c in (c1, c2):
+            if c.deg(0):
+                (v,), (e,) = _jensen_1var(np.array([list(c.coeffs.values())], dtype=object),
+                                          [i for (i,) in c.coeffs], True)
+                values[r], errors[r] = values[r] + v, errors[r] + e
         if len(f.coeffs) == 1:  # a monomial c z^I integrates to log |c|
             values[r] += math.log(abs(next(iter(f.coeffs.values()))))
             continue
         outer[r] = True
         # |A_j(w)| <= sum_i |c_ij| at the nodes |w| <= 1: scaled by 2^-s,
         # each z2-polynomial keeps its roots and log |A| gains s log 2
-        (coeffs,), (s,) = _shifted([list(f.coeffs.values())], width1.bit_length())
+        (coeffs,), (s,) = _shifted(np.array([list(f.coeffs.values())], dtype=object),
+                                   width1.bit_length())
         values[r] += s * math.log(2.0)
         # f = z1^low * g, and z1^low integrates to 0: g has a z1-constant
         # term, so no inner row underflows to 0 (the integer content did this)
@@ -635,13 +610,11 @@ def _jensen_2var(polys, n: int):
 
 # Work one grid integral may take: evaluated points (rows x functions x
 # grid nodes) times the coefficient width max(d1, d2) of the rows, the
-# powers each point sums.  About 5 s at 2-3 ns a unit (measured 2.9 ns on
-# real one-variable rows of width 2 at 512 nodes, 2.1 ns on a
-# two-variable tuple of width 3 at 96; numpy 2.4, one core of a 2-vCPU
-# x86 VM).  It admits a one-variable census box up to its search cap (at
-# most 1e5 rows of width 2 on 4 096 folded nodes) and refuses a
-# two-variable box of 3.7e3 sign classes on 3.4e7 nodes, or a row of
-# width 10^7, before anything is allocated.
+# powers each point sums.  About 5 s at 2-3 ns a unit (2.9 ns on rows of
+# width 2 at 512 nodes, 2.1 ns on a two-variable tuple of width 3 at 96).
+# It admits a one-variable census box up to its search cap (at most 1e5
+# rows of width 2 on 4 096 folded nodes) and refuses a two-variable box
+# of 3.7e3 sign classes on 3.4e7 nodes, or a row of width 10^7.
 GRID_CAP = 2 * 10 ** 9
 # Floats of the dense tables one integral builds, and their caches keep,
 # however sparse its rows: radius powers, cos and sin and z2 powers on the
@@ -690,14 +663,16 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
         raise DomainError(
             "tensor grids are limited to 2 complex variables; use monte_carlo"
         )
+    used = C.astype(bool).any(axis=(0, 1))
+    if used.any():  # the widths, and so the reversals, follow the exponents in use
+        C, exponents = C[:, :, used], [e for e, u in zip(exponents, used) if u]
     E = [tuple(e) + (0,) * (2 - nvars) for e in exponents]
     d1, d2 = (1 + max(col) for col in zip(*E))
-    C, shift = _shifted(C, len(E).bit_length(), floor)
+    C, shift = _shifted(C, len(E).bit_length())
     rows, k, _ = C.shape
     supports = [[e for e, used in zip(exponents, mask) if used]
                 for mask in (C != 0).any(axis=0).tolist()]
-    real = C.dtype.kind != "c" or not C.imag.any()
-    (z1, w1), (z2, w2) = _axis_nodes(supports, nvars, n, real) + [_ONE_NODE] * (2 - nvars)
+    (z1, w1), (z2, w2) = _axis_nodes(supports, nvars, n) + [_ONE_NODE] * (2 - nvars)
     points, width = rows * k * len(z1) * len(z2), max(d1, d2)
     if points * width > GRID_CAP:
         raise SizeCapExceeded(
@@ -709,9 +684,9 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
     if table > TABLE_CAP:
         raise SizeCapExceeded(f"a grid integral of coefficient width {width} needs tables of "
                               f"{table:.3g} floats, past the cap {TABLE_CAP:.3g}")
-    G = np.zeros((d1, k, rows, d2), dtype=float if real else complex)
+    G = np.zeros((d1, k, rows, d2))
     for j, (a, b) in enumerate(E):
-        G[a, :, :, b] += (C[:, :, j].real if real else C[:, :, j]).T
+        G[a, :, :, b] += C[:, :, j].T
     # at the nodes 1/w, |f|^2 is |w|^-2D times that of the reversal at w,
     # D = d - 1: log |w|^-2D on each half and radius (0 on the inner one)
     powers, lw1, lift1 = _radius_powers(n, d1)
@@ -743,7 +718,7 @@ def _grid(C: np.ndarray, exponents, nvars: int, n: int, floor: float) -> np.ndar
     gm = min(len(z2), max(1, tile // rc))
     gr = max(1, tile // (rc * len(z2)))
     size = k * min(gr, rows) * gm * rc
-    parts = 2 if not real or z2.dtype.kind == "c" else 1  # Re X, and Im X
+    parts = 2 if z2.dtype.kind == "c" else 1  # Re X, and Im X
     X = np.empty((parts, d1 * size)) if tables else None
     work = np.empty((1 + parts, size * count))
     out = np.zeros(rows)
@@ -783,10 +758,9 @@ def _abs2(B, powers, tables, X, re, im, tmp=None) -> None:
 
     ``B[a, c]`` is the coefficient of z1^a in column c (one function of
     one row at one z2 node), ``powers`` the tile's slice of
-    ``_radius_powers``.  With X_a = B_a rho^a, formed a-major along the
-    radii, Re f = Re X @ cos - Im X @ sin and Im f = Re X @ sin + Im X @ cos:
-    two real matrix products when X is real, four otherwise.  At the one
-    angle 0 of the radial nodes (no ``tables``), f = B^T @ rho^a directly.
+    ``_radius_powers``, and X_a = B_a rho^a is formed a-major along the
+    radii for the products of the module docstring; at the one angle 0 of
+    the radial nodes (no ``tables``), f = B^T @ rho^a directly.
     """
     d1, m = B.shape
     rc = powers.shape[1]
@@ -811,20 +785,12 @@ def _abs2(B, powers, tables, X, re, im, tmp=None) -> None:
         re += im
 
 
-def _grid_with_error(C, exponents, nvars: int, n: int, floor: float):
-    """``_grid`` and its node-doubling difference (n against n / 2 nodes)."""
-    value = _grid(C, exponents, nvars, n, floor)
-    return value, np.abs(value - _grid(C, exponents, nvars, n // 2, floor))
-
-
-# Monte Carlo samples summed over the rows of one batched integral, such
-# as those of an sh-set box.  The rows share one sample stream, drawn
-# once per batch, and each row costs its Horner steps and one log per
-# sample: at the cap, the 421 rows of d = 1, a = 0.25, h = 4 at 95 000
-# samples take 0.46-0.55 s as a CLI process (1.5-2.1 s when each row drew
-# its own copy of the stream), and the 14 281 rows of d = 2, a = 0.24,
-# h = 4.2 at 2 500 take 1.1-1.3 s (3.4-3.5 s); 2-vCPU x86 VM, Python 3.11,
-# numpy 2.4.
+# Monte Carlo samples summed over the rows of one integral, such as those
+# of an sh-set box.  The rows share one sample stream, and each row costs
+# its Horner steps and one log per sample: at the cap, the 421 rows of
+# d = 1, a = 0.25, h = 4 at 95 000 samples take 0.46-0.55 s as a CLI
+# process, and the 14 281 rows of d = 2, a = 0.24, h = 4.2 at 2 500 take
+# 1.1-1.3 s.
 MC_WORK_CAP = 4 * 10 ** 7
 
 
@@ -885,23 +851,24 @@ class _OmegaSampler:
                 filled += len(idx)
 
 
-def _monte_carlo(C, exponents, nvars: int, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates of log max(_TINY, max_i |f_ri|) and three standard
+def _monte_carlo(C, exponents, nvars: int, cfg: QuadratureConfig,
+                 floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates of log max(floor, max_i |f_ri|) and three standard
     errors, one per row r, all on the same samples; ``C`` and
     ``exponents`` are read as by ``_grid``.
 
     Each row takes one shift (at most 2^20 terms a function) and each
     nonzero f_ri its ``horner_steps``, a constant f_ri only raising the
-    floor; the powers of the axes they use are formed once per batch, and
-    every f_ri runs in the same ``nvars`` registers.
+    floor, which never falls below ``_TINY``; the powers of the axes they
+    use are formed once per batch, and every f_ri runs in the same
+    ``nvars`` registers.
     """
     C, shift = _shifted(C, 20)
     programs, operands = [], set()
-    for row in C.tolist():
+    for row, s in zip(C.tolist(), shift.tolist()):
         steps = [horner_steps(MultiPoly(nvars, dict(zip(exponents, coeffs))))
                  for coeffs in row if any(coeffs)]
-        # |c| of a constant f_i as np.abs takes it on an array
-        top = max([float(np.abs(np.full(1, c))[0]) for _, (k, c) in steps if k == "c"] + [_TINY])
+        top = max([abs(c) for _, (k, c) in steps if k == "c"] + [math.ldexp(floor, -s), _TINY])
         programs.append(([run for run in steps if run[1][0] == "r"], top))
         operands.update(o for run, _ in steps for step in run for o in step[1:] if o[0] in "pr")
     count, batch = cfg.sample_count, min(_MC_BATCH, cfg.sample_count)
@@ -938,7 +905,62 @@ def _monte_carlo(C, exponents, nvars: int, cfg: QuadratureConfig) -> tuple[np.nd
     return mean + shift * math.log(2.0), 3.0 * np.sqrt(var / count)
 
 
-def _integrate(polys, cfg: QuadratureConfig, grid_error: bool):
+def _integrals(C, exponents, nvars: int, cfg: QuadratureConfig, floor: float,
+               grid_error: bool, split: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of log max(floor, max_i |f_ri|) and their errors, one per
+    row r, each on its route (module docstring).
+
+    ``C[r, i, j]`` is the coefficient of z^exponents[j] in f_ri, an int
+    or an integer float (else ``DomainError``, before any integral);
+    ``floor`` is ``_TINY``, or 1 for rows floored at one.  Without
+    ``grid_error`` the grid skips its n / 2 pass and its rows carry the
+    error NaN.  ``split`` marks the one-polynomial entry, whose
+    one-variable row takes Yun's split.
+    """
+    C = np.asarray(C)
+    if not (C.dtype.kind in "biu" or C.dtype.kind == "f" and np.isfinite(C).all()
+            and (C == np.floor(C)).all() or C.dtype == object and all(
+                isinstance(c, (int, np.integer)) or isinstance(c, float) and c.is_integer()
+                for c in C.flat)):
+        raise DomainError("Fubini-Study integrals take integer coefficients only")
+    exponents = [tuple(e) for e in exponents]
+    rows, k, _ = C.shape
+    values, errors = np.full(rows, -np.inf), np.zeros(rows)
+    plain = floor <= _TINY  # a floored row takes its scheme, zero rows too
+    rest = slice(None)  # the rows that take a route: all of them, as views
+    if plain:  # zero rows stay -inf; one monomial c z^I, or constants, take log |c|
+        terms = C.reshape(rows, -1).astype(bool).sum(axis=1)
+        closed = terms > 0 if nvars == 0 else terms == 1 if k == 1 else terms < 0
+        for r in closed.nonzero()[0].tolist():
+            values[r] = math.log(max(map(abs, C[r].ravel().tolist())))
+        routed = terms > (1 if k == 1 else 0) if nvars else terms < 0
+        rest = rest if routed.all() else routed.nonzero()[0]
+    if not len(C := C[rest]):
+        return values, errors
+    if cfg.scheme == "monte_carlo":
+        if len(C) * cfg.sample_count > MC_WORK_CAP:
+            raise SizeCapExceeded(
+                f"{len(C)} rows x {cfg.sample_count} samples exceed the Monte Carlo "
+                f"cap {MC_WORK_CAP:.0e}; lower sample_count (--mc-samples)")
+        values[rest], errors[rest] = _monte_carlo(C, exponents, nvars, cfg, floor)
+    elif plain and k == 1 and nvars == 1:
+        values[rest], errors[rest] = _jensen_1var(C[:, 0], [e for (e,) in exponents], split)
+    else:
+        if plain and k == 1 and nvars == 2:
+            polys = [MultiPoly._build(2, {e: int(c) for e, c in zip(exponents, row) if c})
+                     for row in C[:, 0].tolist()]
+            values[rest], errors[rest], certified = _jensen_2var(polys, cfg.nodes_per_dim)
+            rest, C = np.arange(rows)[rest][~certified], C[~certified]
+        if len(C):  # the grid, and its n / 2 pass for the error
+            n = cfg.nodes_per_dim
+            values[rest] = _grid(C, exponents, nvars, n, floor)
+            errors[rest] = (np.abs(values[rest] - _grid(C, exponents, nvars, n // 2, floor))
+                            if grid_error else math.nan)
+    return values, errors
+
+
+def _one_row(polys, cfg: QuadratureConfig, grid_error: bool) -> tuple[float, float]:
+    """``_integrals`` of one tuple of polynomials, as a batch of one row."""
     polys = list(polys)
     if not polys:
         raise AllZero("no polynomials given")
@@ -948,126 +970,42 @@ def _integrate(polys, cfg: QuadratureConfig, grid_error: bool):
     polys = [f for f in polys if not f.is_zero]
     if not polys:
         raise AllZero("log max |f_i| is identically -infinity")
-    if nvars == 0 or (len(polys) == 1 and len(polys[0].coeffs) == 1):
-        # a monomial c z^I: log |z_i| is odd under z_i -> 1/z_i
-        return math.log(max(abs(c) for f in polys for c in f.coeffs.values())), 0.0
-    n = cfg.nodes_per_dim
-    if cfg.scheme == "tensor_gauss" and len(polys) == 1 and nvars == 1:
-        return _jensen_1var(polys[0])
-    if cfg.scheme == "tensor_gauss" and len(polys) == 1 and nvars == 2:
-        values, errors, certified = _jensen_2var(polys, n)
-        if certified[0]:
-            return float(values[0]), float(errors[0])
     exponents = sorted({e for f in polys for e in f.coeffs})
     C = np.array([[[f.coeffs.get(e, 0) for e in exponents] for f in polys]], dtype=object)
-    if cfg.scheme == "monte_carlo":
-        value, error = _monte_carlo(C, exponents, nvars, cfg)
-    elif grid_error:
-        value, error = _grid_with_error(C, exponents, nvars, n, _TINY)
-    else:
-        return float(_grid(C, exponents, nvars, n, _TINY)[0]), math.nan
-    return float(value[0]), float(error[0])
+    (value,), (error,) = _integrals(C, exponents, nvars, cfg, _TINY, grid_error, split=True)
+    return float(value), float(error)
 
 
 def integrate_log_max(polys, cfg: QuadratureConfig) -> float:
-    """Integral of log max_i |f_i| against the product Fubini-Study volume.
-
-    The f_i must share a variable count; raises ``AllZero`` when every
-    f_i vanishes identically (the integral is -infinity).  A monomial
-    c z^I gives log |c| on every scheme; a single polynomial in one or
-    two variables on the tensor scheme is integrated exactly (see the
-    module docstring); the rest use the grid or Monte Carlo.
-    """
-    return _integrate(polys, cfg, grid_error=False)[0]
+    """Integral of log max_i |f_i| against the product Fubini-Study volume,
+    for integer polynomials f_i in the same variables (module docstring);
+    ``AllZero`` when every f_i vanishes identically (the integral is -inf)."""
+    return _one_row(polys, cfg, grid_error=False)[0]
 
 
 def integrate_log_max_with_error(polys, cfg: QuadratureConfig) -> tuple[float, float]:
     """``integrate_log_max`` with its measured error (module docstring)."""
-    return _integrate(polys, cfg, grid_error=True)
+    return _one_row(polys, cfg, grid_error=True)
 
 
 def batched_log_integrals(
     coeff_matrix: np.ndarray, exponents, nvars: int, cfg: QuadratureConfig,
     floor_at_one: bool = False,
 ) -> np.ndarray:
-    """Fubini-Study log-integrals for many polynomials sharing a support.
-
-    Row j of ``coeff_matrix`` holds the coefficients of one polynomial on
-    the common ``exponents`` (tuples of length nvars).  With
-    ``floor_at_one`` the integrand is log max(1, |f|) instead of log |f|
-    and runs on the grid or Monte Carlo; log |f| takes the exact route of
-    ``batched_log_integrals_with_error``.  Rows that are identically zero
-    integrate to -inf (or 0 when floored).
-    """
-    if floor_at_one and cfg.scheme == "tensor_gauss":
-        # one pass, no error
-        rows = np.asarray(coeff_matrix)[:, None]
-        return _grid(rows, exponents, nvars, cfg.nodes_per_dim, 1.0)
-    return batched_log_integrals_with_error(
-        coeff_matrix, exponents, nvars, cfg, floor_at_one
-    )[0]
+    """``batched_log_integrals_with_error`` without the errors (and so
+    without the grid's n / 2 pass)."""
+    return _integrals(np.asarray(coeff_matrix)[:, None], exponents, nvars, cfg,
+                      1.0 if floor_at_one else _TINY, grid_error=False)[0]
 
 
 def batched_log_integrals_with_error(
     coeff_matrix: np.ndarray, exponents, nvars: int, cfg: QuadratureConfig,
     floor_at_one: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of log |f| and their measured errors, one per row.
-
-    Rows are integrated by Jensen's formula, batched: one variable
-    straight from the roots (no squarefree split: a repeated root shows
-    in the measured error), two variables as in the module docstring,
-    with the exact content split and certificate for integer rows.
-    Uncertified rows, and every row of log max(1, |f|) with
-    ``floor_at_one``, take the grid and report its node-doubling
-    difference.  On ``monte_carlo``, log max(1, |f|) is log max |f_i| of
-    the tuple (1, f), every row on the same samples with three standard
-    errors, after ``MC_WORK_CAP``; log |f| is refused there.  Zero rows
-    integrate to -inf with error 0.  Plain rows in more than two
-    variables are refused with ``DomainError`` before any integral.
-    """
-    coeff_matrix = np.asarray(coeff_matrix)
-    n = cfg.nodes_per_dim
-    if floor_at_one and cfg.scheme == "monte_carlo":
-        work = len(coeff_matrix) * cfg.sample_count
-        if work > MC_WORK_CAP:
-            raise SizeCapExceeded(
-                f"{len(coeff_matrix)} rows x {cfg.sample_count} samples exceed the Monte Carlo "
-                f"cap {MC_WORK_CAP:.0e}; lower sample_count (--mc-samples)"
-            )
-        # function 0 of each row is the constant 1, at the exponent 0
-        exponents, zero = [tuple(e) for e in exponents], (0,) * nvars
-        if zero not in exponents:
-            exponents.append(zero)
-            coeff_matrix = np.hstack([coeff_matrix, np.zeros_like(coeff_matrix[:, :1])])
-        C = np.stack([np.zeros_like(coeff_matrix), coeff_matrix], axis=1)
-        C[:, 0, exponents.index(zero)] = 1
-        return _monte_carlo(C, exponents, nvars, cfg)
-    if floor_at_one:
-        return _grid_with_error(coeff_matrix[:, None], exponents, nvars, n, 1.0)
-    if nvars > 2:
-        raise DomainError("batched integrals are limited to 2 complex variables")
-    if cfg.scheme != "tensor_gauss":
-        raise DomainError("batched integrals support the tensor scheme only")
-    if nvars == 1:
-        C = np.zeros((len(coeff_matrix), 1 + max(e[0] for e in exponents)), coeff_matrix.dtype)
-        for k, e in enumerate(exponents):
-            C[:, e[0]] += coeff_matrix[:, k]
-        values, errors = _jensen_rows(C)  # zero rows: -inf, error 0
-        live = values != -np.inf
-        return values, np.where(live, errors + _ROUNDING * (1 + np.abs(values)), errors)
-    values = np.full(len(coeff_matrix), -np.inf)
-    errors = np.zeros(len(coeff_matrix))
-    grid = live = np.flatnonzero(np.any(coeff_matrix != 0, axis=1))
-    if nvars == 2:
-        polys = [
-            MultiPoly(2, dict(zip(exponents, coeff_matrix[r].tolist()))) for r in live
-        ]
-        v, e, certified = _jensen_2var(polys, n)
-        values[live], errors[live] = v, e
-        grid = live[~certified]
-    if len(grid):
-        values[grid], errors[grid] = _grid_with_error(
-            coeff_matrix[grid, None], exponents, nvars, n, _TINY
-        )
-    return values, errors
+    """Integrals of log |f| (log max(1, |f|) with ``floor_at_one``) and
+    their measured errors, one per row r of ``coeff_matrix``: the integer
+    coefficients of f on the common ``exponents`` (tuples of length
+    nvars).  Routes as in the module docstring, one-variable rows without
+    Yun's split; a zero row gives -inf with error 0 unless floored."""
+    return _integrals(np.asarray(coeff_matrix)[:, None], exponents, nvars, cfg,
+                      1.0 if floor_at_one else _TINY, grid_error=True)

@@ -145,15 +145,19 @@ def test_criterion_06_v_closed_form_for_factorized_polynomials():
     for _ in range(50):
         degree = int(rng.integers(1, 5))
         alpha = int(rng.integers(1, 4)) * (1 if rng.random() < 0.5 else -1)
-        roots = []
-        while len(roots) < degree:
-            c = complex(*rng.uniform(-1.25, 1.25, 2))
-            roots.append(c)
         f = MultiPoly.constant(alpha, 1)
         expected = abs(alpha)
-        for c in roots:
-            f = f * MultiPoly(1, {(1,): 1, (0,): -c})
-            expected *= math.sqrt(1 + abs(c) ** 2)
+        roots = 0
+        while roots < degree:
+            # a Gaussian-integer root, with its conjugate when it is not
+            # real, so that every coefficient is an integer
+            a, b = (int(x) for x in rng.integers(-1, 2, 2))
+            if b:
+                f = f * MultiPoly(1, {(2,): 1, (1,): -2 * a, (0,): a * a + b * b})
+            else:
+                f = f * MultiPoly(1, {(1,): 1, (0,): -a})
+            expected *= (1 + a * a + b * b) ** (1 if b else 0.5)
+            roots += 2 if b else 1
         worst = max(worst, abs(v_measure(f, cfg) - expected))
     assert worst <= 1e-3
     _report(6, f"v matches |a| prod sqrt(1+|c|^2) on 50 samples (worst {worst:.2e})")

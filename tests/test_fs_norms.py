@@ -74,14 +74,18 @@ def test_v_measure_closed_forms():
 
 
 def test_v_measure_linear_factor_products():
+    # Gaussian-integer roots, a non-real one with its conjugate, so that
+    # every coefficient is an integer
     rng = np.random.default_rng(11)
     for _ in range(10):
-        roots = rng.normal(size=3) + 1j * rng.normal(size=3)
         f = MultiPoly(1, {(0,): 1})
         expected = 1.0
-        for c in roots:
-            f = f * MultiPoly(1, {(1,): 1, (0,): -c})
-            expected *= math.sqrt(1 + abs(c) ** 2)
+        for a, b in rng.integers(-2, 3, (3, 2)).tolist():
+            if b:
+                f = f * MultiPoly(1, {(2,): 1, (1,): -2 * a, (0,): a * a + b * b})
+            else:
+                f = f * MultiPoly(1, {(1,): 1, (0,): -a})
+            expected *= (1 + a * a + b * b) ** (1 if b else 0.5)
         assert math.exp(integrate_log_max([f], CFG_FINE)) == pytest.approx(
             expected, rel=5e-4
         )
@@ -357,6 +361,18 @@ def test_sample_cap_counts_coefficients_times_variable_orders(monkeypatch):
     monkeypatch.setattr(fs_norms, "SAMPLE_CAP", 31)
     with pytest.raises(SizeCapExceeded):
         verify_norm_props(spec, cfg)
+
+
+def test_sample_cap_counts_every_sample(monkeypatch):
+    # samples x 32 units: 10^9 samples would keep 5 * 10^9 records; both
+    # refusals come before a generator is made
+    cfg = QuadratureConfig(nodes_per_dim=16)
+    monkeypatch.setattr(fs_norms, "SAMPLE_CAP", 64)
+    assert len(verify_norm_props(NormSampleSpec(2, 1, 2, 3), cfg)) == 10
+    monkeypatch.setattr(fs_norms.np.random, "default_rng", None)
+    for samples in (3, 10 ** 9):
+        with pytest.raises(SizeCapExceeded, match="samples of 32 units each"):
+            verify_norm_props(NormSampleSpec(samples, 1, 2, 3), cfg)
 
 
 def test_norm_inequality_pinned_instances():

@@ -130,18 +130,12 @@ def test_roots_past_2_to_500_integrate_in_the_log_domain():
     assert_honest(f, 302 * math.log(10) + math.log(2), 1e-9)
 
 
-def test_float_and_complex_coefficients_go_to_the_roots():
-    c = 0.5 + 2j
-    f = MultiPoly(1, {(1,): 2.5, (0,): -2.5 * c})
-    assert_honest(f, math.log(2.5) + 0.5 * math.log(1 + abs(c) ** 2), 1e-12)
-
-
 def _linear_form_integral(c):
     a = abs(c) ** 2
     return 0.5 if a == 1 else 0.5 * a * math.log(a) / (a - 1)
 
 
-@pytest.mark.parametrize("c", [1, 2, 5, 1j])
+@pytest.mark.parametrize("c", [1, 2, 5])
 def test_two_variables_linear_forms(c):
     f = MultiPoly(2, {(1, 0): 1, (0, 1): -c})
     assert_honest(f, _linear_form_integral(c), 1e-12)
@@ -170,9 +164,9 @@ def test_inner_ends_that_underflow_on_the_inner_rings():
         ref = float(mpmath.quad(lambda u: mpmath.log(1 + u ** 200) / (1 + u) ** 2,
                                 [0, 1, 2, 10, mpmath.inf]))
     assert_honest(poly("z1^400*z2^2 + 1"), ref, 1e-6)
-    # a common z1^400 of float coefficients is divided out, as the integer
-    # content is: log 1/2 + 0 + log 2, where every inner row was 0
-    assert_honest(MultiPoly(2, {(400, 2): 0.5, (400, 0): 0.5}), 0.0, 1e-12)
+    # a common z1^400 is divided out as the z2-content: 0 + log 2, where
+    # every inner row was 0
+    assert_honest(MultiPoly(2, {(400, 2): 3, (400, 0): 3}), math.log(3) + math.log(2), 1e-12)
     # no closed form: it answers within a finite error
     value, err = integrate_log_max_with_error([poly("z1^200*z2^3 + z2 + 1")], CFG)
     assert math.isfinite(value) and math.isfinite(err)
@@ -334,11 +328,21 @@ def test_census_rows_on_shared_samples_equal_single_integrals():
                                                             floor_at_one=True))
 
 
-def test_plain_monte_carlo_rows_are_refused():
-    # log |f| in batches takes the exact route, which is the tensor scheme's
-    mc = QuadratureConfig(scheme="monte_carlo", seed=1, sample_count=10)
-    with pytest.raises(DomainError, match="^batched integrals support the tensor scheme only$"):
-        batched_log_integrals_with_error(np.array([[1.0, 2.0]]), [(0,), (1,)], 1, mc)
+def test_plain_monte_carlo_rows_equal_single_calls():
+    # log |f| of each row on one stream is its single integral, bit for
+    # bit: a monomial row takes log |c| and a zero row -inf, as alone
+    exponents = [(1, 1), (0, 1), (2, 0), (3, 0), (0, 0)]
+    texts = ["3*z1*z2 - z2", "0", "-5*z1^2", "z1^2 - 4*z2 + 1", "(10^300)*z1^3 + z2"]
+    rows = np.array([[poly(t, 2).coeffs.get(e, 0) for e in exponents] for t in texts],
+                    dtype=object)
+    for count in (2, quadrature._MC_BATCH + 1):
+        mc = QuadratureConfig(scheme="monte_carlo", seed=6, sample_count=count)
+        values, errors = batched_log_integrals_with_error(rows, exponents, 2, mc)
+        assert (values[1], errors[1]) == (-math.inf, 0.0)
+        assert [(values[r], errors[r]) for r in (0, 2, 3, 4)] == [
+            integrate_log_max_with_error([poly(texts[r], 2)], mc) for r in (0, 2, 3, 4)]
+        assert (values[2], errors[2]) == (math.log(5), 0.0)
+        assert np.array_equal(values, batched_log_integrals(rows, exponents, 2, mc))
 
 
 @pytest.mark.parametrize("texts", [["z1 + 1", "z1^2 - 3"], ["(10^300)*z1^10 + z1", "1"]])
@@ -372,6 +376,102 @@ def test_batched_rows_match_single_polynomials():
             single, single_err = integrate_log_max_with_error([f], CFG)
             assert abs(value - single) <= err + single_err
             assert err < 1e-4
+
+
+@st.composite
+def _integer_rows(draw):
+    """(nvars, exponents, rows, cfg, floor_at_one): one to three rows of
+    integer coefficients on one exponent list, on a route drawn first."""
+    route = draw(st.sampled_from(["1-var", "2-var", "floored", "monte carlo",
+                                  "floored monte carlo"]))
+    nvars = {"1-var": 1, "2-var": 2}.get(route) or draw(st.sampled_from([1, 2]))
+    exponents = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars), min_size=1, max_size=6,
+                              unique=True))
+    row = st.lists(st.integers(-9, 9), min_size=len(exponents), max_size=len(exponents))
+    if route == "1-var":  # squarefree, or a monomial: Yun leaves it whole
+        row = row.filter(lambda r: sum(map(bool, r)) == 1 or [m for m, _ in _squarefree_parts(
+            _rows_poly(1, exponents, r))] == [1])
+    rows = draw(st.lists(row.filter(any), min_size=1, max_size=3))
+    cfg = (QuadratureConfig(scheme="monte_carlo", seed=draw(st.integers(0, 9)), sample_count=300)
+           if "monte carlo" in route else QuadratureConfig(nodes_per_dim=draw(st.sampled_from(
+               [8, 16] if nvars == 2 else [8, 16, 64]))))
+    return nvars, exponents, rows, cfg, "floored" in route
+
+
+@settings(max_examples=80, deadline=None)
+@given(_integer_rows())
+def test_single_and_batched_calls_take_the_same_bits(case):
+    # on every route a batch of one row and the one-polynomial call agree
+    # bit for bit (floored, the call of (1, f) on Monte Carlo, which reads
+    # the floor so); rows on one sample stream, and unsplit one-variable
+    # rows, take the same bits in a larger batch too
+    nvars, exponents, rows, cfg, floored = case
+    batch = batched_log_integrals_with_error(np.array(rows), exponents, nvars, cfg, floored)
+    for row, *in_batch in zip(rows, *batch):
+        (value,), (error,) = batched_log_integrals_with_error(np.array([row]), exponents, nvars,
+                                                              cfg, floored)
+        assert batched_log_integrals(np.array([row]), exponents, nvars, cfg, floored) == value
+        f = _rows_poly(nvars, exponents, row)
+        if not floored:
+            assert integrate_log_max_with_error([f], cfg) == (value, error)
+            assert integrate_log_max([f], cfg) == value
+        elif cfg.scheme == "monte_carlo":
+            assert integrate_log_max_with_error([MultiPoly.constant(1, nvars), f], cfg) == (
+                value, error)
+        if cfg.scheme == "monte_carlo" or nvars == 1 and not floored:
+            assert in_batch == [value, error]
+
+
+def _repeated_roots():
+    """(z - a)^k (z - b) for |a|, |b| <= 3 and 2 <= k <= 7 with every
+    |coefficient| <= 148, each with its integral from 50-digit mpmath."""
+    cases, z = [], poly("z1", 1)
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            for k in range(2, 8):
+                f = (z - a) ** k * (z - b)
+                if max(map(abs, f.coeffs.values())) <= 148:
+                    with mpmath.workdps(50):
+                        truth = k * mpmath.log(1 + a * a) / 2 + mpmath.log(1 + b * b) / 2
+                    cases.append((f, float(truth)))
+    assert len(cases) == 208
+    return cases
+
+
+def test_repeated_roots_are_covered_on_the_one_polynomial_entry():
+    # Yun's split gives the eigenvalue solver simple roots only
+    for f, truth in _repeated_roots():
+        value, err = integrate_log_max_with_error([f], CFG)
+        assert abs(value - truth) <= err, (f, value, truth, err)
+
+
+@pytest.mark.xfail(strict=True, reason="batched rows are not split: a repeated root perturbs "
+                   "both eigensolves alike, and the error misses it (ROADMAP item 12)")
+def test_repeated_roots_are_covered_on_batched_rows():
+    cases = _repeated_roots()
+    rows = np.array([[f.coeffs.get((i,), 0) for i in range(9)] for f, _ in cases], dtype=float)
+    values, errors = batched_log_integrals_with_error(rows, [(i,) for i in range(9)], 1, CFG)
+    misses = [(f, v, t, e) for (f, t), v, e in zip(cases, values, errors) if abs(v - t) > e]
+    assert misses == []
+
+
+def test_non_integer_coefficients_are_refused_before_any_integral(monkeypatch):
+    for name in ("_jensen_1var", "_jensen_2var", "_grid", "_monte_carlo"):
+        monkeypatch.setattr(quadrature, name, None)
+    mc = QuadratureConfig(scheme="monte_carlo", seed=1, sample_count=10)
+    for cfg in (CFG, mc):
+        for coeffs in ({(1,): 0.5, (0,): 1}, {(1,): 1j, (0,): 2}, {(0,): 2.5}):
+            with pytest.raises(DomainError, match="integer coefficients only"):
+                integrate_log_max_with_error([MultiPoly(1, coeffs)], cfg)
+        for row in ([0.5, 1.0], [math.nan, 1.0], [math.inf, 1.0], [1j, 2]):
+            with pytest.raises(DomainError, match="integer coefficients only"):
+                batched_log_integrals_with_error(np.array([[1, 2], row]), [(0,), (1,)], 1, cfg,
+                                                 floor_at_one=cfg is mc)
+    # integers written as floats are integers
+    monkeypatch.undo()
+    f = MultiPoly(1, {(1,): 2.0, (0,): -4.0})
+    assert integrate_log_max_with_error([f], CFG) == integrate_log_max_with_error(
+        [poly("2*z1 - 4")], CFG)
 
 
 def test_census_band_is_the_measured_error():
@@ -543,9 +643,8 @@ def _real_rows(draw):
     nvars = draw(st.sampled_from([1, 2]))
     n = draw(st.sampled_from(_FOLD_NODES[nvars]))
     m = len(_EXPONENTS[nvars])
-    coeffs = st.one_of(st.integers(-9, 9), st.floats(-5, 5, allow_nan=False))
     # a zero row would leave a constant, integrated exactly, not on a grid
-    row = st.lists(coeffs, min_size=m, max_size=m).filter(any)
+    row = st.lists(st.integers(-9, 9), min_size=m, max_size=m).filter(any)
     rows = draw(st.lists(row, min_size=1, max_size=3))
     return nvars, n, np.array(rows, dtype=float)
 
@@ -569,7 +668,7 @@ def test_folded_grid_equals_the_full_grid_on_tuples(case):
     # a constant member keeps log max |f_i| off the zeros of the others
     nvars, n, rows = case
     polys = [_rows_poly(nvars, _EXPONENTS[nvars], row) for row in rows]
-    polys.append(MultiPoly.constant(0.25, nvars))
+    polys.append(MultiPoly.constant(2, nvars))
     value = integrate_log_max(polys, QuadratureConfig(nodes_per_dim=n))
     assert abs(value - _full_grid(polys, nvars, n)) <= 1e-12 * (1 + abs(value))
 
@@ -637,64 +736,21 @@ def test_outer_tables_are_cached_per_node_set_and_width():
     assert np.array_equal(potential, np.tile(0.5 * np.log1p(np.abs(z) ** 2), 2))
 
 
-def _record_folds(monkeypatch):
-    folded = []
-    original = quadrature._folded_nodes
-
-    def recording(m):
-        folded.append(m)
-        return original(m)
-    monkeypatch.setattr(quadrature, "_folded_nodes", recording)
-    return folded
-
-
-@pytest.mark.parametrize("supports, nvars, grid", [
-    ([{(1,): 1, (0,): -1j}, {(0,): 0.5}], 1, True),  # log max(1/2, |z - i|)
-    ([{(1, 0): 1, (0, 1): -1j}, {(0, 0): 1, (0, 1): 1}], 2, True),
-    ([{(1, 1): 1, (1, 0): -1j, (0, 0): 2}], 2, False),  # the exact route
-])
-def test_complex_coefficients_keep_the_plane_nodes(monkeypatch, supports, nvars, grid):
-    # |f(conj z)| != |f(z)| here, so no axis may fold
-    folded = _record_folds(monkeypatch)
-    polys = [MultiPoly(nvars, coeffs) for coeffs in supports]
-    n = 64 if nvars == 1 else 16
-    value = integrate_log_max(polys, QuadratureConfig(nodes_per_dim=n))
-    assert folded == []
-    if grid:
-        assert abs(value - _full_grid(polys, nvars, n)) <= 1e-12 * (1 + abs(value))
-
-
-def test_complex_rows_keep_the_plane_nodes(monkeypatch):
-    folded = _record_folds(monkeypatch)
-    exponents = [(1,), (0,)]
-    rows = np.array([[1, -1j], [2j, 3]])  # z - i and 2i z + 3
-    values = batched_log_integrals(rows, exponents, 1, CFG, floor_at_one=True)
-    assert folded == []
-    for row, value in zip(rows, values):
-        full = _full_grid([_rows_poly(1, exponents, row)], 1, 64, floor_at_one=True)
-        assert abs(value - full) <= 1e-12 * (1 + abs(value))
-
-
 # ---------------------------------------------------------------------------
 # grid route: one evaluator for tuples and rows
 # ---------------------------------------------------------------------------
 
 _SQUARE = [(i, j) for i in range(3) for j in range(3)]
-_coeffs = st.one_of(st.integers(-9, 9), st.floats(-5, 5, allow_nan=False))
 
 
-@st.composite
-def _complex_rows(draw, count):
-    """Rows of coefficients on _SQUARE, complex unless ``real`` is drawn."""
-    real = draw(st.booleans())
-    parts = 1 if real else 2
-    row = st.lists(_coeffs, min_size=parts * len(_SQUARE), max_size=parts * len(_SQUARE))
-    rows = np.array(draw(st.lists(row.filter(any), min_size=count[0], max_size=count[1])))
-    return rows if real else rows[:, ::2] + 1j * rows[:, 1::2]
+def _square_rows(count):
+    """Nonzero rows of integer coefficients on _SQUARE, count[0] to count[1] of them."""
+    row = st.lists(st.integers(-9, 9), min_size=len(_SQUARE), max_size=len(_SQUARE))
+    return st.lists(row.filter(any), min_size=count[0], max_size=count[1]).map(np.array)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([8, 9]), _complex_rows((2, 3)))
+@given(st.sampled_from([8, 9]), _square_rows((2, 3)))
 def test_grid_equals_the_full_grid_on_two_variable_tuples(n, rows):
     polys = [_rows_poly(2, _SQUARE, row) for row in rows]
     value = integrate_log_max(polys, QuadratureConfig(nodes_per_dim=n))
@@ -702,7 +758,7 @@ def test_grid_equals_the_full_grid_on_two_variable_tuples(n, rows):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([8, 9]), _complex_rows((1, 6)))
+@given(st.sampled_from([8, 9]), _square_rows((1, 6)))
 def test_grid_equals_the_full_grid_on_two_variable_floored_rows(n, rows):
     cfg = QuadratureConfig(nodes_per_dim=n)
     values = batched_log_integrals(rows, _SQUARE, 2, cfg, floor_at_one=True)
@@ -715,7 +771,7 @@ def test_grid_blocks_do_not_change_the_integrals(monkeypatch):
     # tiny tiles split the rows into groups, the z2 nodes into chunks and
     # the radii of one column into pieces: only the rounding may change
     rng = np.random.default_rng(11)
-    rows = rng.integers(-5, 6, (7, len(_SQUARE))) + 1j * rng.integers(-2, 3, (7, len(_SQUARE)))
+    rows = rng.integers(-5, 6, (7, len(_SQUARE)))
     polys = [_rows_poly(2, _SQUARE, row) for row in rows[:3]]
     real = rng.integers(-5, 6, (10, 4)).astype(float)
     cfg = QuadratureConfig(nodes_per_dim=9)
@@ -752,11 +808,11 @@ def test_grid_kernel_equals_direct_complex_evaluation(monkeypatch, nvars, shape,
     monkeypatch.setattr(quadrature, "_axis_nodes", recording)
     exponents = _EXPONENTS[1] if nvars == 1 else _SQUARE
     rng = np.random.default_rng(n)
-    for real in (True, False):
+    for integer in (False, True):
         for k in (1, 2, 3):
-            C = rng.normal(size=(2, k, len(exponents)))
-            if not real:
-                C = C + 1j * rng.normal(size=C.shape)
+            size = (2, k, len(exponents))  # nonzero, so no row vanishes
+            C = (rng.integers(1, 10, size) * rng.choice([-1.0, 1.0], size) if integer
+                 else rng.normal(size=size))
             for i in range(k):
                 if shape == "angle-free":  # function i is a monomial in z1
                     C[:, i, [j for j in range(len(exponents)) if j != i]] = 0
@@ -769,7 +825,7 @@ def test_grid_kernel_equals_direct_complex_evaluation(monkeypatch, nvars, shape,
                     [_rows_poly(nvars, exponents, coeffs) for coeffs in row],
                     nvars, chosen[-1], floor) for row in C])
                 assert np.all(np.abs(value - ref) <= 1e-12 * (1 + np.abs(ref))), (
-                    real, k, floor, value, ref)
+                    integer, k, floor, value, ref)
                 if shape != "full":
                     assert any(len(z) == 2 * n for z, _ in chosen[-1])
 
@@ -807,9 +863,9 @@ def test_grid_shifts_each_row_by_its_own_power_of_two():
     exponents = [(0,), (100,)]
     jensen = 150 * math.log(10) + 50 * math.log1p(1e-3)
     for floor, ref in ((1.0, jensen + 8.0e-6), (quadrature._TINY, jensen)):
-        value, error = quadrature._grid_with_error(np.array([[[1.0, 1e150]]]), exponents,
-                                                   1, 64, floor)
-        assert abs(value[0] - ref) <= error[0] < 0.1, floor
+        value, half = (quadrature._grid(np.array([[[1.0, 1e150]]]), exponents, 1, n, floor)[0]
+                       for n in (64, 32))
+        assert abs(value - ref) <= abs(value - half) < 0.1, floor
         value = quadrature._grid(np.array([[[0.0, 1e300]]]), exponents, 1, 64, floor)[0]
         assert math.isclose(value, 300 * math.log(10), rel_tol=1e-13)
 
@@ -829,7 +885,7 @@ def test_grid_refuses_oversized_integrals():
 def test_one_variable_exact_route_is_capped_before_any_gcd_or_solve(monkeypatch):
     # Yun's split of a dense integer row of degree 700 took some 90 s, and
     # the eigensolves of z1^3000 + z1 + 1 as long; a row the cap admits
-    # reaches the split (integer coefficients) or the solves (floats)
+    # reaches the split
     class Reached(Exception):
         pass
 
@@ -843,12 +899,42 @@ def test_one_variable_exact_route_is_capped_before_any_gcd_or_solve(monkeypatch)
         return MultiPoly(1, {(i,): int(c) for i, c in enumerate(rng.integers(1, 10, degree + 1))})
     cases = [(dense(700), False), (dense(333), False), (dense(332), True),
              (poly("z1^3000 + z1 + 1"), False), (poly("z1^929 + z1 + 1"), False),
-             (poly("z1^928 + z1 + 1"), True), (poly("z1^928 + z1^2 + z1 + 1"), False),
-             (MultiPoly(1, {(929,): 0.5, (0,): 1}), False),
-             (MultiPoly(1, {(928,): 0.5, (1,): 1, (0,): 1, (7,): 3}), True)]
+             (poly("z1^928 + z1 + 1"), True), (poly("z1^928 + z1^2 + z1 + 1"), False)]
     for f, admitted in cases:
         with pytest.raises(Reached if admitted else SizeCapExceeded):
             integrate_log_max_with_error([f], CFG)
+
+
+def _dense_content_poly(degree):
+    """A(z1) z2 + B(z1) with dense A and B of z1-degree ``degree``, whose
+    z1-slices have no monomial, so that the content gcd runs dense."""
+    rng = np.random.default_rng(degree)
+    coeffs = {(i, j): int(c) for j in (0, 1)
+              for i, c in enumerate(rng.integers(1, 10, degree + 1))}
+    return MultiPoly(2, coeffs)
+
+
+def test_two_variable_content_gcd_is_capped_before_any_gcd(monkeypatch):
+    # the dense Euclid over the z1-slices took 1.1 s at z1-degree 300 and
+    # 14 s at 600; z1-degree^4 / 16 passes EXACT_1VAR_CAP from 337 on
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+    monkeypatch.setattr(quadrature, "_univ_poly_gcd", reached)
+    for degree, admitted in ((336, True), (337, False), (600, False)):
+        with pytest.raises(Reached if admitted else SizeCapExceeded):
+            integrate_log_max_with_error([_dense_content_poly(degree)], CFG)
+    # a monomial z1-slice answers the gcd at once, so it is not charged
+    with pytest.raises(Reached):
+        integrate_log_max_with_error([poly("z1^1000*z2^2 + z1^999 + 1")], CFG)
+
+
+def test_two_variable_content_gcd_below_the_cap_keeps_its_bits():
+    # z1-degree 100: the value and error from before the charge, to the bit
+    f = poly("(z1 + 1)^100*z2 + (z1 + 2)^100", 2)
+    assert integrate_log_max_with_error([f], CFG) == (96.84125069507314, 0.02415020804468733)
 
 
 @pytest.mark.parametrize("call", [
@@ -877,9 +963,8 @@ def test_integrals_leave_numpy_ma_unimported(call):
 # ---------------------------------------------------------------------------
 
 def _times_pow2(f, k):
-    """2^k f, with exact integer coefficients (floats for k < 0)."""
-    return MultiPoly(f.nvars, {e: c << k if k >= 0 else math.ldexp(c, k)
-                               for e, c in f.coeffs.items()})
+    """2^k f, with exact integer coefficients."""
+    return MultiPoly(f.nvars, {e: c << k for e, c in f.coeffs.items()})
 
 
 def _reversal(f, degrees):
@@ -902,11 +987,10 @@ _ROUTES = {
 @pytest.mark.parametrize("route", sorted(_ROUTES))
 def test_every_route_takes_exact_powers_of_two(route):
     # I(2^k f) = I(f) + k log 2 within the printed errors; past k = 1023 the
-    # coefficients are no floats, which every route refused before; at
-    # k = -700, still above the floor 1e-300, |f|^2 needs a shift up
+    # coefficients are no floats, which every route refused before
     polys, cfg = _ROUTES[route]
     base, base_err = integrate_log_max_with_error(polys, cfg)
-    for k in (0, 600, 1100, 2000, -700):
+    for k in (0, 600, 1100, 2000):
         value, err = integrate_log_max_with_error([_times_pow2(f, k) for f in polys], cfg)
         assert abs(value - (base + k * math.log(2))) <= err + base_err, (route, k)
 
@@ -933,7 +1017,10 @@ def test_batched_rows_take_exact_powers_of_two_and_reversal(nvars):
         values, errors = batched_log_integrals_with_error(
             np.array([[c << k for c in row] for row in rows], dtype=object),
             exponents, nvars, CFG)
-        assert np.all(np.abs(values - (base + k * math.log(2))) <= errors + base_err), k
+        # the monomial 7 z takes log |c| with error 0, so the float rounding of
+        # the reference sum (a few ulps) is allowed for
+        assert np.all(np.abs(values - (base + k * math.log(2)))
+                      <= errors + base_err + 4 * np.spacing(np.abs(values))), k
     # reversed with the degrees of the shared support, row by row
     degrees = [max(e[i] for e in exponents) for i in range(nvars)]
     flipped = [tuple(d - a for d, a in zip(degrees, e)) for e in exponents]
